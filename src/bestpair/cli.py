@@ -18,13 +18,16 @@ weights/schedule/options/seed are optional.  Set records are tagged:
 {"type":"ellipsoid","center":[..],"axes":[..]}.  The bounding radius rho is
 derived from the families.  All randomness flows from the file-level seed.
 
-Exit codes: 0 success/Converged, 1 parse or validation error, 2 MaxSweeps,
-3 projection iteration budget exceeded, 4 solver disagreement in `compare`.
+Exit codes: 0 success/Converged, 1 parse or validation error (a non-finite
+--x0 or --point included), 2 MaxSweeps, 3 projection failure (iteration
+budget exceeded, ellipsoid root-find or sampling failed), 4 solver
+disagreement in `compare`.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -33,9 +36,11 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EllipsoidRootFindError,
     MaxIterExceeded,
     MaxOuterExceeded,
     ProblemValidationError,
+    SamplingFailure,
 )
 from .operators import Family, SteeringSchedule, shlwb_project, validate_schedule
 from .oracles import brute_force_pair, dini_monotonicity_check, fix_set_audit, uniqueness_certificate
@@ -154,19 +159,19 @@ def _parse_floats(text: str):
     return [float(t) for t in text.split(",") if t.strip() != ""]
 
 
+def _parse_point(text: str, option: str):
+    """Coordinates of a comma-separated point; NaN and infinities are rejected."""
+    point = np.array(_parse_floats(text))
+    if not np.all(np.isfinite(point)):
+        raise ValueError(f"{option} must have finite coordinates, got {text!r}")
+    return point
+
+
 def _with_overrides(parsed: ParsedProblem, args) -> Problem:
     problem = parsed.problem
     opts = problem.options
-    changed = {}
     if getattr(args, "max_sweeps", None) is not None:
-        changed["max_sweeps"] = args.max_sweeps
-    if changed:
-        opts = SolverOptions(
-            max_sweeps=changed.get("max_sweeps", opts.max_sweeps),
-            pair_gap_tol=opts.pair_gap_tol,
-            fixed_point_tol=opts.fixed_point_tol,
-            record_inner_steps=opts.record_inner_steps,
-        )
+        opts = dataclasses.replace(opts, max_sweeps=args.max_sweeps)
     fam_a, fam_b = problem.family_a, problem.family_b
     if getattr(args, "schedule", None) is not None:
         c, k0, p = _parse_floats(args.schedule)
@@ -209,7 +214,7 @@ def _dump_json(path: str, payload: dict):
 def cmd_run(args) -> int:
     parsed = load_problem(args.problem)
     problem = _with_overrides(parsed, args)
-    x0 = np.array(_parse_floats(args.x0)) if args.x0 else None
+    x0 = _parse_point(args.x0, "--x0") if args.x0 else None
     trace = run_ashlwb(problem, x0)
     pair = extract_best_pair(trace, problem)
     out = args.out or "trace"
@@ -229,7 +234,7 @@ def cmd_run(args) -> int:
 def cmd_project(args) -> int:
     parsed = load_problem(args.problem)
     fam = parsed.problem.family_a if args.family == "A" else parsed.problem.family_b
-    point = np.array(_parse_floats(args.point))
+    point = _parse_point(args.point, "--point")
     try:
         y = shlwb_project(fam, point, tol=args.tol)
     except MaxIterExceeded as exc:
@@ -375,6 +380,9 @@ def main(argv=None) -> int:
     except MaxOuterExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (MaxIterExceeded, EllipsoidRootFindError, SamplingFailure) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -22,8 +22,9 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
     """Project x onto the intersection of the given sets.
 
     Accepts a Family or a plain sequence of set descriptors, and a point of
-    shape (n,) or a batch (..., n).  Stops when the per-cycle displacement and
-    the worst member distance both fall below tol.  A single-member family
+    shape (n,) or a batch (..., n); a single point goes through the members'
+    `project_point`.  Stops when the per-cycle displacement and the worst
+    member distance both fall below tol.  A single-member family
     short-circuits to the member's exact projection.
     """
     sets = list(getattr(family_or_sets, "sets", family_or_sets))
@@ -33,19 +34,24 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
     if len(sets) == 1:
         return sets[0].project(x)
 
+    if x.shape == (sets[0].dim,):
+        projections = [s.project_point for s in sets]
+    else:
+        projections = [s.project for s in sets]
     y = x.copy()
     incs = [np.zeros_like(y) for _ in sets]
     gap = np.inf
     for _ in range(max_iter):
         y_prev = y
-        for i, s in enumerate(sets):
+        for i, project in enumerate(projections):
             z = y - incs[i]
-            y = s.project(z)
+            y = project(z)
             incs[i] = y - z
         gap = float(np.max(np.linalg.norm(y - y_prev, axis=-1)))
         if gap <= tol:
             feas = max(
-                float(np.max(np.linalg.norm(y - s.project(y), axis=-1))) for s in sets
+                float(np.max(np.linalg.norm(y - project(y), axis=-1)))
+                for project in projections
             )
             if feas <= tol:
                 return y
@@ -55,9 +61,3 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
         last=y,
         gap=gap,
     )
-
-
-def distance_to_intersection(family_or_sets, x, tol: float = REFERENCE_TOL) -> float:
-    """||x - P(x)|| with P the reference intersection projection."""
-    x = np.asarray(x, dtype=float)
-    return float(np.max(np.linalg.norm(x - project_intersection(family_or_sets, x, tol), axis=-1)))

@@ -4,10 +4,12 @@ The core operator is M[d](x) = tau*d + (1-tau)*sum_l w_l P_l(x) over a family
 of convex sets.  Products of these operators with a fixed anchor, applied with
 a vanishing steering sequence, converge to the metric projection of the anchor
 onto the family's intersection; `shlwb_project` runs that iteration directly.
+Every anchored step, here and in the solver, runs in `anchored_steps`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,6 +158,9 @@ class Family:
             raise ValueError("schedule violates the steering axioms")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_weight_list", w.tolist())
+        object.__setattr__(self, "_point_shape", (dim,))
+        object.__setattr__(self, "_point_projections", [s.project_point for s in sets])
 
     @property
     def dim(self):
@@ -165,11 +170,21 @@ class Family:
         return len(self.sets)
 
     def weighted_projection(self, x):
-        """sum_l w_l P_l(x), accumulated in index order."""
+        """sum_l w_l P_l(x), accumulated in index order.
+
+        A single point of shape (n,) goes through the members' unchecked
+        `project_point`, a batch through their `project`; both give the same
+        bits on the same point.
+        """
         x = np.asarray(x, dtype=float)
-        acc = self.weights[0] * self.sets[0].project(x)
-        for w, s in zip(self.weights[1:], self.sets[1:]):
-            acc = acc + w * s.project(x)
+        if x.shape == self._point_shape:
+            projections = self._point_projections
+        else:
+            projections = [s.project for s in self.sets]
+        weights = self._weight_list
+        acc = weights[0] * projections[0](x)
+        for w, project in zip(weights[1:], projections[1:]):
+            acc += w * project(x)
         return acc
 
     def member_distances(self, x):
@@ -190,13 +205,35 @@ def _check_dim(family: Family, x, what="point"):
     return x
 
 
+def anchored_steps(family: Family, taus, anchor, y=None):
+    """Yield y <- tau*anchor + (1-tau)*sum_l w_l P_l(y), once for each tau.
+
+    The iteration starts from y = anchor unless a start is given.  This is
+    the one place the anchored step is written: the single step, the sweeps,
+    the sweep path and the anchored projection all run it.  Arguments are not
+    checked; `taus` is any iterable of floats, read one step at a time.
+    """
+    if y is None:
+        y = anchor
+    for tau in taus:
+        y = tau * anchor + (1.0 - tau) * family.weighted_projection(y)
+        yield y
+
+
+def _sweep_taus(family: Family, q: int) -> list:
+    """tau_0, ..., tau_q as Python floats, evaluated as one array."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    return family.schedule.tau(np.arange(q + 1)).tolist()
+
+
 def apply_m(family: Family, tau: float, anchor, x):
     """One anchored step: tau*anchor + (1-tau)*weighted projection of x."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0,1), got {tau}")
     anchor = _check_dim(family, anchor, "anchor")
     x = _check_dim(family, x)
-    return tau * anchor + (1.0 - tau) * family.weighted_projection(x)
+    return next(anchored_steps(family, (tau,), anchor, x))
 
 
 def apply_m_hat(family: Family, tau: float, x):
@@ -206,18 +243,15 @@ def apply_m_hat(family: Family, tau: float, x):
 
 
 def apply_q_hat(family: Family, q: int, x):
-    """Anchored sweep of q+1 steps.
+    """Anchored sweep of q+1 steps; the last row of `q_hat_path`.
 
     The anchor is the original input at every inner step and the steering
     index restarts at 0 on every call.
     """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    taus = _sweep_taus(family, q)
     x = _check_dim(family, x)
-    taus = np.atleast_1d(family.schedule.tau(np.arange(q + 1)))
-    y = x
-    for t in range(q + 1):
-        y = taus[t] * x + (1.0 - taus[t]) * family.weighted_projection(y)
+    for y in anchored_steps(family, taus, x):
+        pass
     return y
 
 
@@ -227,14 +261,10 @@ def q_hat_path(family: Family, q: int, x):
     Successive sweep outputs share their prefix because the anchor is fixed,
     so the whole path costs the same as the longest single sweep.
     """
-    if q < 0:
-        raise ValueError("q must be nonnegative")
+    taus = _sweep_taus(family, q)
     x = _check_dim(family, x)
-    taus = np.atleast_1d(family.schedule.tau(np.arange(q + 1)))
     out = np.empty((q + 1,) + x.shape)
-    y = x
-    for t in range(q + 1):
-        y = taus[t] * x + (1.0 - taus[t]) * family.weighted_projection(y)
+    for t, y in enumerate(anchored_steps(family, taus, x)):
         out[t] = y
     return out
 
@@ -262,11 +292,12 @@ def shlwb_project(
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     anchor = _check_dim(family, anchor, "anchor")
+    # tau_k is evaluated lazily, one scalar at a time: the budget is large and
+    # most runs stop early.  One copy drives the steps, the other the stop test.
+    taus, stop_taus = itertools.tee(map(family.schedule.tau, range(max_iter)))
     x = anchor
     gap = np.inf
-    for k in range(max_iter):
-        tau = float(family.schedule.tau(k))
-        x_next = tau * anchor + (1.0 - tau) * family.weighted_projection(x)
+    for tau, x_next in zip(stop_taus, anchored_steps(family, taus, anchor)):
         gap = float(np.max(np.linalg.norm(x_next - x, axis=-1)))
         x = x_next
         if gap <= tol * tau:

@@ -28,8 +28,8 @@ from .sets import Ball, CONTAINS_TOL
 from .solver import (
     IterationTrace,
     Problem,
-    _family_bound_check,
     distance_estimate,
+    family_bound_check,
 )
 
 SEPARATION_SLACK = 1e-6
@@ -86,8 +86,8 @@ def uniqueness_certificate(problem: Problem) -> UniquenessCertificate:
         s.strictly_convex for s in problem.family_a.sets + problem.family_b.sets
     )
     try:
-        _family_bound_check(problem.family_a, problem.rho, "A")
-        _family_bound_check(problem.family_b, problem.rho, "B")
+        family_bound_check(problem.family_a, problem.rho, "A")
+        family_bound_check(problem.family_b, problem.rho, "B")
         attained = True
     except ProblemValidationError:
         attained = False

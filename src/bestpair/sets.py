@@ -5,6 +5,14 @@ boxes and axis-aligned ellipsoids.  All projections accept a single point of
 shape (n,) or a batch of shape (..., n) and are exact up to floating point,
 except the ellipsoid which solves a one-dimensional dual equation by
 safeguarded bisection to residual <= 1e-12.
+
+Each set also has `project_point`, an unchecked projection of one float point
+of shape (n,).  It runs the floating-point operations of `project` in the same
+order, so its result equals `project(x)` bit for bit, but it branches on
+scalars where `project` masks with `np.where`; when the branch finds the
+point in the set, `x` itself comes back (the box has no branch).  The
+solver's inner loop uses it, because on small points the cost of `project`
+is numpy call overhead.
 """
 
 from __future__ import annotations
@@ -70,6 +78,13 @@ class Ball:
         scale = np.where(outside, self.radius / np.where(outside, n, 1.0), 1.0)
         return np.where(outside, self.center + d * scale, x)
 
+    def project_point(self, x):
+        d = x - self.center
+        n = np.sqrt(np.add.reduce(d * d))  # np.linalg.norm(d, axis=-1)
+        if n > self.radius:
+            return self.center + d * (self.radius / n)
+        return x
+
     def contains(self, x, tol=CONTAINS_TOL):
         x = _as_points(x, self.dim)
         return np.linalg.norm(x - self.center, axis=-1) <= self.radius + tol
@@ -95,6 +110,7 @@ class HalfSpace:
         object.__setattr__(self, "offset", float(self.offset))
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("normal must be nonzero")
+        object.__setattr__(self, "_nn", float(self.normal @ self.normal))
 
     @property
     def dim(self):
@@ -103,9 +119,14 @@ class HalfSpace:
     def project(self, x):
         x = _as_points(x, self.dim)
         excess = x @ self.normal - self.offset
-        nn = float(self.normal @ self.normal)
-        shift = np.maximum(excess, 0.0) / nn
+        shift = np.maximum(excess, 0.0) / self._nn
         return np.where((excess > 0.0)[..., None], x - shift[..., None] * self.normal, x)
+
+    def project_point(self, x):
+        excess = x @ self.normal - self.offset
+        if excess > 0.0:
+            return x - (excess / self._nn) * self.normal
+        return x
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = _as_points(x, self.dim)
@@ -133,6 +154,7 @@ class Hyperplane:
         object.__setattr__(self, "offset", float(self.offset))
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("normal must be nonzero")
+        object.__setattr__(self, "_nn", float(self.normal @ self.normal))
 
     @property
     def dim(self):
@@ -141,8 +163,15 @@ class Hyperplane:
     def project(self, x):
         x = _as_points(x, self.dim)
         excess = x @ self.normal - self.offset
-        nn = float(self.normal @ self.normal)
-        return np.where((excess != 0.0)[..., None], x - (excess / nn)[..., None] * self.normal, x)
+        return np.where(
+            (excess != 0.0)[..., None], x - (excess / self._nn)[..., None] * self.normal, x
+        )
+
+    def project_point(self, x):
+        excess = x @ self.normal - self.offset
+        if excess != 0.0:
+            return x - (excess / self._nn) * self.normal
+        return x
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = _as_points(x, self.dim)
@@ -180,6 +209,11 @@ class Box:
         x = _as_points(x, self.dim)
         return np.clip(x, self.lo, self.hi)
 
+    def project_point(self, x):
+        # np.clip gives the same bits, signed zeros and NaN included, but
+        # costs twice as much on a small point
+        return np.minimum(np.maximum(x, self.lo), self.hi)
+
     def contains(self, x, tol=CONTAINS_TOL):
         x = _as_points(x, self.dim)
         return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
@@ -209,6 +243,7 @@ class Ellipsoid:
             raise DimensionMismatch("center and axes dimensions differ")
         if not np.all(self.axes > 0):
             raise ValueError("axes must be positive")
+        object.__setattr__(self, "_a2", self.axes**2)
 
     @property
     def dim(self):
@@ -229,7 +264,7 @@ class Ellipsoid:
         shape = x.shape
         pts = x.reshape(-1, self.dim)
         z = pts - self.center
-        a2 = self.axes**2
+        a2 = self._a2
         quad = np.sum((z / self.axes) ** 2, axis=-1)
         outside = quad > 1.0
         if not np.any(outside):
@@ -258,6 +293,33 @@ class Ellipsoid:
         proj = pts.copy()
         proj[outside] = self.center + zo * a2 / (a2 + lam[:, None])
         return proj.reshape(shape)
+
+    def project_point(self, x):
+        z = x - self.center
+        if not np.add.reduce((z / self.axes) ** 2) > 1.0:
+            return x
+        a2 = self._a2
+        za2 = z * a2
+
+        def phi(lam):
+            return np.add.reduce((za2 / (a2 + lam) / self.axes) ** 2) - 1.0
+
+        lo = 0.0
+        hi = np.linalg.norm(z * self.axes, axis=-1) + np.max(a2)
+        for _ in range(_ELLIPSOID_MAX_BISECT):
+            mid = 0.5 * (lo + hi)
+            if phi(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        lam = 0.5 * (lo + hi)
+        res = abs(phi(lam))
+        if res > _ELLIPSOID_ROOT_RESIDUAL:
+            raise EllipsoidRootFindError(
+                f"dual residual {res:.3e} after {_ELLIPSOID_MAX_BISECT} "
+                "bisections; axes may be numerically degenerate"
+            )
+        return self.center + za2 / (a2 + lam)
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = _as_points(x, self.dim)
@@ -355,11 +417,6 @@ def contains(s: ConvexSet, x, tol=CONTAINS_TOL):
 
 def is_strictly_convex(s: ConvexSet) -> bool:
     return s.strictly_convex
-
-
-def member_distance(s: ConvexSet, x):
-    """Euclidean distance from x to s, i.e. ||x - P_s(x)||."""
-    return np.linalg.norm(np.asarray(x, float) - s.project(x), axis=-1)
 
 
 def family_bounding_radius(sets) -> float:

@@ -24,7 +24,7 @@ from .errors import (
     UnboundedFamily,
 )
 from .intersection import project_intersection
-from .operators import Family
+from .operators import Family, apply_q_hat, q_hat_path
 
 DISJOINTNESS_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
@@ -45,10 +45,14 @@ class SolverOptions:
     record_inner_steps: bool = False
 
     def __post_init__(self):
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be positive")
-        if not (self.pair_gap_tol > 0 and self.fixed_point_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if (isinstance(self.max_sweeps, bool)
+                or not isinstance(self.max_sweeps, (int, np.integer))
+                or self.max_sweeps < 1):
+            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        for name in ("pair_gap_tol", "fixed_point_tol"):
+            value = getattr(self, name)
+            if not (value > 0 and np.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +148,9 @@ def _clip_to_ball(x, rho):
     return x, False
 
 
-def _family_bound_check(fam: Family, rho: float, label: str):
+def family_bound_check(fam: Family, rho: float, label: str):
+    """Raise ProblemValidationError unless every bounded member lies in B[0, rho]
+    and at least one member is bounded."""
     bounded = 0
     for i, s in enumerate(fam.sets):
         try:
@@ -196,8 +202,8 @@ def _alternate_projections(problem: Problem, x0, inner_tol, max_outer):
 
 def validate_problem(problem: Problem) -> ProblemReport:
     """Check the solvability hypotheses; raises ProblemValidationError."""
-    _family_bound_check(problem.family_a, problem.rho, "A")
-    _family_bound_check(problem.family_b, problem.rho, "B")
+    family_bound_check(problem.family_a, problem.rho, "A")
+    family_bound_check(problem.family_b, problem.rho, "B")
     feas_a = _family_feasibility(problem.family_a, "A")
     feas_b = _family_feasibility(problem.family_b, "B")
     origin = np.zeros(problem.dim)
@@ -230,32 +236,33 @@ def run_ashlwb(problem: Problem, x0=None, validate: bool = True) -> IterationTra
     x^{2r+1} from family A anchored at x^{2r}, then x^{2r+2} from family B
     anchored at x^{2r+1}.  Stops Converged when consecutive odd-iterate and
     even-iterate changes fall below pair_gap_tol and the mutual-projection
-    residuals fall below fixed_point_tol/2, else MaxSweeps.
+    residuals fall below fixed_point_tol/2, else MaxSweeps.  A non-finite x0
+    is rejected with ValueError before any work is done.
     """
-    if validate:
-        validate_problem(problem)
     if x0 is None:
         x0 = np.zeros(problem.dim)
     x0 = np.array(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise DimensionMismatch("x0 dimension does not match the problem")
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"x0 must be finite, got {x0.tolist()}")
+    if validate:
+        validate_problem(problem)
     x0, projected = _clip_to_ball(x0, problem.rho)
 
     opts = problem.options
     fam_a, fam_b = problem.family_a, problem.family_b
-    taus_a = np.atleast_1d(fam_a.schedule.tau(np.arange(opts.max_sweeps)))
-    taus_b = np.atleast_1d(fam_b.schedule.tau(np.arange(opts.max_sweeps)))
 
     entries = []
     odd_prev = even_prev = None
     x = x0
     terminal = "MaxSweeps"
     for r in range(opts.max_sweeps):
-        x_odd, inner_a = _sweep(fam_a, taus_a, r, x, opts.record_inner_steps)
+        x_odd, inner_a = _sweep(fam_a, r, x, opts.record_inner_steps)
         entries.append(
             TraceEntry(2 * r + 1, x_odd, "A", r, float(np.linalg.norm(x_odd - x)), inner_a)
         )
-        x_even, inner_b = _sweep(fam_b, taus_b, r, x_odd, opts.record_inner_steps)
+        x_even, inner_b = _sweep(fam_b, r, x_odd, opts.record_inner_steps)
         entries.append(
             TraceEntry(2 * r + 2, x_even, "B", r, float(np.linalg.norm(x_even - x_odd)), inner_b)
         )
@@ -275,15 +282,12 @@ def run_ashlwb(problem: Problem, x0=None, validate: bool = True) -> IterationTra
     return IterationTrace(x0=x0, x0_projected=projected, entries=entries, terminal=terminal)
 
 
-def _sweep(family: Family, taus, r, anchor, record):
+def _sweep(family: Family, r, anchor, record):
     """r+1 anchored steps on one family; returns (result, inner or None)."""
-    y = anchor
-    inner = np.empty((r + 1, anchor.size)) if record else None
-    for t in range(r + 1):
-        y = taus[t] * anchor + (1.0 - taus[t]) * family.weighted_projection(y)
-        if record:
-            inner[t] = y
-    return y, inner
+    if record:
+        inner = q_hat_path(family, r, anchor)
+        return inner[-1], inner
+    return apply_q_hat(family, r, anchor), None
 
 
 def extract_best_pair(trace: IterationTrace, problem: Problem) -> BestPair:

@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from bestpair import EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli
 from bestpair.cli import load_problem, main, parse_problem, serialize_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -177,6 +178,31 @@ def test_project_budget_exhausted_exits_3(capsys):
     assert "last gap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", TWO_BALLS, "--x0", "nan,0"],
+    ["run", TWO_BALLS, "--x0", "0,inf"],
+    ["project", TWO_BALLS, "--family", "A", "--point", "nan,0"],
+])
+def test_non_finite_point_exits_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [
+    MaxIterExceeded("reference projection did not converge in 5 cycles"),
+    EllipsoidRootFindError("dual residual 1.000e-06 after 110 bisections"),
+    SamplingFailure("rejection sampling exhausted 1000000 draws"),
+])
+def test_projection_failures_exit_3(error, tmp_path, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "run_ashlwb", fail)
+    assert main(["run", TWO_BALLS, "--out", str(tmp_path / "t")]) == 3
+    assert capsys.readouterr().err == f"error: {error}\n"
+
+
 # --- cmd_check ---------------------------------------------------------------------
 
 
@@ -195,6 +221,14 @@ def test_check_boxes_advisory_only(capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["advisory"]["uniqueness"]["verdict"] == "NotGuaranteed"
+
+
+@pytest.mark.parametrize("max_sweeps", [float("nan"), 2.5])
+def test_check_rejects_bad_max_sweeps(max_sweeps, tmp_path, capsys):
+    doc = two_ball_doc()
+    doc["options"] = {"max_sweeps": max_sweeps}
+    assert main(["check", write(tmp_path, "p.json", doc)]) == 1
+    assert "max_sweeps must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_check_halfspace_only_family_exits_1(tmp_path, capsys):

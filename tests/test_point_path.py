@@ -1,0 +1,187 @@
+"""The single-point path (`project_point`) against the checked `project` path.
+
+`project_point` promises the bits of `project` on the same point, so every
+comparison here is exact.  The checked path is kept as the reference: the
+`Checked` wrapper routes a set's point projections through `project`, which
+is how every single-point projection ran before the point path existed.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bestpair import (
+    Ball,
+    Box,
+    EllipsoidRootFindError,
+    Ellipsoid,
+    Family,
+    HalfSpace,
+    Hyperplane,
+    Problem,
+    SolverOptions,
+    SteeringSchedule,
+    apply_q_hat,
+    project_intersection,
+    q_hat_path,
+    run_ashlwb,
+)
+
+SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
+COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+class Checked:
+    """A set whose point projection is its checked, batch-capable `project`."""
+
+    def __init__(self, s):
+        self.s = s
+        self.dim = s.dim
+
+    def project(self, x):
+        return self.s.project(x)
+
+    project_point = project
+
+
+def vectors(n, elements=COORD):
+    return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def sets_of_kind(draw, kind, n):
+    if kind == "ball":
+        return Ball(draw(vectors(n)), draw(st.floats(0.01, 5.0)))
+    if kind in ("halfspace", "hyperplane"):
+        normal = draw(vectors(n).filter(lambda v: np.linalg.norm(v) > 1e-3))
+        cls = HalfSpace if kind == "halfspace" else Hyperplane
+        return cls(normal, draw(COORD))
+    if kind == "box":
+        lo = draw(vectors(n))
+        return Box(lo, lo + draw(vectors(n, st.floats(0.0, 5.0))))
+    axes = draw(vectors(n, st.floats(0.05, 5.0)))
+    if draw(st.booleans()):  # thin: one axis 10^2 to 10^4 times shorter
+        axes[draw(st.integers(0, n - 1))] = draw(st.floats(1e-4, 1e-2))
+    return Ellipsoid(draw(vectors(n)), axes)
+
+
+@st.composite
+def set_and_point(draw):
+    kind = draw(st.sampled_from(["ball", "halfspace", "hyperplane", "box", "ellipsoid"]))
+    n = draw(st.integers(1, 6))
+    s = draw(sets_of_kind(kind, n))
+    p = draw(vectors(n))
+    where = draw(st.sampled_from(["drawn", "boundary", "inside", "far"]))
+    if where == "boundary":
+        p = s.project(p)  # on the boundary when p was outside
+    elif where == "inside":
+        p = s.project(p)
+        if kind in ("ball", "ellipsoid"):
+            p = s.center + 0.5 * (p - s.center)
+        elif kind == "halfspace":
+            p = p - s.normal
+    elif where == "far":
+        p = 1e3 * p + draw(st.sampled_from([0.0, 1e4]))
+    return s, p
+
+
+@settings(max_examples=400, deadline=None)
+@given(set_and_point())
+def test_point_path_equals_project(case):
+    s, x = case
+    try:
+        expected = s.project(x)
+    except EllipsoidRootFindError:
+        with pytest.raises(EllipsoidRootFindError):
+            s.project_point(x)
+        return
+    got = s.project_point(x)
+    assert got.shape == x.shape and got.dtype == np.float64
+    assert np.array_equal(got, expected)
+    # the branch-based kinds hand a point they contain back unchanged
+    if not isinstance(s, Box) and s.contains(x, tol=0.0):
+        assert got is x
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_family_point_equals_batch_row(data):
+    """Exact for members without a dot product.
+
+    A half-space or hyperplane takes `x @ normal`, which BLAS evaluates as a
+    dot product for one point and a matrix-vector product for a batch; the
+    two may round differently, so those kinds are left out.
+    """
+    n = data.draw(st.integers(1, 5))
+    kinds = data.draw(st.lists(st.sampled_from(["ball", "box", "ellipsoid"]),
+                               min_size=1, max_size=3))
+    fam = Family(tuple(data.draw(sets_of_kind(k, n)) for k in kinds))
+    pts = np.stack(data.draw(st.lists(vectors(n), min_size=1, max_size=6)))
+    try:
+        batch = fam.weighted_projection(pts)
+    except EllipsoidRootFindError:
+        return
+    for i, p in enumerate(pts):
+        assert np.array_equal(fam.weighted_projection(p), batch[i])
+
+
+def mixed_family():
+    return Family(
+        (Ellipsoid([0.2, -0.1, 0.0], [1.5, 1.0, 0.7]), HalfSpace([0.3, 1.0, -0.2], 0.1),
+         Ball([0.0, 0.0, 0.2], 1.2)),
+        weights=[0.5, 0.3, 0.2],
+        schedule=SCHED,
+    )
+
+
+def lens_family():
+    return Family((Ball([0, 0], 2.0), Ball([1, 0], 2.0)), schedule=SCHED)
+
+
+@pytest.mark.parametrize("make", [lens_family, mixed_family])
+def test_q_hat_path_last_row_is_apply_q_hat(make, rng):
+    fam = make()
+    point = 4.0 * rng.standard_normal(fam.dim)
+    batch = 4.0 * rng.standard_normal((5, fam.dim))
+    for x in (point, batch):
+        path = q_hat_path(fam, 30, x)
+        assert np.array_equal(path[-1], apply_q_hat(fam, 30, x))
+
+
+def checked(fam):
+    return Family(tuple(Checked(s) for s in fam.sets), fam.weights, fam.schedule)
+
+
+@pytest.mark.parametrize("make", [lens_family, mixed_family])
+def test_project_intersection_point_path_matches_checked(make, rng):
+    fam = make()
+    for _ in range(5):
+        x = 4.0 * rng.standard_normal(fam.dim)
+        assert np.array_equal(project_intersection(fam, x), project_intersection(checked(fam), x))
+
+
+def mixed_problem():
+    fam_b = Family(
+        (Ball([5.0, 0.0, 0.0], 1.5), Hyperplane([0.0, 0.0, 1.0], 0.25)), schedule=SCHED
+    )
+    return Problem(mixed_family(), fam_b, rho=7.0, options=SolverOptions(max_sweeps=25))
+
+
+def lens_problem():
+    fam_b = Family((Ball([5, 0], 2.0), Ball([6, 0], 2.0)), schedule=SCHED)
+    return Problem(lens_family(), fam_b, rho=8.0, options=SolverOptions(max_sweeps=40))
+
+
+@pytest.mark.parametrize("make", [lens_problem, mixed_problem])
+def test_run_matches_checked_projections(make):
+    """A run on the point path repeats the run on checked projections bit for bit."""
+    p = make()
+    ref = Problem(checked(p.family_a), checked(p.family_b), p.rho, p.options)
+    x0 = np.full(p.dim, 0.3)
+    fast = run_ashlwb(p, x0, validate=False)
+    slow = run_ashlwb(ref, x0, validate=False)
+    assert fast.terminal == slow.terminal
+    assert len(fast.entries) == len(slow.entries)
+    for e, f in zip(fast.entries, slow.entries):
+        assert np.array_equal(e.x, f.x) and e.gap == f.gap

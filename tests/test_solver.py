@@ -112,6 +112,29 @@ def test_gap_sequence_approaches_distance(two_ball_run, lens_run):
             assert abs(e.gap - dist) <= 2 * problem.options.pair_gap_tol
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_x0_rejected_before_any_sweep(bad, monkeypatch):
+    def no_validation(problem):
+        raise AssertionError("x0 must be checked before validation")
+
+    monkeypatch.setattr("bestpair.solver.validate_problem", no_validation)
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run_ashlwb(two_ball_problem(), [bad, 0.0])
+
+
+@pytest.mark.parametrize("value", [np.nan, 2.5, 0, True, "200"])
+def test_options_reject_non_integer_max_sweeps(value):
+    with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
+        SolverOptions(max_sweeps=value)
+
+
+@pytest.mark.parametrize("field", ["pair_gap_tol", "fixed_point_tol"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1e-4])
+def test_options_reject_non_finite_tolerances(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+        SolverOptions(**{field: value})
+
+
 def test_max_sweeps_terminal():
     problem = two_ball_problem(max_sweeps=3)
     trace = run_ashlwb(problem)
