@@ -18,10 +18,11 @@ weights/schedule/options/seed are optional.  Set records are tagged:
 {"type":"ellipsoid","center":[..],"axes":[..]}.  The bounding radius rho is
 derived from the families.  All randomness flows from the file-level seed.
 
-Exit codes: 0 success/Converged, 1 parse or validation error (a non-finite
---x0 or --point included), 2 MaxSweeps, 3 projection failure (iteration
-budget exceeded, ellipsoid root-find or sampling failed), 4 solver
-disagreement in `compare`.
+Exit codes: 0 success/Converged, 1 malformed command-line argument, parse
+or validation error (a non-finite --x0 or --point included), 2 MaxSweeps,
+3 projection failure (iteration budget exceeded, ellipsoid root-find or
+sampling failed), 4 solver disagreement in `compare`.  Every failure prints
+one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -30,21 +31,21 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .errors import (
-    DimensionMismatch,
     EllipsoidRootFindError,
     MaxIterExceeded,
     MaxOuterExceeded,
     ProblemValidationError,
     SamplingFailure,
 )
-from .operators import Family, SteeringSchedule, shlwb_project, validate_schedule
+from .intersection import project_intersection
+from .operators import SHLWB_DEFAULT_TOL, Family, SteeringSchedule, shlwb_project, validate_schedule
 from .oracles import brute_force_pair, dini_monotonicity_check, fix_set_audit, uniqueness_certificate
-from .sets import family_bounding_radius, set_from_dict
+from .sets import family_bounding_radius, set_from_dict, set_to_dict
 from .solver import (
     Problem,
     SolverOptions,
@@ -55,15 +56,14 @@ from .solver import (
 )
 
 _TOP_KEYS = {"dimension", "familyA", "familyB", "options", "seed"}
-_FAMILY_KEYS = {"sets", "weights", "schedule"}
-_SCHEDULE_KEYS = {"c", "k0", "p"}
-_OPTION_KEYS = {"max_sweeps", "pair_gap_tol", "fixed_point_tol", "record_inner_steps"}
+_FAMILY_KEYS = {f.name for f in fields(Family)}
+_SCHEDULE_KEYS = {f.name for f in fields(SteeringSchedule)}
+_OPTION_KEYS = {f.name for f in fields(SolverOptions)}
 
 
 @dataclass
 class ParsedProblem:
     problem: Problem
-    dimension: int
     raw: dict  # canonical key-ordered form
 
 
@@ -116,30 +116,24 @@ def parse_problem(doc: dict) -> ParsedProblem:
         family_bounding_radius(fam_a.sets), family_bounding_radius(fam_b.sets)
     )
     problem = Problem(fam_a, fam_b, rho, options, seed)
-    return ParsedProblem(problem=problem, dimension=dimension, raw=serialize_problem(problem, dimension))
+    return ParsedProblem(problem=problem, raw=serialize_problem(problem))
 
 
-def serialize_problem(problem: Problem, dimension: int) -> dict:
+def serialize_problem(problem: Problem) -> dict:
     """Canonical key-ordered document for a problem (round-trip stable)."""
 
     def fam(f: Family):
         return {
-            "sets": [s.to_dict() for s in f.sets],
+            "sets": [set_to_dict(s) for s in f.sets],
             "weights": [float(w) for w in f.weights],
-            "schedule": f.schedule.to_dict(),
+            "schedule": asdict(f.schedule),
         }
 
-    o = problem.options
     return {
-        "dimension": dimension,
+        "dimension": problem.dim,
         "familyA": fam(problem.family_a),
         "familyB": fam(problem.family_b),
-        "options": {
-            "max_sweeps": o.max_sweeps,
-            "pair_gap_tol": o.pair_gap_tol,
-            "fixed_point_tol": o.fixed_point_tol,
-            "record_inner_steps": o.record_inner_steps,
-        },
+        "options": asdict(problem.options),
         "seed": problem.seed,
     }
 
@@ -167,19 +161,30 @@ def _parse_point(text: str, option: str):
     return point
 
 
+def _schedule_arg(text: str) -> SteeringSchedule:
+    """The --schedule value 'c,k0,p'; argparse names the option in any error."""
+    try:
+        c, k0, p = _parse_floats(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected three numbers 'c,k0,p', got {text!r}") from exc
+    try:
+        return SteeringSchedule(c=c, k0=k0, p=p)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def _with_overrides(parsed: ParsedProblem, args) -> Problem:
     problem = parsed.problem
-    opts = problem.options
-    if getattr(args, "max_sweeps", None) is not None:
-        opts = dataclasses.replace(opts, max_sweeps=args.max_sweeps)
-    fam_a, fam_b = problem.family_a, problem.family_b
-    if getattr(args, "schedule", None) is not None:
-        c, k0, p = _parse_floats(args.schedule)
-        sched = SteeringSchedule(c=c, k0=k0, p=p)
-        fam_a = fam_a.with_schedule(sched)
-        fam_b = fam_b.with_schedule(sched)
-    seed = args.seed if getattr(args, "seed", None) is not None else problem.seed
-    return Problem(fam_a, fam_b, problem.rho, opts, seed)
+    if args.max_sweeps is not None:
+        options = dataclasses.replace(problem.options, max_sweeps=args.max_sweeps)
+        problem = dataclasses.replace(problem, options=options)
+    if args.schedule is not None:
+        problem = dataclasses.replace(
+            problem,
+            family_a=dataclasses.replace(problem.family_a, schedule=args.schedule),
+            family_b=dataclasses.replace(problem.family_b, schedule=args.schedule),
+        )
+    return problem
 
 
 def _write_trace_csv(path: str, trace, dim: int):
@@ -235,11 +240,7 @@ def cmd_project(args) -> int:
     parsed = load_problem(args.problem)
     fam = parsed.problem.family_a if args.family == "A" else parsed.problem.family_b
     point = _parse_point(args.point, "--point")
-    try:
-        y = shlwb_project(fam, point, tol=args.tol)
-    except MaxIterExceeded as exc:
-        print(f"projection did not converge: last gap {exc.gap:.3e}", file=sys.stderr)
-        return 3
+    y = shlwb_project(fam, point, tol=args.tol)
     residuals = [float(v) for v in fam.member_distances(y)]
     print(json.dumps({"point": [float(v) for v in y], "member_residuals": residuals}, indent=2))
     return 0
@@ -288,11 +289,9 @@ def _check_grid(dim: int, rho: float):
 
 
 def _fix_set_for(fam: Family, rho: float):
-    from .intersection import project_intersection
-
     seeds = np.zeros((2, fam.dim))
     seeds[1, 0] = rho / 2.0
-    inside = project_intersection(fam, seeds, tol=1e-10)
+    inside = project_intersection(fam, seeds)
     outside = np.zeros((2, fam.dim))
     outside[0, 0] = 1.05 * rho
     outside[1, -1] = -1.05 * rho
@@ -328,8 +327,16 @@ def cmd_compare(args) -> int:
     return 0 if agree else 4
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as ValueError, which `main` turns into exit 1;
+    argparse's own exit 2 is the documented MaxSweeps code."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="bestpair",
         description="Best approximation pair between two disjoint intersections of convex sets.",
     )
@@ -340,15 +347,15 @@ def _build_parser():
     run.add_argument("--x0", default=None, help="comma-separated start point (default origin)")
     run.add_argument("--out", default=None, help="output prefix for .csv/.json (default 'trace')")
     run.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--schedule", default=None, help="override both schedules as 'c,k0,p'")
+    run.add_argument("--schedule", type=_schedule_arg, default=None,
+                     help="override both schedules as 'c,k0,p'")
     run.set_defaults(func=cmd_run)
 
     proj = sub.add_parser("project", help="project a point onto one family's intersection")
     proj.add_argument("problem")
     proj.add_argument("--family", choices=("A", "B"), required=True)
     proj.add_argument("--point", required=True, help="comma-separated coordinates")
-    proj.add_argument("--tol", type=float, default=1e-4)
+    proj.add_argument("--tol", type=float, default=SHLWB_DEFAULT_TOL)
     proj.set_defaults(func=cmd_project)
 
     chk = sub.add_parser("check", help="validate a problem and run advisory diagnostics")
@@ -364,20 +371,18 @@ def _build_parser():
     cmp_.add_argument("problem")
     cmp_.add_argument("--resolution", type=float, default=0.01)
     cmp_.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
-    cmp_.add_argument("--schedule", default=None, help="override both schedules as 'c,k0,p'")
-    cmp_.add_argument("--seed", type=int, default=None)
+    cmp_.add_argument("--schedule", type=_schedule_arg, default=None,
+                      help="override both schedules as 'c,k0,p'")
     cmp_.set_defaults(func=cmd_compare)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # usage errors, DimensionMismatch and ProblemValidationError are ValueErrors
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, TypeError, DimensionMismatch, ProblemValidationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MaxOuterExceeded as exc:
+    except (ValueError, TypeError, OSError, MaxOuterExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (MaxIterExceeded, EllipsoidRootFindError, SamplingFailure) as exc:

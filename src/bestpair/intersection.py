@@ -13,7 +13,9 @@ import numpy as np
 
 from .errors import MaxIterExceeded
 
-REFERENCE_TOL = 1e-10
+# The one accuracy of the reference projection: the solver's stop test, pair
+# residuals and validation, and the oracles all run at this value.
+REFERENCE_TOL = 1e-9
 REFERENCE_MAX_ITER = 50_000
 
 
@@ -25,12 +27,15 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
     shape (n,) or a batch (..., n); a single point goes through the members'
     `project_point`.  Stops when the per-cycle displacement and the worst
     member distance both fall below tol.  A single-member family
-    short-circuits to the member's exact projection.
+    short-circuits to the member's exact projection.  A non-finite x is
+    rejected with ValueError before any cycle.
     """
     sets = list(getattr(family_or_sets, "sets", family_or_sets))
     if not sets:
         raise ValueError("empty set list")
     x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must have finite coordinates")
     if len(sets) == 1:
         return sets[0].project(x)
 

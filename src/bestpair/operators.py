@@ -10,7 +10,7 @@ Every anchored step, here and in the solver, runs in `anchored_steps`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -56,9 +56,6 @@ class SteeringSchedule:
         in_range = 0.0 < self.tau(0) < 1.0 and self.p >= 0
         return in_range and self.p > 0 and self.p <= 1.0
 
-    def to_dict(self):
-        return {"c": self.c, "k0": self.k0, "p": self.p}
-
 
 @dataclass
 class ScheduleReport:
@@ -78,17 +75,7 @@ class ScheduleReport:
         return self.in_range and self.monotone and self.to_zero and self.divergent
 
     def to_dict(self):
-        return {
-            "prefix": self.prefix,
-            "in_range": self.in_range,
-            "monotone": self.monotone,
-            "to_zero": self.to_zero,
-            "divergent": self.divergent,
-            "partial_sum": self.partial_sum,
-            "partial_sum_exceeds_threshold": self.partial_sum_exceeds_threshold,
-            "tail_value": self.tail_value,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def validate_schedule(schedule: SteeringSchedule, prefix: int = 10**6) -> ScheduleReport:
@@ -194,9 +181,6 @@ class Family:
             [np.linalg.norm(x - s.project(x), axis=-1) for s in self.sets]
         )
 
-    def with_schedule(self, schedule: SteeringSchedule) -> "Family":
-        return Family(self.sets, self.weights, schedule)
-
 
 def _check_dim(family: Family, x, what="point"):
     x = np.asarray(x, dtype=float)
@@ -283,15 +267,17 @@ def shlwb_project(
     is Theta(tau_k) even at the limit, so an unscaled gap test would stall.
 
     Accepts a batch of anchors of shape (..., n); the stop test then uses the
-    largest row gap.  Raises MaxIterExceeded (carrying the last iterate and
-    gap) when the budget runs out, which signals slow steering or an empty
-    intersection.
+    largest row gap.  A non-finite anchor is rejected with ValueError before
+    any step.  Raises MaxIterExceeded (carrying the last iterate and gap) when
+    the budget runs out, which signals slow steering or an empty intersection.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     anchor = _check_dim(family, anchor, "anchor")
+    if not np.all(np.isfinite(anchor)):
+        raise ValueError("anchor must have finite coordinates")
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.
     taus, stop_taus = itertools.tee(map(family.schedule.tau, range(max_iter)))

@@ -9,7 +9,7 @@ projection.  Reports serialize to plain dicts for JSON output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,16 +24,22 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, q_hat_path, apply_q_hat
-from .sets import Ball, CONTAINS_TOL
+from .sets import Ball
 from .solver import (
+    DISJOINTNESS_TOL,
     IterationTrace,
     Problem,
-    distance_estimate,
     family_bound_check,
+    run_cheney_goldstein,
 )
 
 SEPARATION_SLACK = 1e-6
 DINI_SLACK = 1e-9
+# fix-set audit: an inside point may be this far from a member set, and a
+# sweep may move it at most this far; an outside point must violate a member
+# by more than FIX_SET_OUTSIDE_MARGIN
+FIX_SET_INSIDE_TOL = 1e-9
+FIX_SET_OUTSIDE_MARGIN = 1e-3
 _GRID_POINT_LIMIT = 2 * 10**8
 _CHUNK = 1 << 21
 _SAMPLING_CAP = 10**6
@@ -51,12 +57,7 @@ class UniquenessCertificate:
         return "UniqueGuaranteed" if ok else "NotGuaranteed"
 
     def to_dict(self):
-        return {
-            "all_strictly_convex": self.all_strictly_convex,
-            "positive_distance": self.positive_distance,
-            "distance_attained": self.distance_attained,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 @dataclass
@@ -91,9 +92,7 @@ def uniqueness_certificate(problem: Problem) -> UniquenessCertificate:
         attained = True
     except ProblemValidationError:
         attained = False
-    from .solver import DISJOINTNESS_TOL
-
-    positive = distance_estimate(problem, validate=False) > DISJOINTNESS_TOL
+    positive = run_cheney_goldstein(problem, validate=False).gap > DISJOINTNESS_TOL
     return UniquenessCertificate(
         all_strictly_convex=strict,
         positive_distance=positive,
@@ -133,8 +132,8 @@ def _feasible_grid_points(family: Family, rho: float, resolution: float):
 def brute_force_pair(problem: Problem, resolution: float) -> OracleResult:
     """Grid-search both feasible regions for the closest pair, then polish.
 
-    The polish runs 100 rounds of exact alternating reference projections
-    (tol 1e-9), so the grid only needs to seed the right basin.
+    The polish runs 100 rounds of exact alternating reference projections,
+    so the grid only needs to seed the right basin.
     """
     if problem.dim > 3:
         raise ValueError("oracle limited to dimension <= 3")
@@ -147,8 +146,8 @@ def brute_force_pair(problem: Problem, resolution: float) -> OracleResult:
     i = int(np.argmin(dist))
     u, v = feas_a[i], feas_b[idx[i]]
     for _ in range(100):
-        u = project_intersection(problem.family_a, v, tol=1e-9)
-        v = project_intersection(problem.family_b, u, tol=1e-9)
+        u = project_intersection(problem.family_a, v)
+        v = project_intersection(problem.family_b, u)
     return OracleResult(
         pair=(u, v),
         gap=float(np.linalg.norm(u - v)),
@@ -217,14 +216,7 @@ class SeparationReport:
         )
 
     def to_dict(self):
-        return {
-            "samples": self.samples,
-            "min_inner_a": self.min_inner_a,
-            "min_inner_b": self.min_inner_b,
-            "boundary_a": self.boundary_a,
-            "boundary_b": self.boundary_b,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def separation_check(problem: Problem, pair, samples: int = 1000, seed=None) -> SeparationReport:
@@ -244,11 +236,11 @@ def separation_check(problem: Problem, pair, samples: int = 1000, seed=None) -> 
     ys_b = _sample_in_intersection(rng, problem.family_b, problem.rho, samples)
     min_a = float(np.min((ys_a - a) @ (a - b)))
     min_b = float(np.min((ys_b - b) @ (b - a)))
-    t = min(1e-3, 0.5)
+    t = 1e-3
     wa = a + t * (b - a)
     wb = b + t * (a - b)
-    in_a = all(bool(s.contains(wa, tol=CONTAINS_TOL)) for s in problem.family_a.sets)
-    in_b = all(bool(s.contains(wb, tol=CONTAINS_TOL)) for s in problem.family_b.sets)
+    in_a = all(bool(s.contains(wa)) for s in problem.family_a.sets)
+    in_b = all(bool(s.contains(wb)) for s in problem.family_b.sets)
     return SeparationReport(
         samples=samples,
         min_inner_a=min_a,
@@ -302,7 +294,7 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
     pts = np.asarray(grid, dtype=float)
     if pts.ndim == 1:
         pts = pts[None, :]
-    T = project_intersection(family, pts, tol=1e-9)
+    T = project_intersection(family, pts)
     path = q_hat_path(family, K, pts)  # (K+1, m, n): sweep outputs 0..K
     rs = np.linalg.norm(path - T, axis=-1)  # rs[j] = r_{j+1}(x)
     violations = []
@@ -334,15 +326,10 @@ class FixSetReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_inside_move <= 1e-9 and self.min_outside_move > 0.0
+        return self.max_inside_move <= FIX_SET_INSIDE_TOL and self.min_outside_move > 0.0
 
     def to_dict(self):
-        return {
-            "q": self.q,
-            "max_inside_move": self.max_inside_move,
-            "min_outside_move": self.min_outside_move,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def fix_set_audit(family: Family, q: int, inside, outside) -> FixSetReport:
@@ -354,13 +341,15 @@ def fix_set_audit(family: Family, q: int, inside, outside) -> FixSetReport:
     if outside.ndim == 1:
         outside = outside[None, :]
     d_in = family.member_distances(inside).max(axis=0)
-    if np.any(d_in > 1e-9):
+    if np.any(d_in > FIX_SET_INSIDE_TOL):
         raise MisclassifiedPoint(
             f"an 'inside' point is {d_in.max():.3e} from a member set"
         )
     d_out = family.member_distances(outside).max(axis=0)
-    if np.any(d_out <= 1e-3):
-        raise MisclassifiedPoint("an 'outside' point violates no member by > 1e-3")
+    if np.any(d_out <= FIX_SET_OUTSIDE_MARGIN):
+        raise MisclassifiedPoint(
+            f"an 'outside' point violates no member by > {FIX_SET_OUTSIDE_MARGIN:g}"
+        )
     moved_in = np.linalg.norm(apply_q_hat(family, q, inside) - inside, axis=-1)
     moved_out = np.linalg.norm(apply_q_hat(family, q, outside) - outside, axis=-1)
     return FixSetReport(
@@ -383,14 +372,7 @@ class Lemma2Report:
         return self.diameter <= self.tol and self.max_nearness <= self.dist_oracle + self.tol
 
     def to_dict(self):
-        return {
-            "tail_size": self.tail_size,
-            "diameter": self.diameter,
-            "dist_oracle": self.dist_oracle,
-            "max_nearness": self.max_nearness,
-            "tol": self.tol,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def lemma2_surjectivity_probe(
@@ -411,7 +393,7 @@ def lemma2_surjectivity_probe(
     if resolution is None:
         resolution = problem.rho / 100.0
     dist_oracle = brute_force_pair(problem, resolution).gap
-    pa = project_intersection(problem.family_a, tail, tol=1e-9)
+    pa = project_intersection(problem.family_a, tail)
     nearness = float(np.max(np.linalg.norm(tail - pa, axis=-1)))
     return Lemma2Report(
         tail_size=len(tail),

@@ -17,7 +17,8 @@ is numpy call overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -92,9 +93,6 @@ class Ball:
     def bounding_radius(self):
         return float(np.linalg.norm(self.center) + self.radius)
 
-    def to_dict(self):
-        return {"type": "ball", "center": self.center.tolist(), "radius": self.radius}
-
 
 @dataclass(frozen=True, eq=False)
 class HalfSpace:
@@ -135,9 +133,6 @@ class HalfSpace:
 
     def bounding_radius(self):
         raise UnboundedFamily("a half-space is unbounded")
-
-    def to_dict(self):
-        return {"type": "halfspace", "normal": self.normal.tolist(), "offset": self.offset}
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,9 +175,6 @@ class Hyperplane:
     def bounding_radius(self):
         raise UnboundedFamily("a hyperplane is unbounded")
 
-    def to_dict(self):
-        return {"type": "hyperplane", "normal": self.normal.tolist(), "offset": self.offset}
-
 
 @dataclass(frozen=True, eq=False)
 class Box:
@@ -222,9 +214,6 @@ class Box:
         # farthest vertex from the origin
         far = np.maximum(np.abs(self.lo), np.abs(self.hi))
         return float(np.linalg.norm(far))
-
-    def to_dict(self):
-        return {"type": "box", "lo": self.lo.tolist(), "hi": self.hi.tolist()}
 
 
 @dataclass(frozen=True, eq=False)
@@ -372,20 +361,11 @@ class Ellipsoid:
         s /= np.linalg.norm(s)
         return float(np.linalg.norm(c + a * s))
 
-    def to_dict(self):
-        return {"type": "ellipsoid", "center": self.center.tolist(), "axes": self.axes.tolist()}
-
 
 # union of the five descriptor types
 ConvexSet = Ball | HalfSpace | Hyperplane | Box | Ellipsoid
 
-_KIND_MAP = {
-    "ball": (Ball, ("center", "radius")),
-    "halfspace": (HalfSpace, ("normal", "offset")),
-    "hyperplane": (Hyperplane, ("normal", "offset")),
-    "box": (Box, ("lo", "hi")),
-    "ellipsoid": (Ellipsoid, ("center", "axes")),
-}
+_KIND_MAP = {cls.kind: cls for cls in get_args(ConvexSet)}
 
 
 def set_from_dict(record):
@@ -395,28 +375,24 @@ def set_from_dict(record):
     tag = record["type"]
     if tag not in _KIND_MAP:
         raise ValueError(f"unknown set type {tag!r}")
-    cls, fields = _KIND_MAP[tag]
-    extra = set(record) - {"type", *fields}
+    cls = _KIND_MAP[tag]
+    names = [f.name for f in fields(cls)]
+    extra = set(record) - {"type", *names}
     if extra:
         raise ValueError(f"unknown key {sorted(extra)[0]!r} in {tag} record")
-    missing = [f for f in fields if f not in record]
+    missing = [name for name in names if name not in record]
     if missing:
         raise ValueError(f"missing key {missing[0]!r} in {tag} record")
-    return cls(*(record[f] for f in fields))
+    return cls(*(record[name] for name in names))
 
 
-def project(s: ConvexSet, x):
-    """Metric projection of x onto s."""
-    return s.project(x)
-
-
-def contains(s: ConvexSet, x, tol=CONTAINS_TOL):
-    """Whether x satisfies the defining inequality of s within additive slack tol."""
-    return s.contains(x, tol)
-
-
-def is_strictly_convex(s: ConvexSet) -> bool:
-    return s.strictly_convex
+def set_to_dict(s: ConvexSet) -> dict:
+    """Tagged-record form of a set descriptor; the inverse of `set_from_dict`."""
+    record = {"type": s.kind}
+    for f in fields(s):
+        value = getattr(s, f.name)
+        record[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return record
 
 
 def family_bounding_radius(sets) -> float:

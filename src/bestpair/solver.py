@@ -28,8 +28,10 @@ from .operators import Family, apply_q_hat, q_hat_path
 
 DISJOINTNESS_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
-REFERENCE_TOL = 1e-9
 BOUND_SLACK = 1e-9
+# Accuracy of the baseline's inner projections and its outer-iteration budget
+BASELINE_INNER_TOL = 1e-8
+BASELINE_MAX_OUTER = 10_000
 
 # Converged requires mutual-projection residuals below this fraction of
 # fixed_point_tol; a unit factor would leave the trailing-sweep gaps exactly
@@ -172,7 +174,7 @@ def family_bound_check(fam: Family, rho: float, label: str):
 def _family_feasibility(fam: Family, label: str) -> float:
     origin = np.zeros(fam.dim)
     try:
-        y = project_intersection(fam, origin, tol=REFERENCE_TOL)
+        y = project_intersection(fam, origin)
     except MaxIterExceeded as exc:
         raise ProblemValidationError(
             f"family {label} intersection appears empty (projection stalled)"
@@ -186,18 +188,18 @@ def _family_feasibility(fam: Family, label: str) -> float:
     return worst
 
 
-def _alternate_projections(problem: Problem, x0, inner_tol, max_outer):
+def _alternate_projections(problem: Problem, x0):
     """Iterate z <- P_B(P_A(z)) with reference projections; returns (u, z, k)."""
     z, _ = _clip_to_ball(np.asarray(x0, dtype=float), problem.rho)
     tol = problem.options.pair_gap_tol
-    for k in range(max_outer):
-        u = project_intersection(problem.family_a, z, tol=inner_tol)
-        z_new = project_intersection(problem.family_b, u, tol=inner_tol)
+    for k in range(BASELINE_MAX_OUTER):
+        u = project_intersection(problem.family_a, z, tol=BASELINE_INNER_TOL)
+        z_new = project_intersection(problem.family_b, u, tol=BASELINE_INNER_TOL)
         if float(np.linalg.norm(z_new - z)) <= tol:
-            u = project_intersection(problem.family_a, z_new, tol=inner_tol)
+            u = project_intersection(problem.family_a, z_new, tol=BASELINE_INNER_TOL)
             return u, z_new, k + 1
         z = z_new
-    raise MaxOuterExceeded(f"no convergence within {max_outer} outer iterations")
+    raise MaxOuterExceeded(f"no convergence within {BASELINE_MAX_OUTER} outer iterations")
 
 
 def validate_problem(problem: Problem) -> ProblemReport:
@@ -207,7 +209,7 @@ def validate_problem(problem: Problem) -> ProblemReport:
     feas_a = _family_feasibility(problem.family_a, "A")
     feas_b = _family_feasibility(problem.family_b, "B")
     origin = np.zeros(problem.dim)
-    u, z, _ = _alternate_projections(problem, origin, inner_tol=1e-8, max_outer=10_000)
+    u, z, _ = _alternate_projections(problem, origin)
     distance = float(np.linalg.norm(u - z))
     if distance <= DISJOINTNESS_TOL:
         raise ProblemValidationError(
@@ -217,10 +219,10 @@ def validate_problem(problem: Problem) -> ProblemReport:
 
 
 def _pair_residuals(problem: Problem, a, b):
-    pa_a = project_intersection(problem.family_a, a, tol=REFERENCE_TOL)
-    pb_b = project_intersection(problem.family_b, b, tol=REFERENCE_TOL)
-    pa_b = project_intersection(problem.family_a, b, tol=REFERENCE_TOL)
-    pb_a = project_intersection(problem.family_b, a, tol=REFERENCE_TOL)
+    pa_a = project_intersection(problem.family_a, a)
+    pb_b = project_intersection(problem.family_b, b)
+    pa_b = project_intersection(problem.family_a, b)
+    pb_a = project_intersection(problem.family_b, a)
     return (
         float(np.linalg.norm(a - pa_a)),
         float(np.linalg.norm(b - pb_b)),
@@ -271,10 +273,8 @@ def run_ashlwb(problem: Problem, x0=None, validate: bool = True) -> IterationTra
             d_odd = float(np.linalg.norm(x_odd - odd_prev))
             d_even = float(np.linalg.norm(x_even - even_prev))
             if d_odd <= opts.pair_gap_tol and d_even <= opts.pair_gap_tol:
-                ra = float(np.linalg.norm(
-                    x_odd - project_intersection(fam_a, x_even, tol=REFERENCE_TOL)))
-                rb = float(np.linalg.norm(
-                    x_even - project_intersection(fam_b, x_odd, tol=REFERENCE_TOL)))
+                ra = float(np.linalg.norm(x_odd - project_intersection(fam_a, x_even)))
+                rb = float(np.linalg.norm(x_even - project_intersection(fam_b, x_odd)))
                 if max(ra, rb) <= _STOP_RESIDUAL_FACTOR * opts.fixed_point_tol:
                     terminal = "Converged"
                     break
@@ -305,24 +305,19 @@ def extract_best_pair(trace: IterationTrace, problem: Problem) -> BestPair:
     )
 
 
-def run_cheney_goldstein(
-    problem: Problem,
-    x0=None,
-    inner_tol: float = 1e-8,
-    max_outer: int = 10_000,
-    validate: bool = True,
-) -> BestPair:
+def run_cheney_goldstein(problem: Problem, x0=None, validate: bool = True) -> BestPair:
     """Alternating-projection baseline z <- P_B(P_A(z)).
 
     The inner projections onto the two intersections use the reference
-    projector at inner_tol.  Stops when the outer displacement falls below
-    pair_gap_tol and returns the pair (P_A(z), z).
+    projector at BASELINE_INNER_TOL.  Stops when the outer displacement falls
+    below pair_gap_tol, within BASELINE_MAX_OUTER outer iterations, and
+    returns the pair (P_A(z), z).
     """
     if validate:
         validate_problem(problem)
     if x0 is None:
         x0 = np.zeros(problem.dim)
-    u, z, k = _alternate_projections(problem, x0, inner_tol, max_outer)
+    u, z, k = _alternate_projections(problem, x0)
     return BestPair(
         a=u,
         b=z,
@@ -330,9 +325,3 @@ def run_cheney_goldstein(
         residuals=_pair_residuals(problem, u, z),
         iterations=k,
     )
-
-
-def distance_estimate(problem: Problem, validate: bool = True) -> float:
-    """dist(A, B) estimated as the gap of the alternating-projection baseline."""
-    pair = run_cheney_goldstein(problem, inner_tol=1e-8, validate=validate)
-    return pair.gap

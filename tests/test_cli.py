@@ -3,6 +3,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestpair import EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli
 from bestpair.cli import load_problem, main, parse_problem, serialize_problem
@@ -42,7 +44,7 @@ def two_ball_doc():
 
 def test_load_two_ball_file():
     parsed = load_problem(TWO_BALLS)
-    assert parsed.dimension == 2
+    assert parsed.problem.dim == 2
     assert parsed.problem.rho == pytest.approx(5.0)
 
 
@@ -73,18 +75,75 @@ def test_malformed_json_reports_position(tmp_path):
         load_problem(path)
 
 
-def test_round_trip_is_idempotent():
-    parsed = load_problem(TWO_BALLS)
-    doc1 = parsed.raw
+def assert_round_trip(doc1):
     parsed2 = parse_problem(doc1)
     doc2 = parsed2.raw
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
     assert list(doc1) == list(doc2)  # canonical key order preserved
 
 
+def test_round_trip_is_idempotent():
+    assert_round_trip(load_problem(TWO_BALLS).raw)
+
+
+POS = st.floats(0.5, 3.0)
+OFFSET = st.floats(-3.0, 3.0)
+
+
+@st.composite
+def all_kinds_document(draw):
+    """A 2-D problem whose families hold all five set kinds between them,
+    with explicit weights, a schedule and all four options.  Every member
+    contains its family's centre (cx, 0), so each intersection is nonempty,
+    and the two centres are 10 apart."""
+
+    def family(cx, kinds):
+        def record(kind):
+            if kind == "ball":
+                return {"type": "ball", "center": [cx, draw(st.floats(-0.5, 0.5))],
+                        "radius": draw(POS)}
+            if kind == "ellipsoid":
+                return {"type": "ellipsoid", "center": [cx, 0.0],
+                        "axes": [draw(POS), draw(POS)]}
+            if kind == "box":
+                return {"type": "box", "lo": [cx - draw(POS), -draw(POS)],
+                        "hi": [cx + draw(POS), draw(POS)]}
+            normal = [draw(st.floats(0.1, 2.0)), draw(OFFSET)]
+            # the hyperplane passes through the centre, the half-space beyond it
+            offset = normal[0] * cx + (draw(POS) if kind == "halfspace" else 0.0)
+            return {"type": kind, "normal": normal, "offset": offset}
+
+        mass = [draw(st.floats(1.0, 10.0)) for _ in kinds]
+        return {
+            "sets": [record(kind) for kind in kinds],
+            "weights": [m / sum(mass) for m in mass],
+            "schedule": {"c": draw(st.floats(0.001, 0.9)), "k0": draw(st.floats(1.0, 5.0)),
+                         "p": draw(st.floats(0.5, 1.0))},
+        }
+
+    return {
+        "dimension": 2,
+        "familyA": family(-5.0, ["ball", "halfspace", "hyperplane"]),
+        "familyB": family(5.0, ["box", "ellipsoid"]),
+        "options": {"max_sweeps": draw(st.integers(1, 1000)),
+                    "pair_gap_tol": draw(st.floats(1e-8, 1e-2)),
+                    "fixed_point_tol": draw(st.floats(1e-8, 1e-2)),
+                    "record_inner_steps": draw(st.booleans())},
+        "seed": draw(st.integers(0, 2**31)),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(all_kinds_document())
+def test_round_trip_covers_every_record_field(doc):
+    raw = parse_problem(doc).raw
+    assert json.dumps(raw) == json.dumps(doc)  # every field kept, in schema order
+    assert_round_trip(raw)
+
+
 def test_serialize_matches_schema():
     parsed = load_problem(LENS)
-    doc = serialize_problem(parsed.problem, parsed.dimension)
+    doc = serialize_problem(parsed.problem)
     assert set(doc) == {"dimension", "familyA", "familyB", "options", "seed"}
     assert doc["options"]["max_sweeps"] == 400
 
@@ -187,6 +246,30 @@ def test_non_finite_point_exits_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["run"], "problem"),
+    (["run", TWO_BALLS, "--max-sweeps", "abc"], "--max-sweeps"),
+    (["project", TWO_BALLS, "--family", "C", "--point", "0,0"], "--family"),
+])
+def test_usage_error_exits_1(argv, option, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and option in err and err.count("\n") == 1
+
+
+def test_malformed_schedule_exits_1(capsys):
+    assert main(["run", TWO_BALLS, "--schedule", "1,2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --schedule: ") and err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    assert "--schedule" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("error", [

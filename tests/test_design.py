@@ -1,0 +1,92 @@
+"""Design rules of the package, checked on its source with `ast`.
+
+- No module imports another module's private name.
+- No import inside a function: every dependency shows at the top of a module.
+- Each UPPER_CASE module constant is defined in one module only, so a value
+  such as a tolerance has one place where it is decided.
+- No nonzero numeric literal is passed as `tol=` or `inner_tol=`: a call
+  either takes the callee's default or names the constant it uses.
+  `tol=0.0`, an exact containment test, is allowed.
+"""
+
+import ast
+import pathlib
+import re
+from collections import defaultdict
+
+import pytest
+
+import bestpair
+
+MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
+CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def module_constants(tree):
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else (
+            [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and CONSTANT.fullmatch(target.id):
+                yield target.id
+
+
+def literal_number(node):
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    return None
+
+
+def test_modules_found():
+    assert {p.name for p in MODULES} >= {"sets.py", "solver.py", "cli.py"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_import(path):
+    bad = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not bad, bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_function(path):
+    bad = [
+        f"line {inner.lineno} in {func.name}"
+        for func in ast.walk(parse(path))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(func)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert not bad, bad
+
+
+def test_each_constant_defined_once():
+    where = defaultdict(list)
+    for path in MODULES:
+        for name in module_constants(parse(path)):
+            where[name].append(path.name)
+    repeated = {name: files for name, files in where.items() if len(files) > 1}
+    assert not repeated, repeated
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_literal_tolerance_argument(path):
+    bad = [
+        f"line {kw.value.lineno}: {kw.arg}={literal_number(kw.value)!r}"
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg in ("tol", "inner_tol") and literal_number(kw.value) not in (None, 0)
+    ]
+    assert not bad, bad

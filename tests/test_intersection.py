@@ -59,6 +59,13 @@ def test_agrees_with_anchored_iteration():
     assert np.linalg.norm(ref - approx) <= 1e-3
 
 
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [[5.0, 0.0], [0.0, -np.inf]]])
+def test_non_finite_point_raises(x):
+    # checked before the first cycle, not after the 50 000-cycle budget
+    with pytest.raises(ValueError, match="x must have finite"):
+        project_intersection(LENS, np.array(x))
+
+
 def test_empty_intersection_raises():
     sets = (Ball([0, 0], 1.0), Ball([5, 0], 1.0))
     with pytest.raises(MaxIterExceeded):

@@ -187,6 +187,13 @@ def test_shlwb_max_iter_exceeded_carries_state():
     assert exc.value.gap > 0
 
 
+@pytest.mark.parametrize("anchor", [[np.nan, 0.0], [[5.0, 0.0], [0.0, np.inf]]])
+def test_shlwb_rejects_non_finite_anchor(anchor):
+    # checked before the first step, not after the 200 000-step budget
+    with pytest.raises(ValueError, match="anchor"):
+        shlwb_project(lens_family(), np.array(anchor))
+
+
 # --- operator invariants --------------------------------------------------------
 
 

@@ -10,8 +10,8 @@ from bestpair import (
     Hyperplane,
     UnboundedFamily,
     family_bounding_radius,
-    is_strictly_convex,
     set_from_dict,
+    set_to_dict,
 )
 
 ALL_SETS = [
@@ -116,11 +116,11 @@ def test_contains_examples():
 
 
 def test_strict_convexity_classification():
-    assert is_strictly_convex(Ball([0, 0], 1))
-    assert is_strictly_convex(Ellipsoid([0, 0], [2, 1]))
-    assert not is_strictly_convex(HalfSpace([1, 0], 0.0))
-    assert not is_strictly_convex(Hyperplane([1, 0], 0.0))
-    assert not is_strictly_convex(Box([0, 0], [1, 1]))
+    assert Ball([0, 0], 1).strictly_convex
+    assert Ellipsoid([0, 0], [2, 1]).strictly_convex
+    assert not HalfSpace([1, 0], 0.0).strictly_convex
+    assert not Hyperplane([1, 0], 0.0).strictly_convex
+    assert not Box([0, 0], [1, 1]).strictly_convex
 
 
 # --- bounding radii --------------------------------------------------------
@@ -265,8 +265,8 @@ def test_batch_matches_single(rng):
 
 def test_descriptor_round_trip():
     for s in ALL_SETS:
-        s2 = set_from_dict(s.to_dict())
-        assert s2.to_dict() == s.to_dict()
+        s2 = set_from_dict(set_to_dict(s))
+        assert set_to_dict(s2) == set_to_dict(s)
 
 
 def test_set_from_dict_rejects_unknown_keys():

@@ -11,7 +11,6 @@ from bestpair import (
     SolverOptions,
     SteeringSchedule,
     TraceTooShort,
-    distance_estimate,
     extract_best_pair,
     run_ashlwb,
     run_cheney_goldstein,
@@ -239,17 +238,17 @@ def test_baseline_sanity_mode_identical_families():
     assert pair.gap <= 1e-8
 
 
-# --- distance_estimate ---------------------------------------------------------------
+# --- distance estimate: the baseline gap ---------------------------------------
 
 
 def test_distance_two_unit_balls(two_ball_parsed):
-    assert distance_estimate(two_ball_parsed.problem, validate=False) == pytest.approx(
+    assert run_cheney_goldstein(two_ball_parsed.problem, validate=False).gap == pytest.approx(
         2.0, abs=1e-4
     )
 
 
 def test_distance_lens(lens_parsed):
-    assert distance_estimate(lens_parsed.problem, validate=False) == pytest.approx(
+    assert run_cheney_goldstein(lens_parsed.problem, validate=False).gap == pytest.approx(
         2.0, abs=1e-3
     )
 
@@ -260,7 +259,7 @@ def test_distance_nearly_touching_balls():
         Family((Ball([2 + 1e-3, 0], 1.0),), schedule=SCHED),
         rho=4.0,
     )
-    assert distance_estimate(problem, validate=False) == pytest.approx(1e-3, abs=1e-5)
+    assert run_cheney_goldstein(problem, validate=False).gap == pytest.approx(1e-3, abs=1e-5)
 
 
 # --- cross-solver invariants -----------------------------------------------------------
