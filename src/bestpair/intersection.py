@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MaxIterExceeded
+from .sets import point_norm
 
 # The one accuracy of the reference projection: the solver's stop test, pair
 # residuals and validation, and the oracles all run at this value.
@@ -24,8 +25,10 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
     """Project x onto the intersection of the given sets.
 
     Accepts a Family or a plain sequence of set descriptors, and a point of
-    shape (n,) or a batch (..., n); a single point goes through the members'
-    `project_point`.  Stops when the per-cycle displacement and the worst
+    shape (n,) or a batch (..., n); the result is an array of the same shape.
+    A single point runs as a list of floats through the members'
+    `project_point`, with the increments, gap and feasibility test of the
+    batch path on lists.  Stops when the per-cycle displacement and the worst
     member distance both fall below tol.  A single-member family
     short-circuits to the member's exact projection.  A non-finite x is
     rejected with ValueError before any cycle.
@@ -41,28 +44,39 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
 
     if x.shape == (sets[0].dim,):
         projections = [s.project_point for s in sets]
+        y = x.tolist()
+        zero = [0.0] * len(y)
+
+        def subtract(u, v):
+            return [a - b for a, b in zip(u, v)]
+
+        def distance(u, v):
+            return point_norm(subtract(u, v))
     else:
         projections = [s.project for s in sets]
-    y = x.copy()
-    incs = [np.zeros_like(y) for _ in sets]
+        y = x
+        zero = np.zeros_like(y)
+        subtract = np.subtract
+
+        def distance(u, v):
+            return float(np.max(np.linalg.norm(u - v, axis=-1)))
+    # no increment is changed in place, so they can start as one object
+    incs = [zero] * len(sets)
     gap = np.inf
     for _ in range(max_iter):
         y_prev = y
         for i, project in enumerate(projections):
-            z = y - incs[i]
+            z = subtract(y, incs[i])
             y = project(z)
-            incs[i] = y - z
-        gap = float(np.max(np.linalg.norm(y - y_prev, axis=-1)))
+            incs[i] = subtract(y, z)
+        gap = distance(y, y_prev)
         if gap <= tol:
-            feas = max(
-                float(np.max(np.linalg.norm(y - project(y), axis=-1)))
-                for project in projections
-            )
+            feas = max(distance(y, project(y)) for project in projections)
             if feas <= tol:
-                return y
+                return np.asarray(y)
     raise MaxIterExceeded(
         f"reference projection did not converge in {max_iter} cycles "
         f"(last gap {gap:.3e}); the intersection may be empty",
-        last=y,
+        last=np.asarray(y),
         gap=gap,
     )

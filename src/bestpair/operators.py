@@ -5,6 +5,12 @@ of convex sets.  Products of these operators with a fixed anchor, applied with
 a vanishing steering sequence, converge to the metric projection of the anchor
 onto the family's intersection; `shlwb_project` runs that iteration directly.
 Every anchored step, here and in the solver, runs in `anchored_steps`.
+
+A single point runs as a list of Python floats (see `sets`): the anchored
+steps, the weighted projection and the stop test of `shlwb_project` do the
+same IEEE operations as their numpy forms, in the same order, so the results
+keep their bits.  Batches of shape (..., n) run on arrays.  The public
+functions take and return arrays.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
+from .sets import point_norm
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_DEFAULT_MAX_ITER = 200_000
@@ -159,19 +166,30 @@ class Family:
     def weighted_projection(self, x):
         """sum_l w_l P_l(x), accumulated in index order.
 
-        A single point of shape (n,) goes through the members' unchecked
-        `project_point`, a batch through their `project`; both give the same
-        bits on the same point.
+        A list of floats is one point: it goes through the members' unchecked
+        `project_point` and comes back as a list.  An array of shape (n,)
+        takes the same path and comes back as an array; a batch goes through
+        the members' `project`.  All three give the same bits on the same
+        point: the list path repeats numpy's operations in order, and a
+        member's norm sums in order below `sets.PAIRWISE_SUM_MIN` (8) terms
+        and through numpy's pairwise sum from 8 on (`sets.point_norm`).
         """
+        if isinstance(x, list) and x and isinstance(x[0], float):
+            return self._point_weighted_projection(x)
         x = np.asarray(x, dtype=float)
         if x.shape == self._point_shape:
-            projections = self._point_projections
-        else:
-            projections = [s.project for s in self.sets]
+            return np.array(self._point_weighted_projection(x.tolist()))
         weights = self._weight_list
-        acc = weights[0] * projections[0](x)
+        acc = weights[0] * self.sets[0].project(x)
+        for w, s in zip(weights[1:], self.sets[1:]):
+            acc += w * s.project(x)
+        return acc
+
+    def _point_weighted_projection(self, x):
+        weights, projections = self._weight_list, self._point_projections
+        acc = [weights[0] * v for v in projections[0](x)]
         for w, project in zip(weights[1:], projections[1:]):
-            acc += w * project(x)
+            acc = [a + w * v for a, v in zip(acc, project(x))]
         return acc
 
     def member_distances(self, x):
@@ -196,9 +214,23 @@ def anchored_steps(family: Family, taus, anchor, y=None):
     the one place the anchored step is written: the single step, the sweeps,
     the sweep path and the anchored projection all run it.  Arguments are not
     checked; `taus` is any iterable of floats, read one step at a time.
+
+    An anchor of shape (n,) is converted to a list once, and each step
+    yields a list of floats; it calls `family.weighted_projection` once, on
+    the list.  A batch anchor of shape (..., n) yields arrays.  The two give
+    the same bits on the same point, since the list step repeats numpy's
+    elementwise operations and the norms of the point path follow numpy's
+    8-term rule (see `sets.point_norm`).
     """
-    if y is None:
-        y = anchor
+    anchor = np.asarray(anchor, dtype=float)
+    y = anchor if y is None else np.asarray(y, dtype=float)
+    if anchor.ndim == 1:
+        anchor, y = anchor.tolist(), y.tolist()
+        for tau in taus:
+            s = 1.0 - tau
+            y = [tau * a + s * p for a, p in zip(anchor, family.weighted_projection(y))]
+            yield y
+        return
     for tau in taus:
         y = tau * anchor + (1.0 - tau) * family.weighted_projection(y)
         yield y
@@ -217,7 +249,7 @@ def apply_m(family: Family, tau: float, anchor, x):
         raise ValueError(f"tau must lie in (0,1), got {tau}")
     anchor = _check_dim(family, anchor, "anchor")
     x = _check_dim(family, x)
-    return next(anchored_steps(family, (tau,), anchor, x))
+    return np.asarray(next(anchored_steps(family, (tau,), anchor, x)))
 
 
 def apply_m_hat(family: Family, tau: float, x):
@@ -236,7 +268,7 @@ def apply_q_hat(family: Family, q: int, x):
     x = _check_dim(family, x)
     for y in anchored_steps(family, taus, x):
         pass
-    return y
+    return np.asarray(y)
 
 
 def q_hat_path(family: Family, q: int, x):
@@ -281,15 +313,24 @@ def shlwb_project(
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.
     taus, stop_taus = itertools.tee(map(family.schedule.tau, range(max_iter)))
-    x = anchor
+    if anchor.ndim == 1:
+        x = anchor.tolist()
+
+        def distance(u, v):
+            return point_norm([a - b for a, b in zip(u, v)])
+    else:
+        x = anchor
+
+        def distance(u, v):
+            return float(np.max(np.linalg.norm(u - v, axis=-1)))
     gap = np.inf
     for tau, x_next in zip(stop_taus, anchored_steps(family, taus, anchor)):
-        gap = float(np.max(np.linalg.norm(x_next - x, axis=-1)))
+        gap = distance(x_next, x)
         x = x_next
         if gap <= tol * tau:
-            return x
+            return np.asarray(x)
     raise MaxIterExceeded(
         f"no convergence within {max_iter} iterations (last gap {gap:.3e})",
-        last=x,
+        last=np.asarray(x),
         gap=gap,
     )

@@ -6,17 +6,31 @@ shape (n,) or a batch of shape (..., n) and are exact up to floating point,
 except the ellipsoid which solves a one-dimensional dual equation by
 safeguarded bisection to residual <= 1e-12.
 
-Each set also has `project_point`, an unchecked projection of one float point
-of shape (n,).  It runs the floating-point operations of `project` in the same
-order, so its result equals `project(x)` bit for bit, but it branches on
-scalars where `project` masks with `np.where`; when the branch finds the
-point in the set, `x` itself comes back (the box has no branch).  The
-solver's inner loop uses it, because on small points the cost of `project`
-is numpy call overhead.
+Each set also has `project_point`, an unchecked projection of one point given
+as a list of n Python floats; it returns a list.  It runs the floating-point
+operations of `project` in the same order, so `np.array(project_point(x))`
+equals `project(np.array(x))` bit for bit, but it branches on scalars where
+`project` masks with `np.where`; when the branch finds the point in the set,
+`x` itself comes back (the box has no branch).  No point-path code mutates a
+list it was given.  The solver's inner loop uses it, because on small points
+the cost of `project` is numpy call overhead, and Python float arithmetic does
+the same IEEE operations for a fraction of it.
+
+Two sums need care to keep those bits:
+
+- A norm is the square root of a sum of squares.  numpy's `add.reduce` adds
+  fewer than `PAIRWISE_SUM_MIN` (8) terms in order, which a Python loop
+  repeats; from 8 terms on it sums pairwise, so `point_norm` hands those sums
+  to numpy.
+- A half-space or hyperplane keeps numpy's `x @ normal`: BLAS's dot product
+  does not round like an in-order sum at any dimension.
+
+The ellipsoid converts the point to an array and runs its numpy root-find.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import get_args
 
@@ -30,6 +44,24 @@ CONTAINS_TOL = 1e-9
 
 _ELLIPSOID_ROOT_RESIDUAL = 1e-12
 _ELLIPSOID_MAX_BISECT = 110
+
+# numpy's add.reduce sums fewer terms than this in order, and more pairwise
+PAIRWISE_SUM_MIN = 8
+
+
+def point_norm(d):
+    """Euclidean norm of a list of floats, bit for bit `np.linalg.norm(d, axis=-1)`.
+
+    The loop does not use `sum`, which compensates its rounding from Python
+    3.12 on.
+    """
+    if len(d) >= PAIRWISE_SUM_MIN:
+        a = np.array(d)
+        return math.sqrt(np.add.reduce(a * a))
+    total = 0.0
+    for v in d:
+        total += v * v
+    return math.sqrt(total)
 
 
 def _as_points(x, dim, what="point"):
@@ -65,6 +97,7 @@ class Ball:
         object.__setattr__(self, "radius", float(self.radius))
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
+        object.__setattr__(self, "_center_list", self.center.tolist())
 
     @property
     def dim(self):
@@ -80,10 +113,12 @@ class Ball:
         return np.where(outside, self.center + d * scale, x)
 
     def project_point(self, x):
-        d = x - self.center
-        n = np.sqrt(np.add.reduce(d * d))  # np.linalg.norm(d, axis=-1)
+        center = self._center_list
+        d = [v - c for v, c in zip(x, center)]
+        n = point_norm(d)
         if n > self.radius:
-            return self.center + d * (self.radius / n)
+            scale = self.radius / n
+            return [c + v * scale for c, v in zip(center, d)]
         return x
 
     def contains(self, x, tol=CONTAINS_TOL):
@@ -109,6 +144,7 @@ class HalfSpace:
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("normal must be nonzero")
         object.__setattr__(self, "_nn", float(self.normal @ self.normal))
+        object.__setattr__(self, "_normal_list", self.normal.tolist())
 
     @property
     def dim(self):
@@ -121,9 +157,10 @@ class HalfSpace:
         return np.where((excess > 0.0)[..., None], x - shift[..., None] * self.normal, x)
 
     def project_point(self, x):
-        excess = x @ self.normal - self.offset
+        excess = float(np.array(x) @ self.normal) - self.offset
         if excess > 0.0:
-            return x - (excess / self._nn) * self.normal
+            shift = excess / self._nn
+            return [v - shift * c for v, c in zip(x, self._normal_list)]
         return x
 
     def contains(self, x, tol=CONTAINS_TOL):
@@ -150,6 +187,7 @@ class Hyperplane:
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("normal must be nonzero")
         object.__setattr__(self, "_nn", float(self.normal @ self.normal))
+        object.__setattr__(self, "_normal_list", self.normal.tolist())
 
     @property
     def dim(self):
@@ -163,9 +201,10 @@ class Hyperplane:
         )
 
     def project_point(self, x):
-        excess = x @ self.normal - self.offset
+        excess = float(np.array(x) @ self.normal) - self.offset
         if excess != 0.0:
-            return x - (excess / self._nn) * self.normal
+            shift = excess / self._nn
+            return [v - shift * c for v, c in zip(x, self._normal_list)]
         return x
 
     def contains(self, x, tol=CONTAINS_TOL):
@@ -192,6 +231,11 @@ class Box:
             raise DimensionMismatch("lo and hi dimensions differ")
         if not np.all(self.lo <= self.hi):
             raise ValueError("requires lo <= hi componentwise")
+        # per coordinate: lo, the clip of lo itself (which differs from lo
+        # only where lo and hi are zeros of opposite sign), and hi
+        object.__setattr__(self, "_bounds", list(zip(
+            self.lo.tolist(), np.clip(self.lo, self.lo, self.hi).tolist(), self.hi.tolist()
+        )))
 
     @property
     def dim(self):
@@ -202,9 +246,12 @@ class Box:
         return np.clip(x, self.lo, self.hi)
 
     def project_point(self, x):
-        # np.clip gives the same bits, signed zeros and NaN included, but
-        # costs twice as much on a small point
-        return np.minimum(np.maximum(x, self.lo), self.hi)
+        # np.clip keeps the bound on a tie (0.0 for x = -0.0, lo = 0.0) and
+        # passes NaN through; Python's min(max(x, lo), hi) would keep x
+        return [
+            lo_clip if v <= lo else (hi if v >= hi else v)
+            for v, (lo, lo_clip, hi) in zip(x, self._bounds)
+        ]
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = _as_points(x, self.dim)
@@ -247,7 +294,10 @@ class Ellipsoid:
         For z = x - center outside the ellipsoid the projection is
         y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the unique root of the
         constraint residual phi(lam) = sum_d (y_d/a_d)^2 - 1.  phi is strictly
-        decreasing, so a fixed bisection count is deterministic and safe.
+        decreasing, so a fixed bisection count is deterministic and safe.  A
+        round is a function of (lo, hi) alone, so the bisection stops early
+        once a round leaves every row's bracket unchanged: the remaining
+        rounds would repeat it, and the result keeps the same bits.
         """
         x = _as_points(x, self.dim)
         shape = x.shape
@@ -270,8 +320,11 @@ class Ellipsoid:
         for _ in range(_ELLIPSOID_MAX_BISECT):
             mid = 0.5 * (lo + hi)
             w = phi(mid) > 0.0
-            lo = np.where(w, mid, lo)
-            hi = np.where(w, hi, mid)
+            lo_next = np.where(w, mid, lo)
+            hi_next = np.where(w, hi, mid)
+            if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
+                break  # every later round would repeat this one
+            lo, hi = lo_next, hi_next
         lam = 0.5 * (lo + hi)
         res = np.abs(phi(lam))
         if np.any(res > _ELLIPSOID_ROOT_RESIDUAL):
@@ -284,7 +337,7 @@ class Ellipsoid:
         return proj.reshape(shape)
 
     def project_point(self, x):
-        z = x - self.center
+        z = np.array(x) - self.center
         if not np.add.reduce((z / self.axes) ** 2) > 1.0:
             return x
         a2 = self._a2
@@ -298,8 +351,12 @@ class Ellipsoid:
         for _ in range(_ELLIPSOID_MAX_BISECT):
             mid = 0.5 * (lo + hi)
             if phi(mid) > 0.0:
+                if mid == lo:
+                    break  # a fixed point of the round, as in `project`
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         lam = 0.5 * (lo + hi)
         res = abs(phi(lam))
@@ -308,7 +365,7 @@ class Ellipsoid:
                 f"dual residual {res:.3e} after {_ELLIPSOID_MAX_BISECT} "
                 "bisections; axes may be numerically degenerate"
             )
-        return self.center + za2 / (a2 + lam)
+        return (self.center + za2 / (a2 + lam)).tolist()
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = _as_points(x, self.dim)

@@ -1,9 +1,11 @@
 """The single-point path (`project_point`) against the checked `project` path.
 
-`project_point` promises the bits of `project` on the same point, so every
-comparison here is exact.  The checked path is kept as the reference: the
-`Checked` wrapper routes a set's point projections through `project`, which
-is how every single-point projection ran before the point path existed.
+`project_point` takes and returns a list of floats and promises the bits of
+`project` on the same point, so every comparison here is exact.  The checked
+path is kept as the reference: the `Checked` wrapper routes a set's point
+projections through `project`, which is how every single-point projection
+ran before the point path existed.  Dimensions reach 12, past the 8 terms
+from which numpy sums a norm pairwise.
 """
 
 import numpy as np
@@ -27,6 +29,7 @@ from bestpair import (
     q_hat_path,
     run_ashlwb,
 )
+from bestpair.sets import point_norm
 
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
 COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -49,6 +52,11 @@ def vectors(n, elements=COORD):
     return st.lists(elements, min_size=n, max_size=n).map(np.array)
 
 
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @st.composite
 def sets_of_kind(draw, kind, n):
     if kind == "ball":
@@ -69,7 +77,7 @@ def sets_of_kind(draw, kind, n):
 @st.composite
 def set_and_point(draw):
     kind = draw(st.sampled_from(["ball", "halfspace", "hyperplane", "box", "ellipsoid"]))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
     s = draw(sets_of_kind(kind, n))
     p = draw(vectors(n))
     where = draw(st.sampled_from(["drawn", "boundary", "inside", "far"]))
@@ -94,14 +102,79 @@ def test_point_path_equals_project(case):
         expected = s.project(x)
     except EllipsoidRootFindError:
         with pytest.raises(EllipsoidRootFindError):
-            s.project_point(x)
+            s.project_point(x.tolist())
         return
-    got = s.project_point(x)
-    assert got.shape == x.shape and got.dtype == np.float64
-    assert np.array_equal(got, expected)
+    point = x.tolist()
+    got = s.project_point(point)
+    assert isinstance(got, list) and all(type(v) is float for v in got)
+    assert same_bits(np.array(got), expected)
     # the branch-based kinds hand a point they contain back unchanged
     if not isinstance(s, Box) and s.contains(x, tol=0.0):
-        assert got is x
+        assert got is point
+
+
+@pytest.mark.parametrize("lo, hi, x", [
+    (0.0, 1.0, -0.0),
+    (-0.0, 1.0, 0.0),
+    (-1.0, 0.0, -0.0),
+    (-1.0, -0.0, 0.0),
+    (0.0, -0.0, 5.0),
+    (0.0, -0.0, -5.0),
+    (-0.0, 0.0, -5.0),
+    (0.0, 1.0, float("nan")),
+])
+def test_box_point_path_keeps_clip_signed_zeros(lo, hi, x):
+    """np.clip keeps the bound on a tie and passes NaN through."""
+    box = Box([lo, 0.0], [hi, 1.0])
+    point = np.array([x, 0.5])
+    assert same_bits(np.array(box.project_point(point.tolist())), box.project(point))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: vectors(n, st.floats(-1e3, 1e3))))
+def test_point_norm_equals_linalg_norm(d):
+    assert point_norm(d.tolist()) == np.linalg.norm(d, axis=-1)
+
+
+def bisection_110(e, pts):
+    """The ellipsoid root-find as it ran before its early exit: always 110 rounds."""
+    z = pts - e.center
+    a2 = e.axes**2
+    outside = np.sum((z / e.axes) ** 2, axis=-1) > 1.0
+    zo = z[outside]
+
+    def phi(lam):
+        return np.sum((zo * a2 / (a2 + lam[:, None]) / e.axes) ** 2, axis=-1) - 1.0
+
+    lo = np.zeros(zo.shape[0])
+    hi = np.linalg.norm(zo * e.axes, axis=-1) + np.max(a2)
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        w = phi(mid) > 0.0
+        lo = np.where(w, mid, lo)
+        hi = np.where(w, hi, mid)
+    lam = 0.5 * (lo + hi)
+    proj = pts.copy()
+    proj[outside] = e.center + zo * a2 / (a2 + lam[:, None])
+    return proj, np.abs(phi(lam))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ellipsoid_early_exit_equals_110_rounds(data):
+    """Stopping at the bisection's fixed point keeps the bits of 110 rounds."""
+    n = data.draw(st.integers(1, 12))
+    e = data.draw(sets_of_kind("ellipsoid", n))
+    scale = data.draw(st.sampled_from([1.0, 1e3]))
+    pts = scale * np.stack(data.draw(st.lists(vectors(n), min_size=1, max_size=5)))
+    expected, residual = bisection_110(e, pts)
+    if np.any(residual > 1e-12):
+        with pytest.raises(EllipsoidRootFindError):
+            e.project(pts)
+        return
+    assert same_bits(e.project(pts), expected)
+    for p, row in zip(pts, expected):
+        assert same_bits(np.array(e.project_point(p.tolist())), row)
 
 
 @settings(max_examples=100, deadline=None)
@@ -113,7 +186,7 @@ def test_family_point_equals_batch_row(data):
     dot product for one point and a matrix-vector product for a batch; the
     two may round differently, so those kinds are left out.
     """
-    n = data.draw(st.integers(1, 5))
+    n = data.draw(st.integers(1, 12))
     kinds = data.draw(st.lists(st.sampled_from(["ball", "box", "ellipsoid"]),
                                min_size=1, max_size=3))
     fam = Family(tuple(data.draw(sets_of_kind(k, n)) for k in kinds))
@@ -173,7 +246,26 @@ def lens_problem():
     return Problem(lens_family(), fam_b, rho=8.0, options=SolverOptions(max_sweeps=40))
 
 
-@pytest.mark.parametrize("make", [lens_problem, mixed_problem])
+def ellipsoid_problem():
+    """Dimension 20: numpy sums its norms and quadratic forms pairwise."""
+    rng = np.random.default_rng(4)
+    center = rng.normal(0.0, 0.3, 20)
+    tilt = np.concatenate([[-1.0], rng.normal(0.0, 0.1, 19)])
+    fam_a = Family(
+        (Ellipsoid(center, np.concatenate([[2.0], rng.uniform(1.0, 2.0, 19)])),
+         HalfSpace(tilt, float(tilt @ center) + 1.0)),
+        schedule=SCHED,
+    )
+    normal = np.zeros(20)
+    normal[1:3] = [1.0, 0.5]
+    center_b = center + 7.0 * np.eye(20)[0]
+    fam_b = Family(
+        (Ball(center_b, 2.0), Hyperplane(normal, float(normal @ center_b))), schedule=SCHED
+    )
+    return Problem(fam_a, fam_b, rho=12.0, options=SolverOptions(max_sweeps=12))
+
+
+@pytest.mark.parametrize("make", [lens_problem, mixed_problem, ellipsoid_problem])
 def test_run_matches_checked_projections(make):
     """A run on the point path repeats the run on checked projections bit for bit."""
     p = make()
