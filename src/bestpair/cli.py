@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -45,7 +46,7 @@ from .errors import (
 from .intersection import project_intersection
 from .operators import SHLWB_DEFAULT_TOL, Family, SteeringSchedule, shlwb_project, validate_schedule
 from .oracles import brute_force_pair, dini_monotonicity_check, fix_set_audit, uniqueness_certificate
-from .sets import family_bounding_radius, set_from_dict, set_to_dict
+from .sets import set_from_dict, set_to_dict
 from .solver import (
     Problem,
     SolverOptions,
@@ -112,10 +113,7 @@ def parse_problem(doc: dict) -> ParsedProblem:
     seed = doc.get("seed", 0)
     if not isinstance(seed, int):
         raise ValueError("'seed' must be an integer")
-    rho = max(
-        family_bounding_radius(fam_a.sets), family_bounding_radius(fam_b.sets)
-    )
-    problem = Problem(fam_a, fam_b, rho, options, seed)
+    problem = Problem(fam_a, fam_b, options, seed)
     return ParsedProblem(problem=problem, raw=serialize_problem(problem))
 
 
@@ -280,12 +278,35 @@ def cmd_check(args) -> int:
     return 0 if mandatory_ok else 1
 
 
+def _check_grid_indices(dim: int):
+    """Index vectors i in {0..4}^dim with sum_d (i_d - 2)^2 <= 4, in C order, lazily.
+
+    Grid point i lies about (rho/2) * sqrt(sum_d (i_d - 2)^2) from the origin,
+    so any other point lies at least 1.1 rho out and fails the ball test.
+    """
+    stack = [((), 4)]
+    while stack:
+        prefix, budget = stack.pop()
+        if budget == 0 or len(prefix) == dim:
+            yield prefix + (2,) * (dim - len(prefix))
+            continue
+        for i in (4, 3, 2, 1, 0):  # pushed in reverse, so popped smallest first
+            if (i - 2) ** 2 <= budget:
+                stack.append((prefix + (i,), budget - (i - 2) ** 2))
+
+
 def _check_grid(dim: int, rho: float):
-    axes = [np.linspace(-rho, rho, 5)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    pts = pts[np.linalg.norm(pts, axis=1) <= rho]
-    return pts[:625]
+    """The first 625 points, in C order, of the 5^dim grid on [-rho, rho]^dim inside B[0, rho].
+
+    The grid itself is never built.  The ball test runs on 2-D chunks as it
+    would on the whole grid; a 1-D norm rounds some points on the sphere out.
+    """
+    axis = np.linspace(-rho, rho, 5)
+    candidates, kept = _check_grid_indices(dim), []
+    while sum(map(len, kept)) < 625 and (chunk := list(itertools.islice(candidates, 625))):
+        pts = axis[np.array(chunk)]
+        kept.append(pts[np.linalg.norm(pts, axis=1) <= rho])
+    return np.concatenate(kept)[:625]
 
 
 def _fix_set_for(fam: Family, rho: float):

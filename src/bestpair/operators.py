@@ -153,7 +153,6 @@ class Family:
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
-        object.__setattr__(self, "_point_shape", (dim,))
         object.__setattr__(self, "_point_projections", [s.project_point for s in sets])
 
     @property
@@ -167,18 +166,16 @@ class Family:
         """sum_l w_l P_l(x), accumulated in index order.
 
         A list of floats is one point: it goes through the members' unchecked
-        `project_point` and comes back as a list.  An array of shape (n,)
-        takes the same path and comes back as an array; a batch goes through
-        the members' `project`.  All three give the same bits on the same
-        point: the list path repeats numpy's operations in order, and a
-        member's norm sums in order below `sets.PAIRWISE_SUM_MIN` (8) terms
-        and through numpy's pairwise sum from 8 on (`sets.point_norm`).
+        `project_point` and comes back as a list.  An array, of shape (n,) or
+        (..., n), goes through the members' `project`.  A list and an array
+        of shape (n,) holding the same point give the same bits: the list
+        path repeats numpy's operations in order, and a member's norm sums
+        in order below `sets.PAIRWISE_SUM_MIN` (8) terms and through numpy's
+        pairwise sum from 8 on (`sets.point_norm`).
         """
         if isinstance(x, list) and x and isinstance(x[0], float):
             return self._point_weighted_projection(x)
         x = np.asarray(x, dtype=float)
-        if x.shape == self._point_shape:
-            return np.array(self._point_weighted_projection(x.tolist()))
         weights = self._weight_list
         acc = weights[0] * self.sets[0].project(x)
         for w, s in zip(weights[1:], self.sets[1:]):

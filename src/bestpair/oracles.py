@@ -18,7 +18,6 @@ from .errors import (
     MisclassifiedPoint,
     NoFeasiblePoint,
     PreconditionGapZero,
-    ProblemValidationError,
     SamplingFailure,
     TraceTooShort,
 )
@@ -29,7 +28,6 @@ from .solver import (
     DISJOINTNESS_TOL,
     IterationTrace,
     Problem,
-    family_bound_check,
     run_cheney_goldstein,
 )
 
@@ -49,11 +47,10 @@ _SAMPLING_CAP = 10**6
 class UniquenessCertificate:
     all_strictly_convex: bool
     positive_distance: bool
-    distance_attained: bool
 
     @property
     def verdict(self) -> str:
-        ok = self.all_strictly_convex and self.positive_distance and self.distance_attained
+        ok = self.all_strictly_convex and self.positive_distance
         return "UniqueGuaranteed" if ok else "NotGuaranteed"
 
     def to_dict(self):
@@ -81,22 +78,16 @@ def uniqueness_certificate(problem: Problem) -> UniquenessCertificate:
     """Sufficient-condition certificate for a unique best approximation pair.
 
     Strict convexity of every member lifts to the intersections, and together
-    with positive attained distance guarantees exactly one pair.
+    with positive distance guarantees exactly one pair; the distance is
+    attained because a Problem's intersections are bounded.
     """
     strict = all(
         s.strictly_convex for s in problem.family_a.sets + problem.family_b.sets
     )
-    try:
-        family_bound_check(problem.family_a, problem.rho, "A")
-        family_bound_check(problem.family_b, problem.rho, "B")
-        attained = True
-    except ProblemValidationError:
-        attained = False
     positive = run_cheney_goldstein(problem, validate=False).gap > DISJOINTNESS_TOL
     return UniquenessCertificate(
         all_strictly_convex=strict,
         positive_distance=positive,
-        distance_attained=attained,
     )
 
 

@@ -25,10 +25,10 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, apply_q_hat, q_hat_path
+from .sets import family_bounding_radius
 
 DISJOINTNESS_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6
-BOUND_SLACK = 1e-9
 # Accuracy of the baseline's inner projections and its outer-iteration budget
 BASELINE_INNER_TOL = 1e-8
 BASELINE_MAX_OUTER = 10_000
@@ -59,19 +59,31 @@ class SolverOptions:
 
 @dataclass(frozen=True, eq=False)
 class Problem:
-    """Two validated families, the common bounding radius and solver options."""
+    """Two families and solver options.  `rho` is derived: B[0, rho] is the
+    smallest origin-centred ball that holds every bounded member of both
+    families, and a family without one raises ProblemValidationError."""
 
     family_a: Family
     family_b: Family
-    rho: float
     options: SolverOptions = field(default_factory=SolverOptions)
     seed: int = 0
+    rho: float = field(init=False)
 
     def __post_init__(self):
         if self.family_a.dim != self.family_b.dim:
             raise DimensionMismatch("families have different dimensions")
-        if not (self.rho > 0 and np.isfinite(self.rho)):
-            raise ValueError("rho must be positive and finite")
+        radii = []
+        for label, fam in (("A", self.family_a), ("B", self.family_b)):
+            try:
+                radii.append(family_bounding_radius(fam.sets))
+            except UnboundedFamily as exc:
+                raise ProblemValidationError(
+                    f"family {label} has no bounded member; the bounding hypothesis fails"
+                ) from exc
+        rho = max(radii)
+        if not (rho > 0 and np.isfinite(rho)):
+            raise ValueError(f"rho must be positive and finite, got {rho!r}")
+        object.__setattr__(self, "rho", rho)
 
     @property
     def dim(self):
@@ -150,27 +162,6 @@ def _clip_to_ball(x, rho):
     return x, False
 
 
-def family_bound_check(fam: Family, rho: float, label: str):
-    """Raise ProblemValidationError unless every bounded member lies in B[0, rho]
-    and at least one member is bounded."""
-    bounded = 0
-    for i, s in enumerate(fam.sets):
-        try:
-            r = s.bounding_radius()
-        except UnboundedFamily:
-            continue
-        bounded += 1
-        if r > rho + BOUND_SLACK:
-            raise ProblemValidationError(
-                f"family {label} member {i} not contained in B[0,{rho}] "
-                f"(needs radius {r:.6g})"
-            )
-    if bounded == 0:
-        raise ProblemValidationError(
-            f"family {label} has no bounded member; the bounding hypothesis fails"
-        )
-
-
 def _family_feasibility(fam: Family, label: str) -> float:
     origin = np.zeros(fam.dim)
     try:
@@ -203,9 +194,8 @@ def _alternate_projections(problem: Problem, x0):
 
 
 def validate_problem(problem: Problem) -> ProblemReport:
-    """Check the solvability hypotheses; raises ProblemValidationError."""
-    family_bound_check(problem.family_a, problem.rho, "A")
-    family_bound_check(problem.family_b, problem.rho, "B")
+    """Check that both intersections are nonempty and disjoint (the bounding
+    hypothesis is checked by Problem); raises ProblemValidationError."""
     feas_a = _family_feasibility(problem.family_a, "A")
     feas_b = _family_feasibility(problem.family_b, "B")
     origin = np.zeros(problem.dim)

@@ -322,6 +322,51 @@ def test_check_halfspace_only_family_exits_1(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("label", ["A", "B"])
+def test_unbounded_family_error_names_the_family(label, tmp_path, capsys):
+    doc = two_ball_doc()
+    doc["family" + label] = {"sets": [{"type": "halfspace", "normal": [1.0, 0.0], "offset": 0.0}]}
+    assert main(["check", write(tmp_path, "hs.json", doc)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: family {label} has no bounded member; the bounding hypothesis fails\n"
+    )
+
+
+def meshgrid_check_grid(dim, rho):
+    """The check grid built whole: every point of the 5^dim grid, then the ball test."""
+    axes = [np.linspace(-rho, rho, 5)] * dim
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=-1)
+    return pts[np.linalg.norm(pts, axis=1) <= rho][:625]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+@pytest.mark.parametrize("rho", [1.0, 3.0000000000000004, 5.0, 8.0, 0.3, 12.7])
+def test_check_grid_equals_meshgrid(dim, rho):
+    # at dim 4 and rho 3.0000000000000004 the 2-D norm keeps 84 points; a norm
+    # taken one point at a time rounds 3 points on the sphere outside
+    expected = meshgrid_check_grid(dim, rho)
+    got = cli._check_grid(dim, rho)
+    assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_check_high_dimension_exits_0(tmp_path, capsys):
+    # the whole 5^20 grid would need 694 TiB
+    dim = 20
+    far = [0.0] * dim
+    far[0] = 4.0
+    doc = {
+        "dimension": dim,
+        "familyA": {"sets": [{"type": "ball", "center": [0.0] * dim, "radius": 1.0}]},
+        "familyB": {"sets": [{"type": "ball", "center": far, "radius": 1.0}]},
+    }
+    assert main(["check", write(tmp_path, "balls20.json", doc)]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["advisory"]["dini_A"]["n_points"] == 625
+    assert err == ""
+
+
 # --- cmd_oracle --------------------------------------------------------------------
 
 

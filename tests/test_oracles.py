@@ -28,7 +28,6 @@ def overlapping_problem():
     return Problem(
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
         Family((Ball([1, 0], 1.0),), schedule=SCHED),
-        rho=3.0,
     )
 
 
@@ -69,7 +68,6 @@ def test_brute_force_dimension_limit():
     problem = Problem(
         Family((Ball([0, 0, 0, 0], 1.0),), schedule=SCHED),
         Family((Ball([4, 0, 0, 0], 1.0),), schedule=SCHED),
-        rho=5.0,
     )
     with pytest.raises(ValueError, match="dimension <= 3"):
         brute_force_pair(problem, resolution=0.1)
@@ -79,7 +77,6 @@ def test_brute_force_three_dimensional():
     problem = Problem(
         Family((Ball([0, 0, 0], 1.0),), schedule=SCHED),
         Family((Ball([3, 0, 0], 1.0),), schedule=SCHED),
-        rho=4.0,
     )
     res = brute_force_pair(problem, resolution=0.1)
     assert res.gap == pytest.approx(1.0, abs=1e-4)
@@ -91,7 +88,7 @@ def test_brute_force_three_dimensional():
 def test_certificate_lens_unique(lens_parsed):
     cert = uniqueness_certificate(lens_parsed.problem)
     assert cert.verdict == "UniqueGuaranteed"
-    assert cert.all_strictly_convex and cert.positive_distance and cert.distance_attained
+    assert cert.all_strictly_convex and cert.positive_distance
 
 
 def test_certificate_boxes_not_guaranteed(boxes_parsed):

@@ -47,6 +47,9 @@ class Checked:
 
     project_point = project
 
+    def bounding_radius(self):
+        return self.s.bounding_radius()
+
 
 def vectors(n, elements=COORD):
     return st.lists(elements, min_size=n, max_size=n).map(np.array)
@@ -196,7 +199,7 @@ def test_family_point_equals_batch_row(data):
     except EllipsoidRootFindError:
         return
     for i, p in enumerate(pts):
-        assert np.array_equal(fam.weighted_projection(p), batch[i])
+        assert np.array_equal(fam.weighted_projection(p.tolist()), batch[i])
 
 
 def mixed_family():
@@ -238,12 +241,12 @@ def mixed_problem():
     fam_b = Family(
         (Ball([5.0, 0.0, 0.0], 1.5), Hyperplane([0.0, 0.0, 1.0], 0.25)), schedule=SCHED
     )
-    return Problem(mixed_family(), fam_b, rho=7.0, options=SolverOptions(max_sweeps=25))
+    return Problem(mixed_family(), fam_b, options=SolverOptions(max_sweeps=25))
 
 
 def lens_problem():
     fam_b = Family((Ball([5, 0], 2.0), Ball([6, 0], 2.0)), schedule=SCHED)
-    return Problem(lens_family(), fam_b, rho=8.0, options=SolverOptions(max_sweeps=40))
+    return Problem(lens_family(), fam_b, options=SolverOptions(max_sweeps=40))
 
 
 def ellipsoid_problem():
@@ -262,14 +265,14 @@ def ellipsoid_problem():
     fam_b = Family(
         (Ball(center_b, 2.0), Hyperplane(normal, float(normal @ center_b))), schedule=SCHED
     )
-    return Problem(fam_a, fam_b, rho=12.0, options=SolverOptions(max_sweeps=12))
+    return Problem(fam_a, fam_b, options=SolverOptions(max_sweeps=12))
 
 
 @pytest.mark.parametrize("make", [lens_problem, mixed_problem, ellipsoid_problem])
 def test_run_matches_checked_projections(make):
     """A run on the point path repeats the run on checked projections bit for bit."""
     p = make()
-    ref = Problem(checked(p.family_a), checked(p.family_b), p.rho, p.options)
+    ref = Problem(checked(p.family_a), checked(p.family_b), p.options)
     x0 = np.full(p.dim, 0.3)
     fast = run_ashlwb(p, x0, validate=False)
     slow = run_ashlwb(ref, x0, validate=False)

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestpair import (
     Ball,
     Box,
+    Ellipsoid,
     Family,
     HalfSpace,
     Problem,
@@ -25,7 +30,6 @@ def two_ball_problem(**opts):
     return Problem(
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
         Family((Ball([4, 0], 1.0),), schedule=SCHED),
-        rho=5.0,
         options=SolverOptions(**opts) if opts else SolverOptions(),
     )
 
@@ -165,7 +169,6 @@ def test_validation_rejects_overlapping_families():
     problem = Problem(
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
-        rho=5.0,
     )
     with pytest.raises(ProblemValidationError, match="not disjoint"):
         validate_problem(problem)
@@ -175,37 +178,87 @@ def test_validation_rejects_empty_intersection():
     problem = Problem(
         Family((Ball([0, 0], 1.0), Ball([5, 0], 1.0)), schedule=SCHED),
         Family((Ball([10, 0], 1.0),), schedule=SCHED),
-        rho=12.0,
     )
     with pytest.raises(ProblemValidationError, match="empty"):
         validate_problem(problem)
 
 
 def test_validation_rejects_unbounded_family():
-    problem = Problem(
-        Family((HalfSpace([1, 0], 0.0),), schedule=SCHED),
-        Family((Ball([4, 0], 1.0),), schedule=SCHED),
-        rho=5.0,
-    )
     with pytest.raises(ProblemValidationError, match="no bounded member"):
-        validate_problem(problem)
+        Problem(
+            Family((HalfSpace([1, 0], 0.0),), schedule=SCHED),
+            Family((Ball([4, 0], 1.0),), schedule=SCHED),
+        )
 
 
-def test_validation_rejects_member_outside_rho():
-    problem = Problem(
-        Family((Ball([0, 0], 1.0),), schedule=SCHED),
-        Family((Ball([9, 0], 1.0),), schedule=SCHED),
-        rho=5.0,
-    )
-    with pytest.raises(ProblemValidationError, match="not contained"):
-        validate_problem(problem)
+# --- the derived bounding radius ---------------------------------------------------
+
+COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+def vectors(n, elements=COORD):
+    return st.lists(elements, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def bounded_member(draw, n):
+    kind = draw(st.sampled_from(["ball", "box", "ellipsoid"]))
+    center = draw(vectors(n))  # off-centre: anywhere in [-10, 10]^n
+    if kind == "ball":
+        return Ball(center, draw(st.floats(0.01, 5.0)))
+    if kind == "box":  # an extent of 0 makes a flat box
+        return Box(center, center + draw(vectors(n, st.floats(0.0, 5.0))))
+    axes = draw(vectors(n, st.floats(0.05, 5.0)))
+    if draw(st.booleans()):  # thin: one axis 10^2 to 10^4 times shorter
+        axes[draw(st.integers(0, n - 1))] = draw(st.floats(1e-4, 1e-2))
+    return Ellipsoid(center, axes)
+
+
+@st.composite
+def family_with_bounded_member(draw, n):
+    sets = draw(st.lists(bounded_member(n), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        normal = draw(vectors(n).filter(lambda v: np.linalg.norm(v) > 1e-3))
+        sets.insert(draw(st.integers(0, len(sets))), HalfSpace(normal, draw(COORD)))
+    return Family(tuple(sets), schedule=SCHED)
+
+
+def boundary_points(s, rng):
+    """Points on the boundary of a bounded member, its farthest ones included."""
+    u = rng.standard_normal((64, s.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    if isinstance(s, Box):
+        corners = np.where(rng.random((64, s.dim)) < 0.5, s.lo, s.hi)
+        far = np.where(np.abs(s.lo) >= np.abs(s.hi), s.lo, s.hi)
+        return np.vstack([corners, far])
+    tips = np.vstack([np.eye(s.dim), -np.eye(s.dim)])
+    if isinstance(s, Ball):
+        scale = np.max(np.abs(s.center))
+        if scale > 0:  # the farthest point lies along the centre; scaled against underflow
+            v = s.center / scale
+            u = np.vstack([u, v / np.linalg.norm(v)])
+        return s.center + s.radius * np.vstack([u, tips])
+    return s.center + s.axes * np.vstack([u, tips])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+    family_with_bounded_member(n), family_with_bounded_member(n))), st.integers(0, 2**32 - 1))
+def test_problem_rho_bounds_every_member(families, seed):
+    problem = Problem(*families)
+    rng = np.random.default_rng(seed)
+    bounded = [s for fam in families for s in fam.sets if not isinstance(s, HalfSpace)]
+    for s in bounded:
+        assert np.all(np.linalg.norm(boundary_points(s, rng), axis=1) <= problem.rho + 1e-9)
+    assert problem.rho == max(s.bounding_radius() for s in bounded)
+    replaced = dataclasses.replace(problem, options=SolverOptions(max_sweeps=7))
+    assert replaced.rho == problem.rho
 
 
 def test_halfspace_with_enclosing_ball_validates():
     problem = Problem(
         Family((HalfSpace([1, 0], -1.0), Ball([0, 0], 3.0)), schedule=SCHED),
         Family((Ball([6, 0], 1.0),), schedule=SCHED),
-        rho=7.0,
     )
     report = validate_problem(problem)
     # left cap ends at x1 = -1, ball B starts at x1 = 5
@@ -232,7 +285,6 @@ def test_baseline_sanity_mode_identical_families():
     problem = Problem(
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
-        rho=5.0,
     )
     pair = run_cheney_goldstein(problem, x0=np.array([3.0, 0.0]), validate=False)
     assert pair.gap <= 1e-8
@@ -257,7 +309,6 @@ def test_distance_nearly_touching_balls():
     problem = Problem(
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
         Family((Ball([2 + 1e-3, 0], 1.0),), schedule=SCHED),
-        rho=4.0,
     )
     assert run_cheney_goldstein(problem, validate=False).gap == pytest.approx(1e-3, abs=1e-5)
 
@@ -267,7 +318,7 @@ def test_distance_nearly_touching_balls():
 
 def test_swap_symmetry(lens_parsed):
     p = lens_parsed.problem
-    swapped = Problem(p.family_b, p.family_a, p.rho, p.options, p.seed)
+    swapped = Problem(p.family_b, p.family_a, p.options, p.seed)
     t1 = run_ashlwb(p, validate=False)
     t2 = run_ashlwb(swapped, validate=False)
     pair1 = extract_best_pair(t1, p)
