@@ -27,7 +27,6 @@ from .operators import (
     apply_q_hat,
     q_hat_path,
     shlwb_project,
-    validate_schedule,
 )
 from .oracles import (
     OracleResult,
@@ -106,5 +105,4 @@ __all__ = [
     "shlwb_project",
     "uniqueness_certificate",
     "validate_problem",
-    "validate_schedule",
 ]

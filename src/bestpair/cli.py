@@ -44,7 +44,7 @@ from .errors import (
     SamplingFailure,
 )
 from .intersection import project_intersection
-from .operators import SHLWB_DEFAULT_TOL, Family, SteeringSchedule, shlwb_project, validate_schedule
+from .operators import SHLWB_DEFAULT_TOL, Family, SteeringSchedule, shlwb_project
 from .oracles import brute_force_pair, dini_monotonicity_check, fix_set_audit, uniqueness_certificate
 from .sets import set_from_dict, set_to_dict
 from .solver import (
@@ -247,15 +247,12 @@ def cmd_project(args) -> int:
 def cmd_check(args) -> int:
     parsed = load_problem(args.problem)
     problem = parsed.problem
-    mandatory_ok = True
     report = {"mandatory": {}, "advisory": {}}
-    for label, fam in (("A", problem.family_a), ("B", problem.family_b)):
-        sched_report = validate_schedule(fam.schedule, 10**5)
-        report["mandatory"][f"schedule_{label}"] = sched_report.to_dict()
-        if not sched_report.passed:
-            mandatory_ok = False
     try:
         vrep = validate_problem(problem)
+    except (ProblemValidationError, MaxIterExceeded, MaxOuterExceeded) as exc:
+        report["mandatory"]["validation"] = {"passed": False, "error": str(exc)}
+    else:
         report["mandatory"]["validation"] = {
             "passed": True,
             "distance_estimate": vrep.distance,
@@ -263,11 +260,6 @@ def cmd_check(args) -> int:
             "feasibility_b": vrep.feasibility_b,
             "rho": problem.rho,
         }
-    except (ProblemValidationError, MaxIterExceeded, MaxOuterExceeded) as exc:
-        report["mandatory"]["validation"] = {"passed": False, "error": str(exc)}
-        mandatory_ok = False
-
-    if mandatory_ok:
         cert = uniqueness_certificate(problem)
         report["advisory"]["uniqueness"] = cert.to_dict()
         grid = _check_grid(problem.dim, problem.rho)
@@ -275,7 +267,7 @@ def cmd_check(args) -> int:
             report["advisory"][f"dini_{label}"] = dini_monotonicity_check(fam, grid, 50).to_dict()
             report["advisory"][f"fix_set_{label}"] = _fix_set_for(fam, problem.rho).to_dict()
     print(json.dumps(report, indent=2, sort_keys=True))
-    return 0 if mandatory_ok else 1
+    return 0 if report["mandatory"]["validation"]["passed"] else 1
 
 
 def _check_grid_indices(dim: int):
@@ -296,17 +288,26 @@ def _check_grid_indices(dim: int):
 
 
 def _check_grid(dim: int, rho: float):
-    """The first 625 points, in C order, of the 5^dim grid on [-rho, rho]^dim inside B[0, rho].
+    """625 points of the 5^dim grid on [-rho, rho]^dim inside B[0, rho], spread over it.
 
-    The grid itself is never built.  The ball test runs on 2-D chunks as it
-    would on the whole grid; a 1-D norm rounds some points on the sphere out.
+    The grid itself is never built.  Every candidate takes the ball test, on
+    2-D chunks as it would on the whole grid; a 1-D norm rounds some points on
+    the sphere out.  When at most 625 pass (dim <= 6), all are kept in C
+    order.  Otherwise the kept positions are spread evenly over the N that
+    pass and closed under j -> N-1-j, which maps a grid point to its negation;
+    the first 625 in C order would all have x_0 <= 0.
     """
     axis = np.linspace(-rho, rho, 5)
     candidates, kept = _check_grid_indices(dim), []
-    while sum(map(len, kept)) < 625 and (chunk := list(itertools.islice(candidates, 625))):
-        pts = axis[np.array(chunk)]
-        kept.append(pts[np.linalg.norm(pts, axis=1) <= rho])
-    return np.concatenate(kept)[:625]
+    while chunk := list(itertools.islice(candidates, 625)):
+        idx = np.array(chunk, dtype=np.int8)
+        kept.append(idx[np.linalg.norm(axis[idx], axis=1) <= rho])
+    idx = np.concatenate(kept)
+    n = len(idx)
+    if n > 625:
+        half = [k * (n - 1) // 624 for k in range(312)]
+        idx = idx[half + [(n - 1) // 2] + [n - 1 - j for j in reversed(half)]]
+    return axis[idx]
 
 
 def _fix_set_for(fam: Family, rho: float):

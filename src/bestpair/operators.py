@@ -16,7 +16,7 @@ functions take and return arrays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,18 +26,18 @@ from .sets import point_norm
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_DEFAULT_MAX_ITER = 200_000
 
-# partial-sum threshold of the divergence heuristic
-_DIVERGENCE_PARTIAL_SUM = 10.0
-
 
 @dataclass(frozen=True)
 class SteeringSchedule:
     """Parametric steering sequence tau_k = c / (k + k0)^p.
 
-    The defaults (c=1, k0=2, p=1) give the harmonic-type sequence 1/(k+2),
-    which satisfies all steering axioms: values in (0,1), monotone decay to 0,
-    divergent sum, summable successive differences.  Out-of-range parameters
-    are representable so that `validate_schedule` can report their failures.
+    The steering axioms ask for tau_k in (0, 1), tau_k -> 0, a divergent sum
+    and summable successive differences.  For this family they hold exactly
+    when 0 < p <= 1 and tau_0 = c / k0^p lies in (0, 1): the sequence then
+    decreases to 0, its sum diverges, and its differences telescope.  Any
+    other schedule raises ValueError naming the failing parameter, so every
+    schedule that exists satisfies the axioms.  The defaults (c=1, k0=2, p=1)
+    give the harmonic-type sequence 1/(k+2).
     """
 
     c: float = 1.0
@@ -45,12 +45,19 @@ class SteeringSchedule:
     p: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0 and np.isfinite(self.c)):
-            raise ValueError("c must be positive and finite")
         if not (self.k0 > 0 and np.isfinite(self.k0)):
-            raise ValueError("k0 must be positive and finite")
-        if not np.isfinite(self.p):
-            raise ValueError("p must be finite")
+            raise ValueError(f"k0 must be positive and finite, got {float(self.k0)}")
+        if not 0.0 < self.p <= 1.0:
+            raise ValueError(
+                "schedule violates the steering axioms: "
+                f"p must lie in (0, 1], got {float(self.p)}"
+            )
+        tau0 = self.tau(0)
+        if not 0.0 < tau0 < 1.0:
+            raise ValueError(
+                "schedule violates the steering axioms: "
+                f"tau_0 = c / k0^p must lie in (0, 1), got {tau0}"
+            )
 
     def tau(self, k):
         """tau_k for an integer index or an array of indices."""
@@ -58,72 +65,14 @@ class SteeringSchedule:
         out = self.c / (k + self.k0) ** self.p
         return float(out) if out.ndim == 0 else out
 
-    def satisfies_axioms(self) -> bool:
-        """Closed-form check of the steering axioms for this parametric family."""
-        in_range = 0.0 < self.tau(0) < 1.0 and self.p >= 0
-        return in_range and self.p > 0 and self.p <= 1.0
-
-
-@dataclass
-class ScheduleReport:
-    """Per-axiom verdicts for a steering schedule checked on a finite prefix."""
-
-    prefix: int
-    in_range: bool
-    monotone: bool
-    to_zero: bool
-    divergent: bool
-    partial_sum: float
-    partial_sum_exceeds_threshold: bool
-    tail_value: float
-
-    @property
-    def passed(self) -> bool:
-        return self.in_range and self.monotone and self.to_zero and self.divergent
-
-    def to_dict(self):
-        return {**asdict(self), "passed": self.passed}
-
-
-def validate_schedule(schedule: SteeringSchedule, prefix: int = 10**6) -> ScheduleReport:
-    """Check the steering axioms on k < prefix.
-
-    Range and monotonicity are checked numerically on the prefix.  Divergence
-    of the series cannot be decided from a finite prefix, so the verdict uses
-    the closed form for the parametric family (p <= 1 diverges); the
-    partial-sum heuristic (sum over the prefix > 10) is reported alongside.
-    Summability of successive differences follows from monotone decay by
-    telescoping, so it carries no separate verdict.
-    """
-    prefix = int(prefix)
-    if prefix < 1:
-        raise ValueError("prefix must be positive")
-    taus = schedule.tau(np.arange(prefix))
-    taus = np.atleast_1d(taus)
-    in_range = bool(np.all((taus > 0.0) & (taus < 1.0)))
-    monotone = bool(np.all(np.diff(taus) <= 0.0))
-    to_zero = schedule.p > 0
-    divergent = schedule.p <= 1.0
-    psum = float(np.sum(taus))
-    return ScheduleReport(
-        prefix=prefix,
-        in_range=in_range,
-        monotone=monotone,
-        to_zero=to_zero,
-        divergent=divergent,
-        partial_sum=psum,
-        partial_sum_exceeds_threshold=psum > _DIVERGENCE_PARTIAL_SUM,
-        tail_value=float(taus[-1]),
-    )
-
 
 @dataclass(frozen=True, eq=False)
 class Family:
     """Ordered convex sets with simplex weights and a steering schedule.
 
-    Weights default to uniform.  The schedule must satisfy the steering axioms
-    (checked in closed form); nonemptiness of the intersection is validated at
-    problem load, not here, because it needs a projection run.
+    Weights default to uniform.  The schedule satisfies the steering axioms by
+    construction (see `SteeringSchedule`); nonemptiness of the intersection is
+    validated at problem load, not here, because it needs a projection run.
     """
 
     sets: tuple
@@ -148,8 +97,6 @@ class Family:
             raise ValueError("weights must be strictly positive")
         if abs(float(np.sum(w)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
-        if not self.schedule.satisfies_axioms():
-            raise ValueError("schedule violates the steering axioms")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())

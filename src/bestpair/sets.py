@@ -83,6 +83,26 @@ def _vec(v, name):
     return v
 
 
+def _bisect(f, lo, hi):
+    """The root of a decreasing f on [lo, hi], by bisection on the sign of f.
+
+    A round is a function of (lo, hi) alone, so the loop stops once a round
+    would leave them unchanged: every later round would repeat it, and the
+    result has the bits of `_ELLIPSOID_MAX_BISECT` rounds.
+    """
+    for _ in range(_ELLIPSOID_MAX_BISECT):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 @dataclass(frozen=True, eq=False)
 class Ball:
     """Closed ball {x : ||x - center|| <= radius}."""
@@ -346,19 +366,7 @@ class Ellipsoid:
         def phi(lam):
             return np.add.reduce((za2 / (a2 + lam) / self.axes) ** 2) - 1.0
 
-        lo = 0.0
-        hi = np.linalg.norm(z * self.axes, axis=-1) + np.max(a2)
-        for _ in range(_ELLIPSOID_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) > 0.0:
-                if mid == lo:
-                    break  # a fixed point of the round, as in `project`
-                lo = mid
-            else:
-                if mid == hi:
-                    break
-                hi = mid
-        lam = 0.5 * (lo + hi)
+        lam = _bisect(phi, 0.0, np.linalg.norm(z * self.axes, axis=-1) + np.max(a2))
         res = abs(phi(lam))
         if res > _ELLIPSOID_ROOT_RESIDUAL:
             raise EllipsoidRootFindError(
@@ -372,50 +380,32 @@ class Ellipsoid:
         return self._quad(x) <= 1.0 + tol
 
     def bounding_radius(self):
-        """Exact radius of the smallest origin-centered ball containing the set.
+        """Exact radius of the smallest origin-centred ball containing the set.
 
-        Maximizes ||c + diag(axes) s|| over the unit sphere via the secular
-        equation psi(lam) = sum_d (a_d c_d)^2/(lam - a_d^2)^2 = 1 on
-        (max a^2, inf), including the degenerate branch where c has no
-        component along a longest axis.
+        Maximizes ||c + a*s|| over unit vectors s.  Off the longest axes the
+        maximizer has s_d = a_d c_d / (lam - a_d^2), where lam is the root on
+        [max a^2, inf) of the secular equation psi(lam) = sum_d (a_d c_d)^2 /
+        (lam - a_d^2)^2 = 1, or max a^2 itself if psi stays below 1 there.
+        The longest-axis part of s follows c's (any longest axis if c has
+        none) and takes up the rest of ||s|| = 1.  One bisection from
+        lam = max a^2 covers every centre, a tiny longest-axis part included.
         """
-        c, a = self.center, self.axes
-        if np.linalg.norm(c) == 0.0:
-            return float(np.max(a))
-        a2 = a**2
+        c, a, a2 = self.center, self.axes, self._a2
         amax2 = float(np.max(a2))
         g = a * c
         top = a2 == amax2
-        nontop = ~top
+        gn, a2n = g[g != 0.0], a2[g != 0.0]
 
-        def psi_nontop(lam):
-            return float(np.sum(g[nontop] ** 2 / (lam - a2[nontop]) ** 2))
-
-        if float(np.sum(g[top] ** 2)) == 0.0 and psi_nontop(amax2) < 1.0:
-            # c is orthogonal to every longest axis and the interior terms
-            # cannot fill the constraint: the maximizer sits at lam = amax2
-            # with the slack absorbed by a longest-axis component.
-            s = np.zeros_like(c)
-            s[nontop] = g[nontop] / (amax2 - a2[nontop])
-            beta2 = 1.0 - float(np.sum(s**2))
-            s[np.argmax(a2)] = np.sqrt(max(beta2, 0.0))
-            return float(np.linalg.norm(c + a * s))
-
-        def psi(lam):
+        def psi_minus_1(lam):  # +inf at max a^2 when c has a longest-axis part
             with np.errstate(divide="ignore", over="ignore"):
-                return float(np.sum(g**2 / (lam - a2) ** 2))
+                return float(np.sum((gn / (lam - a2n)) ** 2)) - 1.0
 
-        lo = amax2 * (1 + 1e-14) + 1e-300
-        hi = amax2 + float(np.linalg.norm(g)) + 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if psi(mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
-        s = g / (lam - a2)
-        s /= np.linalg.norm(s)
+        lam = _bisect(psi_minus_1, amax2, amax2 + float(np.linalg.norm(g)))
+        s = np.zeros_like(c)
+        s[~top] = g[~top] / (lam - a2[~top])
+        v = np.where(top, c, 0.0)  # scaled below, so that a tiny part keeps its direction
+        v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]
+        s += math.sqrt(max(1.0 - float(np.sum(s**2)), 0.0)) * v / np.linalg.norm(v)
         return float(np.linalg.norm(c + a * s))
 
 

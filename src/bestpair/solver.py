@@ -81,8 +81,8 @@ class Problem:
                     f"family {label} has no bounded member; the bounding hypothesis fails"
                 ) from exc
         rho = max(radii)
-        if not (rho > 0 and np.isfinite(rho)):
-            raise ValueError(f"rho must be positive and finite, got {rho!r}")
+        if not np.isfinite(rho):  # rho = 0 passes here and fails validation as not disjoint
+            raise ValueError(f"rho must be finite, got {rho!r}")
         object.__setattr__(self, "rho", rho)
 
     @property

@@ -350,6 +350,17 @@ def test_check_grid_equals_meshgrid(dim, rho):
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("dim", [7, 8, 10, 20])
+def test_check_grid_spreads_over_the_ball(dim):
+    # more than 625 points pass; the first 625 in C order would all have x_0 <= 0
+    grid = cli._check_grid(dim, 1.0)
+    points = set(map(tuple, grid))
+    assert grid.shape == (625, dim) and len(points) == 625
+    assert np.all(np.linalg.norm(grid, axis=1) <= 1.0)
+    assert set(grid[:, 0]) == {-1.0, -0.5, 0.0, 0.5, 1.0}
+    assert points == set(map(tuple, -grid))
+
+
 def test_check_high_dimension_exits_0(tmp_path, capsys):
     # the whole 5^20 grid would need 694 TiB
     dim = 20

@@ -7,6 +7,8 @@
 - No nonzero numeric literal is passed as `tol=` or `inner_tol=`: a call
   either takes the callee's default or names the constant it uses.
   `tol=0.0`, an exact containment test, is allowed.
+- Every backticked name in README's "Other entry points" paragraph is in
+  `bestpair.__all__`, so the README lists no entry point that is gone.
 """
 
 import ast
@@ -19,6 +21,7 @@ import pytest
 import bestpair
 
 MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
@@ -90,3 +93,12 @@ def test_no_literal_tolerance_argument(path):
         if kw.arg in ("tol", "inner_tol") and literal_number(kw.value) not in (None, 0)
     ]
     assert not bad, bad
+
+
+def test_readme_entry_points_are_exported():
+    text = README.read_text(encoding="utf-8")
+    paragraph = text[text.index("Other entry points:"):].split("\n\n", 1)[0]
+    names = re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", paragraph)
+    assert names
+    missing = [name for name in names if name not in bestpair.__all__]
+    assert not missing, missing

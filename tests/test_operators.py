@@ -13,7 +13,6 @@ from bestpair import (
     project_intersection,
     q_hat_path,
     shlwb_project,
-    validate_schedule,
 )
 
 LENS_A = (Ball([0, 0], 2.0), Ball([1, 0], 2.0))
@@ -28,29 +27,36 @@ def lens_family(schedule=None):
 
 
 def test_default_schedule_passes_all_axioms():
-    rep = validate_schedule(SteeringSchedule(), prefix=10**5)
-    assert rep.passed
-    assert rep.in_range and rep.monotone and rep.to_zero and rep.divergent
+    sched = SteeringSchedule()
+    taus = sched.tau(np.arange(10**5))
+    assert np.all((taus > 0.0) & (taus < 1.0)) and np.all(np.diff(taus) < 0.0)
+    assert (sched.c, sched.k0, sched.p) == (1.0, 2.0, 1.0)
 
 
-def test_default_schedule_partial_sum_heuristic():
-    rep = validate_schedule(SteeringSchedule(), prefix=10**6)
-    assert rep.partial_sum > 10.0
-    assert rep.partial_sum_exceeds_threshold
+@pytest.mark.parametrize("c, k0, p", [(0.004, 2.0, 1.0), (0.999, 1.0, 0.5), (0.5, 1.0, 1e-9)])
+def test_schedule_inside_the_axioms_builds(c, k0, p):
+    assert 0.0 < SteeringSchedule(c, k0, p).tau(0) < 1.0
 
 
 def test_constant_schedule_fails_decay():
-    rep = validate_schedule(SteeringSchedule(c=0.5, k0=1.0, p=0.0), prefix=1000)
-    assert not rep.to_zero
-    assert not rep.passed
+    with pytest.raises(ValueError) as exc:
+        SteeringSchedule(c=0.5, k0=1.0, p=0.0)
+    assert str(exc.value) == "schedule violates the steering axioms: p must lie in (0, 1], got 0.0"
 
 
 def test_quadratic_schedule_fails_divergence():
-    rep = validate_schedule(SteeringSchedule(c=1.0, k0=2.0, p=2.0), prefix=10**6)
-    assert not rep.divergent
-    assert not rep.partial_sum_exceeds_threshold  # partial sums <= pi^2/6
-    assert rep.partial_sum < 1.0
-    assert not rep.passed
+    with pytest.raises(ValueError) as exc:
+        SteeringSchedule(c=1.0, k0=2.0, p=2.0)
+    assert str(exc.value) == "schedule violates the steering axioms: p must lie in (0, 1], got 2.0"
+
+
+@pytest.mark.parametrize("c, k0, tau0", [(2.0, 2.0, "1.0"), (3.0, 2.0, "1.5"), (-1.0, 2.0, "-0.5")])
+def test_schedule_rejects_tau0_outside_unit_interval(c, k0, tau0):
+    with pytest.raises(ValueError) as exc:
+        SteeringSchedule(c=c, k0=k0, p=1.0)
+    assert str(exc.value) == (
+        f"schedule violates the steering axioms: tau_0 = c / k0^p must lie in (0, 1), got {tau0}"
+    )
 
 
 def test_family_rejects_bad_schedule():

@@ -10,7 +10,7 @@ from which numpy sums a norm pairwise.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bestpair import (
@@ -99,6 +99,7 @@ def set_and_point(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(set_and_point())
+@example(case=(Ball([0.0], 0.5), np.array([1.0])))
 def test_point_path_equals_project(case):
     s, x = case
     try:

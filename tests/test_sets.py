@@ -150,6 +150,16 @@ def test_ellipsoid_bounding_radius_hard_case():
     assert e.bounding_radius() == pytest.approx(np.sqrt(13.0 / 3.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("center, axes, radius", [
+    # the true radius lies about 2e-14 above 35/sqrt(24), the value without the tiny part
+    ((5.0, 2.953317911795278e-14, 0.0, 0.0), (1.0, 5.0, 1.0, 1.0), 35.0 / np.sqrt(24.0)),
+    ((1.0, 1.6e-115), (0.5, 1.0), np.sqrt(7.0 / 3.0)),
+], ids=["part_3e-14", "part_1.6e-115"])
+def test_ellipsoid_bounding_radius_tiny_longest_axis_part(center, axes, radius):
+    # next to the hard case, the centre has a tiny nonzero part along the longest axis
+    assert Ellipsoid(center, axes).bounding_radius() == pytest.approx(radius, abs=1e-9)
+
+
 def test_ellipsoid_bounding_radius_centered():
     assert Ellipsoid([0, 0], [2, 1]).bounding_radius() == pytest.approx(2.0)
 

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bestpair import (
@@ -244,6 +244,23 @@ def boundary_points(s, rng):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
     family_with_bounded_member(n), family_with_bounded_member(n))), st.integers(0, 2**32 - 1))
+@example(  # a tiny longest-axis part of the ellipsoid's centre
+    families=(
+        Family((Ball(np.zeros(4), 1.0),), schedule=SCHED),
+        Family((Ellipsoid([5.0, 2.953317911795278e-14, 0.0, 0.0], [1.0, 5.0, 1.0, 1.0]),),
+               schedule=SCHED),
+    ),
+    seed=1,
+)
+@example(  # the centre underflows when squared
+    families=(Family((Ball([0.0], 1.0),), schedule=SCHED),
+              Family((Ball([8.14420382e-187], 1.0),), schedule=SCHED)),
+    seed=0,
+)
+@example(  # every bounded member is the origin, so rho = 0
+    families=(Family((Box([0.0, 0.0], [0.0, 0.0]),), schedule=SCHED),) * 2,
+    seed=0,
+)
 def test_problem_rho_bounds_every_member(families, seed):
     problem = Problem(*families)
     rng = np.random.default_rng(seed)
