@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -45,7 +44,13 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import SHLWB_DEFAULT_TOL, Family, SteeringSchedule, shlwb_project
-from .oracles import brute_force_pair, dini_monotonicity_check, fix_set_audit, uniqueness_certificate
+from .oracles import (
+    FIX_SET_OUTSIDE_MARGIN,
+    brute_force_pair,
+    dini_monotonicity_check,
+    fix_set_audit,
+    uniqueness_certificate,
+)
 from .sets import set_from_dict, set_to_dict
 from .solver import (
     Problem,
@@ -270,39 +275,30 @@ def cmd_check(args) -> int:
     return 0 if report["mandatory"]["validation"]["passed"] else 1
 
 
-def _check_grid_indices(dim: int):
-    """Index vectors i in {0..4}^dim with sum_d (i_d - 2)^2 <= 4, in C order, lazily.
-
-    Grid point i lies about (rho/2) * sqrt(sum_d (i_d - 2)^2) from the origin,
-    so any other point lies at least 1.1 rho out and fails the ball test.
-    """
-    stack = [((), 4)]
-    while stack:
-        prefix, budget = stack.pop()
-        if budget == 0 or len(prefix) == dim:
-            yield prefix + (2,) * (dim - len(prefix))
-            continue
-        for i in (4, 3, 2, 1, 0):  # pushed in reverse, so popped smallest first
-            if (i - 2) ** 2 <= budget:
-                stack.append((prefix + (i,), budget - (i - 2) ** 2))
-
-
 def _check_grid(dim: int, rho: float):
     """625 points of the 5^dim grid on [-rho, rho]^dim inside B[0, rho], spread over it.
 
-    The grid itself is never built.  Every candidate takes the ball test, on
-    2-D chunks as it would on the whole grid; a 1-D norm rounds some points on
-    the sphere out.  When at most 625 pass (dim <= 6), all are kept in C
-    order.  Otherwise the kept positions are spread evenly over the N that
-    pass and closed under j -> N-1-j, which maps a grid point to its negation;
-    the first 625 in C order would all have x_0 <= 0.
+    The grid itself is never built.  The candidates are the index vectors i
+    in {0..4}^dim with sum_d (i_d - 2)^2 <= 4, built in C order one
+    coordinate at a time: grid point i lies about (rho/2) * sqrt(sum_d
+    (i_d - 2)^2) from the origin, so any other point lies at least 1.1 rho
+    out.  Every candidate takes the ball test, on 2-D chunks of 625 rows as
+    it would on the whole grid; a 1-D norm rounds some points on the sphere
+    out.  When at most 625 pass (dim <= 6), all are kept in C order.
+    Otherwise the kept positions are spread evenly over the N that pass and
+    closed under j -> N-1-j, which maps a grid point to its negation; the
+    first 625 in C order would all have x_0 <= 0.
     """
     axis = np.linspace(-rho, rho, 5)
-    candidates, kept = _check_grid_indices(dim), []
-    while chunk := list(itertools.islice(candidates, 625)):
-        idx = np.array(chunk, dtype=np.int8)
-        kept.append(idx[np.linalg.norm(axis[idx], axis=1) <= rho])
-    idx = np.concatenate(kept)
+    idx, budget = np.zeros((1, 0), dtype=np.int8), np.array([4])
+    for _ in range(dim):
+        rows, i = np.nonzero((np.arange(5) - 2) ** 2 <= budget[:, None])  # keeps C order
+        idx = np.column_stack([idx[rows], i.astype(np.int8)])
+        budget = budget[rows] - (i - 2) ** 2
+    idx = np.concatenate([
+        chunk[np.linalg.norm(axis[chunk], axis=1) <= rho]
+        for chunk in np.split(idx, range(625, len(idx), 625))
+    ])
     n = len(idx)
     if n > 625:
         half = [k * (n - 1) // 624 for k in range(312)]
@@ -314,9 +310,12 @@ def _fix_set_for(fam: Family, rho: float):
     seeds = np.zeros((2, fam.dim))
     seeds[1, 0] = rho / 2.0
     inside = project_intersection(fam, seeds)
+    # every bounded member lies in B[0, rho], so each outside point is at least
+    # 2 * FIX_SET_OUTSIDE_MARGIN from one, however small rho is
+    far = max(1.05 * rho, rho + 2 * FIX_SET_OUTSIDE_MARGIN)
     outside = np.zeros((2, fam.dim))
-    outside[0, 0] = 1.05 * rho
-    outside[1, -1] = -1.05 * rho
+    outside[0, 0] = far
+    outside[1, -1] = -far
     return fix_set_audit(fam, 3, inside, outside)
 
 
@@ -331,10 +330,11 @@ def cmd_compare(args) -> int:
     parsed = load_problem(args.problem)
     problem = _with_overrides(parsed, args)
     validate_problem(problem)
+    # the oracle rejects a high dimension or a bad resolution before any solve
+    oracle = brute_force_pair(problem, args.resolution)
     trace = run_ashlwb(problem, validate=False)
     sweep_pair = extract_best_pair(trace, problem)
     baseline = run_cheney_goldstein(problem, validate=False)
-    oracle = brute_force_pair(problem, args.resolution)
     rows = [
         ("a-s-hlwb", sweep_pair.gap, max(sweep_pair.residuals), sweep_pair.iterations),
         ("cheney-goldstein", baseline.gap, max(baseline.residuals), baseline.iterations),

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MaxIterExceeded
-from .sets import point_norm
+from .sets import max_distance
 
 # The one accuracy of the reference projection: the solver's stop test, pair
 # residuals and validation, and the oracles all run at this value.
@@ -49,17 +49,11 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
 
         def subtract(u, v):
             return [a - b for a, b in zip(u, v)]
-
-        def distance(u, v):
-            return point_norm(subtract(u, v))
     else:
         projections = [s.project for s in sets]
         y = x
         zero = np.zeros_like(y)
         subtract = np.subtract
-
-        def distance(u, v):
-            return float(np.max(np.linalg.norm(u - v, axis=-1)))
     # no increment is changed in place, so they can start as one object
     incs = [zero] * len(sets)
     gap = np.inf
@@ -69,9 +63,9 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
             z = subtract(y, incs[i])
             y = project(z)
             incs[i] = subtract(y, z)
-        gap = distance(y, y_prev)
+        gap = max_distance(y, y_prev)
         if gap <= tol:
-            feas = max(distance(y, project(y)) for project in projections)
+            feas = max(max_distance(y, project(y)) for project in projections)
             if feas <= tol:
                 return np.asarray(y)
     raise MaxIterExceeded(

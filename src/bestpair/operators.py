@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
-from .sets import point_norm
+from .sets import as_points, max_distance
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_DEFAULT_MAX_ITER = 200_000
@@ -144,13 +144,6 @@ class Family:
         )
 
 
-def _check_dim(family: Family, x, what="point"):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0 or x.shape[-1] != family.dim:
-        raise DimensionMismatch(f"{what} dimension does not match family dimension {family.dim}")
-    return x
-
-
 def anchored_steps(family: Family, taus, anchor, y=None):
     """Yield y <- tau*anchor + (1-tau)*sum_l w_l P_l(y), once for each tau.
 
@@ -191,14 +184,14 @@ def apply_m(family: Family, tau: float, anchor, x):
     """One anchored step: tau*anchor + (1-tau)*weighted projection of x."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0,1), got {tau}")
-    anchor = _check_dim(family, anchor, "anchor")
-    x = _check_dim(family, x)
+    anchor = as_points(anchor, family.dim, "anchor")
+    x = as_points(x, family.dim)
     return np.asarray(next(anchored_steps(family, (tau,), anchor, x)))
 
 
 def apply_m_hat(family: Family, tau: float, x):
     """Self-anchored step: apply_m with anchor = x."""
-    x = _check_dim(family, x)
+    x = as_points(x, family.dim)
     return apply_m(family, tau, x, x)
 
 
@@ -209,7 +202,7 @@ def apply_q_hat(family: Family, q: int, x):
     index restarts at 0 on every call.
     """
     taus = _sweep_taus(family, q)
-    x = _check_dim(family, x)
+    x = as_points(x, family.dim)
     for y in anchored_steps(family, taus, x):
         pass
     return np.asarray(y)
@@ -222,7 +215,7 @@ def q_hat_path(family: Family, q: int, x):
     so the whole path costs the same as the longest single sweep.
     """
     taus = _sweep_taus(family, q)
-    x = _check_dim(family, x)
+    x = as_points(x, family.dim)
     out = np.empty((q + 1,) + x.shape)
     for t, y in enumerate(anchored_steps(family, taus, x)):
         out[t] = y
@@ -251,25 +244,16 @@ def shlwb_project(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    anchor = _check_dim(family, anchor, "anchor")
+    anchor = as_points(anchor, family.dim, "anchor")
     if not np.all(np.isfinite(anchor)):
         raise ValueError("anchor must have finite coordinates")
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.
     taus, stop_taus = itertools.tee(map(family.schedule.tau, range(max_iter)))
-    if anchor.ndim == 1:
-        x = anchor.tolist()
-
-        def distance(u, v):
-            return point_norm([a - b for a, b in zip(u, v)])
-    else:
-        x = anchor
-
-        def distance(u, v):
-            return float(np.max(np.linalg.norm(u - v, axis=-1)))
+    x = anchor.tolist() if anchor.ndim == 1 else anchor
     gap = np.inf
     for tau, x_next in zip(stop_taus, anchored_steps(family, taus, anchor)):
-        gap = distance(x_next, x)
+        gap = max_distance(x_next, x)
         x = x_next
         if gap <= tol * tau:
             return np.asarray(x)

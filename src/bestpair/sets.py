@@ -26,6 +26,9 @@ Two sums need care to keep those bits:
   does not round like an in-order sum at any dimension.
 
 The ellipsoid converts the point to an array and runs its numpy root-find.
+
+`as_points` is the one input check of the layers above, and `max_distance`
+the distance every stop test measures, on two lists or two arrays.
 """
 
 from __future__ import annotations
@@ -64,8 +67,19 @@ def point_norm(d):
     return math.sqrt(total)
 
 
-def _as_points(x, dim, what="point"):
-    """Coerce to a float array of shape (..., dim)."""
+def max_distance(u, v):
+    """Largest distance between paired points of u and v.
+
+    Two lists of floats are one point each: `point_norm` of their difference,
+    bit for bit `np.linalg.norm(u - v, axis=-1)`.  Arrays of shape (..., n)
+    give the largest row distance."""
+    if isinstance(u, list):
+        return point_norm([a - b for a, b in zip(u, v)])
+    return float(np.max(np.linalg.norm(u - v, axis=-1)))
+
+
+def as_points(x, dim, what="point"):
+    """Coerce to a float array of shape (..., dim); raises DimensionMismatch."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != dim:
         raise DimensionMismatch(
@@ -124,7 +138,7 @@ class Ball:
         return self.center.size
 
     def project(self, x):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         d = x - self.center
         n = np.linalg.norm(d, axis=-1, keepdims=True)
         outside = n > self.radius
@@ -142,7 +156,7 @@ class Ball:
         return x
 
     def contains(self, x, tol=CONTAINS_TOL):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         return np.linalg.norm(x - self.center, axis=-1) <= self.radius + tol
 
     def bounding_radius(self):
@@ -150,12 +164,11 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class HalfSpace:
-    """Closed half-space {x : <normal, x> <= offset}."""
+class _Affine:
+    """A nonzero normal and an offset; subclasses add a kind and projections."""
 
     normal: np.ndarray
     offset: float
-    kind = "halfspace"
     strictly_convex = False
 
     def __post_init__(self):
@@ -170,8 +183,17 @@ class HalfSpace:
     def dim(self):
         return self.normal.size
 
+    def bounding_radius(self):
+        raise UnboundedFamily(f"a {self.kind} is unbounded")
+
+
+class HalfSpace(_Affine):
+    """Closed half-space {x : <normal, x> <= offset}."""
+
+    kind = "halfspace"
+
     def project(self, x):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         excess = x @ self.normal - self.offset
         shift = np.maximum(excess, 0.0) / self._nn
         return np.where((excess > 0.0)[..., None], x - shift[..., None] * self.normal, x)
@@ -184,37 +206,18 @@ class HalfSpace:
         return x
 
     def contains(self, x, tol=CONTAINS_TOL):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         # slack measured as a distance, so it does not scale with ||normal||
         return x @ self.normal - self.offset <= tol * np.linalg.norm(self.normal)
 
-    def bounding_radius(self):
-        raise UnboundedFamily("a half-space is unbounded")
 
-
-@dataclass(frozen=True, eq=False)
-class Hyperplane:
+class Hyperplane(_Affine):
     """Hyperplane {x : <normal, x> = offset}."""
 
-    normal: np.ndarray
-    offset: float
     kind = "hyperplane"
-    strictly_convex = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "normal", _vec(self.normal, "normal"))
-        object.__setattr__(self, "offset", float(self.offset))
-        if np.linalg.norm(self.normal) == 0.0:
-            raise ValueError("normal must be nonzero")
-        object.__setattr__(self, "_nn", float(self.normal @ self.normal))
-        object.__setattr__(self, "_normal_list", self.normal.tolist())
-
-    @property
-    def dim(self):
-        return self.normal.size
 
     def project(self, x):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         excess = x @ self.normal - self.offset
         return np.where(
             (excess != 0.0)[..., None], x - (excess / self._nn)[..., None] * self.normal, x
@@ -228,11 +231,8 @@ class Hyperplane:
         return x
 
     def contains(self, x, tol=CONTAINS_TOL):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         return np.abs(x @ self.normal - self.offset) <= tol * np.linalg.norm(self.normal)
-
-    def bounding_radius(self):
-        raise UnboundedFamily("a hyperplane is unbounded")
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,7 +262,7 @@ class Box:
         return self.lo.size
 
     def project(self, x):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         return np.clip(x, self.lo, self.hi)
 
     def project_point(self, x):
@@ -274,7 +274,7 @@ class Box:
         ]
 
     def contains(self, x, tol=CONTAINS_TOL):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
 
     def bounding_radius(self):
@@ -319,7 +319,7 @@ class Ellipsoid:
         once a round leaves every row's bracket unchanged: the remaining
         rounds would repeat it, and the result keeps the same bits.
         """
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         shape = x.shape
         pts = x.reshape(-1, self.dim)
         z = pts - self.center
@@ -376,7 +376,7 @@ class Ellipsoid:
         return (self.center + za2 / (a2 + lam)).tolist()
 
     def contains(self, x, tol=CONTAINS_TOL):
-        x = _as_points(x, self.dim)
+        x = as_points(x, self.dim)
         return self._quad(x) <= 1.0 + tol
 
     def bounding_radius(self):

@@ -28,7 +28,6 @@ from .operators import Family, apply_q_hat, q_hat_path
 from .sets import family_bounding_radius
 
 DISJOINTNESS_TOL = 1e-6
-FEASIBILITY_TOL = 1e-6
 # Accuracy of the baseline's inner projections and its outer-iteration budget
 BASELINE_INNER_TOL = 1e-8
 BASELINE_MAX_OUTER = 10_000
@@ -163,6 +162,8 @@ def _clip_to_ball(x, rho):
 
 
 def _family_feasibility(fam: Family, label: str) -> float:
+    """Worst member distance of the origin's reference projection, which comes
+    back only within REFERENCE_TOL of every member; an empty intersection stalls."""
     origin = np.zeros(fam.dim)
     try:
         y = project_intersection(fam, origin)
@@ -170,13 +171,7 @@ def _family_feasibility(fam: Family, label: str) -> float:
         raise ProblemValidationError(
             f"family {label} intersection appears empty (projection stalled)"
         ) from exc
-    worst = float(np.max(fam.member_distances(y)))
-    if worst > FEASIBILITY_TOL:
-        raise ProblemValidationError(
-            f"family {label} intersection appears empty "
-            f"(worst member distance {worst:.3e})"
-        )
-    return worst
+    return float(np.max(fam.member_distances(y)))
 
 
 def _alternate_projections(problem: Problem, x0):

@@ -299,6 +299,16 @@ def test_check_lens(capsys):
     assert report["mandatory"]["validation"]["passed"]
 
 
+def test_check_small_scale_problem_exits_0(tmp_path, capsys):
+    # rho = 0.006: outside points at 1.05 rho would lie only 3e-4 from B's ball
+    doc = two_ball_doc()
+    doc["familyA"]["sets"][0].update(center=[0.0, 0.0], radius=0.001)
+    doc["familyB"]["sets"][0].update(center=[0.005, 0.0], radius=0.001)
+    assert main(["check", write(tmp_path, "small.json", doc)]) == 0
+    advisory = json.loads(capsys.readouterr().out)["advisory"]
+    assert advisory["fix_set_A"]["passed"] and advisory["fix_set_B"]["passed"]
+
+
 def test_check_boxes_advisory_only(capsys):
     code = main(["check", BOXES])
     assert code == 0
@@ -350,7 +360,7 @@ def test_check_grid_equals_meshgrid(dim, rho):
     assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("dim", [7, 8, 10, 20])
+@pytest.mark.parametrize("dim", [7, 8, 10, 20, 30])
 def test_check_grid_spreads_over_the_ball(dim):
     # more than 625 points pass; the first 625 in C order would all have x_0 <= 0
     grid = cli._check_grid(dim, 1.0)
@@ -414,3 +424,25 @@ def test_compare_two_ball(capsys):
 def test_compare_insufficient_sweeps_exits_4(capsys):
     code = main(["compare", TWO_BALLS, "--max-sweeps", "1"])
     assert code == 4
+
+
+@pytest.mark.parametrize("dim, extra, message", [
+    (4, [], "oracle limited to dimension <= 3"),
+    (2, ["--resolution", "0"], "resolution must be positive"),
+])
+def test_compare_rejects_oracle_input_before_solving(
+    dim, extra, message, tmp_path, monkeypatch, capsys
+):
+    def fail(*args, **kwargs):
+        raise AssertionError("the solver ran")
+
+    monkeypatch.setattr(cli, "run_ashlwb", fail)
+    far = [0.0] * dim
+    far[0] = 4.0
+    doc = {
+        "dimension": dim,
+        "familyA": {"sets": [{"type": "ball", "center": [0.0] * dim, "radius": 1.0}]},
+        "familyB": {"sets": [{"type": "ball", "center": far, "radius": 1.0}]},
+    }
+    assert main(["compare", write(tmp_path, "p.json", doc)] + extra) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -7,6 +7,9 @@
 - No nonzero numeric literal is passed as `tol=` or `inner_tol=`: a call
   either takes the callee's default or names the constant it uses.
   `tol=0.0`, an exact containment test, is allowed.
+- No two functions, methods and nested functions included, have the same
+  body of two or more statements once a leading docstring is dropped: a
+  shared body is written once and called or inherited.
 - Every backticked name in README's "Other entry points" paragraph is in
   `bestpair.__all__`, so the README lists no entry point that is gone.
 """
@@ -44,6 +47,17 @@ def literal_number(node):
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
         return node.value
     return None
+
+
+def functions(node, prefix=""):
+    """(qualified name, node) of every function under node, nested ones included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from functions(child, prefix)
 
 
 def test_modules_found():
@@ -93,6 +107,17 @@ def test_no_literal_tolerance_argument(path):
         if kw.arg in ("tol", "inner_tol") and literal_number(kw.value) not in (None, 0)
     ]
     assert not bad, bad
+
+
+def test_no_function_body_written_twice():
+    where = defaultdict(list)
+    for path in MODULES:
+        for name, func in functions(parse(path)):
+            body = func.body[1:] if ast.get_docstring(func, clean=False) else func.body
+            if len(body) >= 2:
+                where["\n".join(map(ast.dump, body))].append(f"{path.name}:{name}")
+    repeated = [names for names in where.values() if len(names) > 1]
+    assert not repeated, repeated
 
 
 def test_readme_entry_points_are_exported():

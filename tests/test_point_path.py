@@ -29,7 +29,7 @@ from bestpair import (
     q_hat_path,
     run_ashlwb,
 )
-from bestpair.sets import point_norm
+from bestpair.sets import max_distance, point_norm
 
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
 COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -138,6 +138,12 @@ def test_box_point_path_keeps_clip_signed_zeros(lo, hi, x):
 @given(st.integers(1, 20).flatmap(lambda n: vectors(n, st.floats(-1e3, 1e3))))
 def test_point_norm_equals_linalg_norm(d):
     assert point_norm(d.tolist()) == np.linalg.norm(d, axis=-1)
+    # one point as lists, and a batch of shape (3, n) row by row
+    u, v = d.tolist(), d[::-1].tolist()
+    assert max_distance(u, v) == np.linalg.norm(np.array(u) - np.array(v), axis=-1)
+    rows = np.stack([d, d[::-1], 2.0 * d])
+    expected = max(np.linalg.norm(a - b, axis=-1) for a, b in zip(rows, rows[::-1]))
+    assert max_distance(rows, rows[::-1]) == expected
 
 
 def bisection_110(e, pts):
