@@ -70,7 +70,6 @@ _OPTION_KEYS = {f.name for f in fields(SolverOptions)}
 @dataclass
 class ParsedProblem:
     problem: Problem
-    raw: dict  # canonical key-ordered form
 
 
 def _reject_unknown(record: dict, allowed: set, where: str):
@@ -119,7 +118,7 @@ def parse_problem(doc: dict) -> ParsedProblem:
     if not isinstance(seed, int):
         raise ValueError("'seed' must be an integer")
     problem = Problem(fam_a, fam_b, options, seed)
-    return ParsedProblem(problem=problem, raw=serialize_problem(problem))
+    return ParsedProblem(problem)
 
 
 def serialize_problem(problem: Problem) -> dict:
@@ -332,9 +331,9 @@ def cmd_compare(args) -> int:
     validate_problem(problem)
     # the oracle rejects a high dimension or a bad resolution before any solve
     oracle = brute_force_pair(problem, args.resolution)
-    trace = run_ashlwb(problem, validate=False)
+    trace = run_ashlwb(problem)
     sweep_pair = extract_best_pair(trace, problem)
-    baseline = run_cheney_goldstein(problem, validate=False)
+    baseline = run_cheney_goldstein(problem)
     rows = [
         ("a-s-hlwb", sweep_pair.gap, max(sweep_pair.residuals), sweep_pair.iterations),
         ("cheney-goldstein", baseline.gap, max(baseline.residuals), baseline.iterations),

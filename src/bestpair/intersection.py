@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MaxIterExceeded
+from .operators import Family
 from .sets import max_distance
 
 # The one accuracy of the reference projection: the solver's stop test, pair
@@ -20,22 +21,18 @@ REFERENCE_TOL = 1e-9
 REFERENCE_MAX_ITER = 50_000
 
 
-def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
-                         max_iter: int = REFERENCE_MAX_ITER):
-    """Project x onto the intersection of the given sets.
+def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
+    """Project x onto the intersection of a Family's members.
 
-    Accepts a Family or a plain sequence of set descriptors, and a point of
-    shape (n,) or a batch (..., n); the result is an array of the same shape.
-    A single point runs as a list of floats through the members'
-    `project_point`, with the increments, gap and feasibility test of the
-    batch path on lists.  Stops when the per-cycle displacement and the worst
-    member distance both fall below tol.  A single-member family
-    short-circuits to the member's exact projection.  A non-finite x is
-    rejected with ValueError before any cycle.
+    Takes a point of shape (n,) or a batch (..., n); the result is an array
+    of the same shape.  A single point runs as a list of floats through the
+    members' `project_point`, with the increments, gap and feasibility test
+    of the batch path on lists.  Stops when the per-cycle displacement and
+    the worst member distance both fall below tol, within REFERENCE_MAX_ITER
+    cycles.  A single-member family short-circuits to the member's exact
+    projection.  A non-finite x is rejected with ValueError before any cycle.
     """
-    sets = list(getattr(family_or_sets, "sets", family_or_sets))
-    if not sets:
-        raise ValueError("empty set list")
+    sets = family.sets
     x = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ValueError("x must have finite coordinates")
@@ -57,7 +54,7 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
     # no increment is changed in place, so they can start as one object
     incs = [zero] * len(sets)
     gap = np.inf
-    for _ in range(max_iter):
+    for _ in range(REFERENCE_MAX_ITER):
         y_prev = y
         for i, project in enumerate(projections):
             z = subtract(y, incs[i])
@@ -69,7 +66,7 @@ def project_intersection(family_or_sets, x, tol: float = REFERENCE_TOL,
             if feas <= tol:
                 return np.asarray(y)
     raise MaxIterExceeded(
-        f"reference projection did not converge in {max_iter} cycles "
+        f"reference projection did not converge in {REFERENCE_MAX_ITER} cycles "
         f"(last gap {gap:.3e}); the intersection may be empty",
         last=np.asarray(y),
         gap=gap,

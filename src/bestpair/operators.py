@@ -24,7 +24,7 @@ from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import as_points, max_distance
 
 SHLWB_DEFAULT_TOL = 1e-4
-SHLWB_DEFAULT_MAX_ITER = 200_000
+SHLWB_MAX_ITER = 200_000
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,7 @@ class SteeringSchedule:
 
     def tau(self, k):
         """tau_k for an integer index or an array of indices."""
-        k = np.asarray(k, dtype=float)
-        out = self.c / (k + self.k0) ** self.p
-        return float(out) if out.ndim == 0 else out
+        return self.c / (k + self.k0) ** self.p
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +103,6 @@ class Family:
     @property
     def dim(self):
         return self.sets[0].dim
-
-    def __len__(self):
-        return len(self.sets)
 
     def weighted_projection(self, x):
         """sum_l w_l P_l(x), accumulated in index order.
@@ -173,6 +168,15 @@ def anchored_steps(family: Family, taus, anchor, y=None):
         yield y
 
 
+def _finite_points(x, dim, what="point"):
+    """`as_points`, and ValueError unless every coordinate is finite: NaN would
+    pass through every projection and every anchored step unnoticed."""
+    x = as_points(x, dim, what)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must have finite coordinates")
+    return x
+
+
 def _sweep_taus(family: Family, q: int) -> list:
     """tau_0, ..., tau_q as Python floats, evaluated as one array."""
     if q < 0:
@@ -184,14 +188,14 @@ def apply_m(family: Family, tau: float, anchor, x):
     """One anchored step: tau*anchor + (1-tau)*weighted projection of x."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0,1), got {tau}")
-    anchor = as_points(anchor, family.dim, "anchor")
-    x = as_points(x, family.dim)
+    anchor = _finite_points(anchor, family.dim, "anchor")
+    x = _finite_points(x, family.dim)
     return np.asarray(next(anchored_steps(family, (tau,), anchor, x)))
 
 
 def apply_m_hat(family: Family, tau: float, x):
     """Self-anchored step: apply_m with anchor = x."""
-    x = as_points(x, family.dim)
+    x = _finite_points(x, family.dim)
     return apply_m(family, tau, x, x)
 
 
@@ -202,7 +206,7 @@ def apply_q_hat(family: Family, q: int, x):
     index restarts at 0 on every call.
     """
     taus = _sweep_taus(family, q)
-    x = as_points(x, family.dim)
+    x = _finite_points(x, family.dim)
     for y in anchored_steps(family, taus, x):
         pass
     return np.asarray(y)
@@ -215,19 +219,14 @@ def q_hat_path(family: Family, q: int, x):
     so the whole path costs the same as the longest single sweep.
     """
     taus = _sweep_taus(family, q)
-    x = as_points(x, family.dim)
+    x = _finite_points(x, family.dim)
     out = np.empty((q + 1,) + x.shape)
     for t, y in enumerate(anchored_steps(family, taus, x)):
         out[t] = y
     return out
 
 
-def shlwb_project(
-    family: Family,
-    anchor,
-    tol: float = SHLWB_DEFAULT_TOL,
-    max_iter: int = SHLWB_DEFAULT_MAX_ITER,
-):
+def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     """Approximate the projection of `anchor` onto the family's intersection.
 
     Runs x_{k+1} = tau_k*anchor + (1-tau_k)*sum_l w_l P_l(x_k) from
@@ -238,18 +237,15 @@ def shlwb_project(
     Accepts a batch of anchors of shape (..., n); the stop test then uses the
     largest row gap.  A non-finite anchor is rejected with ValueError before
     any step.  Raises MaxIterExceeded (carrying the last iterate and gap) when
-    the budget runs out, which signals slow steering or an empty intersection.
+    the SHLWB_MAX_ITER budget runs out, which signals slow steering or an
+    empty intersection.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    anchor = as_points(anchor, family.dim, "anchor")
-    if not np.all(np.isfinite(anchor)):
-        raise ValueError("anchor must have finite coordinates")
+    anchor = _finite_points(anchor, family.dim, "anchor")
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.
-    taus, stop_taus = itertools.tee(map(family.schedule.tau, range(max_iter)))
+    taus, stop_taus = itertools.tee(map(family.schedule.tau, range(SHLWB_MAX_ITER)))
     x = anchor.tolist() if anchor.ndim == 1 else anchor
     gap = np.inf
     for tau, x_next in zip(stop_taus, anchored_steps(family, taus, anchor)):
@@ -258,7 +254,7 @@ def shlwb_project(
         if gap <= tol * tau:
             return np.asarray(x)
     raise MaxIterExceeded(
-        f"no convergence within {max_iter} iterations (last gap {gap:.3e})",
+        f"no convergence within {SHLWB_MAX_ITER} iterations (last gap {gap:.3e})",
         last=np.asarray(x),
         gap=gap,
     )

@@ -84,7 +84,7 @@ def uniqueness_certificate(problem: Problem) -> UniquenessCertificate:
     strict = all(
         s.strictly_convex for s in problem.family_a.sets + problem.family_b.sets
     )
-    positive = run_cheney_goldstein(problem, validate=False).gap > DISJOINTNESS_TOL
+    positive = run_cheney_goldstein(problem).gap > DISJOINTNESS_TOL
     return UniquenessCertificate(
         all_strictly_convex=strict,
         positive_distance=positive,
@@ -210,19 +210,22 @@ class SeparationReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def separation_check(problem: Problem, pair, samples: int = 1000, seed=None) -> SeparationReport:
+def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationReport:
     """Half-space separation and boundary test for a candidate pair (a, b).
 
     Samples points y of each intersection and checks <y - a, a - b> >= -slack
     (symmetrically for B), then verifies both points are boundary points via
-    the witness a + t(b - a), which must leave A for small t > 0.
+    the witness a + t(b - a), which must leave A for small t > 0.  The
+    samples come from `problem.seed`; a non-finite pair raises ValueError.
     """
     a = np.asarray(pair[0], dtype=float)
     b = np.asarray(pair[1], dtype=float)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise ValueError("separation check needs a pair with finite coordinates")
     gap = float(np.linalg.norm(a - b))
     if gap <= 0.0:
         raise PreconditionGapZero("separation check needs a pair with positive gap")
-    rng = np.random.default_rng(problem.seed if seed is None else seed)
+    rng = np.random.default_rng(problem.seed)
     ys_a = _sample_in_intersection(rng, problem.family_a, problem.rho, samples)
     ys_b = _sample_in_intersection(rng, problem.family_b, problem.rho, samples)
     min_a = float(np.min((ys_a - a) @ (a - b)))
@@ -366,14 +369,13 @@ class Lemma2Report:
         return {**asdict(self), "passed": self.passed}
 
 
-def lemma2_surjectivity_probe(
-    problem: Problem, trace: IterationTrace, resolution: float | None = None
-) -> Lemma2Report:
+def lemma2_surjectivity_probe(problem: Problem, trace: IterationTrace) -> Lemma2Report:
     """Tail even iterates must cluster on nearest points of B to A.
 
     Collects the last 10 even iterates, checks their pairwise diameter, and
     checks each is within the oracle distance (plus slack) of A.  The distance
-    reference comes from the grid oracle, independent of both solvers.
+    reference comes from the grid oracle at resolution rho/100, independent
+    of both solvers.
     """
     evens = trace.even_entries()
     if len(evens) < 10:
@@ -381,9 +383,7 @@ def lemma2_surjectivity_probe(
     tail = np.stack([e.x for e in evens[-10:]])
     diffs = tail[:, None, :] - tail[None, :, :]
     diameter = float(np.max(np.linalg.norm(diffs, axis=-1)))
-    if resolution is None:
-        resolution = problem.rho / 100.0
-    dist_oracle = brute_force_pair(problem, resolution).gap
+    dist_oracle = brute_force_pair(problem, problem.rho / 100.0).gap
     pa = project_intersection(problem.family_a, tail)
     nearness = float(np.max(np.linalg.norm(tail - pa, axis=-1)))
     return Lemma2Report(

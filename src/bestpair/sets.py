@@ -442,19 +442,17 @@ def set_to_dict(s: ConvexSet) -> dict:
     return record
 
 
-def family_bounding_radius(sets) -> float:
+def family_bounding_radius(family) -> float:
     """Smallest radius of an origin-centered ball containing every bounded member.
 
-    Half-spaces and hyperplanes are unbounded; they are tolerated only when a
-    bounded member is present in the same list (the bounded member then
-    encloses the intersection).  With no bounded member the hypothesis of a
-    common enclosing ball fails and UnboundedFamily is raised.
+    `family` is an `operators.Family`.  Half-spaces and hyperplanes are
+    unbounded; they are tolerated only when a bounded member is present in
+    the same family (the bounded member then encloses the intersection).
+    With no bounded member the hypothesis of a common enclosing ball fails
+    and UnboundedFamily is raised.
     """
-    sets = list(sets)
-    if not sets:
-        raise ValueError("empty set list")
     radii = []
-    for s in sets:
+    for s in family.sets:
         try:
             radii.append(s.bounding_radius())
         except UnboundedFamily:

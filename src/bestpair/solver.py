@@ -74,7 +74,7 @@ class Problem:
         radii = []
         for label, fam in (("A", self.family_a), ("B", self.family_b)):
             try:
-                radii.append(family_bounding_radius(fam.sets))
+                radii.append(family_bounding_radius(fam))
             except UnboundedFamily as exc:
                 raise ProblemValidationError(
                     f"family {label} has no bounded member; the bounding hypothesis fails"
@@ -154,13 +154,6 @@ class BestPair:
         }
 
 
-def _clip_to_ball(x, rho):
-    n = float(np.linalg.norm(x))
-    if n > rho:
-        return x * (rho / n), True
-    return x, False
-
-
 def _family_feasibility(fam: Family, label: str) -> float:
     """Worst member distance of the origin's reference projection, which comes
     back only within REFERENCE_TOL of every member; an empty intersection stalls."""
@@ -174,9 +167,10 @@ def _family_feasibility(fam: Family, label: str) -> float:
     return float(np.max(fam.member_distances(y)))
 
 
-def _alternate_projections(problem: Problem, x0):
-    """Iterate z <- P_B(P_A(z)) with reference projections; returns (u, z, k)."""
-    z, _ = _clip_to_ball(np.asarray(x0, dtype=float), problem.rho)
+def _alternate_projections(problem: Problem):
+    """Iterate z <- P_B(P_A(z)) from the origin with reference projections;
+    returns (u, z, k)."""
+    z = np.zeros(problem.dim)
     tol = problem.options.pair_gap_tol
     for k in range(BASELINE_MAX_OUTER):
         u = project_intersection(problem.family_a, z, tol=BASELINE_INNER_TOL)
@@ -193,8 +187,7 @@ def validate_problem(problem: Problem) -> ProblemReport:
     hypothesis is checked by Problem); raises ProblemValidationError."""
     feas_a = _family_feasibility(problem.family_a, "A")
     feas_b = _family_feasibility(problem.family_b, "B")
-    origin = np.zeros(problem.dim)
-    u, z, _ = _alternate_projections(problem, origin)
+    u, z, _ = _alternate_projections(problem)
     distance = float(np.linalg.norm(u - z))
     if distance <= DISJOINTNESS_TOL:
         raise ProblemValidationError(
@@ -216,7 +209,7 @@ def _pair_residuals(problem: Problem, a, b):
     )
 
 
-def run_ashlwb(problem: Problem, x0=None, validate: bool = True) -> IterationTrace:
+def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     """Run the alternating sweep scheme from x0 (default: the origin).
 
     Sweep r applies r+1 anchored steps with steering indices restarting at 0:
@@ -224,7 +217,8 @@ def run_ashlwb(problem: Problem, x0=None, validate: bool = True) -> IterationTra
     anchored at x^{2r+1}.  Stops Converged when consecutive odd-iterate and
     even-iterate changes fall below pair_gap_tol and the mutual-projection
     residuals fall below fixed_point_tol/2, else MaxSweeps.  A non-finite x0
-    is rejected with ValueError before any work is done.
+    is rejected with ValueError before any work is done, and a problem that
+    fails `validate_problem` with ProblemValidationError.
     """
     if x0 is None:
         x0 = np.zeros(problem.dim)
@@ -233,9 +227,11 @@ def run_ashlwb(problem: Problem, x0=None, validate: bool = True) -> IterationTra
         raise DimensionMismatch("x0 dimension does not match the problem")
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-    if validate:
-        validate_problem(problem)
-    x0, projected = _clip_to_ball(x0, problem.rho)
+    validate_problem(problem)
+    norm = float(np.linalg.norm(x0))
+    projected = norm > problem.rho
+    if projected:  # start inside B[0, rho]
+        x0 = x0 * (problem.rho / norm)
 
     opts = problem.options
     fam_a, fam_b = problem.family_a, problem.family_b
@@ -290,19 +286,16 @@ def extract_best_pair(trace: IterationTrace, problem: Problem) -> BestPair:
     )
 
 
-def run_cheney_goldstein(problem: Problem, x0=None, validate: bool = True) -> BestPair:
-    """Alternating-projection baseline z <- P_B(P_A(z)).
+def run_cheney_goldstein(problem: Problem) -> BestPair:
+    """Alternating-projection baseline z <- P_B(P_A(z)) from the origin.
 
     The inner projections onto the two intersections use the reference
     projector at BASELINE_INNER_TOL.  Stops when the outer displacement falls
     below pair_gap_tol, within BASELINE_MAX_OUTER outer iterations, and
-    returns the pair (P_A(z), z).
+    returns the pair (P_A(z), z).  The problem is not validated, so the
+    baseline also answers on overlapping families (gap near 0).
     """
-    if validate:
-        validate_problem(problem)
-    if x0 is None:
-        x0 = np.zeros(problem.dim)
-    u, z, k = _alternate_projections(problem, x0)
+    u, z, k = _alternate_projections(problem)
     return BestPair(
         a=u,
         b=z,

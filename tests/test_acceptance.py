@@ -57,7 +57,7 @@ def timed_lens():
     t0 = time.perf_counter()
     trace = run_ashlwb(problem)
     pair = extract_best_pair(trace, problem)
-    base = run_cheney_goldstein(problem, validate=False)
+    base = run_cheney_goldstein(problem)
     oracle = brute_force_pair(problem, resolution=1e-2)
     return problem, trace, pair, base, oracle, time.perf_counter() - t0
 

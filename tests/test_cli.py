@@ -77,13 +77,13 @@ def test_malformed_json_reports_position(tmp_path):
 
 def assert_round_trip(doc1):
     parsed2 = parse_problem(doc1)
-    doc2 = parsed2.raw
+    doc2 = serialize_problem(parsed2.problem)
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
     assert list(doc1) == list(doc2)  # canonical key order preserved
 
 
 def test_round_trip_is_idempotent():
-    assert_round_trip(load_problem(TWO_BALLS).raw)
+    assert_round_trip(serialize_problem(load_problem(TWO_BALLS).problem))
 
 
 POS = st.floats(0.5, 3.0)
@@ -136,7 +136,7 @@ def all_kinds_document(draw):
 @settings(max_examples=50, deadline=None)
 @given(all_kinds_document())
 def test_round_trip_covers_every_record_field(doc):
-    raw = parse_problem(doc).raw
+    raw = serialize_problem(parse_problem(doc).problem)
     assert json.dumps(raw) == json.dumps(doc)  # every field kept, in schema order
     assert_round_trip(raw)
 

@@ -10,6 +10,9 @@
 - No two functions, methods and nested functions included, have the same
   body of two or more statements once a leading docstring is dropped: a
   shared body is written once and called or inherited.
+- No function parameter defaults to `True` or `False`: a boolean option
+  doubles the configurations to test, so a behaviour is either always on or
+  a separate function.  Dataclass fields are not parameters.
 - Every backticked name in README's "Other entry points" paragraph is in
   `bestpair.__all__`, so the README lists no entry point that is gone.
 """
@@ -118,6 +121,24 @@ def test_no_function_body_written_twice():
                 where["\n".join(map(ast.dump, body))].append(f"{path.name}:{name}")
     repeated = [names for names in where.values() if len(names) > 1]
     assert not repeated, repeated
+
+
+def defaults(args):
+    """(parameter, default) of every parameter of an `ast.arguments` with a default."""
+    positional = args.posonlyargs + args.args
+    yield from zip(positional[len(positional) - len(args.defaults):], args.defaults)
+    yield from ((a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+
+
+def test_no_boolean_parameter():
+    bad = [
+        f"{path.name}:{name}({arg.arg}={default.value})"
+        for path in MODULES
+        for name, func in functions(parse(path))
+        for arg, default in defaults(func.args)
+        if isinstance(default, ast.Constant) and isinstance(default.value, bool)
+    ]
+    assert not bad, bad
 
 
 def test_readme_entry_points_are_exported():

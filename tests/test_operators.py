@@ -6,12 +6,16 @@ from bestpair import (
     Family,
     HalfSpace,
     MaxIterExceeded,
+    Problem,
     SteeringSchedule,
     apply_m,
     apply_m_hat,
     apply_q_hat,
+    fix_set_audit,
+    operators,
     project_intersection,
     q_hat_path,
+    separation_check,
     shlwb_project,
 )
 
@@ -185,10 +189,11 @@ def test_shlwb_lens():
     assert np.linalg.norm(got - np.array([2.0, 0.0])) <= 1e-3
 
 
-def test_shlwb_max_iter_exceeded_carries_state():
+def test_shlwb_max_iter_exceeded_carries_state(monkeypatch):
+    monkeypatch.setattr(operators, "SHLWB_MAX_ITER", 50)
     fam = lens_family()
     with pytest.raises(MaxIterExceeded) as exc:
-        shlwb_project(fam, np.array([5.0, 0.0]), tol=1e-9, max_iter=50)
+        shlwb_project(fam, np.array([5.0, 0.0]), tol=1e-9)
     assert exc.value.last is not None
     assert exc.value.gap > 0
 
@@ -198,6 +203,29 @@ def test_shlwb_rejects_non_finite_anchor(anchor):
     # checked before the first step, not after the 200 000-step budget
     with pytest.raises(ValueError, match="anchor"):
         shlwb_project(lens_family(), np.array(anchor))
+
+
+NON_FINITE_CALLS = {
+    "apply_m": lambda fam, x: apply_m(fam, 0.5, [5.0, 0.0], x),
+    "apply_m_hat": lambda fam, x: apply_m_hat(fam, 0.5, x),
+    "apply_q_hat": lambda fam, x: apply_q_hat(fam, 3, x),
+    "q_hat_path": lambda fam, x: q_hat_path(fam, 3, x),
+    # NaN is no member's distance above tol, so the misclassification guard
+    # lets it pass and the sweep must reject it
+    "fix_set_audit": lambda fam, x: fix_set_audit(fam, 3, x, [10.0, 0.0]),
+    "separation_check": lambda fam, x: separation_check(
+        Problem(fam, Family(LENS_B)), (np.reshape(x, (-1, 2))[-1], [3.0, 0.0]), samples=10
+    ),
+}
+
+
+@pytest.mark.parametrize("x", [[np.nan, 0.0], [[0.5, 0.0], [0.0, np.inf]]], ids=["point", "batch"])
+@pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # a ball projects inf to NaN
+def test_non_finite_point_raises(call, x):
+    # every member projection passes NaN and inf through, so none would stop them
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_CALLS[call](lens_family(), np.array(x))
 
 
 # --- operator invariants --------------------------------------------------------

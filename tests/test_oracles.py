@@ -233,7 +233,7 @@ def test_lemma2_probe_trace_too_short(two_ball_run):
 def test_unique_guaranteed_implies_three_way_agreement(lens_run):
     problem, _, pair = lens_run
     assert uniqueness_certificate(problem).verdict == "UniqueGuaranteed"
-    base = run_cheney_goldstein(problem, validate=False)
+    base = run_cheney_goldstein(problem)
     oracle = brute_force_pair(problem, resolution=0.01)
     for u, v in ((pair.a, base.a), (pair.a, oracle.pair[0]), (pair.b, base.b), (pair.b, oracle.pair[1])):
         assert np.linalg.norm(u - v) <= 1e-3

@@ -281,8 +281,8 @@ def test_run_matches_checked_projections(make):
     p = make()
     ref = Problem(checked(p.family_a), checked(p.family_b), p.options)
     x0 = np.full(p.dim, 0.3)
-    fast = run_ashlwb(p, x0, validate=False)
-    slow = run_ashlwb(ref, x0, validate=False)
+    fast = run_ashlwb(p, x0)
+    slow = run_ashlwb(ref, x0)
     assert fast.terminal == slow.terminal
     assert len(fast.entries) == len(slow.entries)
     for e, f in zip(fast.entries, slow.entries):

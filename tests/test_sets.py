@@ -6,6 +6,7 @@ from bestpair import (
     Box,
     DimensionMismatch,
     Ellipsoid,
+    Family,
     HalfSpace,
     Hyperplane,
     UnboundedFamily,
@@ -127,14 +128,15 @@ def test_strict_convexity_classification():
 
 
 def test_family_bounding_radius_examples():
-    assert family_bounding_radius([Ball([3, 0], 1)]) == pytest.approx(4.0)
-    assert family_bounding_radius([Box([-1, -1], [2, 2])]) == pytest.approx(2 * np.sqrt(2))
+    assert family_bounding_radius(Family((Ball([3, 0], 1),))) == pytest.approx(4.0)
+    box = Family((Box([-1, -1], [2, 2]),))
+    assert family_bounding_radius(box) == pytest.approx(2 * np.sqrt(2))
     with pytest.raises(UnboundedFamily):
-        family_bounding_radius([HalfSpace([1, 0], 0.0)])
+        family_bounding_radius(Family((HalfSpace([1, 0], 0.0),)))
 
 
 def test_halfspace_allowed_with_bounded_sibling():
-    r = family_bounding_radius([HalfSpace([1, 0], 0.0), Ball([0, 0], 2.0)])
+    r = family_bounding_radius(Family((HalfSpace([1, 0], 0.0), Ball([0, 0], 2.0))))
     assert r == pytest.approx(2.0)
 
 

@@ -17,6 +17,7 @@ from bestpair import (
     SteeringSchedule,
     TraceTooShort,
     extract_best_pair,
+    intersection,
     run_ashlwb,
     run_cheney_goldstein,
     validate_problem,
@@ -83,7 +84,7 @@ def test_lens_pair_matches_grid_oracle(lens_run):
 
 def test_lens_from_off_axis_start(lens_parsed):
     problem = lens_parsed.problem
-    trace = run_ashlwb(problem, np.array([0.0, 1.0]), validate=False)
+    trace = run_ashlwb(problem, np.array([0.0, 1.0]))
     pair = extract_best_pair(trace, problem)
     assert np.linalg.norm(pair.a - np.array([2.0, 0.0])) <= 2e-3
     assert np.linalg.norm(pair.b - np.array([4.0, 0.0])) <= 2e-3
@@ -191,6 +192,26 @@ def test_validation_rejects_unbounded_family():
         )
 
 
+def test_run_rejects_overlapping_families():
+    problem = Problem(
+        Family((Ball([0, 0], 1.0),), schedule=SCHED),
+        Family((Ball([1, 0], 1.0),), schedule=SCHED),
+    )
+    with pytest.raises(ProblemValidationError, match="not disjoint"):
+        run_ashlwb(problem)
+
+
+def test_run_rejects_empty_intersection(monkeypatch):
+    # a smaller Dykstra budget stalls in milliseconds instead of seconds
+    monkeypatch.setattr(intersection, "REFERENCE_MAX_ITER", 2000)
+    problem = Problem(
+        Family((Ball([0, 0], 1.0), Ball([5, 0], 1.0)), schedule=SCHED),
+        Family((Ball([10, 0], 1.0),), schedule=SCHED),
+    )
+    with pytest.raises(ProblemValidationError, match="appears empty"):
+        run_ashlwb(problem)
+
+
 # --- the derived bounding radius ---------------------------------------------------
 
 COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
@@ -287,23 +308,23 @@ def test_halfspace_with_enclosing_ball_validates():
 
 def test_baseline_matches_sweep_solver_two_ball(two_ball_run):
     problem, _, pair = two_ball_run
-    base = run_cheney_goldstein(problem, validate=False)
+    base = run_cheney_goldstein(problem)
     assert np.linalg.norm(base.a - pair.a) <= 1e-3
     assert np.linalg.norm(base.b - pair.b) <= 1e-3
 
 
 def test_baseline_lens_pair(lens_parsed):
-    base = run_cheney_goldstein(lens_parsed.problem, validate=False)
+    base = run_cheney_goldstein(lens_parsed.problem)
     assert np.allclose(base.a, [2.0, 0.0], atol=1e-3)
     assert np.allclose(base.b, [4.0, 0.0], atol=1e-3)
 
 
 def test_baseline_sanity_mode_identical_families():
     problem = Problem(
-        Family((Ball([0, 0], 1.0),), schedule=SCHED),
-        Family((Ball([0, 0], 1.0),), schedule=SCHED),
+        Family((Ball([3, 0], 1.0),), schedule=SCHED),
+        Family((Ball([3, 0], 1.0),), schedule=SCHED),
     )
-    pair = run_cheney_goldstein(problem, x0=np.array([3.0, 0.0]), validate=False)
+    pair = run_cheney_goldstein(problem)
     assert pair.gap <= 1e-8
 
 
@@ -311,13 +332,13 @@ def test_baseline_sanity_mode_identical_families():
 
 
 def test_distance_two_unit_balls(two_ball_parsed):
-    assert run_cheney_goldstein(two_ball_parsed.problem, validate=False).gap == pytest.approx(
+    assert run_cheney_goldstein(two_ball_parsed.problem).gap == pytest.approx(
         2.0, abs=1e-4
     )
 
 
 def test_distance_lens(lens_parsed):
-    assert run_cheney_goldstein(lens_parsed.problem, validate=False).gap == pytest.approx(
+    assert run_cheney_goldstein(lens_parsed.problem).gap == pytest.approx(
         2.0, abs=1e-3
     )
 
@@ -327,7 +348,7 @@ def test_distance_nearly_touching_balls():
         Family((Ball([0, 0], 1.0),), schedule=SCHED),
         Family((Ball([2 + 1e-3, 0], 1.0),), schedule=SCHED),
     )
-    assert run_cheney_goldstein(problem, validate=False).gap == pytest.approx(1e-3, abs=1e-5)
+    assert run_cheney_goldstein(problem).gap == pytest.approx(1e-3, abs=1e-5)
 
 
 # --- cross-solver invariants -----------------------------------------------------------
@@ -336,8 +357,8 @@ def test_distance_nearly_touching_balls():
 def test_swap_symmetry(lens_parsed):
     p = lens_parsed.problem
     swapped = Problem(p.family_b, p.family_a, p.options, p.seed)
-    t1 = run_ashlwb(p, validate=False)
-    t2 = run_ashlwb(swapped, validate=False)
+    t1 = run_ashlwb(p)
+    t2 = run_ashlwb(swapped)
     pair1 = extract_best_pair(t1, p)
     pair2 = extract_best_pair(t2, swapped)
     assert np.linalg.norm(pair1.a - pair2.b) <= 1e-3
