@@ -22,7 +22,8 @@ Exit codes: 0 success/Converged, 1 malformed command-line argument, parse
 or validation error (a non-finite --x0 or --point included), 2 MaxSweeps,
 3 projection failure (iteration budget exceeded, ellipsoid root-find or
 sampling failed), 4 solver disagreement in `compare`.  Every failure prints
-one `error:` line on stderr.
+one `error:` line on stderr, except a failed validation in `check`, which
+its report holds in `mandatory.validation.error`.
 """
 
 from __future__ import annotations
@@ -367,9 +368,6 @@ def _build_parser():
     run.add_argument("problem")
     run.add_argument("--x0", default=None, help="comma-separated start point (default origin)")
     run.add_argument("--out", default=None, help="output prefix for .csv/.json (default 'trace')")
-    run.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
-    run.add_argument("--schedule", type=_schedule_arg, default=None,
-                     help="override both schedules as 'c,k0,p'")
     run.set_defaults(func=cmd_run)
 
     proj = sub.add_parser("project", help="project a point onto one family's intersection")
@@ -391,10 +389,12 @@ def _build_parser():
     cmp_ = sub.add_parser("compare", help="compare solver, baseline and oracle")
     cmp_.add_argument("problem")
     cmp_.add_argument("--resolution", type=float, default=0.01)
-    cmp_.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
-    cmp_.add_argument("--schedule", type=_schedule_arg, default=None,
-                      help="override both schedules as 'c,k0,p'")
     cmp_.set_defaults(func=cmd_compare)
+
+    for solve in (run, cmp_):  # the overrides `_with_overrides` applies
+        solve.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
+        solve.add_argument("--schedule", type=_schedule_arg, default=None,
+                           help="override both schedules as 'c,k0,p'")
     return ap
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import MaxIterExceeded
 from .operators import Family
-from .sets import max_distance
+from .sets import finite_points, max_distance
 
 # The one accuracy of the reference projection: the solver's stop test, pair
 # residuals and validation, and the oracles all run at this value.
@@ -30,12 +30,11 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     of the batch path on lists.  Stops when the per-cycle displacement and
     the worst member distance both fall below tol, within REFERENCE_MAX_ITER
     cycles.  A single-member family short-circuits to the member's exact
-    projection.  A non-finite x is rejected with ValueError before any cycle.
+    projection.  An x of the wrong dimension raises DimensionMismatch, and a
+    non-finite x ValueError, before any cycle.
     """
     sets = family.sets
-    x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must have finite coordinates")
+    x = finite_points(x, family.dim, "x")
     if len(sets) == 1:
         return sets[0].project(x)
 

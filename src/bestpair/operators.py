@@ -10,7 +10,9 @@ A single point runs as a list of Python floats (see `sets`): the anchored
 steps, the weighted projection and the stop test of `shlwb_project` do the
 same IEEE operations as their numpy forms, in the same order, so the results
 keep their bits.  Batches of shape (..., n) run on arrays.  The public
-functions take and return arrays.
+functions take and return arrays, and check their points with
+`sets.finite_points`.  `Family.contains` is the one membership test of an
+intersection.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
-from .sets import as_points, max_distance
+from .sets import CONTAINS_TOL, finite_points, max_distance
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_MAX_ITER = 200_000
@@ -131,6 +133,16 @@ class Family:
             acc = [a + w * v for a, v in zip(acc, project(x))]
         return acc
 
+    def contains(self, x, tol=CONTAINS_TOL):
+        """Whether x lies in every member within tol, shape (...); the
+        members are tested in order until no point of x is left."""
+        inside = self.sets[0].contains(x, tol)
+        for s in self.sets[1:]:
+            if not inside.any():
+                break
+            inside &= s.contains(x, tol)
+        return inside
+
     def member_distances(self, x):
         """Distances ||x - P_l(x)|| to every member, shape (L, ...)."""
         x = np.asarray(x, dtype=float)
@@ -168,15 +180,6 @@ def anchored_steps(family: Family, taus, anchor, y=None):
         yield y
 
 
-def _finite_points(x, dim, what="point"):
-    """`as_points`, and ValueError unless every coordinate is finite: NaN would
-    pass through every projection and every anchored step unnoticed."""
-    x = as_points(x, dim, what)
-    if not np.all(np.isfinite(x)):
-        raise ValueError(f"{what} must have finite coordinates")
-    return x
-
-
 def _sweep_taus(family: Family, q: int) -> list:
     """tau_0, ..., tau_q as Python floats, evaluated as one array."""
     if q < 0:
@@ -188,14 +191,14 @@ def apply_m(family: Family, tau: float, anchor, x):
     """One anchored step: tau*anchor + (1-tau)*weighted projection of x."""
     if not 0.0 < tau < 1.0:
         raise ValueError(f"tau must lie in (0,1), got {tau}")
-    anchor = _finite_points(anchor, family.dim, "anchor")
-    x = _finite_points(x, family.dim)
+    anchor = finite_points(anchor, family.dim, "anchor")
+    x = finite_points(x, family.dim)
     return np.asarray(next(anchored_steps(family, (tau,), anchor, x)))
 
 
 def apply_m_hat(family: Family, tau: float, x):
     """Self-anchored step: apply_m with anchor = x."""
-    x = _finite_points(x, family.dim)
+    x = finite_points(x, family.dim)
     return apply_m(family, tau, x, x)
 
 
@@ -206,7 +209,7 @@ def apply_q_hat(family: Family, q: int, x):
     index restarts at 0 on every call.
     """
     taus = _sweep_taus(family, q)
-    x = _finite_points(x, family.dim)
+    x = finite_points(x, family.dim)
     for y in anchored_steps(family, taus, x):
         pass
     return np.asarray(y)
@@ -219,7 +222,7 @@ def q_hat_path(family: Family, q: int, x):
     so the whole path costs the same as the longest single sweep.
     """
     taus = _sweep_taus(family, q)
-    x = _finite_points(x, family.dim)
+    x = finite_points(x, family.dim)
     out = np.empty((q + 1,) + x.shape)
     for t, y in enumerate(anchored_steps(family, taus, x)):
         out[t] = y
@@ -242,7 +245,7 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    anchor = _finite_points(anchor, family.dim, "anchor")
+    anchor = finite_points(anchor, family.dim, "anchor")
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.
     taus, stop_taus = itertools.tee(map(family.schedule.tau, range(SHLWB_MAX_ITER)))

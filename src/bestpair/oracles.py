@@ -4,7 +4,8 @@ Everything here deliberately avoids the solver's own machinery: the pair
 oracle is a feasible-grid search polished by reference alternating
 projections, the separation check samples the sets directly, and the
 monotone-residual check compares sweep outputs against the reference
-projection.  Reports serialize to plain dicts for JSON output.
+projection.  The reports that `bestpair check` and `bestpair oracle` print
+serialize to plain dicts for JSON output.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, q_hat_path, apply_q_hat
-from .sets import Ball
+from .sets import Ball, finite_points
 from .solver import (
     DISJOINTNESS_TOL,
     IterationTrace,
@@ -104,13 +105,9 @@ def _feasible_grid_points(family: Family, rho: float, resolution: float):
         first = axis[start : start + rows_per_chunk]
         mesh = np.meshgrid(first, *([axis] * (n - 1)), indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
-        mask = np.ones(len(pts), dtype=bool)
-        for s in family.sets:
-            # half-cell slack: keeps near-boundary cells without letting a
-            # coarse grid that misses the set entirely count as feasible
-            mask &= s.contains(pts, tol=0.5 * resolution)
-            if not mask.any():
-                break
+        # half-cell slack: keeps near-boundary cells without letting a
+        # coarse grid that misses the set entirely count as feasible
+        mask = family.contains(pts, tol=0.5 * resolution)
         if mask.any():
             feasible.append(pts[mask])
     if not feasible:
@@ -181,9 +178,7 @@ def _sample_in_intersection(rng, family: Family, rho: float, count: int):
         g /= np.linalg.norm(g, axis=1, keepdims=True)
         radii = rho * rng.random(batch) ** (1.0 / n)
         pts = g * radii[:, None]
-        mask = np.ones(batch, dtype=bool)
-        for s in family.sets:
-            mask &= s.contains(pts, tol=0.0)
+        mask = family.contains(pts, tol=0.0)
         if mask.any():
             out.append(pts[mask])
     return np.concatenate(out)[:count]
@@ -206,9 +201,6 @@ class SeparationReport:
             and self.boundary_b
         )
 
-    def to_dict(self):
-        return {**asdict(self), "passed": self.passed}
-
 
 def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationReport:
     """Half-space separation and boundary test for a candidate pair (a, b).
@@ -216,12 +208,11 @@ def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationR
     Samples points y of each intersection and checks <y - a, a - b> >= -slack
     (symmetrically for B), then verifies both points are boundary points via
     the witness a + t(b - a), which must leave A for small t > 0.  The
-    samples come from `problem.seed`; a non-finite pair raises ValueError.
+    samples come from `problem.seed`; a pair of the wrong dimension raises
+    DimensionMismatch, and a non-finite one ValueError.
     """
-    a = np.asarray(pair[0], dtype=float)
-    b = np.asarray(pair[1], dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("separation check needs a pair with finite coordinates")
+    a = finite_points(pair[0], problem.dim, "pair")
+    b = finite_points(pair[1], problem.dim, "pair")
     gap = float(np.linalg.norm(a - b))
     if gap <= 0.0:
         raise PreconditionGapZero("separation check needs a pair with positive gap")
@@ -233,14 +224,12 @@ def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationR
     t = 1e-3
     wa = a + t * (b - a)
     wb = b + t * (a - b)
-    in_a = all(bool(s.contains(wa)) for s in problem.family_a.sets)
-    in_b = all(bool(s.contains(wb)) for s in problem.family_b.sets)
     return SeparationReport(
         samples=samples,
         min_inner_a=min_a,
         min_inner_b=min_b,
-        boundary_a=not in_a,
-        boundary_b=not in_b,
+        boundary_a=not problem.family_a.contains(wa),
+        boundary_b=not problem.family_b.contains(wb),
     )
 
 
@@ -281,13 +270,12 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
     With T the reference intersection projection, r_k(x) is the distance of
     the (k-1)-sweep output from T(x).  Monotonicity r_{k+1} <= r_k + slack is
     asserted for k = 2..K; the per-k grid supremum is reported as the
-    uniform-convergence profile.
+    uniform-convergence profile.  The grid is checked with `finite_points`
+    before any projection.
     """
     if K < 1:
         raise ValueError("K must be positive")
-    pts = np.asarray(grid, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    pts = np.atleast_2d(finite_points(grid, family.dim, "grid"))
     T = project_intersection(family, pts)
     path = q_hat_path(family, K, pts)  # (K+1, m, n): sweep outputs 0..K
     rs = np.linalg.norm(path - T, axis=-1)  # rs[j] = r_{j+1}(x)
@@ -327,13 +315,12 @@ class FixSetReport:
 
 
 def fix_set_audit(family: Family, q: int, inside, outside) -> FixSetReport:
-    """Sweeps must fix intersection points and move points outside it."""
-    inside = np.asarray(inside, dtype=float)
-    outside = np.asarray(outside, dtype=float)
-    if inside.ndim == 1:
-        inside = inside[None, :]
-    if outside.ndim == 1:
-        outside = outside[None, :]
+    """Sweeps must fix intersection points and move points outside it.
+
+    Both point sets are checked with `finite_points` before any projection.
+    """
+    inside = np.atleast_2d(finite_points(inside, family.dim, "inside"))
+    outside = np.atleast_2d(finite_points(outside, family.dim, "outside"))
     d_in = family.member_distances(inside).max(axis=0)
     if np.any(d_in > FIX_SET_INSIDE_TOL):
         raise MisclassifiedPoint(
@@ -364,9 +351,6 @@ class Lemma2Report:
     @property
     def passed(self) -> bool:
         return self.diameter <= self.tol and self.max_nearness <= self.dist_oracle + self.tol
-
-    def to_dict(self):
-        return {**asdict(self), "passed": self.passed}
 
 
 def lemma2_surjectivity_probe(problem: Problem, trace: IterationTrace) -> Lemma2Report:

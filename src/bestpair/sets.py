@@ -27,13 +27,16 @@ Two sums need care to keep those bits:
 
 The ellipsoid converts the point to an array and runs its numpy root-find.
 
-`as_points` is the one input check of the layers above, and `max_distance`
-the distance every stop test measures, on two lists or two arrays.
+`as_points` is the one dimension check of the layers above, `finite_points`
+adds the one finiteness check, and `max_distance` is the distance every stop
+test measures, on two lists or two arrays.  Each set's `contains` is its
+membership test; `operators.Family.contains` joins them for an intersection.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import get_args
 
@@ -88,6 +91,15 @@ def as_points(x, dim, what="point"):
     return x
 
 
+def finite_points(x, dim, what="point"):
+    """`as_points`, and ValueError unless every coordinate is finite: NaN would
+    pass through every projection and every anchored step unnoticed."""
+    x = as_points(x, dim, what)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{what} must have finite coordinates")
+    return x
+
+
 def _vec(v, name):
     v = np.asarray(v, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -115,6 +127,16 @@ def _bisect(f, lo, hi):
                 break
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _check_dual_residual(worst):
+    """EllipsoidRootFindError if `worst`, the largest dual residual of an
+    ellipsoid projection, exceeds `_ELLIPSOID_ROOT_RESIDUAL`."""
+    if worst > _ELLIPSOID_ROOT_RESIDUAL:
+        raise EllipsoidRootFindError(
+            f"dual residual {worst:.3e} after {_ELLIPSOID_MAX_BISECT} "
+            "bisections; axes may be numerically degenerate"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +187,9 @@ class Ball:
 
 @dataclass(frozen=True, eq=False)
 class _Affine:
-    """A nonzero normal and an offset; subclasses add a kind and projections."""
+    """A nonzero normal and an offset.  Subclasses add a kind, `contains` and
+    `_moves`, the test of the excess <normal, x> - offset against 0 that
+    decides whether `project` moves a point onto <normal, x> = offset."""
 
     normal: np.ndarray
     offset: float
@@ -183,6 +207,22 @@ class _Affine:
     def dim(self):
         return self.normal.size
 
+    def project(self, x):
+        x = as_points(x, self.dim)
+        excess = x @ self.normal - self.offset
+        return np.where(
+            self._moves(excess, 0.0)[..., None],
+            x - (excess / self._nn)[..., None] * self.normal,
+            x,
+        )
+
+    def project_point(self, x):
+        excess = float(np.array(x) @ self.normal) - self.offset
+        if self._moves(excess, 0.0):
+            shift = excess / self._nn
+            return [v - shift * c for v, c in zip(x, self._normal_list)]
+        return x
+
     def bounding_radius(self):
         raise UnboundedFamily(f"a {self.kind} is unbounded")
 
@@ -191,19 +231,7 @@ class HalfSpace(_Affine):
     """Closed half-space {x : <normal, x> <= offset}."""
 
     kind = "halfspace"
-
-    def project(self, x):
-        x = as_points(x, self.dim)
-        excess = x @ self.normal - self.offset
-        shift = np.maximum(excess, 0.0) / self._nn
-        return np.where((excess > 0.0)[..., None], x - shift[..., None] * self.normal, x)
-
-    def project_point(self, x):
-        excess = float(np.array(x) @ self.normal) - self.offset
-        if excess > 0.0:
-            shift = excess / self._nn
-            return [v - shift * c for v, c in zip(x, self._normal_list)]
-        return x
+    _moves = operator.gt  # a NaN excess keeps the point
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
@@ -215,20 +243,7 @@ class Hyperplane(_Affine):
     """Hyperplane {x : <normal, x> = offset}."""
 
     kind = "hyperplane"
-
-    def project(self, x):
-        x = as_points(x, self.dim)
-        excess = x @ self.normal - self.offset
-        return np.where(
-            (excess != 0.0)[..., None], x - (excess / self._nn)[..., None] * self.normal, x
-        )
-
-    def project_point(self, x):
-        excess = float(np.array(x) @ self.normal) - self.offset
-        if excess != 0.0:
-            shift = excess / self._nn
-            return [v - shift * c for v, c in zip(x, self._normal_list)]
-        return x
+    _moves = operator.ne  # a NaN excess maps the point to NaN
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
@@ -346,12 +361,7 @@ class Ellipsoid:
                 break  # every later round would repeat this one
             lo, hi = lo_next, hi_next
         lam = 0.5 * (lo + hi)
-        res = np.abs(phi(lam))
-        if np.any(res > _ELLIPSOID_ROOT_RESIDUAL):
-            raise EllipsoidRootFindError(
-                f"dual residual {res.max():.3e} after {_ELLIPSOID_MAX_BISECT} "
-                "bisections; axes may be numerically degenerate"
-            )
+        _check_dual_residual(np.abs(phi(lam)).max())
         proj = pts.copy()
         proj[outside] = self.center + zo * a2 / (a2 + lam[:, None])
         return proj.reshape(shape)
@@ -367,12 +377,7 @@ class Ellipsoid:
             return np.add.reduce((za2 / (a2 + lam) / self.axes) ** 2) - 1.0
 
         lam = _bisect(phi, 0.0, np.linalg.norm(z * self.axes, axis=-1) + np.max(a2))
-        res = abs(phi(lam))
-        if res > _ELLIPSOID_ROOT_RESIDUAL:
-            raise EllipsoidRootFindError(
-                f"dual residual {res:.3e} after {_ELLIPSOID_MAX_BISECT} "
-                "bisections; axes may be numerically degenerate"
-            )
+        _check_dual_residual(abs(phi(lam)))
         return (self.center + za2 / (a2 + lam)).tolist()
 
     def contains(self, x, tol=CONTAINS_TOL):

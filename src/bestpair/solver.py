@@ -196,16 +196,20 @@ def validate_problem(problem: Problem) -> ProblemReport:
     return ProblemReport(distance=distance, feasibility_a=feas_a, feasibility_b=feas_b)
 
 
-def _pair_residuals(problem: Problem, a, b):
-    pa_a = project_intersection(problem.family_a, a)
-    pb_b = project_intersection(problem.family_b, b)
-    pa_b = project_intersection(problem.family_a, b)
-    pb_a = project_intersection(problem.family_b, a)
-    return (
-        float(np.linalg.norm(a - pa_a)),
-        float(np.linalg.norm(b - pb_b)),
-        float(np.linalg.norm(a - pa_b)),
-        float(np.linalg.norm(b - pb_a)),
+def _best_pair(problem: Problem, a, b, iterations) -> BestPair:
+    """The pair (a, b) with its gap and its four reference residuals."""
+    fam_a, fam_b = problem.family_a, problem.family_b
+    return BestPair(
+        a=a,
+        b=b,
+        gap=float(np.linalg.norm(a - b)),
+        residuals=(
+            float(np.linalg.norm(a - project_intersection(fam_a, a))),
+            float(np.linalg.norm(b - project_intersection(fam_b, b))),
+            float(np.linalg.norm(a - project_intersection(fam_a, b))),
+            float(np.linalg.norm(b - project_intersection(fam_b, a))),
+        ),
+        iterations=iterations,
     )
 
 
@@ -275,14 +279,8 @@ def extract_best_pair(trace: IterationTrace, problem: Problem) -> BestPair:
     """Pair (last odd iterate, last even iterate) with reference residuals."""
     if len(trace.entries) < 2:
         raise TraceTooShort("need at least one full sweep to extract a pair")
-    a = trace.odd_entries()[-1].x
-    b = trace.even_entries()[-1].x
-    return BestPair(
-        a=a,
-        b=b,
-        gap=float(np.linalg.norm(a - b)),
-        residuals=_pair_residuals(problem, a, b),
-        iterations=trace.sweeps,
+    return _best_pair(
+        problem, trace.odd_entries()[-1].x, trace.even_entries()[-1].x, trace.sweeps
     )
 
 
@@ -295,11 +293,4 @@ def run_cheney_goldstein(problem: Problem) -> BestPair:
     returns the pair (P_A(z), z).  The problem is not validated, so the
     baseline also answers on overlapping families (gap near 0).
     """
-    u, z, k = _alternate_projections(problem)
-    return BestPair(
-        a=u,
-        b=z,
-        gap=float(np.linalg.norm(u - z)),
-        residuals=_pair_residuals(problem, u, z),
-        iterations=k,
-    )
+    return _best_pair(problem, *_alternate_projections(problem))

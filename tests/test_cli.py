@@ -260,9 +260,12 @@ def test_usage_error_exits_1(argv, option, capsys):
 
 
 def test_malformed_schedule_exits_1(capsys):
-    assert main(["run", TWO_BALLS, "--schedule", "1,2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: argument --schedule: ") and err.count("\n") == 1
+    for schedule, reason in [
+        ("1,2", "expected three numbers 'c,k0,p', got '1,2'"),
+        ("1,2,0", "schedule violates the steering axioms: p must lie in (0, 1], got 0.0"),
+    ]:
+        assert main(["run", TWO_BALLS, "--schedule", schedule]) == 1
+        assert capsys.readouterr().err == f"error: argument --schedule: {reason}\n"
 
 
 def test_help_exits_0(capsys):
@@ -307,6 +310,19 @@ def test_check_small_scale_problem_exits_0(tmp_path, capsys):
     assert main(["check", write(tmp_path, "small.json", doc)]) == 0
     advisory = json.loads(capsys.readouterr().out)["advisory"]
     assert advisory["fix_set_A"]["passed"] and advisory["fix_set_B"]["passed"]
+
+
+def test_check_overlapping_balls_fails_validation(tmp_path, capsys):
+    # a failed validation is the report's result, not an error line
+    doc = two_ball_doc()
+    doc["familyB"]["sets"][0]["center"] = [1.0, 0.0]
+    assert main(["check", write(tmp_path, "overlap.json", doc)]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    validation = report["mandatory"]["validation"]
+    assert validation["passed"] is False and "not disjoint" in validation["error"]
+    assert report["advisory"] == {}
+    assert captured.err == ""
 
 
 def test_check_boxes_advisory_only(capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from bestpair import (
     Ball,
+    DimensionMismatch,
     Family,
     HalfSpace,
     MaxIterExceeded,
@@ -11,6 +12,7 @@ from bestpair import (
     apply_m,
     apply_m_hat,
     apply_q_hat,
+    dini_monotonicity_check,
     fix_set_audit,
     operators,
     project_intersection,
@@ -210,8 +212,7 @@ NON_FINITE_CALLS = {
     "apply_m_hat": lambda fam, x: apply_m_hat(fam, 0.5, x),
     "apply_q_hat": lambda fam, x: apply_q_hat(fam, 3, x),
     "q_hat_path": lambda fam, x: q_hat_path(fam, 3, x),
-    # NaN is no member's distance above tol, so the misclassification guard
-    # lets it pass and the sweep must reject it
+    "dini_monotonicity_check": lambda fam, x: dini_monotonicity_check(fam, x, 3),
     "fix_set_audit": lambda fam, x: fix_set_audit(fam, 3, x, [10.0, 0.0]),
     "separation_check": lambda fam, x: separation_check(
         Problem(fam, Family(LENS_B)), (np.reshape(x, (-1, 2))[-1], [3.0, 0.0]), samples=10
@@ -221,11 +222,33 @@ NON_FINITE_CALLS = {
 
 @pytest.mark.parametrize("x", [[np.nan, 0.0], [[0.5, 0.0], [0.0, np.inf]]], ids=["point", "batch"])
 @pytest.mark.parametrize("call", sorted(NON_FINITE_CALLS))
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # a ball projects inf to NaN
 def test_non_finite_point_raises(call, x):
-    # every member projection passes NaN and inf through, so none would stop them
+    # every member projection passes NaN and inf through, so none would stop
+    # them; the check comes first, so no projection warns about inf either
     with pytest.raises(ValueError, match="finite"):
         NON_FINITE_CALLS[call](lens_family(), np.array(x))
+
+
+# the argument each call names when its point has the wrong dimension
+WRONG_DIMENSION_CALLS = {
+    "apply_q_hat": ("point", lambda fam, x: apply_q_hat(fam, 3, x)),
+    "q_hat_path": ("point", lambda fam, x: q_hat_path(fam, 3, x)),
+    "shlwb_project": ("anchor", lambda fam, x: shlwb_project(fam, x)),
+    "project_intersection": ("x", lambda fam, x: project_intersection(fam, x)),
+    "dini_monotonicity_check": ("grid", lambda fam, x: dini_monotonicity_check(fam, x, 3)),
+    "fix_set_audit": ("inside", lambda fam, x: fix_set_audit(fam, 3, x, [10.0, 0.0])),
+    "separation_check": ("pair", lambda fam, x: separation_check(
+        Problem(fam, Family(LENS_B)), (x, [3.0, 0.0]), samples=10
+    )),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_DIMENSION_CALLS))
+def test_wrong_dimension_names_the_argument(call):
+    what, run = WRONG_DIMENSION_CALLS[call]
+    with pytest.raises(DimensionMismatch) as exc:
+        run(lens_family(), np.array([1.0, 0.0, 0.0]))
+    assert str(exc.value) == f"{what} has dimension 3, expected 2"
 
 
 # --- operator invariants --------------------------------------------------------

@@ -134,6 +134,39 @@ def test_box_point_path_keeps_clip_signed_zeros(lo, hi, x):
     assert same_bits(np.array(box.project_point(point.tolist())), box.project(point))
 
 
+NAN, INF = float("nan"), float("inf")
+# NaN in each coordinate, the boundary <normal, x> = offset of either offset,
+# signed zeros, and infinities
+AFFINE_EDGE_POINTS = [
+    [NAN, 0.5], [0.5, NAN], [1.0, 0.0], [-0.0, -0.0], [-0.0, 0.5], [0.0, -0.0],
+    [INF, 0.5], [-INF, 0.5], [0.5, INF],
+]
+
+
+@pytest.mark.parametrize("offset", [1.0, 0.0, -0.0])
+@pytest.mark.parametrize("cls", [HalfSpace, Hyperplane], ids=lambda c: c.kind)
+def test_affine_edge_points_agree_on_every_path(cls, offset):
+    """`project_point`, `project` on (n,) and a batch row keep the same bits."""
+    s = cls([1.0, 2.0], offset)
+    batch = np.array(AFFINE_EDGE_POINTS)
+    with np.errstate(invalid="ignore"):  # inf - inf: the infinite points go to NaN
+        rows = s.project(batch)
+        for i, x in enumerate(AFFINE_EDGE_POINTS):
+            single = s.project(np.array(x))
+            assert same_bits(single, rows[i]), x
+            assert same_bits(np.array(s.project_point(list(x))), single), x
+
+
+@pytest.mark.parametrize("x", [[NAN, 0.5], [0.5, NAN]])
+def test_affine_nan_excess(x):
+    """A half-space keeps a point whose excess is NaN; a hyperplane maps it to NaN."""
+    hs, hp = HalfSpace([1.0, 2.0], 1.0), Hyperplane([1.0, 2.0], 1.0)
+    assert hs.project_point(x) is x
+    assert same_bits(hs.project(np.array(x)), np.array(x))
+    assert np.all(np.isnan(hp.project_point(x)))
+    assert np.all(np.isnan(hp.project(np.array(x))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 20).flatmap(lambda n: vectors(n, st.floats(-1e3, 1e3))))
 def test_point_norm_equals_linalg_norm(d):
