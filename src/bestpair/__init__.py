@@ -16,7 +16,6 @@ from .errors import (
     ProblemValidationError,
     SamplingFailure,
     TraceTooShort,
-    UnboundedFamily,
 )
 from .intersection import project_intersection
 from .operators import (
@@ -45,7 +44,6 @@ from .sets import (
     Ellipsoid,
     HalfSpace,
     Hyperplane,
-    family_bounding_radius,
     set_from_dict,
     set_to_dict,
 )
@@ -83,7 +81,6 @@ __all__ = [
     "SolverOptions",
     "SteeringSchedule",
     "TraceTooShort",
-    "UnboundedFamily",
     "UniquenessCertificate",
     "analytic_two_ball_pair",
     "apply_m",
@@ -92,7 +89,6 @@ __all__ = [
     "brute_force_pair",
     "dini_monotonicity_check",
     "extract_best_pair",
-    "family_bounding_radius",
     "fix_set_audit",
     "lemma2_surjectivity_probe",
     "project_intersection",

@@ -73,15 +73,16 @@ class ParsedProblem:
     problem: Problem
 
 
-def _reject_unknown(record: dict, allowed: set, where: str):
+def _reject_unknown(record, allowed: set, where: str):
+    """ValueError unless `record` is an object whose keys all lie in `allowed`."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where} must be an object")
     for key in record:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {where}")
 
 
 def _parse_family(record, dimension: int, where: str) -> Family:
-    if not isinstance(record, dict):
-        raise ValueError(f"{where} must be an object")
     _reject_unknown(record, _FAMILY_KEYS, where)
     if "sets" not in record or not record["sets"]:
         raise ValueError(f"{where} needs a nonempty 'sets' list")

@@ -5,10 +5,6 @@ class DimensionMismatch(ValueError):
     """A point's dimension does not match the set or family it is used with."""
 
 
-class UnboundedFamily(ValueError):
-    """A family has no bounded member, so no enclosing ball exists."""
-
-
 class EllipsoidRootFindError(RuntimeError):
     """The ellipsoid dual root-finder failed to reach the required residual."""
 

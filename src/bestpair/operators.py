@@ -71,8 +71,10 @@ class Family:
     """Ordered convex sets with simplex weights and a steering schedule.
 
     Weights default to uniform.  The schedule satisfies the steering axioms by
-    construction (see `SteeringSchedule`); nonemptiness of the intersection is
-    validated at problem load, not here, because it needs a projection run.
+    construction (see `SteeringSchedule`).  A family may lack a bounded member
+    and may have an empty intersection: `solver.Problem` requires the first,
+    and `solver.validate_problem` checks the second, which needs a projection
+    run.
     """
 
     sets: tuple

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
+    DimensionMismatch,
     MisclassifiedPoint,
     NoFeasiblePoint,
     PreconditionGapZero,
@@ -208,11 +209,15 @@ def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationR
     Samples points y of each intersection and checks <y - a, a - b> >= -slack
     (symmetrically for B), then verifies both points are boundary points via
     the witness a + t(b - a), which must leave A for small t > 0.  The
-    samples come from `problem.seed`; a pair of the wrong dimension raises
-    DimensionMismatch, and a non-finite one ValueError.
+    samples come from `problem.seed`.  A pair point of the wrong dimension,
+    or of a shape other than (n,), raises DimensionMismatch, and a non-finite
+    one ValueError.
     """
     a = finite_points(pair[0], problem.dim, "pair")
     b = finite_points(pair[1], problem.dim, "pair")
+    for point in (a, b):
+        if point.ndim != 1:
+            raise DimensionMismatch(f"pair has shape {point.shape}, expected ({problem.dim},)")
     gap = float(np.linalg.norm(a - b))
     if gap <= 0.0:
         raise PreconditionGapZero("separation check needs a pair with positive gap")

@@ -27,6 +27,11 @@ Two sums need care to keep those bits:
 
 The ellipsoid converts the point to an array and runs its numpy root-find.
 
+Each kind declares the class attributes `strictly_convex` and `bounded`.  The
+bounded kinds (ball, box, ellipsoid) have `bounding_radius`, the radius of the
+smallest origin-centred ball that holds the set; `solver.Problem` takes the
+largest over its members as its radius rho.
+
 `as_points` is the one dimension check of the layers above, `finite_points`
 adds the one finiteness check, and `max_distance` is the distance every stop
 test measures, on two lists or two arrays.  Each set's `contains` is its
@@ -42,7 +47,7 @@ from typing import get_args
 
 import numpy as np
 
-from .errors import DimensionMismatch, EllipsoidRootFindError, UnboundedFamily
+from .errors import DimensionMismatch, EllipsoidRootFindError
 
 # Default additive slack for containment tests. Double-precision projections
 # land within ~1e-12 of boundaries, so 1e-9 absorbs accumulated rounding.
@@ -147,6 +152,7 @@ class Ball:
     radius: float
     kind = "ball"
     strictly_convex = True
+    bounded = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center, "center"))
@@ -194,10 +200,13 @@ class _Affine:
     normal: np.ndarray
     offset: float
     strictly_convex = False
+    bounded = False
 
     def __post_init__(self):
         object.__setattr__(self, "normal", _vec(self.normal, "normal"))
         object.__setattr__(self, "offset", float(self.offset))
+        if not np.isfinite(self.offset):
+            raise ValueError("offset must be finite")
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("normal must be nonzero")
         object.__setattr__(self, "_nn", float(self.normal @ self.normal))
@@ -222,9 +231,6 @@ class _Affine:
             shift = excess / self._nn
             return [v - shift * c for v, c in zip(x, self._normal_list)]
         return x
-
-    def bounding_radius(self):
-        raise UnboundedFamily(f"a {self.kind} is unbounded")
 
 
 class HalfSpace(_Affine):
@@ -258,6 +264,7 @@ class Box:
     hi: np.ndarray
     kind = "box"
     strictly_convex = False
+    bounded = True
 
     def __post_init__(self):
         object.__setattr__(self, "lo", _vec(self.lo, "lo"))
@@ -306,6 +313,7 @@ class Ellipsoid:
     axes: np.ndarray
     kind = "ellipsoid"
     strictly_convex = True
+    bounded = True
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center, "center"))
@@ -445,23 +453,3 @@ def set_to_dict(s: ConvexSet) -> dict:
         value = getattr(s, f.name)
         record[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return record
-
-
-def family_bounding_radius(family) -> float:
-    """Smallest radius of an origin-centered ball containing every bounded member.
-
-    `family` is an `operators.Family`.  Half-spaces and hyperplanes are
-    unbounded; they are tolerated only when a bounded member is present in
-    the same family (the bounded member then encloses the intersection).
-    With no bounded member the hypothesis of a common enclosing ball fails
-    and UnboundedFamily is raised.
-    """
-    radii = []
-    for s in family.sets:
-        try:
-            radii.append(s.bounding_radius())
-        except UnboundedFamily:
-            continue
-    if not radii:
-        raise UnboundedFamily("family has no bounded member")
-    return max(radii)

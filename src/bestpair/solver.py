@@ -21,11 +21,9 @@ from .errors import (
     MaxOuterExceeded,
     ProblemValidationError,
     TraceTooShort,
-    UnboundedFamily,
 )
 from .intersection import project_intersection
 from .operators import Family, apply_q_hat, q_hat_path
-from .sets import family_bounding_radius
 
 DISJOINTNESS_TOL = 1e-6
 # Accuracy of the baseline's inner projections and its outer-iteration budget
@@ -59,8 +57,9 @@ class SolverOptions:
 @dataclass(frozen=True, eq=False)
 class Problem:
     """Two families and solver options.  `rho` is derived: B[0, rho] is the
-    smallest origin-centred ball that holds every bounded member of both
-    families, and a family without one raises ProblemValidationError."""
+    smallest origin-centred ball that holds every member of both families
+    whose kind declares `bounded`, and a family without one raises
+    ProblemValidationError."""
 
     family_a: Family
     family_b: Family
@@ -71,15 +70,13 @@ class Problem:
     def __post_init__(self):
         if self.family_a.dim != self.family_b.dim:
             raise DimensionMismatch("families have different dimensions")
-        radii = []
         for label, fam in (("A", self.family_a), ("B", self.family_b)):
-            try:
-                radii.append(family_bounding_radius(fam))
-            except UnboundedFamily as exc:
+            if not any(s.bounded for s in fam.sets):
                 raise ProblemValidationError(
                     f"family {label} has no bounded member; the bounding hypothesis fails"
-                ) from exc
-        rho = max(radii)
+                )
+        sets = self.family_a.sets + self.family_b.sets
+        rho = max(s.bounding_radius() for s in sets if s.bounded)
         if not np.isfinite(rho):  # rho = 0 passes here and fails validation as not disjoint
             raise ValueError(f"rho must be finite, got {rho!r}")
         object.__setattr__(self, "rho", rho)

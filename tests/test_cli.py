@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestpair import EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli
+from bestpair import EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli, solver
 from bestpair.cli import load_problem, main, parse_problem, serialize_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -146,6 +146,88 @@ def test_serialize_matches_schema():
     doc = serialize_problem(parsed.problem)
     assert set(doc) == {"dimension", "familyA", "familyB", "options", "seed"}
     assert doc["options"]["max_sweeps"] == 400
+
+
+# --- rejected problem files --------------------------------------------------------
+
+DELETE = object()
+BALL_A = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
+NAN, INF = float("nan"), float("inf")
+
+# id: (path into two_balls.json, the value put there or DELETE, the error it
+# causes); an empty path replaces the whole document
+REJECTED_FILES = {
+    "not-an-object": ((), [], "problem file must contain a JSON object"),
+    "no-familyB": (("familyB",), DELETE, "missing key 'familyB' in problem file"),
+    "dimension-0": (("dimension",), 0, "'dimension' must be a positive integer"),
+    "seed-1.5": (("seed",), 1.5, "'seed' must be an integer"),
+    "familyA-int": (("familyA",), 5, "familyA must be an object"),
+    "familyA-list": (("familyA",), [BALL_A], "familyA must be an object"),
+    "no-sets": (("familyA", "sets"), [], "familyA needs a nonempty 'sets' list"),
+    "set-of-dimension-3": (("familyA", "sets", 0, "center"), [0.0, 0.0, 0.0],
+                           "familyA contains a set of dimension 3, expected 2"),
+    "set-not-an-object": (("familyA", "sets", 0), 5,
+                          "set record must be an object with a 'type' tag"),
+    "ball-without-radius": (("familyA", "sets", 0, "radius"), DELETE,
+                            "missing key 'radius' in ball record"),
+    "center-of-shape-2x2": (("familyA", "sets", 0, "center"), [[0.0, 0.0], [0.0, 0.0]],
+                            "center must be a 1-d vector, got shape (2, 2)"),
+    "center-nan": (("familyA", "sets", 0, "center"), [NAN, 0.0], "center must be finite"),
+    "box-dimensions-differ": (
+        ("familyA", "sets", 0), {"type": "box", "lo": [0.0, 0.0], "hi": [1.0, 1.0, 1.0]},
+        "lo and hi dimensions differ"),
+    "ellipsoid-dimensions-differ": (
+        ("familyA", "sets", 0), {"type": "ellipsoid", "center": [0.0, 0.0], "axes": [1.0]},
+        "center and axes dimensions differ"),
+    "k0-0": (("familyA", "schedule", "k0"), 0.0, "k0 must be positive and finite, got 0.0"),
+    **{
+        f"{kind}-offset-{offset}": (
+            ("familyA", "sets"), [BALL_A, {"type": kind, "normal": [1.0, 0.0], "offset": offset}],
+            "offset must be finite")
+        for kind in ("halfspace", "hyperplane")
+        for offset in (NAN, INF, -INF)
+    },
+    "options-int": (("options",), 5, "options must be an object"),
+    "options-list": (("options",), [1], "options must be an object"),
+    "schedule-int": (("familyA", "schedule"), 5, "familyA.schedule must be an object"),
+    "schedule-string": (("familyA", "schedule"), "a", "familyA.schedule must be an object"),
+}
+
+
+def mutated(path, value):
+    doc = json.loads(pathlib.Path(TWO_BALLS).read_text())
+    if not path:
+        return value
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("case", REJECTED_FILES)
+def test_rejected_problem_file_exits_1(case, tmp_path, capsys):
+    path, value, message = REJECTED_FILES[case]
+    problem = write(tmp_path, "p.json", mutated(path, value))
+    assert main(["run", problem, "--out", str(tmp_path / "t")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "check"])
+def test_baseline_budget_exhausted_exits_1(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(solver, "BASELINE_MAX_OUTER", 1)
+    message = "no convergence within 1 outer iterations"
+    argv = [command, TWO_BALLS] + (["--out", str(tmp_path / "t")] if command == "run" else [])
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    if command == "check":  # a failed validation is part of check's report
+        assert err == ""
+        assert json.loads(out)["mandatory"]["validation"] == {"passed": False, "error": message}
+    else:
+        assert (out, err) == ("", f"error: {message}\n")
 
 
 # --- cmd_run -----------------------------------------------------------------------

@@ -15,6 +15,9 @@
   a separate function.  Dataclass fields are not parameters.
 - Every backticked name in README's "Other entry points" paragraph is in
   `bestpair.__all__`, so the README lists no entry point that is gone.
+- Every exception class defined in `errors.py` is raised somewhere in the
+  package and named in some test module: an error type that nothing raises
+  is dead, and one that no test names has a failure path no test reaches.
 """
 
 import ast
@@ -27,6 +30,7 @@ import pytest
 import bestpair
 
 MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
+TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
@@ -148,3 +152,31 @@ def test_readme_entry_points_are_exported():
     assert names
     missing = [name for name in names if name not in bestpair.__all__]
     assert not missing, missing
+
+
+def raised_names(tree):
+    """The name of every class or instance a `raise` statement under tree raises."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def used_names(tree):
+    """Every name and attribute that code under tree reads or writes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_error_type_is_raised_and_tested():
+    errors = parse(pathlib.Path(bestpair.__file__).parent / "errors.py")
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = {name for path in MODULES for name in raised_names(parse(path))}
+    tested = {name for path in TEST_MODULES for name in used_names(parse(path))}
+    assert defined
+    assert not defined - raised, sorted(defined - raised)
+    assert not defined - tested, sorted(defined - tested)

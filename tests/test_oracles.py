@@ -3,6 +3,7 @@ import pytest
 
 from bestpair import (
     Ball,
+    DimensionMismatch,
     Family,
     MisclassifiedPoint,
     NoFeasiblePoint,
@@ -127,6 +128,16 @@ def test_separation_rejects_zero_gap(two_ball_parsed):
     a = np.array([1.0, 0.0])
     with pytest.raises(PreconditionGapZero):
         separation_check(two_ball_parsed.problem, (a, a.copy()), samples=10)
+
+
+@pytest.mark.parametrize("position", [0, 1])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2)])
+def test_separation_rejects_a_batch_as_pair_point(two_ball_parsed, shape, position):
+    pair = [np.array([2.0, 0.0]), np.array([3.0, 0.0])]
+    pair[position] = np.broadcast_to(pair[position], shape)
+    with pytest.raises(DimensionMismatch) as exc:
+        separation_check(two_ball_parsed.problem, tuple(pair), samples=10)
+    assert str(exc.value) == f"pair has shape {shape}, expected (2,)"
 
 
 def test_separation_deterministic_under_seed(two_ball_run):

@@ -41,6 +41,7 @@ class Checked:
     def __init__(self, s):
         self.s = s
         self.dim = s.dim
+        self.bounded = s.bounded
 
     def project(self, x):
         return self.s.project(x)

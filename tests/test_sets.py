@@ -9,8 +9,8 @@ from bestpair import (
     Family,
     HalfSpace,
     Hyperplane,
-    UnboundedFamily,
-    family_bounding_radius,
+    Problem,
+    ProblemValidationError,
     set_from_dict,
     set_to_dict,
 )
@@ -127,17 +127,25 @@ def test_strict_convexity_classification():
 # --- bounding radii --------------------------------------------------------
 
 
+def test_boundedness_classification():
+    for s in ALL_SETS:
+        assert s.bounded == (s.kind in ("ball", "box", "ellipsoid"))
+        assert hasattr(s, "bounding_radius") == s.bounded
+
+
 def test_family_bounding_radius_examples():
-    assert family_bounding_radius(Family((Ball([3, 0], 1),))) == pytest.approx(4.0)
+    ball = Family((Ball([3, 0], 1),))
+    assert Problem(ball, ball).rho == pytest.approx(4.0)
     box = Family((Box([-1, -1], [2, 2]),))
-    assert family_bounding_radius(box) == pytest.approx(2 * np.sqrt(2))
-    with pytest.raises(UnboundedFamily):
-        family_bounding_radius(Family((HalfSpace([1, 0], 0.0),)))
+    assert Problem(box, box).rho == pytest.approx(2 * np.sqrt(2))
+    assert Problem(box, ball).rho == Problem(ball, ball).rho  # the larger radius
+    with pytest.raises(ProblemValidationError, match="family A has no bounded member"):
+        Problem(Family((HalfSpace([1, 0], 0.0),)), ball)
 
 
 def test_halfspace_allowed_with_bounded_sibling():
-    r = family_bounding_radius(Family((HalfSpace([1, 0], 0.0), Ball([0, 0], 2.0))))
-    assert r == pytest.approx(2.0)
+    fam = Family((HalfSpace([1, 0], 0.0), Ball([0, 0], 2.0)))
+    assert Problem(fam, fam).rho == pytest.approx(2.0)
 
 
 def test_ellipsoid_bounding_radius_regular_case():
@@ -297,3 +305,12 @@ def test_invalid_descriptors_rejected():
         Box([1, 1], [0, 0])
     with pytest.raises(ValueError):
         Ellipsoid([0, 0], [1.0, -1.0])
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls", [HalfSpace, Hyperplane])
+def test_non_finite_offset_rejected(cls, offset):
+    # NaN would make a half-space constrain nothing; an infinite offset would
+    # stall the projections instead of failing here
+    with pytest.raises(ValueError, match="^offset must be finite$"):
+        cls([1.0, 0.0], offset)

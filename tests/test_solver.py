@@ -11,6 +11,7 @@ from bestpair import (
     Ellipsoid,
     Family,
     HalfSpace,
+    MaxOuterExceeded,
     Problem,
     ProblemValidationError,
     SolverOptions,
@@ -20,6 +21,7 @@ from bestpair import (
     intersection,
     run_ashlwb,
     run_cheney_goldstein,
+    solver,
     validate_problem,
 )
 from bestpair.solver import IterationTrace
@@ -190,6 +192,21 @@ def test_validation_rejects_unbounded_family():
             Family((HalfSpace([1, 0], 0.0),), schedule=SCHED),
             Family((Ball([4, 0], 1.0),), schedule=SCHED),
         )
+
+
+def test_infinite_bounding_radius_is_rejected():
+    # the radius overflows; treating inf as unbounded would shrink rho
+    near = Family((Ball([0, 0], 1.0),), schedule=SCHED)
+    far = Family((Ball([1e308, 1e308], 1.0),), schedule=SCHED)
+    with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
+        Problem(near, far)
+    assert str(exc.value) == "rho must be finite, got inf"
+
+
+def test_baseline_raises_when_its_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(solver, "BASELINE_MAX_OUTER", 1)
+    with pytest.raises(MaxOuterExceeded, match="^no convergence within 1 outer iterations$"):
+        run_cheney_goldstein(two_ball_problem())
 
 
 def test_run_rejects_overlapping_families():
