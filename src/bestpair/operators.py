@@ -92,7 +92,10 @@ class Family:
         if self.weights is None:
             w = np.full(len(sets), 1.0 / len(sets))
         else:
-            w = np.asarray(self.weights, dtype=float)
+            try:
+                w = np.asarray(self.weights, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"weights must be numbers, got {self.weights!r}") from exc
         if w.shape != (len(sets),):
             raise ValueError("weights length must match number of sets")
         if not np.all(w > 0):

@@ -4,7 +4,7 @@ Five set variants are supported: balls, half-spaces, hyperplanes, axis-aligned
 boxes and axis-aligned ellipsoids.  All projections accept a single point of
 shape (n,) or a batch of shape (..., n) and are exact up to floating point,
 except the ellipsoid which solves a one-dimensional dual equation by
-safeguarded bisection to residual <= 1e-12.
+monotone Newton from a proven lower bound, to residual <= 1e-12.
 
 Each set also has `project_point`, an unchecked projection of one point given
 as a list of n Python floats; it returns a list.  It runs the floating-point
@@ -25,7 +25,8 @@ Two sums need care to keep those bits:
 - A half-space or hyperplane keeps numpy's `x @ normal`: BLAS's dot product
   does not round like an in-order sum at any dimension.
 
-The ellipsoid converts the point to an array and runs its numpy root-find.
+The ellipsoid converts the point to an array and runs the Newton step of
+`project` (`_newton_step`) with a scalar stop test.
 
 Each kind declares the class attributes `strictly_convex` and `bounded`.  The
 bounded kinds (ball, box, ellipsoid) have `bounding_radius`, the radius of the
@@ -54,7 +55,9 @@ from .errors import DimensionMismatch, EllipsoidRootFindError
 CONTAINS_TOL = 1e-9
 
 _ELLIPSOID_ROOT_RESIDUAL = 1e-12
-_ELLIPSOID_MAX_BISECT = 110
+# round cap of both root-finds: the projection's Newton and the bisection
+# of `Ellipsoid.bounding_radius`
+_ELLIPSOID_MAX_ROUNDS = 110
 
 # numpy's add.reduce sums fewer terms than this in order, and more pairwise
 PAIRWISE_SUM_MIN = 8
@@ -119,9 +122,9 @@ def _bisect(f, lo, hi):
 
     A round is a function of (lo, hi) alone, so the loop stops once a round
     would leave them unchanged: every later round would repeat it, and the
-    result has the bits of `_ELLIPSOID_MAX_BISECT` rounds.
+    result has the bits of `_ELLIPSOID_MAX_ROUNDS` rounds.
     """
-    for _ in range(_ELLIPSOID_MAX_BISECT):
+    for _ in range(_ELLIPSOID_MAX_ROUNDS):
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             if mid == lo:
@@ -134,13 +137,33 @@ def _bisect(f, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _dual_start(g, a2):
+    """A lower bound on the root of the ellipsoid's dual residual
+    phi(lam) = sum_d (g_d / (a2_d + lam))^2 - 1, along the last axis of g.
+
+    Term d is at least 1 while lam <= |g_d| - a2_d, so phi >= 0 up to the
+    largest of these, and the root lies at or beyond it."""
+    return np.maximum(np.maximum.reduce(np.abs(g) - a2, axis=-1), 0.0)
+
+
+def _newton_step(g, s):
+    """phi(lam) and the Newton step from lam, given s = a2 + lam; the last
+    axis of g and s is the dimension, so a batch passes lam as a column.
+
+    phi is convex and decreasing, so from a lam left of the root the step is
+    positive and the next lam stays left of it, up to rounding."""
+    r2 = (g / s) ** 2
+    phi = np.add.reduce(r2, axis=-1) - 1.0
+    return phi, phi / (2.0 * np.add.reduce(r2 / s, axis=-1))
+
+
 def _check_dual_residual(worst):
     """EllipsoidRootFindError if `worst`, the largest dual residual of an
     ellipsoid projection, exceeds `_ELLIPSOID_ROOT_RESIDUAL`."""
     if worst > _ELLIPSOID_ROOT_RESIDUAL:
         raise EllipsoidRootFindError(
-            f"dual residual {worst:.3e} after {_ELLIPSOID_MAX_BISECT} "
-            "bisections; axes may be numerically degenerate"
+            f"dual residual {worst:.3e} after at most {_ELLIPSOID_MAX_ROUNDS} "
+            "Newton rounds; axes may be numerically degenerate"
         )
 
 
@@ -335,12 +358,15 @@ class Ellipsoid:
         """Project via the dual equation.
 
         For z = x - center outside the ellipsoid the projection is
-        y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the unique root of the
-        constraint residual phi(lam) = sum_d (y_d/a_d)^2 - 1.  phi is strictly
-        decreasing, so a fixed bisection count is deterministic and safe.  A
-        round is a function of (lo, hi) alone, so the bisection stops early
-        once a round leaves every row's bracket unchanged: the remaining
-        rounds would repeat it, and the result keeps the same bits.
+        y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the unique root of
+        phi(lam) = sum_d (g_d / (a_d^2 + lam))^2 - 1, where g_d = z_d * a_d.
+        phi is convex and decreasing, so Newton from the lower bound
+        `_dual_start` rises monotonically to the root.  A row keeps its lam
+        at the first step that would not raise it; a step is a function of
+        lam alone, so the batch stops once no row moves, and each row has
+        the bits of `project_point` on that point.  Should the round cap
+        come first, the residual checked is the one a step back, which is
+        no smaller.
         """
         x = as_points(x, self.dim)
         shape = x.shape
@@ -352,24 +378,16 @@ class Ellipsoid:
         if not np.any(outside):
             return x
         zo = z[outside]
-
-        def phi(lam):
-            y = zo * a2 / (a2 + lam[:, None])
-            return np.sum((y / self.axes) ** 2, axis=-1) - 1.0
-
-        lo = np.zeros(zo.shape[0])
-        # phi(lam) <= (||a*z|| / lam)^2 - 1 < 0 once lam exceeds ||a*z||
-        hi = np.linalg.norm(zo * self.axes, axis=-1) + np.max(a2)
-        for _ in range(_ELLIPSOID_MAX_BISECT):
-            mid = 0.5 * (lo + hi)
-            w = phi(mid) > 0.0
-            lo_next = np.where(w, mid, lo)
-            hi_next = np.where(w, hi, mid)
-            if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
-                break  # every later round would repeat this one
-            lo, hi = lo_next, hi_next
-        lam = 0.5 * (lo + hi)
-        _check_dual_residual(np.abs(phi(lam)).max())
+        g = zo * self.axes
+        lam = _dual_start(g, a2)
+        for _ in range(_ELLIPSOID_MAX_ROUNDS):
+            phi, step = _newton_step(g, a2 + lam[:, None])
+            nxt = lam + step
+            rises = nxt > lam
+            if not rises.any():
+                break
+            lam = np.where(rises, nxt, lam)
+        _check_dual_residual(np.abs(phi).max())
         proj = pts.copy()
         proj[outside] = self.center + zo * a2 / (a2 + lam[:, None])
         return proj.reshape(shape)
@@ -379,14 +397,16 @@ class Ellipsoid:
         if not np.add.reduce((z / self.axes) ** 2) > 1.0:
             return x
         a2 = self._a2
-        za2 = z * a2
-
-        def phi(lam):
-            return np.add.reduce((za2 / (a2 + lam) / self.axes) ** 2) - 1.0
-
-        lam = _bisect(phi, 0.0, np.linalg.norm(z * self.axes, axis=-1) + np.max(a2))
-        _check_dual_residual(abs(phi(lam)))
-        return (self.center + za2 / (a2 + lam)).tolist()
+        g = z * self.axes
+        lam = _dual_start(g, a2)
+        for _ in range(_ELLIPSOID_MAX_ROUNDS):
+            phi, step = _newton_step(g, a2 + lam)
+            nxt = lam + step
+            if not nxt > lam:
+                break
+            lam = nxt
+        _check_dual_residual(abs(phi))
+        return (self.center + z * a2 / (a2 + lam)).tolist()
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)

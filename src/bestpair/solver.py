@@ -50,8 +50,14 @@ class SolverOptions:
             raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
         for name in ("pair_gap_tol", "fixed_point_tol"):
             value = getattr(self, name)
-            if not (value > 0 and np.isfinite(value)):
+            if (isinstance(value, bool)
+                    or not isinstance(value, (int, float, np.integer, np.floating))
+                    or not (value > 0 and np.isfinite(value))):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not isinstance(self.record_inner_steps, (bool, np.bool_)):
+            raise ValueError(
+                f"record_inner_steps must be true or false, got {self.record_inner_steps!r}"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -191,6 +191,15 @@ REJECTED_FILES = {
     "options-list": (("options",), [1], "options must be an object"),
     "schedule-int": (("familyA", "schedule"), 5, "familyA.schedule must be an object"),
     "schedule-string": (("familyA", "schedule"), "a", "familyA.schedule must be an object"),
+    "pair_gap_tol-string": (("options",), {"pair_gap_tol": "a"},
+                            "pair_gap_tol must be positive and finite, got 'a'"),
+    "fixed_point_tol-bool": (("options",), {"fixed_point_tol": True},
+                             "fixed_point_tol must be positive and finite, got True"),
+    "record_inner_steps-string": (("options",), {"record_inner_steps": "yes"},
+                                  "record_inner_steps must be true or false, got 'yes'"),
+    "weights-string": (("familyA", "weights"), "a", "weights must be numbers, got 'a'"),
+    "weights-list-of-strings": (("familyA", "weights"), ["a"],
+                                "weights must be numbers, got ['a']"),
 }
 
 
@@ -359,7 +368,7 @@ def test_help_exits_0(capsys):
 
 @pytest.mark.parametrize("error", [
     MaxIterExceeded("reference projection did not converge in 5 cycles"),
-    EllipsoidRootFindError("dual residual 1.000e-06 after 110 bisections"),
+    EllipsoidRootFindError("dual residual 1.000e-06 after at most 110 Newton rounds"),
     SamplingFailure("rejection sampling exhausted 1000000 draws"),
 ])
 def test_projection_failures_exit_3(error, tmp_path, monkeypatch, capsys):

@@ -1,7 +1,9 @@
 """The single-point path (`project_point`) against the checked `project` path.
 
 `project_point` takes and returns a list of floats and promises the bits of
-`project` on the same point, so every comparison here is exact.  The checked
+`project` on the same point, so every comparison of the two paths here is
+exact; the ellipsoid's root-find is also held to a bound against a 110-round
+bisection.  The checked
 path is kept as the reference: the `Checked` wrapper routes a set's point
 projections through `project`, which is how every single-point projection
 ran before the point path existed.  Dimensions reach 12, past the 8 terms
@@ -29,6 +31,7 @@ from bestpair import (
     q_hat_path,
     run_ashlwb,
 )
+from bestpair import sets
 from bestpair.sets import max_distance, point_norm
 
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
@@ -181,7 +184,7 @@ def test_point_norm_equals_linalg_norm(d):
 
 
 def bisection_110(e, pts):
-    """The ellipsoid root-find as it ran before its early exit: always 110 rounds."""
+    """The ellipsoid root-find as it ran before Newton: 110 rounds of bisection."""
     z = pts - e.center
     a2 = e.axes**2
     outside = np.sum((z / e.axes) ** 2, axis=-1) > 1.0
@@ -205,20 +208,49 @@ def bisection_110(e, pts):
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_ellipsoid_early_exit_equals_110_rounds(data):
-    """Stopping at the bisection's fixed point keeps the bits of 110 rounds."""
-    n = data.draw(st.integers(1, 12))
+def test_ellipsoid_newton_matches_110_round_bisection(data):
+    """Newton lands within 8 ulps of the largest coordinate of the bisection's
+    row, fails exactly where the bisection leaves a dual residual over 1e-12,
+    and the point path keeps the bits of the batch row."""
+    n = data.draw(st.integers(1, 20))
     e = data.draw(sets_of_kind("ellipsoid", n))
-    scale = data.draw(st.sampled_from([1.0, 1e3]))
+    scale = data.draw(st.sampled_from([1.0, 1e3, 1e4]))
     pts = scale * np.stack(data.draw(st.lists(vectors(n), min_size=1, max_size=5)))
     expected, residual = bisection_110(e, pts)
     if np.any(residual > 1e-12):
         with pytest.raises(EllipsoidRootFindError):
             e.project(pts)
         return
-    assert same_bits(e.project(pts), expected)
-    for p, row in zip(pts, expected):
+    got = e.project(pts)
+    bound = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(expected).max(axis=-1))
+    assert np.all(np.abs(got - expected).max(axis=-1) <= bound)
+    for p, row in zip(pts, got):
         assert same_bits(np.array(e.project_point(p.tolist())), row)
+
+
+def test_ellipsoid_newton_rounds_stay_under_20(monkeypatch, rng):
+    """From its warm start, Newton needs fewer than 20 rounds on thin
+    ellipsoids seen from 1e3 to 1e4 away and on points an ulp outside; one
+    round is too few in 20-D, so the cap is live.  (In 1-D the start is the
+    root.)"""
+    monkeypatch.setattr(sets, "_ELLIPSOID_MAX_ROUNDS", 20)
+    for n in (1, 2, 5, 12, 20):
+        axes = rng.uniform(0.5, 3.0, n)
+        axes[0] = 1e-4
+        e = Ellipsoid(rng.uniform(-1.0, 1.0, n), axes)
+        u = rng.standard_normal((40, n))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        far = e.center + rng.uniform(1e3, 1e4, (40, 1)) * u
+        near = e.center + e.axes * u
+        while np.any(e.contains(near, tol=0.0)):  # step each coordinate out by an ulp
+            near = np.nextafter(near, np.where(near > e.center, np.inf, -np.inf))
+        for pts in (far, near):
+            e.project(pts)
+            for p in pts:
+                e.project_point(p.tolist())
+    monkeypatch.setattr(sets, "_ELLIPSOID_MAX_ROUNDS", 1)
+    with pytest.raises(EllipsoidRootFindError):
+        e.project(far)
 
 
 @settings(max_examples=100, deadline=None)

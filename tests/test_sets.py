@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bestpair import (
     Ball,
@@ -238,6 +240,59 @@ def test_nonexpansive_equality_case(s, rng):
         dx = np.linalg.norm(x - px, axis=1)
         dy = np.linalg.norm(y - py, axis=1)
         assert np.abs(dx[near] - dy[near]).max() <= 1e-6
+
+
+@st.composite
+def ellipsoid_and_rng(draw):
+    """An ellipsoid in dimension 1 to 20, thin in one axis half the time, and
+    a seeded generator for its sample points."""
+    n = draw(st.integers(1, 20))
+    center = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
+    axes = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):  # thin: one axis 10^2 to 10^4 times shorter
+        axes[draw(st.integers(0, n - 1))] = draw(st.floats(1e-4, 1e-2))
+    return Ellipsoid(center, axes), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+def around(e, rng, count):
+    """Points about the ellipsoid, up to 1e3 times its size away."""
+    scale = rng.choice([1.0, 10.0, 1e3], (count, 1)) * np.max(e.axes)
+    return e.center + scale * rng.uniform(-1.0, 1.0, (count, e.dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ellipsoid_and_rng())
+def test_ellipsoid_variational_inequality_high_dim(case):
+    e, rng = case
+    x = around(e, rng, 20)
+    p = e.project(x)
+    ys = sample_inside(e, rng, 200)
+    for xi, pi in zip(x, p):
+        # <y - Px, x - Px> <= tol for every y in the set, tol relative to the lengths
+        dots = (ys - pi) @ (xi - pi)
+        lengths = np.linalg.norm(xi - pi) * np.maximum(1.0, np.linalg.norm(ys - pi, axis=1))
+        assert np.all(dots <= 1e-9 * lengths)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ellipsoid_and_rng())
+def test_ellipsoid_projection_idempotent_high_dim(case):
+    e, rng = case
+    p = e.project(around(e, rng, 20))
+    assert np.all(e.contains(p))
+    scale = np.maximum(1.0, np.abs(p).max(axis=1))
+    assert np.all(np.abs(e.project(p) - p).max(axis=1) <= 1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ellipsoid_and_rng())
+def test_ellipsoid_projection_nonexpansive_high_dim(case):
+    e, rng = case
+    x, y = around(e, rng, 20), around(e, rng, 20)
+    px, py = e.project(x), e.project(y)
+    scale = np.maximum(1.0, np.maximum(np.abs(px).max(axis=1), np.abs(py).max(axis=1)))
+    lhs = np.linalg.norm(px - py, axis=1)
+    assert np.all(lhs <= np.linalg.norm(x - y, axis=1) + 1e-12 * scale)
 
 
 @pytest.mark.parametrize(
