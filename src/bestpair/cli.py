@@ -94,7 +94,7 @@ def _parse_family(record, dimension: int, where: str) -> Family:
     sched = record.get("schedule")
     if sched is not None:
         _reject_unknown(sched, _SCHEDULE_KEYS, f"{where}.schedule")
-        schedule = SteeringSchedule(**{k: float(v) for k, v in sched.items()})
+        schedule = SteeringSchedule(**sched)
     else:
         schedule = SteeringSchedule()
     return Family(sets, weights, schedule)
@@ -109,7 +109,7 @@ def parse_problem(doc: dict) -> ParsedProblem:
         if key not in doc:
             raise ValueError(f"missing key {key!r} in problem file")
     dimension = doc["dimension"]
-    if not isinstance(dimension, int) or dimension < 1:
+    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
         raise ValueError("'dimension' must be a positive integer")
     fam_a = _parse_family(doc["familyA"], dimension, "familyA")
     fam_b = _parse_family(doc["familyB"], dimension, "familyB")
@@ -117,7 +117,7 @@ def parse_problem(doc: dict) -> ParsedProblem:
     _reject_unknown(opts_rec, _OPTION_KEYS, "options")
     options = SolverOptions(**opts_rec)
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ValueError("'seed' must be an integer")
     problem = Problem(fam_a, fam_b, options, seed)
     return ParsedProblem(problem)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
-from .sets import CONTAINS_TOL, finite_points, max_distance
+from .sets import CONTAINS_TOL, as_number, as_vector, finite_points, max_distance
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_MAX_ITER = 200_000
@@ -47,12 +47,14 @@ class SteeringSchedule:
     p: float = 1.0
 
     def __post_init__(self):
+        for name in ("c", "k0", "p"):
+            object.__setattr__(self, name, as_number(getattr(self, name), name))
         if not (self.k0 > 0 and np.isfinite(self.k0)):
-            raise ValueError(f"k0 must be positive and finite, got {float(self.k0)}")
+            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(
                 "schedule violates the steering axioms: "
-                f"p must lie in (0, 1], got {float(self.p)}"
+                f"p must lie in (0, 1], got {self.p}"
             )
         tau0 = self.tau(0)
         if not 0.0 < tau0 < 1.0:
@@ -92,10 +94,7 @@ class Family:
         if self.weights is None:
             w = np.full(len(sets), 1.0 / len(sets))
         else:
-            try:
-                w = np.asarray(self.weights, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"weights must be numbers, got {self.weights!r}") from exc
+            w = as_vector(self.weights, "weights")
         if w.shape != (len(sets),):
             raise ValueError("weights length must match number of sets")
         if not np.all(w > 0):

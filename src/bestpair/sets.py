@@ -25,8 +25,8 @@ Two sums need care to keep those bits:
 - A half-space or hyperplane keeps numpy's `x @ normal`: BLAS's dot product
   does not round like an in-order sum at any dimension.
 
-The ellipsoid converts the point to an array and runs the Newton step of
-`project` (`_newton_step`) with a scalar stop test.
+The ellipsoid converts the point to an array for `_newton_root`, the scalar
+loop of the Newton step of `project`, which `bounding_radius` runs too.
 
 Each kind declares the class attributes `strictly_convex` and `bounded`.  The
 bounded kinds (ball, box, ellipsoid) have `bounding_radius`, the radius of the
@@ -34,8 +34,9 @@ smallest origin-centred ball that holds the set; `solver.Problem` takes the
 largest over its members as its radius rho.
 
 `as_points` is the one dimension check of the layers above, `finite_points`
-adds the one finiteness check, and `max_distance` is the distance every stop
-test measures, on two lists or two arrays.  Each set's `contains` is its
+adds the one finiteness check, `as_number` and `as_vector` are the one type
+check of numbers read from input, and `max_distance` is the distance every
+stop test measures, on two lists or two arrays.  Each set's `contains` is its
 membership test; `operators.Family.contains` joins them for an intersection.
 """
 
@@ -55,8 +56,7 @@ from .errors import DimensionMismatch, EllipsoidRootFindError
 CONTAINS_TOL = 1e-9
 
 _ELLIPSOID_ROOT_RESIDUAL = 1e-12
-# round cap of both root-finds: the projection's Newton and the bisection
-# of `Ellipsoid.bounding_radius`
+# round cap of the ellipsoid's Newton, in its projection and `bounding_radius`
 _ELLIPSOID_MAX_ROUNDS = 110
 
 # numpy's add.reduce sums fewer terms than this in order, and more pairwise
@@ -108,46 +108,41 @@ def finite_points(x, dim, what="point"):
     return x
 
 
-def _vec(v, name):
-    v = np.asarray(v, dtype=float)
+def is_number(x):
+    """An int or a float; not a bool or a string, which float() would take."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def as_number(value, what):
+    """float(value), or ValueError naming `what` unless `is_number(value)`."""
+    if not is_number(value):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def as_vector(v, what):
+    """A finite float vector of one or more entries; ValueError naming `what`."""
+    entries = np.asarray(v, dtype=object)
+    if not all(map(is_number, entries.flat)):
+        raise ValueError(f"{what} must be numbers, got {v!r}")
+    v = entries.astype(float)
     if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"{name} must be a 1-d vector, got shape {v.shape}")
+        raise ValueError(f"{what} must be a 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} must be finite")
+        raise ValueError(f"{what} must be finite")
     return v
 
 
-def _bisect(f, lo, hi):
-    """The root of a decreasing f on [lo, hi], by bisection on the sign of f.
-
-    A round is a function of (lo, hi) alone, so the loop stops once a round
-    would leave them unchanged: every later round would repeat it, and the
-    result has the bits of `_ELLIPSOID_MAX_ROUNDS` rounds.
-    """
-    for _ in range(_ELLIPSOID_MAX_ROUNDS):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            if mid == lo:
-                break
-            lo = mid
-        else:
-            if mid == hi:
-                break
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _dual_start(g, a2):
-    """A lower bound on the root of the ellipsoid's dual residual
-    phi(lam) = sum_d (g_d / (a2_d + lam))^2 - 1, along the last axis of g.
-
-    Term d is at least 1 while lam <= |g_d| - a2_d, so phi >= 0 up to the
-    largest of these, and the root lies at or beyond it."""
-    return np.maximum(np.maximum.reduce(np.abs(g) - a2, axis=-1), 0.0)
+def _dual_start(g, shift, floor):
+    """A lower bound past `floor` on the root of phi(lam) = sum_d (g_d /
+    (shift_d + lam))^2 - 1, along the last axis of g: term d is at least 1
+    while shift_d + lam <= |g_d|.  The projection passes shift a^2 and floor
+    0, `Ellipsoid.bounding_radius` shift -a^2 and the float past max a^2."""
+    return np.maximum.reduce(np.abs(g) - shift, axis=-1, initial=floor)
 
 
 def _newton_step(g, s):
-    """phi(lam) and the Newton step from lam, given s = a2 + lam; the last
+    """phi(lam) and the Newton step from lam, given s = shift + lam; the last
     axis of g and s is the dimension, so a batch passes lam as a column.
 
     phi is convex and decreasing, so from a lam left of the root the step is
@@ -155,6 +150,20 @@ def _newton_step(g, s):
     r2 = (g / s) ** 2
     phi = np.add.reduce(r2, axis=-1) - 1.0
     return phi, phi / (2.0 * np.add.reduce(r2 / s, axis=-1))
+
+
+def _newton_root(g, shift, floor):
+    """(lam, phi(lam)) for one point, by Newton from `_dual_start` up to the
+    first step that does not raise lam (a NaN step included); should the round
+    cap come first, phi is the residual a step back, which is no smaller."""
+    lam = _dual_start(g, shift, floor)
+    for _ in range(_ELLIPSOID_MAX_ROUNDS):
+        phi, step = _newton_step(g, shift + lam)
+        nxt = lam + step
+        if not nxt > lam:
+            break
+        lam = nxt
+    return lam, phi
 
 
 def _check_dual_residual(worst):
@@ -178,8 +187,8 @@ class Ball:
     bounded = True
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center, "center"))
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "center", as_vector(self.center, "center"))
+        object.__setattr__(self, "radius", as_number(self.radius, "radius"))
         if not (self.radius > 0 and np.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         object.__setattr__(self, "_center_list", self.center.tolist())
@@ -226,8 +235,8 @@ class _Affine:
     bounded = False
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", _vec(self.normal, "normal"))
-        object.__setattr__(self, "offset", float(self.offset))
+        object.__setattr__(self, "normal", as_vector(self.normal, "normal"))
+        object.__setattr__(self, "offset", as_number(self.offset, "offset"))
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
         if np.linalg.norm(self.normal) == 0.0:
@@ -290,8 +299,8 @@ class Box:
     bounded = True
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", _vec(self.lo, "lo"))
-        object.__setattr__(self, "hi", _vec(self.hi, "hi"))
+        object.__setattr__(self, "lo", as_vector(self.lo, "lo"))
+        object.__setattr__(self, "hi", as_vector(self.hi, "hi"))
         if self.lo.size != self.hi.size:
             raise DimensionMismatch("lo and hi dimensions differ")
         if not np.all(self.lo <= self.hi):
@@ -339,8 +348,8 @@ class Ellipsoid:
     bounded = True
 
     def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center, "center"))
-        object.__setattr__(self, "axes", _vec(self.axes, "axes"))
+        object.__setattr__(self, "center", as_vector(self.center, "center"))
+        object.__setattr__(self, "axes", as_vector(self.axes, "axes"))
         if self.center.size != self.axes.size:
             raise DimensionMismatch("center and axes dimensions differ")
         if not np.all(self.axes > 0):
@@ -379,7 +388,7 @@ class Ellipsoid:
             return x
         zo = z[outside]
         g = zo * self.axes
-        lam = _dual_start(g, a2)
+        lam = _dual_start(g, a2, 0.0)
         for _ in range(_ELLIPSOID_MAX_ROUNDS):
             phi, step = _newton_step(g, a2 + lam[:, None])
             nxt = lam + step
@@ -397,14 +406,7 @@ class Ellipsoid:
         if not np.add.reduce((z / self.axes) ** 2) > 1.0:
             return x
         a2 = self._a2
-        g = z * self.axes
-        lam = _dual_start(g, a2)
-        for _ in range(_ELLIPSOID_MAX_ROUNDS):
-            phi, step = _newton_step(g, a2 + lam)
-            nxt = lam + step
-            if not nxt > lam:
-                break
-            lam = nxt
+        lam, phi = _newton_root(z * self.axes, a2, 0.0)
         _check_dual_residual(abs(phi))
         return (self.center + z * a2 / (a2 + lam)).tolist()
 
@@ -415,30 +417,27 @@ class Ellipsoid:
     def bounding_radius(self):
         """Exact radius of the smallest origin-centred ball containing the set.
 
-        Maximizes ||c + a*s|| over unit vectors s.  Off the longest axes the
-        maximizer has s_d = a_d c_d / (lam - a_d^2), where lam is the root on
-        [max a^2, inf) of the secular equation psi(lam) = sum_d (a_d c_d)^2 /
-        (lam - a_d^2)^2 = 1, or max a^2 itself if psi stays below 1 there.
-        The longest-axis part of s follows c's (any longest axis if c has
-        none) and takes up the rest of ||s|| = 1.  One bisection from
-        lam = max a^2 covers every centre, a tiny longest-axis part included.
+        Maximizes ||c + a*s|| over unit vectors s: off the longest axes
+        s_d = g_d / (lam - a_d^2) with g = a*c, where psi(lam) = sum_d (g_d /
+        (lam - a_d^2))^2 = 1 past max a^2 (or lam = max a^2 if psi < 1 there);
+        the longest-axis part of s follows c's (any longest axis if c has
+        none) and takes up the rest of ||s|| = 1.  `_newton_root` solves
+        psi - 1 = 0 from the float past the pole, not from the pole, where a
+        tiny longest-axis part makes the step NaN; a lam a rounding short of
+        the root leaves ||s|| > 1, and s is scaled back onto the sphere.
         """
         c, a, a2 = self.center, self.axes, self._a2
         amax2 = float(np.max(a2))
         g = a * c
         top = a2 == amax2
-        gn, a2n = g[g != 0.0], a2[g != 0.0]
-
-        def psi_minus_1(lam):  # +inf at max a^2 when c has a longest-axis part
-            with np.errstate(divide="ignore", over="ignore"):
-                return float(np.sum((gn / (lam - a2n)) ** 2)) - 1.0
-
-        lam = _bisect(psi_minus_1, amax2, amax2 + float(np.linalg.norm(g)))
-        s = np.zeros_like(c)
-        s[~top] = g[~top] / (lam - a2[~top])
+        # a sum that is empty or underflows makes the step -inf, and the loop stops
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            lam = _newton_root(g[g != 0.0], -a2[g != 0.0], np.nextafter(amax2, np.inf))[0]
+        s = np.where(top, 0.0, g / np.where(top, 1.0, lam - a2))
         v = np.where(top, c, 0.0)  # scaled below, so that a tiny part keeps its direction
         v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]
-        s += math.sqrt(max(1.0 - float(np.sum(s**2)), 0.0)) * v / np.linalg.norm(v)
+        ss = float(np.sum(s**2))
+        s = s / math.sqrt(ss) if ss > 1.0 else s + math.sqrt(1.0 - ss) * v / np.linalg.norm(v)
         return float(np.linalg.norm(c + a * s))
 
 

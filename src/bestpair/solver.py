@@ -24,6 +24,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, apply_q_hat, q_hat_path
+from .sets import is_number
 
 DISJOINTNESS_TOL = 1e-6
 # Accuracy of the baseline's inner projections and its outer-iteration budget
@@ -50,9 +51,7 @@ class SolverOptions:
             raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
         for name in ("pair_gap_tol", "fixed_point_tol"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, (int, float, np.integer, np.floating))
-                    or not (value > 0 and np.isfinite(value))):
+            if not (is_number(value) and value > 0 and np.isfinite(value)):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not isinstance(self.record_inner_steps, (bool, np.bool_)):
             raise ValueError(

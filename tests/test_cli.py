@@ -200,6 +200,25 @@ REJECTED_FILES = {
     "weights-string": (("familyA", "weights"), "a", "weights must be numbers, got 'a'"),
     "weights-list-of-strings": (("familyA", "weights"), ["a"],
                                 "weights must be numbers, got ['a']"),
+    # a JSON number is read where a number is meant, not a bool or a numeric string
+    "c-string": (("familyA", "schedule", "c"), "a", "c must be a number, got 'a'"),
+    "c-bool": (("familyA", "schedule", "c"), True, "c must be a number, got True"),
+    "k0-numeric-string": (("familyA", "schedule", "k0"), "2", "k0 must be a number, got '2'"),
+    "seed-bool": (("seed",), True, "'seed' must be an integer"),
+    "dimension-bool": (("dimension",), True, "'dimension' must be a positive integer"),
+    "radius-bool": (("familyA", "sets", 0, "radius"), True, "radius must be a number, got True"),
+    "radius-numeric-string": (("familyA", "sets", 0, "radius"), "1",
+                              "radius must be a number, got '1'"),
+    "offset-numeric-string": (
+        ("familyA", "sets"), [BALL_A, {"type": "halfspace", "normal": [1.0, 0.0], "offset": "1"}],
+        "offset must be a number, got '1'"),
+    "center-bools": (("familyA", "sets", 0, "center"), [True, False],
+                     "center must be numbers, got [True, False]"),
+    "center-numeric-strings": (("familyA", "sets", 0, "center"), ["0", "0"],
+                               "center must be numbers, got ['0', '0']"),
+    "weights-bool": (("familyA", "weights"), [True], "weights must be numbers, got [True]"),
+    "weights-numeric-strings": (("familyA", "weights"), ["1"],
+                                "weights must be numbers, got ['1']"),
 }
 
 

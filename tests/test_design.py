@@ -1,6 +1,10 @@
 """Design rules of the package, checked on its source with `ast`.
 
 - No module imports another module's private name.
+- Every module-level private name (a function, class or constant whose name
+  starts with one underscore) is read somewhere in its own module: since no
+  other module may import it, a private name that its module does not read
+  is dead.
 - No import inside a function: every dependency shows at the top of a module.
 - Each UPPER_CASE module constant is defined in one module only, so a value
   such as a tolerance has one place where it is decided.
@@ -81,6 +85,32 @@ def test_no_private_import(path):
         if alias.name.startswith("_")
     ]
     assert not bad, bad
+
+
+def private_definitions(tree):
+    """(name, line) of every module-level function, class or assigned name of
+    tree that starts with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        else:
+            targets = node.targets if isinstance(node, ast.Assign) else (
+                [node.target] if isinstance(node, ast.AnnAssign) else [])
+            names = [target.id for target in targets if isinstance(target, ast.Name)]
+        for name in names:
+            if re.match(r"_[^_]", name):
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_private_name_is_read(path):
+    tree = parse(path)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    dead = [f"line {line}: {name}" for name, line in private_definitions(tree) if name not in read]
+    assert not dead, dead
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bestpair import (
@@ -16,6 +18,7 @@ from bestpair import (
     set_from_dict,
     set_to_dict,
 )
+from bestpair import sets
 
 ALL_SETS = [
     Ball([0.3, -0.2], 1.5),
@@ -187,6 +190,89 @@ def test_ellipsoid_bounding_radius_vs_sampling(center, axes, rng):
     r = e.bounding_radius()
     assert r >= sampled - 1e-9
     assert r <= sampled + 1e-3
+
+
+@st.composite
+def ellipsoid_for_radius(draw):
+    """Centre and axes in dimension 1 to 20: the longest axis tied in up to
+    three coordinates, the centre scaled from 1e-9 to 100, and its part along
+    the longest axes as drawn, zero, or tiny (1e-12 or 1e-8)."""
+    n = draw(st.integers(1, 20))
+    axes = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
+    axes[draw(st.lists(st.integers(0, n - 1), max_size=3))] = axes.max()
+    scale = 10.0 ** draw(st.integers(-9, 2))
+    center = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    part = draw(st.sampled_from([None, 0.0, 1e-12, 1e-8]))
+    if part is not None:
+        center[axes == axes.max()] = part
+    return center, axes
+
+
+def bisection_radius(center, axes):
+    """The bounding radius by 110 rounds of bisection for the least lam with
+    psi(lam) = sum_d (g_d / (lam - a_d^2))^2 <= 1, over the g_d = a_d c_d != 0,
+    on [max a^2, max a^2 + ||g||]; the maximizer s on the unit sphere has
+    s_d = g_d / (lam - a_d^2) off the longest axes and the rest of its norm
+    along c's longest-axis part (or along one longest axis if c has none)."""
+    a2 = axes**2
+    amax2 = float(np.max(a2))
+    g = axes * center
+    top = a2 == amax2
+    gn, a2n = g[g != 0.0], a2[g != 0.0]
+    lo, hi = amax2, amax2 + float(np.linalg.norm(g))  # psi(hi) <= 1
+    for _ in range(110):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        with np.errstate(over="ignore"):
+            above = float(np.sum((gn / (mid - a2n)) ** 2)) > 1.0
+        lo, hi = (mid, hi) if above else (lo, mid)
+    s = np.where(top, 0.0, g / np.where(top, 1.0, hi - a2))
+    v = np.where(top, center, 0.0)
+    v = v / np.max(np.abs(v)) if v.any() else np.eye(center.size)[np.argmax(a2)]
+    s = s + math.sqrt(max(1.0 - float(np.sum(s**2)), 0.0)) * v / np.linalg.norm(v)
+    return float(np.linalg.norm(center + axes * s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ellipsoid_for_radius())
+# psi without its tiny longest-axis term is 1.05 at the pole: the root lies
+# well past it, though a start at max a^2 would sit on it
+@example((np.array([0.5, 1.0, 5e-77]), np.array([4.0, 3.0, 4.25])))
+# Newton stops a rounding short of the root, where ||s|| > 1
+@example((np.array([-0.07, 0.52, 0.0]), np.array([2.31, 0.26, 2.32])))
+def test_ellipsoid_bounding_radius_matches_bisection(case):
+    center, axes = case
+    expected = bisection_radius(center, axes)
+    got = Ellipsoid(center, axes).bounding_radius()
+    assert abs(got - expected) <= 8 * np.finfo(float).eps * expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(ellipsoid_for_radius())
+# the slowest case found, 34 rounds: psi without its tiny longest-axis term is
+# 1 at the pole, so the root sits just past it
+@example((
+    np.array([47.36604725346328, 0.775613366718779, 6.949343701188879,
+              0.8973833835464855, 1.0329131728736855e-15]),
+    np.array([0.20164118781374296, 1.9334793327661874, 0.627659359001801,
+              1.9444231068063285, 3.3396154114885235]),
+))
+def test_ellipsoid_bounding_radius_rounds_stay_under_40(case):
+    """Newton needs at most 40 of its 110 rounds.  The count is of steps, not
+    of the radius a smaller cap would give: at the maximum the radius is
+    stationary in lam, so one round often gets it to within 1e-12."""
+    rounds = []
+
+    def counted(g, s):
+        rounds.append(None)
+        return newton_step(g, s)
+
+    newton_step = sets._newton_step
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sets, "_newton_step", counted)
+        Ellipsoid(*case).bounding_radius()
+    assert 1 <= len(rounds) <= 40
 
 
 # --- operator properties ---------------------------------------------------

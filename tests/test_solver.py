@@ -371,15 +371,45 @@ def test_distance_nearly_touching_balls():
 # --- cross-solver invariants -----------------------------------------------------------
 
 
-def test_swap_symmetry(lens_parsed):
-    p = lens_parsed.problem
-    swapped = Problem(p.family_b, p.family_a, p.options, p.seed)
-    t1 = run_ashlwb(p)
-    t2 = run_ashlwb(swapped)
-    pair1 = extract_best_pair(t1, p)
-    pair2 = extract_best_pair(t2, swapped)
-    assert np.linalg.norm(pair1.a - pair2.b) <= 1e-3
-    assert np.linalg.norm(pair1.b - pair2.a) <= 1e-3
+DESK_FIXTURES = ("two_ball_parsed", "lens_parsed", "boxes_parsed")
+
+
+def test_swap_symmetry(request):
+    for fixture in DESK_FIXTURES:
+        p = request.getfixturevalue(fixture).problem
+        swapped = Problem(p.family_b, p.family_a, p.options, p.seed)
+        t1 = run_ashlwb(p)
+        t2 = run_ashlwb(swapped)
+        pair1 = extract_best_pair(t1, p)
+        pair2 = extract_best_pair(t2, swapped)
+        assert np.linalg.norm(pair1.a - pair2.b) <= 1e-3, fixture
+        assert np.linalg.norm(pair1.b - pair2.a) <= 1e-3, fixture
+
+
+def translated(family, t):
+    """The family with each member (a ball or a box) moved by t."""
+    def move(s):
+        if isinstance(s, Box):
+            return Box(s.lo + t, s.hi + t)
+        assert isinstance(s, Ball)
+        return Ball(s.center + t, s.radius)
+
+    return dataclasses.replace(family, sets=tuple(move(s) for s in family.sets))
+
+
+@pytest.mark.parametrize("fixture", DESK_FIXTURES)
+def test_translation_moves_the_pair(fixture, request):
+    """Moving both families and the start by t moves the pair by t.  The
+    solver runs are compared, not the baseline's: its start is the origin
+    whatever the shift, and the best pair of `boxes` is not unique."""
+    p = request.getfixturevalue(fixture).problem
+    t = np.array([0.5, -0.25])
+    moved = Problem(translated(p.family_a, t), translated(p.family_b, t), p.options, p.seed)
+    pair = extract_best_pair(run_ashlwb(p), p)
+    pair_t = extract_best_pair(run_ashlwb(moved, t), moved)
+    assert np.linalg.norm(pair_t.a - (pair.a + t)) <= 1e-12
+    assert np.linalg.norm(pair_t.b - (pair.b + t)) <= 1e-12
+    assert abs(pair_t.gap - pair.gap) <= 1e-12
 
 
 def test_boxes_instance_terminates_with_flat_faces(boxes_parsed):
