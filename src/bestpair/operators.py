@@ -242,13 +242,14 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     is Theta(tau_k) even at the limit, so an unscaled gap test would stall.
 
     Accepts a batch of anchors of shape (..., n); the stop test then uses the
-    largest row gap.  A non-finite anchor is rejected with ValueError before
-    any step.  Raises MaxIterExceeded (carrying the last iterate and gap) when
-    the SHLWB_MAX_ITER budget runs out, which signals slow steering or an
-    empty intersection.
+    largest row gap.  A non-finite anchor, or a tol that is not positive and
+    finite, is rejected with ValueError before any step.  Raises
+    MaxIterExceeded (carrying the last iterate and gap) when the
+    SHLWB_MAX_ITER budget runs out, which signals slow steering or an empty
+    intersection.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     anchor = finite_points(anchor, family.dim, "anchor")
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.

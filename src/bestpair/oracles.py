@@ -6,6 +6,11 @@ projections, the separation check samples the sets directly, and the
 monotone-residual check compares sweep outputs against the reference
 projection.  The reports that `bestpair check` and `bestpair oracle` print
 serialize to plain dicts for JSON output.
+
+The grid oracle needs numpy alone.  It seeds its polish with the first cell
+in C order that is feasible for both families; failing one, with the first
+closest pair in C order of rim cells, which have an infeasible lattice
+neighbour, since no other cell is on a closest pair.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DimensionMismatch,
@@ -93,47 +97,77 @@ def uniqueness_certificate(problem: Problem) -> UniquenessCertificate:
     )
 
 
-def _feasible_grid_points(family: Family, rho: float, resolution: float):
-    """Grid points of [-rho, rho]^n feasible for every member within resolution."""
-    n = family.dim
-    m = int(round(2.0 * rho / resolution)) + 1
-    if m**n > _GRID_POINT_LIMIT:
-        raise ValueError("resolution too fine for the grid oracle")
-    axis = np.linspace(-rho, rho, m)
-    rows_per_chunk = max(1, _CHUNK // max(m ** (n - 1), 1))
-    feasible = []
+def _feasible_mask(family: Family, axis, resolution: float):
+    """Bool mask over the grid axis^n of the cells feasible for every member
+    within resolution."""
+    n, m = family.dim, len(axis)
+    feasible = np.empty((m,) * n, dtype=bool)
+    rows_per_chunk = max(1, _CHUNK // m ** (n - 1))
     for start in range(0, m, rows_per_chunk):
         first = axis[start : start + rows_per_chunk]
         mesh = np.meshgrid(first, *([axis] * (n - 1)), indexing="ij")
         pts = np.stack([g.ravel() for g in mesh], axis=-1)
         # half-cell slack: keeps near-boundary cells without letting a
         # coarse grid that misses the set entirely count as feasible
-        mask = family.contains(pts, tol=0.5 * resolution)
-        if mask.any():
-            feasible.append(pts[mask])
-    if not feasible:
+        inside = family.contains(pts, tol=0.5 * resolution)
+        feasible[start : start + rows_per_chunk] = inside.reshape(mesh[0].shape)
+    if not feasible.any():
         raise NoFeasiblePoint(
             f"no grid point feasible at resolution {resolution}; refine the grid"
         )
-    return np.concatenate(feasible)
+    return feasible
+
+
+def _rim(feasible):
+    """Indices, in C order, of the feasible cells with an infeasible lattice
+    neighbour on the grid."""
+    interior = feasible.copy()
+    for d in range(feasible.ndim):
+        inner, mask = np.moveaxis(interior, d, 0), np.moveaxis(feasible, d, 0)
+        inner[1:] &= mask[:-1]
+        inner[:-1] &= mask[1:]
+    interior ^= feasible  # the interior lies in feasible: this leaves the rim
+    return np.argwhere(interior)
 
 
 def brute_force_pair(problem: Problem, resolution: float) -> OracleResult:
     """Grid-search both feasible regions for the closest pair, then polish.
 
-    The polish runs 100 rounds of exact alternating reference projections,
-    so the grid only needs to seed the right basin.
+    Both families share one grid of spacing h.  The seed is the first cell
+    in C order that is feasible for both, if any, and otherwise the first
+    closest pair in C order of rim cells, those with an infeasible
+    neighbour on the grid.  A feasible cell a whose grid neighbours are all
+    feasible is on no closest pair: for any other grid point b, the
+    neighbour one step toward b along a coordinate with |b_i - a_i| >= h is
+    nearer b, by 2h|b_i - a_i| - h^2 > 0 in squared distance.  The polish
+    runs 100 rounds of exact alternating reference projections from the
+    seed's B point, so the grid only needs to seed the right basin.
     """
     if problem.dim > 3:
         raise ValueError("oracle limited to dimension <= 3")
-    if not resolution > 0:
-        raise ValueError("resolution must be positive")
-    feas_a = _feasible_grid_points(problem.family_a, problem.rho, resolution)
-    feas_b = _feasible_grid_points(problem.family_b, problem.rho, resolution)
-    tree = cKDTree(feas_b)
-    dist, idx = tree.query(feas_a)
-    i = int(np.argmin(dist))
-    u, v = feas_a[i], feas_b[idx[i]]
+    if not (resolution > 0 and np.isfinite(resolution)):
+        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+    n, rho = problem.dim, problem.rho
+    m = int(round(2.0 * rho / resolution)) + 1
+    if m**n > _GRID_POINT_LIMIT:
+        raise ValueError("resolution too fine for the grid oracle")
+    axis = np.linspace(-rho, rho, m)
+    feas_a = _feasible_mask(problem.family_a, axis, resolution)
+    feas_b = _feasible_mask(problem.family_b, axis, resolution)
+    # the first cell in C order that is feasible for both, if there is one
+    first = np.unravel_index(np.argmax(feas_a & feas_b), feas_a.shape)
+    if feas_a[first] and feas_b[first]:
+        v = axis[np.array(first)]
+    else:
+        rim_a, rim_b = axis[_rim(feas_a)], axis[_rim(feas_b)]
+        rows = max(1, _CHUNK // len(rim_b))
+        best = np.inf
+        for start in range(0, len(rim_a), rows):
+            chunk = rim_a[start : start + rows]
+            d2 = sum((a[:, None] - b) ** 2 for a, b in zip(chunk.T, rim_b.T))
+            k = int(np.argmin(d2))
+            if d2.flat[k] < best:
+                best, v = d2.flat[k], rim_b[k % len(rim_b)]
     for _ in range(100):
         u = project_intersection(problem.family_a, v)
         v = project_intersection(problem.family_b, u)

@@ -358,6 +358,22 @@ def test_non_finite_point_exits_1(argv, capsys):
     assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
 
 
+# an infinite resolution gives the oracle one grid cell that an infinite slack
+# makes feasible, and an infinite tol stops `project` after one anchored step
+@pytest.mark.parametrize("argv, message", [
+    (["oracle", LENS, "--resolution", "inf"], "resolution must be positive and finite, got inf"),
+    (["project", LENS, "--family", "A", "--point", "5,5", "--tol", "inf"],
+     "tol must be positive and finite, got inf"),
+    (["project", LENS, "--family", "A", "--point", "5,5", "--tol", "nan"],
+     "tol must be positive and finite, got nan"),
+    (["project", LENS, "--family", "A", "--point", "5,5", "--tol", "0"],
+     "tol must be positive and finite, got 0.0"),
+])
+def test_bad_numeric_option_exits_1(argv, message, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, option", [
     (["run"], "problem"),
     (["run", TWO_BALLS, "--max-sweeps", "abc"], "--max-sweeps"),
@@ -554,7 +570,9 @@ def test_compare_insufficient_sweeps_exits_4(capsys):
 
 @pytest.mark.parametrize("dim, extra, message", [
     (4, [], "oracle limited to dimension <= 3"),
-    (2, ["--resolution", "0"], "resolution must be positive"),
+    (2, ["--resolution", "0"], "resolution must be positive and finite, got 0.0"),
+    (2, ["--resolution", "inf"], "resolution must be positive and finite, got inf"),
+    (2, ["--resolution", "nan"], "resolution must be positive and finite, got nan"),
 ])
 def test_compare_rejects_oracle_input_before_solving(
     dim, extra, message, tmp_path, monkeypatch, capsys

@@ -22,11 +22,18 @@
 - Every exception class defined in `errors.py` is raised somewhere in the
   package and named in some test module: an error type that nothing raises
   is dead, and one that no test names has a failure path no test reaches.
+- The package imports only the standard library, numpy and itself, and the
+  `dependencies` of `pyproject.toml` name exactly the third-party packages
+  it imports.  `import bestpair.cli` loads no scipy module, since every
+  command pays for what the package imports.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 from collections import defaultdict
 
 import pytest
@@ -36,6 +43,8 @@ import bestpair
 MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+PYPROJECT = README.parent / "pyproject.toml"
+THIRD_PARTY = {"numpy"}
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
 
@@ -210,3 +219,40 @@ def test_every_error_type_is_raised_and_tested():
     assert defined
     assert not defined - raised, sorted(defined - raised)
     assert not defined - tested, sorted(defined - tested)
+
+
+def imported_roots(tree):
+    """The top-level package of every absolute import under tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.partition(".")[0]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_only_stdlib_numpy_and_itself(path):
+    allowed = set(sys.stdlib_module_names) | THIRD_PARTY | {"bestpair"}
+    bad = sorted(set(imported_roots(parse(path))) - allowed)
+    assert not bad, bad
+
+
+def test_dependencies_are_the_imported_third_party_packages():
+    tomllib = pytest.importorskip("tomllib")
+    requirements = tomllib.loads(PYPROJECT.read_text(encoding="utf-8"))["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in requirements}
+    imported = {
+        root for path in MODULES for root in imported_roots(parse(path))
+    } - set(sys.stdlib_module_names) - {"bestpair"}
+    assert declared == imported == THIRD_PARTY
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(pathlib.Path(bestpair.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, bestpair.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "[]\n"

@@ -2,10 +2,11 @@
 
 Each case runs `bestpair` in-process and compares the SHA-256 digests of what
 it writes: the trace `.csv` and `.json` and stdout of `run`, and stdout of
-`check`, on the shipped desk problems.  Two more `run` cases pin paths the
-defaults miss: lens under the schedule (0.004, 2, 0.7), which takes p != 1 in
-`SteeringSchedule.tau` and ends in MaxSweeps, and two_balls with
-`record_inner_steps`, which writes the inner rows.
+`check` and of `oracle` at its default resolution, on the shipped desk
+problems.  Two more `run` cases pin paths the defaults miss: lens under the
+schedule (0.004, 2, 0.7), which takes p != 1 in `SteeringSchedule.tau` and
+ends in MaxSweeps, and two_balls with `record_inner_steps`, which writes the
+inner rows.
 
 The digests were recorded on numpy 2.4 and Python 3.11.  A change that moves
 last bits on purpose re-records them and says why in CHANGES.md.
@@ -60,6 +61,11 @@ CHECK_DIGESTS = {
     "lens": "70b2e3bebbb7244ae2e912656d8d43c22330c34ef7e167271ef86f9dbbae97f0",
     "boxes": "55a6b9937c2bfb84d6825f3330b22a3d95e5fec48e2a92ba9b5189cb616267a7",
 }
+ORACLE_DIGESTS = {
+    "two_balls": "fcbb9b8d72f969db443a9b594c58a8ce21fc675e32651242d145a80b9ee2a8b2",
+    "lens": "f1aefa31f813d454a51a001cf52b7d0d9b5834e838a7b809ed5c86eefb26c349",
+    "boxes": "7d1120c9da821fe3afd4e467bff24b0e2810ca03cd3ba30fc954b8bcf7d692e2",
+}
 
 
 def sha256(data: str) -> str:
@@ -97,6 +103,12 @@ def check_case(name):
     return sha256(stdout)
 
 
+def oracle_case(name):
+    rc, stdout = run_cli(["oracle", str(PROBLEMS / f"{name}.json")])
+    assert rc == 0
+    return sha256(stdout)
+
+
 @pytest.mark.parametrize("case", sorted(RUN_DIGESTS))
 def test_run_bytes(case, tmp_path):
     assert run_case(case, tmp_path) == RUN_DIGESTS[case]
@@ -105,3 +117,8 @@ def test_run_bytes(case, tmp_path):
 @pytest.mark.parametrize("name", sorted(CHECK_DIGESTS))
 def test_check_bytes(name):
     assert check_case(name) == CHECK_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DIGESTS))
+def test_oracle_bytes(name):
+    assert oracle_case(name) == ORACLE_DIGESTS[name]

@@ -1,8 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bestpair import (
     Ball,
+    Box,
     DimensionMismatch,
     Family,
     MisclassifiedPoint,
@@ -16,10 +21,12 @@ from bestpair import (
     dini_monotonicity_check,
     fix_set_audit,
     lemma2_surjectivity_probe,
+    project_intersection,
     run_cheney_goldstein,
     separation_check,
     uniqueness_certificate,
 )
+from bestpair import oracles
 from bestpair.solver import IterationTrace
 
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
@@ -81,6 +88,88 @@ def test_brute_force_three_dimensional():
     )
     res = brute_force_pair(problem, resolution=0.1)
     assert res.gap == pytest.approx(1.0, abs=1e-4)
+
+
+# grid cells per rho along each axis, by dimension: coarse enough that the full
+# pairwise search of the reference below stays small
+GRID_STEPS = {1: 40, 2: 20, 3: 8}
+
+
+def full_search_pair(problem, resolution):
+    """The grid oracle without its shortcuts: every feasible grid point of A
+    against every one of B, the first closest pair in C order by one flat
+    argmin, then the same 100-round polish."""
+    n, rho = problem.dim, problem.rho
+    axis = np.linspace(-rho, rho, int(round(2.0 * rho / resolution)) + 1)
+    grid = np.stack(np.meshgrid(*[axis] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    feas_a, feas_b = (
+        grid[fam.contains(grid, tol=0.5 * resolution)]
+        for fam in (problem.family_a, problem.family_b)
+    )
+    if not (len(feas_a) and len(feas_b)):
+        raise NoFeasiblePoint("no feasible grid point")
+    d2 = ((feas_a[:, None, :] - feas_b[None, :, :]) ** 2).sum(axis=-1)
+    v = feas_b[np.argmin(d2) % len(feas_b)]
+    for _ in range(100):
+        u = project_intersection(problem.family_a, v)
+        v = project_intersection(problem.family_b, u)
+    return u, v
+
+
+def vectors(n, low, high):
+    return st.lists(st.floats(low, high), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def grid_problems(draw):
+    """1-3-D problems whose families hold 1-2 balls or boxes around a shared
+    point, so each intersection is nonempty; half of them give both families
+    the same point, so they overlap."""
+    n = draw(st.integers(1, 3))
+
+    def family(point):
+        members = []
+        for _ in range(draw(st.integers(1, 2))):
+            if draw(st.booleans()):
+                offset = draw(vectors(n, -1.0, 1.0))
+                radius = np.linalg.norm(offset) + draw(st.floats(0.1, 1.5))
+                members.append(Ball(point + offset, radius))
+            else:
+                members.append(Box(point - draw(vectors(n, 0.1, 1.5)),
+                                   point + draw(vectors(n, 0.1, 1.5))))
+        return Family(tuple(members), schedule=SCHED)
+
+    point_a = draw(vectors(n, -2.0, 2.0))
+    point_b = point_a if draw(st.booleans()) else draw(vectors(n, -2.0, 2.0))
+    return Problem(family(point_a), family(point_b))
+
+
+def grid_pair(problem, resolution):
+    return brute_force_pair(problem, resolution).pair
+
+
+def outcome(pair_of, problem):
+    """The bytes of the pair that pair_of finds at the problem's coarse
+    resolution, or None when a family has no feasible grid point."""
+    try:
+        pair = pair_of(problem, problem.rho / GRID_STEPS[problem.dim])
+    except NoFeasiblePoint:
+        return None
+    return [x.tobytes() for x in pair]
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_problems())
+@example(overlapping_problem())
+@example(Problem(Family((Ball([0, 0, 0], 1.0),), schedule=SCHED),
+                 Family((Box([1.5, -1, -1], [2.5, 1, 1]),), schedule=SCHED)))
+def test_brute_force_equals_full_search(problem):
+    expected = outcome(full_search_pair, problem)
+    assert outcome(grid_pair, problem) == expected
+    # a tiny chunk splits the feasibility test and the search into many
+    # chunks, so the first closest pair must win across chunks too
+    with mock.patch.object(oracles, "_CHUNK", 16):
+        assert outcome(grid_pair, problem) == expected
 
 
 # --- uniqueness_certificate --------------------------------------------------------
