@@ -5,6 +5,16 @@ projection onto the intersection, and does so geometrically for the set
 variants shipped here.  It serves as the high-accuracy reference everywhere a
 projection onto an intersection is needed at tolerances the anchored
 iteration cannot reach in reasonable time (its residual decays like tau_k).
+
+A batch retires each row once its whole Dykstra state, its row of y and of
+every increment, keeps its bits over one cycle: every later cycle would
+repeat those bits, so the row is final.  It is written to the result, and
+the later cycles project only the rows still moving.  Balls, boxes and
+ellipsoids compute each row from that row alone, so every row ends with the
+bits it would have if all rows ran every cycle.  Half-spaces and hyperplanes
+take BLAS's `x @ normal`, which from n = 8 on rounds a row according to the
+rows batched with it; there a row may move by rounding, as it does whenever
+the batch around it changes.
 """
 
 from __future__ import annotations
@@ -29,44 +39,92 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     members' `project_point`, with the increments, gap and feasibility test
     of the batch path on lists.  Stops when the per-cycle displacement and
     the worst member distance both fall below tol, within REFERENCE_MAX_ITER
-    cycles.  A single-member family short-circuits to the member's exact
-    projection.  An x of the wrong dimension raises DimensionMismatch, and a
-    non-finite x ValueError, before any cycle.
+    cycles.  A batch retires each row once its state keeps its bits over a
+    cycle; a retired row adds 0 to the displacement, and the member
+    distances are measured on the whole batch.  Every row keeps the bits of
+    a batch that cycles all rows, except beside a half-space or hyperplane
+    from n = 8 on, where BLAS rounds a row by the rows batched with it.
+    A single-member family short-circuits to the member's exact projection.
+    An x of the wrong dimension raises DimensionMismatch, and a non-finite x
+    ValueError, before any cycle; on an exhausted budget, MaxIterExceeded
+    carries the last iterate in x's shape.
     """
     sets = family.sets
     x = finite_points(x, family.dim, "x")
     if len(sets) == 1:
         return sets[0].project(x)
+    if x.ndim > 1:
+        return _project_rows(sets, x, tol)
 
-    if x.shape == (sets[0].dim,):
-        projections = [s.project_point for s in sets]
-        y = x.tolist()
-        zero = [0.0] * len(y)
-
-        def subtract(u, v):
-            return [a - b for a, b in zip(u, v)]
-    else:
-        projections = [s.project for s in sets]
-        y = x
-        zero = np.zeros_like(y)
-        subtract = np.subtract
+    projections = [s.project_point for s in sets]
+    y = x.tolist()
     # no increment is changed in place, so they can start as one object
-    incs = [zero] * len(sets)
+    incs = [[0.0] * len(y)] * len(sets)
     gap = np.inf
     for _ in range(REFERENCE_MAX_ITER):
         y_prev = y
         for i, project in enumerate(projections):
-            z = subtract(y, incs[i])
+            z = [a - b for a, b in zip(y, incs[i])]
             y = project(z)
-            incs[i] = subtract(y, z)
+            incs[i] = [a - b for a, b in zip(y, z)]
         gap = max_distance(y, y_prev)
         if gap <= tol:
             feas = max(max_distance(y, project(y)) for project in projections)
             if feas <= tol:
                 return np.asarray(y)
-    raise MaxIterExceeded(
+    raise _budget_exhausted(np.asarray(y), gap)
+
+
+def _project_rows(sets, x, tol):
+    """Dykstra's cycles on a batch (..., n), retiring each settled row."""
+    pts = x.reshape(-1, x.shape[-1])
+    out = np.empty_like(pts)
+    rows = np.arange(len(pts))  # the rows of `out` still cycling, in order
+    y = pts
+    incs = [np.zeros_like(y)] * len(sets)
+    gap = np.inf
+    for _ in range(REFERENCE_MAX_ITER):
+        y_prev, incs_prev = y, incs.copy()
+        for i, s in enumerate(sets):
+            z = y - incs[i]
+            y = s.project(z)
+            incs[i] = y - z
+        moved = np.linalg.norm(y - y_prev, axis=-1)
+        gap = float(np.max(moved, initial=0.0))
+        if gap <= tol:
+            out[rows] = y
+            feas = max(max_distance(out, s.project(out)) for s in sets)
+            if feas <= tol:
+                return out.reshape(x.shape)
+        settled = _settled(moved, [y, *incs], [y_prev, *incs_prev])
+        if settled.any():
+            out[rows[settled]] = y[settled]
+            # `compress` is `[keep]` on the first axis, at half its cost on rows
+            keep = ~settled
+            y, rows = y.compress(keep, axis=0), rows[keep]
+            incs = [inc.compress(keep, axis=0) for inc in incs]
+    out[rows] = y
+    raise _budget_exhausted(out.reshape(x.shape), gap)
+
+
+def _settled(moved, state, state_prev):
+    """Mask of the rows whose arrays in `state` all kept their bits; only the
+    rows that `moved` 0 are compared.  Bits, not `==`, so that a zero which
+    flips its sign keeps the row going."""
+    settled = moved == 0.0
+    rows = np.flatnonzero(settled)
+    if rows.size:
+        same = np.ones(rows.size, dtype=bool)
+        for now, before in zip(state, state_prev):
+            same &= np.all(now[rows].view(np.int64) == before[rows].view(np.int64), axis=-1)
+        settled[rows] = same
+    return settled
+
+
+def _budget_exhausted(last, gap):
+    return MaxIterExceeded(
         f"reference projection did not converge in {REFERENCE_MAX_ITER} cycles "
         f"(last gap {gap:.3e}); the intersection may be empty",
-        last=np.asarray(y),
+        last=last,
         gap=gap,
     )

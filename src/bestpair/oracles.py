@@ -309,12 +309,14 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
     With T the reference intersection projection, r_k(x) is the distance of
     the (k-1)-sweep output from T(x).  Monotonicity r_{k+1} <= r_k + slack is
     asserted for k = 2..K; the per-k grid supremum is reported as the
-    uniform-convergence profile.  The grid is checked with `finite_points`
-    before any projection.
+    uniform-convergence profile.  The grid is checked with `finite_points`,
+    and must hold at least one point, before any projection.
     """
     if K < 1:
         raise ValueError("K must be positive")
     pts = np.atleast_2d(finite_points(grid, family.dim, "grid"))
+    if not pts.size:
+        raise ValueError("grid must hold at least one point")
     T = project_intersection(family, pts)
     path = q_hat_path(family, K, pts)  # (K+1, m, n): sweep outputs 0..K
     rs = np.linalg.norm(path - T, axis=-1)  # rs[j] = r_{j+1}(x)

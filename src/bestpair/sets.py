@@ -83,10 +83,10 @@ def max_distance(u, v):
 
     Two lists of floats are one point each: `point_norm` of their difference,
     bit for bit `np.linalg.norm(u - v, axis=-1)`.  Arrays of shape (..., n)
-    give the largest row distance."""
+    give the largest row distance, or 0.0 when they hold no row."""
     if isinstance(u, list):
         return point_norm([a - b for a, b in zip(u, v)])
-    return float(np.max(np.linalg.norm(u - v, axis=-1)))
+    return float(np.max(np.linalg.norm(u - v, axis=-1), initial=0.0))
 
 
 def as_points(x, dim, what="point"):
@@ -370,12 +370,12 @@ class Ellipsoid:
         y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the unique root of
         phi(lam) = sum_d (g_d / (a_d^2 + lam))^2 - 1, where g_d = z_d * a_d.
         phi is convex and decreasing, so Newton from the lower bound
-        `_dual_start` rises monotonically to the root.  A row keeps its lam
-        at the first step that would not raise it; a step is a function of
-        lam alone, so the batch stops once no row moves, and each row has
-        the bits of `project_point` on that point.  Should the round cap
-        come first, the residual checked is the one a step back, which is
-        no smaller.
+        `_dual_start` rises monotonically to the root.  A row keeps its lam,
+        and the phi of that step, at the first step that would not raise it,
+        and leaves the batch; a step is a function of the row alone, so each
+        row has the bits of `project_point` on that point.  Should the round
+        cap come first, the residual checked is the one a step back, which
+        is no smaller.
         """
         x = as_points(x, self.dim)
         shape = x.shape
@@ -389,16 +389,21 @@ class Ellipsoid:
         zo = z[outside]
         g = zo * self.axes
         lam = _dual_start(g, a2, 0.0)
+        rows = np.arange(len(g))  # the outside rows still rising, in order
+        lam_end, phi_end = np.empty_like(lam), np.empty_like(lam)
         for _ in range(_ELLIPSOID_MAX_ROUNDS):
             phi, step = _newton_step(g, a2 + lam[:, None])
             nxt = lam + step
             rises = nxt > lam
-            if not rises.any():
-                break
             lam = np.where(rises, nxt, lam)
-        _check_dual_residual(np.abs(phi).max())
+            lam_end[rows], phi_end[rows] = lam, phi
+            if not rises.all():
+                g, lam, rows = g[rises], lam[rises], rows[rises]
+                if not rows.size:
+                    break
+        _check_dual_residual(np.abs(phi_end).max())
         proj = pts.copy()
-        proj[outside] = self.center + zo * a2 / (a2 + lam[:, None])
+        proj[outside] = self.center + zo * a2 / (a2 + lam_end[:, None])
         return proj.reshape(shape)
 
     def project_point(self, x):

@@ -272,6 +272,12 @@ def test_dini_zero_violations_up_to_k_100():
         assert report.passed
 
 
+def test_dini_rejects_an_empty_grid():
+    fam = Family((Ball([0, 0], 2.0), Ball([1, 0], 2.0)))
+    with pytest.raises(ValueError, match="grid must hold at least one point"):
+        dini_monotonicity_check(fam, np.zeros((0, 2)), K=5)
+
+
 def test_dini_k_equal_one_reports_no_comparisons():
     fam = Family((Ball([0, 0], 1.0),))
     report = dini_monotonicity_check(fam, grid_in_ball(5.0, 3), K=1)

@@ -10,6 +10,8 @@ ran before the point path existed.  Dimensions reach 12, past the 8 terms
 from which numpy sums a norm pairwise.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -251,6 +253,51 @@ def test_ellipsoid_newton_rounds_stay_under_20(monkeypatch, rng):
     monkeypatch.setattr(sets, "_ELLIPSOID_MAX_ROUNDS", 1)
     with pytest.raises(EllipsoidRootFindError):
         e.project(far)
+
+
+def all_rows_newton(e, pts):
+    """The batched Newton as it ran before rows retired: every outside row
+    steps until no row rises.  Returns the projection and the residual that
+    `project` checks."""
+    z = pts - e.center
+    a2 = e.axes**2
+    outside = np.sum((z / e.axes) ** 2, axis=-1) > 1.0
+    if not outside.any():
+        return pts, 0.0
+    zo = z[outside]
+    g = zo * e.axes
+    lam = sets._dual_start(g, a2, 0.0)
+    for _ in range(sets._ELLIPSOID_MAX_ROUNDS):
+        phi, step = sets._newton_step(g, a2 + lam[:, None])
+        nxt = lam + step
+        rises = nxt > lam
+        if not rises.any():
+            break
+        lam = np.where(rises, nxt, lam)
+    proj = pts.copy()
+    proj[outside] = e.center + zo * a2 / (a2 + lam[:, None])
+    return proj, np.abs(phi).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ellipsoid_retiring_rows_keep_the_all_rows_bits(data):
+    """A row leaves the batched Newton at its first step that does not raise
+    lam, with that step's residual; under a round cap, a row still rising
+    keeps the residual a step back.  Both keep the all-rows loop's bits and
+    its verdict."""
+    n = data.draw(st.integers(1, 20))
+    e = data.draw(sets_of_kind("ellipsoid", n))
+    scale = data.draw(st.sampled_from([1.0, 1e3, 1e4]))
+    pts = scale * np.stack(data.draw(st.lists(vectors(n), min_size=1, max_size=40)))
+    rounds = data.draw(st.sampled_from([1, 2, 3, 5, sets._ELLIPSOID_MAX_ROUNDS]))
+    with mock.patch.object(sets, "_ELLIPSOID_MAX_ROUNDS", rounds):
+        expected, residual = all_rows_newton(e, pts)
+        if residual > 1e-12:
+            with pytest.raises(EllipsoidRootFindError):
+                e.project(pts)
+            return
+        assert same_bits(e.project(pts), expected)
 
 
 @settings(max_examples=100, deadline=None)
