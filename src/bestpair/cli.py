@@ -177,8 +177,7 @@ def _schedule_arg(text: str) -> SteeringSchedule:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _with_overrides(parsed: ParsedProblem, args) -> Problem:
-    problem = parsed.problem
+def _with_overrides(problem: Problem, args) -> Problem:
     if args.max_sweeps is not None:
         options = dataclasses.replace(problem.options, max_sweeps=args.max_sweeps)
         problem = dataclasses.replace(problem, options=options)
@@ -220,9 +219,8 @@ def _dump_json(path: str, payload: dict):
         fh.write("\n")
 
 
-def cmd_run(args) -> int:
-    parsed = load_problem(args.problem)
-    problem = _with_overrides(parsed, args)
+def cmd_run(problem: Problem, args) -> int:
+    problem = _with_overrides(problem, args)
     x0 = _parse_point(args.x0, "--x0") if args.x0 else None
     trace = run_ashlwb(problem, x0)
     pair = extract_best_pair(trace, problem)
@@ -240,9 +238,8 @@ def cmd_run(args) -> int:
     return 0 if trace.terminal == "Converged" else 2
 
 
-def cmd_project(args) -> int:
-    parsed = load_problem(args.problem)
-    fam = parsed.problem.family_a if args.family == "A" else parsed.problem.family_b
+def cmd_project(problem: Problem, args) -> int:
+    fam = problem.family_a if args.family == "A" else problem.family_b
     point = _parse_point(args.point, "--point")
     y = shlwb_project(fam, point, tol=args.tol)
     residuals = [float(v) for v in fam.member_distances(y)]
@@ -250,9 +247,7 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_check(args) -> int:
-    parsed = load_problem(args.problem)
-    problem = parsed.problem
+def cmd_check(problem: Problem, args) -> int:
     report = {"mandatory": {}, "advisory": {}}
     try:
         vrep = validate_problem(problem)
@@ -320,16 +315,14 @@ def _fix_set_for(fam: Family, rho: float):
     return fix_set_audit(fam, 3, inside, outside)
 
 
-def cmd_oracle(args) -> int:
-    parsed = load_problem(args.problem)
-    result = brute_force_pair(parsed.problem, args.resolution)
+def cmd_oracle(problem: Problem, args) -> int:
+    result = brute_force_pair(problem, args.resolution)
     print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
     return 0
 
 
-def cmd_compare(args) -> int:
-    parsed = load_problem(args.problem)
-    problem = _with_overrides(parsed, args)
+def cmd_compare(problem: Problem, args) -> int:
+    problem = _with_overrides(problem, args)
     validate_problem(problem)
     # the oracle rejects a high dimension or a bad resolution before any solve
     oracle = brute_force_pair(problem, args.resolution)
@@ -403,7 +396,7 @@ def main(argv=None) -> int:
     # usage errors, DimensionMismatch and ProblemValidationError are ValueErrors
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        return args.func(load_problem(args.problem).problem, args)
     except (ValueError, TypeError, OSError, MaxOuterExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

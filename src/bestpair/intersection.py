@@ -23,10 +23,11 @@ import numpy as np
 
 from .errors import MaxIterExceeded
 from .operators import Family
-from .sets import finite_points, max_distance
+from .sets import as_positive, finite_points, max_distance
 
-# The one accuracy of the reference projection: the solver's stop test, pair
-# residuals and validation, and the oracles all run at this value.
+# The one accuracy of the reference projection, for the solver's stop test,
+# pair residuals and feasibility check and for the oracles; the alternating
+# projections of validation and the baseline run at BASELINE_INNER_TOL.
 REFERENCE_TOL = 1e-9
 REFERENCE_MAX_ITER = 50_000
 
@@ -45,10 +46,12 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     a batch that cycles all rows, except beside a half-space or hyperplane
     from n = 8 on, where BLAS rounds a row by the rows batched with it.
     A single-member family short-circuits to the member's exact projection.
-    An x of the wrong dimension raises DimensionMismatch, and a non-finite x
-    ValueError, before any cycle; on an exhausted budget, MaxIterExceeded
-    carries the last iterate in x's shape.
+    A tol that is not positive and finite raises ValueError, an x of the
+    wrong dimension DimensionMismatch, and a non-finite x ValueError, all
+    before any cycle; on an exhausted budget, MaxIterExceeded carries the
+    last iterate in x's shape.
     """
+    as_positive(tol, "tol")
     sets = family.sets
     x = finite_points(x, family.dim, "x")
     if len(sets) == 1:

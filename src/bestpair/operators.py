@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
-from .sets import CONTAINS_TOL, as_number, as_vector, finite_points, max_distance
+from .sets import (
+    CONTAINS_TOL, as_count, as_number, as_positive, as_vector, finite_points, max_distance,
+)
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_MAX_ITER = 200_000
@@ -49,8 +51,7 @@ class SteeringSchedule:
     def __post_init__(self):
         for name in ("c", "k0", "p"):
             object.__setattr__(self, name, as_number(getattr(self, name), name))
-        if not (self.k0 > 0 and np.isfinite(self.k0)):
-            raise ValueError(f"k0 must be positive and finite, got {self.k0}")
+        as_positive(self.k0, "k0")
         if not 0.0 < self.p <= 1.0:
             raise ValueError(
                 "schedule violates the steering axioms: "
@@ -186,9 +187,7 @@ def anchored_steps(family: Family, taus, anchor, y=None):
 
 def _sweep_taus(family: Family, q: int) -> list:
     """tau_0, ..., tau_q as Python floats, evaluated as one array."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    return family.schedule.tau(np.arange(q + 1)).tolist()
+    return family.schedule.tau(np.arange(as_count(q, "q", 0) + 1)).tolist()
 
 
 def apply_m(family: Family, tau: float, anchor, x):
@@ -248,8 +247,7 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     SHLWB_MAX_ITER budget runs out, which signals slow steering or an empty
     intersection.
     """
-    if not (tol > 0 and np.isfinite(tol)):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    as_positive(tol, "tol")
     anchor = finite_points(anchor, family.dim, "anchor")
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.

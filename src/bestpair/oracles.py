@@ -29,7 +29,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, q_hat_path, apply_q_hat
-from .sets import Ball, finite_points
+from .sets import Ball, as_count, as_positive, finite_points
 from .solver import (
     DISJOINTNESS_TOL,
     IterationTrace,
@@ -145,8 +145,7 @@ def brute_force_pair(problem: Problem, resolution: float) -> OracleResult:
     """
     if problem.dim > 3:
         raise ValueError("oracle limited to dimension <= 3")
-    if not (resolution > 0 and np.isfinite(resolution)):
-        raise ValueError(f"resolution must be positive and finite, got {resolution!r}")
+    as_positive(resolution, "resolution")
     n, rho = problem.dim, problem.rho
     m = int(round(2.0 * rho / resolution)) + 1
     if m**n > _GRID_POINT_LIMIT:
@@ -247,6 +246,7 @@ def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationR
     or of a shape other than (n,), raises DimensionMismatch, and a non-finite
     one ValueError.
     """
+    as_count(samples, "samples", 1)
     a = finite_points(pair[0], problem.dim, "pair")
     b = finite_points(pair[1], problem.dim, "pair")
     for point in (a, b):
@@ -312,32 +312,26 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
     uniform-convergence profile.  The grid is checked with `finite_points`,
     and must hold at least one point, before any projection.
     """
-    if K < 1:
-        raise ValueError("K must be positive")
+    K = as_count(K, "K", 1)
     pts = np.atleast_2d(finite_points(grid, family.dim, "grid"))
     if not pts.size:
         raise ValueError("grid must hold at least one point")
     T = project_intersection(family, pts)
     path = q_hat_path(family, K, pts)  # (K+1, m, n): sweep outputs 0..K
     rs = np.linalg.norm(path - T, axis=-1)  # rs[j] = r_{j+1}(x)
-    violations = []
-    max_violation = 0.0
-    for k in range(2, K + 1):
-        excess = rs[k] - rs[k - 1]  # r_{k+1} - r_k
-        bad = np.nonzero(excess > DINI_SLACK)[0]
-        for i in bad:
-            violations.append({"k": k, "point": int(i), "excess": float(excess[i])})
-        if excess.size:
-            max_violation = max(max_violation, float(np.max(excess)))
-    note = "no comparisons" if K == 1 else ""
+    excess = rs[2:] - rs[1:-1]  # excess[k-2] = r_{k+1} - r_k, k = 2..K
+    violations = [
+        {"k": int(j) + 2, "point": int(i), "excess": float(excess[j, i])}
+        for j, i in zip(*np.nonzero(excess > DINI_SLACK))
+    ]
     return DiniReport(
         K=K,
         n_points=len(pts),
-        comparisons=max(K - 1, 0) * len(pts),
+        comparisons=(K - 1) * len(pts),
         violations=violations,
-        max_violation=max_violation,
+        max_violation=float(np.max(excess, initial=0.0)),
         profile=rs.max(axis=1),
-        note=note,
+        note="no comparisons" if K == 1 else "",
     )
 
 

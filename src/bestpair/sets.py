@@ -36,8 +36,11 @@ largest over its members as its radius rho.
 `as_points` is the one dimension check of the layers above, `finite_points`
 adds the one finiteness check, `as_number` and `as_vector` are the one type
 check of numbers read from input, and `max_distance` is the distance every
-stop test measures, on two lists or two arrays.  Each set's `contains` is its
-membership test; `operators.Family.contains` joins them for an intersection.
+stop test measures, on two lists or two arrays.  `as_positive` is the one
+check of a positive, finite number (a radius, `k0`, a tolerance, a grid
+resolution), and `as_count` of an integer count (`max_sweeps`, `q`, `K`,
+`samples`).  Each set's `contains` is its membership test;
+`operators.Family.contains` joins them for an intersection.
 """
 
 from __future__ import annotations
@@ -120,6 +123,20 @@ def as_number(value, what):
     return float(value)
 
 
+def as_positive(value, what):
+    """float(value), or ValueError naming `what` unless positive and finite."""
+    if not (is_number(value) and 0 < value < math.inf):
+        raise ValueError(f"{what} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def as_count(value, what, least):
+    """int(value), or ValueError naming `what` unless a non-bool integer >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def as_vector(v, what):
     """A finite float vector of one or more entries; ValueError naming `what`."""
     entries = np.asarray(v, dtype=object)
@@ -188,9 +205,8 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_vector(self.center, "center"))
-        object.__setattr__(self, "radius", as_number(self.radius, "radius"))
-        if not (self.radius > 0 and np.isfinite(self.radius)):
-            raise ValueError("radius must be positive and finite")
+        radius = as_positive(as_number(self.radius, "radius"), "radius")
+        object.__setattr__(self, "radius", radius)
         object.__setattr__(self, "_center_list", self.center.tolist())
 
     @property

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, apply_q_hat, q_hat_path
-from .sets import is_number
+from .sets import as_count, as_positive
 
 DISJOINTNESS_TOL = 1e-6
 # Accuracy of the baseline's inner projections and its outer-iteration budget
@@ -45,14 +45,9 @@ class SolverOptions:
     record_inner_steps: bool = False
 
     def __post_init__(self):
-        if (isinstance(self.max_sweeps, bool)
-                or not isinstance(self.max_sweeps, (int, np.integer))
-                or self.max_sweeps < 1):
-            raise ValueError(f"max_sweeps must be an integer >= 1, got {self.max_sweeps!r}")
+        as_count(self.max_sweeps, "max_sweeps", 1)
         for name in ("pair_gap_tol", "fixed_point_tol"):
-            value = getattr(self, name)
-            if not (is_number(value) and value > 0 and np.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            as_positive(getattr(self, name), name)
         if not isinstance(self.record_inner_steps, (bool, np.bool_)):
             raise ValueError(
                 f"record_inner_steps must be true or false, got {self.record_inner_steps!r}"

@@ -26,9 +26,12 @@
   `dependencies` of `pyproject.toml` name exactly the third-party packages
   it imports.  `import bestpair.cli` loads no scipy module, since every
   command pays for what the package imports.
+- Every `(owner, attr)` binding that `bench/tracing.py` patches exists, so a
+  refactor that drops one fails here and not in a benchmark run.
 """
 
 import ast
+import importlib.util
 import os
 import pathlib
 import re
@@ -44,6 +47,7 @@ MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PYPROJECT = README.parent / "pyproject.toml"
+TRACING = README.parent / "bench" / "tracing.py"
 THIRD_PARTY = {"numpy"}
 CONSTANT = re.compile(r"_?[A-Z][A-Z0-9_]*")
 
@@ -256,3 +260,17 @@ def test_cli_import_loads_no_scipy():
         capture_output=True, text=True, check=True,
     ).stdout
     assert out == "[]\n"
+
+
+def test_traced_bindings_exist():
+    spec = importlib.util.spec_from_file_location("tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [binding for _, owners in tracing.TRACED for binding in owners]
+    assert bindings
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr in bindings
+        if not hasattr(owner, attr)
+    ]
+    assert not missing, missing

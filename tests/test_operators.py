@@ -12,6 +12,7 @@ from bestpair import (
     apply_m,
     apply_m_hat,
     apply_q_hat,
+    brute_force_pair,
     dini_monotonicity_check,
     fix_set_audit,
     operators,
@@ -249,6 +250,81 @@ def test_wrong_dimension_names_the_argument(call):
     with pytest.raises(DimensionMismatch) as exc:
         run(lens_family(), np.array([1.0, 0.0, 0.0]))
     assert str(exc.value) == f"{what} has dimension 3, expected 2"
+
+
+def bad_number_rows(calls, values, message):
+    """Rows `name-shown`: (call(problem, value), value, message with `shown`)."""
+    return {
+        f"{name}-{shown}": (call, value, message.format(shown))
+        for name, call in calls.items()
+        for value, shown in values
+    }
+
+
+# each call with one bad number argument and the exact message it raises
+BAD_NUMBER_CALLS = {
+    **bad_number_rows(
+        {
+            "project_intersection-point":
+                lambda p, tol: project_intersection(p.family_a, [5.0, 0.0], tol=tol),
+            "project_intersection-batch": lambda p, tol: project_intersection(
+                p.family_a, [[5.0, 0.0], [-3.0, 1.0]], tol=tol),
+            "shlwb_project": lambda p, tol: shlwb_project(p.family_a, [5.0, 0.0], tol=tol),
+        },
+        [(np.nan, "nan"), (-1, "-1"), (0, "0"), (True, "True"), ("1e-9", "'1e-9'")],
+        "tol must be positive and finite, got {}",
+    ),
+    **bad_number_rows(
+        {
+            "apply_q_hat": lambda p, q: apply_q_hat(p.family_a, q, [5.0, 0.0]),
+            "q_hat_path": lambda p, q: q_hat_path(p.family_a, q, [5.0, 0.0]),
+            "fix_set_audit": lambda p, q: fix_set_audit(p.family_a, q, [0.5, 0.0], [10.0, 0.0]),
+        },
+        [(2.5, "2.5"), (True, "True"), (-1, "-1")],
+        "q must be an integer >= 0, got {}",
+    ),
+    **bad_number_rows(
+        {"dini_monotonicity_check":
+            lambda p, K: dini_monotonicity_check(p.family_a, [[0.5, 0.0], [5.0, 0.0]], K)},
+        [(0, "0"), (1.5, "1.5"), (True, "True")],
+        "K must be an integer >= 1, got {}",
+    ),
+    **bad_number_rows(
+        {"separation_check":
+            lambda p, samples: separation_check(p, ([2.0, 0.0], [3.0, 0.0]), samples=samples)},
+        [(0, "0"), (-5, "-5"), (2.5, "2.5")],
+        "samples must be an integer >= 1, got {}",
+    ),
+    **bad_number_rows(
+        {"brute_force_pair": brute_force_pair},
+        [(True, "True")],
+        "resolution must be positive and finite, got {}",
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(BAD_NUMBER_CALLS))
+def test_bad_number_raises_before_projecting(row, monkeypatch):
+    # not after a budget of cycles or steps; only fix_set_audit classifies
+    # its points by their member distances before it sweeps
+    call, value, message = BAD_NUMBER_CALLS[row]
+    projections = []
+    for name in ("project", "project_point"):  # the batch and the point path
+        method = getattr(Ball, name)
+        monkeypatch.setattr(Ball, name, lambda s, x, m=method: projections.append(x) or m(s, x))
+    with pytest.raises(ValueError) as exc:
+        call(Problem(Family(LENS_A), Family(LENS_B)), value)
+    assert str(exc.value) == message
+    if not row.startswith("fix_set_audit"):
+        assert projections == []
+
+
+def test_numpy_integer_counts_are_taken():
+    fam, x, grid = lens_family(), np.array([5.0, 0.0]), [[0.5, 0.0], [5.0, 0.0]]
+    assert np.array_equal(apply_q_hat(fam, np.int64(3), x), apply_q_hat(fam, 3, x))
+    report = dini_monotonicity_check(fam, grid, np.int64(3))
+    assert type(report.K) is int
+    assert report.to_dict() == dini_monotonicity_check(fam, grid, 3).to_dict()
 
 
 # --- operator invariants --------------------------------------------------------

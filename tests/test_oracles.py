@@ -285,6 +285,34 @@ def test_dini_k_equal_one_reports_no_comparisons():
     assert report.violations == []
 
 
+def loop_scan(rs, K):
+    """The Dini scan as a loop over k: violations in k-then-point order, and
+    the largest excess, or 0.0."""
+    violations, max_violation = [], 0.0
+    for k in range(2, K + 1):
+        excess = rs[k] - rs[k - 1]
+        for i in np.nonzero(excess > oracles.DINI_SLACK)[0]:
+            violations.append({"k": k, "point": int(i), "excess": float(excess[i])})
+        max_violation = max(max_violation, float(np.max(excess)))
+    return violations, max_violation
+
+
+@pytest.mark.parametrize("K", [1, 2, 7])
+def test_dini_scan_matches_the_loop_over_k(monkeypatch, K):
+    # random sweep outputs, so that residuals rise at many (k, point)
+    fam = Family((Ball([0, 0], 1.0),))
+    grid = grid_in_ball(5.0, 5)
+    path = np.random.default_rng(K).uniform(-3.0, 3.0, (K + 1, len(grid), 2))
+    monkeypatch.setattr(oracles, "q_hat_path", lambda family, q, x: path)
+    report = dini_monotonicity_check(fam, grid, K)
+    rs = np.linalg.norm(path - project_intersection(fam, grid), axis=-1)
+    violations, max_violation = loop_scan(rs, K)
+    assert bool(violations) == (K > 1)
+    assert report.violations == violations
+    assert report.max_violation == max_violation
+    assert np.array_equal(report.profile, rs.max(axis=1))
+
+
 # --- fix_set_audit -----------------------------------------------------------------------
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bestpair import (
@@ -329,30 +329,53 @@ def test_nonexpansive_equality_case(s, rng):
 
 
 @st.composite
-def ellipsoid_and_rng(draw):
-    """An ellipsoid in dimension 1 to 20, thin in one axis half the time, and
-    a seeded generator for its sample points."""
+def set_and_rng(draw):
+    """A set of any of the five kinds in dimension 1 to 20, and a seeded
+    generator for its sample points.  A box or an ellipsoid is thin in one
+    coordinate half the time."""
     n = draw(st.integers(1, 20))
-    center = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n)))
-    axes = np.array(draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n)))
-    if draw(st.booleans()):  # thin: one axis 10^2 to 10^4 times shorter
-        axes[draw(st.integers(0, n - 1))] = draw(st.floats(1e-4, 1e-2))
-    return Ellipsoid(center, axes), np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vector(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    kind = draw(st.sampled_from([Ball, Box, Ellipsoid, HalfSpace, Hyperplane]))
+    if kind is Ball:
+        s = Ball(vector(-10.0, 10.0), draw(st.floats(0.05, 5.0)))
+    elif kind in (HalfSpace, Hyperplane):
+        normal = vector(-5.0, 5.0)
+        assume(np.linalg.norm(normal) > 0.1)
+        s = kind(normal, draw(st.floats(-10.0, 10.0)))
+    else:
+        center, sides = vector(-10.0, 10.0), vector(0.05, 5.0)
+        if draw(st.booleans()):  # thin: one side 10^2 to 10^4 times shorter
+            sides[draw(st.integers(0, n - 1))] = draw(st.floats(1e-4, 1e-2))
+        s = Ellipsoid(center, sides) if kind is Ellipsoid else Box(center - sides, center + sides)
+    return s, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
-def around(e, rng, count):
-    """Points about the ellipsoid, up to 1e3 times its size away."""
-    scale = rng.choice([1.0, 10.0, 1e3], (count, 1)) * np.max(e.axes)
-    return e.center + scale * rng.uniform(-1.0, 1.0, (count, e.dim))
+def around(s, rng, count):
+    """Points about the set, up to 1e3 times its size away: a ball, box or
+    ellipsoid is measured from its centre, a half-space or hyperplane from
+    its point nearest the origin, at unit size."""
+    if isinstance(s, Ball):
+        middle, size = s.center, s.radius
+    elif isinstance(s, Box):
+        middle, size = (s.lo + s.hi) / 2, np.max(s.hi - s.lo) / 2
+    elif isinstance(s, Ellipsoid):
+        middle, size = s.center, np.max(s.axes)
+    else:
+        middle, size = s.normal * (s.offset / (s.normal @ s.normal)), 1.0
+    scale = rng.choice([1.0, 10.0, 1e3], (count, 1)) * size
+    return middle + scale * rng.uniform(-1.0, 1.0, (count, s.dim))
 
 
-@settings(max_examples=60, deadline=None)
-@given(ellipsoid_and_rng())
-def test_ellipsoid_variational_inequality_high_dim(case):
-    e, rng = case
-    x = around(e, rng, 20)
-    p = e.project(x)
-    ys = sample_inside(e, rng, 200)
+@settings(max_examples=150, deadline=None)
+@given(set_and_rng())
+def test_variational_inequality_high_dim(case):
+    s, rng = case
+    x = around(s, rng, 20)
+    p = s.project(x)
+    ys = sample_inside(s, rng, 200)
     for xi, pi in zip(x, p):
         # <y - Px, x - Px> <= tol for every y in the set, tol relative to the lengths
         dots = (ys - pi) @ (xi - pi)
@@ -360,22 +383,22 @@ def test_ellipsoid_variational_inequality_high_dim(case):
         assert np.all(dots <= 1e-9 * lengths)
 
 
-@settings(max_examples=60, deadline=None)
-@given(ellipsoid_and_rng())
-def test_ellipsoid_projection_idempotent_high_dim(case):
-    e, rng = case
-    p = e.project(around(e, rng, 20))
-    assert np.all(e.contains(p))
+@settings(max_examples=150, deadline=None)
+@given(set_and_rng())
+def test_projection_idempotent_high_dim(case):
+    s, rng = case
+    p = s.project(around(s, rng, 20))
+    assert np.all(s.contains(p))
     scale = np.maximum(1.0, np.abs(p).max(axis=1))
-    assert np.all(np.abs(e.project(p) - p).max(axis=1) <= 1e-12 * scale)
+    assert np.all(np.abs(s.project(p) - p).max(axis=1) <= 1e-12 * scale)
 
 
-@settings(max_examples=60, deadline=None)
-@given(ellipsoid_and_rng())
-def test_ellipsoid_projection_nonexpansive_high_dim(case):
-    e, rng = case
-    x, y = around(e, rng, 20), around(e, rng, 20)
-    px, py = e.project(x), e.project(y)
+@settings(max_examples=150, deadline=None)
+@given(set_and_rng())
+def test_projection_nonexpansive_high_dim(case):
+    s, rng = case
+    x, y = around(s, rng, 20), around(s, rng, 20)
+    px, py = s.project(x), s.project(y)
     scale = np.maximum(1.0, np.maximum(np.abs(px).max(axis=1), np.abs(py).max(axis=1)))
     lhs = np.linalg.norm(px - py, axis=1)
     assert np.all(lhs <= np.linalg.norm(x - y, axis=1) + 1e-12 * scale)
@@ -446,6 +469,13 @@ def test_invalid_descriptors_rejected():
         Box([1, 1], [0, 0])
     with pytest.raises(ValueError):
         Ellipsoid([0, 0], [1.0, -1.0])
+
+
+@pytest.mark.parametrize("radius, shown", [(0, "0.0"), (-1, "-1.0"), (np.inf, "inf"), (np.nan, "nan")])
+def test_ball_radius_message_names_the_value(radius, shown):
+    with pytest.raises(ValueError) as exc:
+        Ball([0.0, 0.0], radius)
+    assert str(exc.value) == f"radius must be positive and finite, got {shown}"
 
 
 @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
