@@ -6,10 +6,14 @@ a vanishing steering sequence, converge to the metric projection of the anchor
 onto the family's intersection; `shlwb_project` runs that iteration directly.
 Every anchored step, here and in the solver, runs in `anchored_steps`.
 
-A single point runs as a list of Python floats (see `sets`): the anchored
-steps, the weighted projection and the stop test of `shlwb_project` do the
-same IEEE operations as their numpy forms, in the same order, so the results
-keep their bits.  Batches of shape (..., n) run on arrays.  The public
+A single point runs in its family's point kernel: straight-line Python
+source written for the family's members, weights and dimension, compiled on
+the family's first point step and kept.  It holds the coordinates in
+scalar locals, inlines each ball, box, half-space and hyperplane from the
+member's `point_source` (see `sets`), and calls any other member's
+`project_point`.  It does the IEEE operations of the numpy forms in the same
+order, so the results keep their bits; so does the list stop test of
+`shlwb_project`.  Batches of shape (..., n) run on arrays.  The public
 functions take and return arrays, and check their points with
 `sets.finite_points`.  `Family.contains` is the one membership test of an
 intersection.
@@ -19,16 +23,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
-    CONTAINS_TOL, as_count, as_number, as_positive, as_vector, finite_points, max_distance,
+    CONTAINS_TOL, Ball, Box, HalfSpace, Hyperplane, as_count, as_number, as_positive,
+    as_vector, finite_points, max_distance,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_MAX_ITER = 200_000
+
+# the kinds whose `point_source` the point kernel inlines; a subclass may
+# change `project_point`, so the kernel calls it like any other member's
+_INLINED = (Ball, Box, HalfSpace, Hyperplane)
 
 
 @dataclass(frozen=True)
@@ -105,25 +115,15 @@ class Family:
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
-        object.__setattr__(self, "_point_projections", [s.project_point for s in sets])
 
     @property
     def dim(self):
         return self.sets[0].dim
 
     def weighted_projection(self, x):
-        """sum_l w_l P_l(x), accumulated in index order.
-
-        A list of floats is one point: it goes through the members' unchecked
-        `project_point` and comes back as a list.  An array, of shape (n,) or
-        (..., n), goes through the members' `project`.  A list and an array
-        of shape (n,) holding the same point give the same bits: the list
-        path repeats numpy's operations in order, and a member's norm sums
-        in order below `sets.PAIRWISE_SUM_MIN` (8) terms and through numpy's
-        pairwise sum from 8 on (`sets.point_norm`).
-        """
-        if isinstance(x, list) and x and isinstance(x[0], float):
-            return self._point_weighted_projection(x)
+        """sum_l w_l P_l(x) for x of shape (n,) or (..., n), accumulated in
+        index order through the members' `project`.  A single point's steps
+        run in the point kernel, which writes this sum out inline."""
         x = np.asarray(x, dtype=float)
         weights = self._weight_list
         acc = weights[0] * self.sets[0].project(x)
@@ -131,12 +131,10 @@ class Family:
             acc += w * s.project(x)
         return acc
 
-    def _point_weighted_projection(self, x):
-        weights, projections = self._weight_list, self._point_projections
-        acc = [weights[0] * v for v in projections[0](x)]
-        for w, project in zip(weights[1:], projections[1:]):
-            acc = [a + w * v for a, v in zip(acc, project(x))]
-        return acc
+    @cached_property
+    def _point_steps(self):
+        """The point kernel of `anchored_steps`, compiled on its first use."""
+        return _compile_point_steps(self)
 
     def contains(self, x, tol=CONTAINS_TOL):
         """Whether x lies in every member within tol, shape (...); the
@@ -164,25 +162,76 @@ def anchored_steps(family: Family, taus, anchor, y=None):
     the sweep path and the anchored projection all run it.  Arguments are not
     checked; `taus` is any iterable of floats, read one step at a time.
 
-    An anchor of shape (n,) is converted to a list once, and each step
-    yields a list of floats; it calls `family.weighted_projection` once, on
-    the list.  A batch anchor of shape (..., n) yields arrays.  The two give
-    the same bits on the same point, since the list step repeats numpy's
-    elementwise operations and the norms of the point path follow numpy's
-    8-term rule (see `sets.point_norm`).
+    When anchor and y both have shape (n,), the steps run in the family's
+    point kernel (see `_compile_point_steps`) and each yields a list of
+    floats.  Otherwise the two broadcast, and each step yields an array from
+    `family.weighted_projection`.  Both give the same bits on the same point,
+    except that `x @ normal` may round a batch row differently (see `sets`).
     """
     anchor = np.asarray(anchor, dtype=float)
     y = anchor if y is None else np.asarray(y, dtype=float)
-    if anchor.ndim == 1:
-        anchor, y = anchor.tolist(), y.tolist()
-        for tau in taus:
-            s = 1.0 - tau
-            y = [tau * a + s * p for a, p in zip(anchor, family.weighted_projection(y))]
-            yield y
+    if anchor.shape == y.shape == (family.dim,):
+        yield from family._point_steps(anchor.tolist(), y.tolist(), taus)
         return
     for tau in taus:
         y = tau * anchor + (1.0 - tau) * family.weighted_projection(y)
         yield y
+
+
+def _compile_point_steps(family: Family):
+    """The generator function steps(anchor, y, taus) of `anchored_steps` on
+    one point, written as source for this family and compiled.
+
+    anchor and y are lists of n floats.  The coordinates live in locals
+    y0, y1, ...; each step runs every member's projection on them, then
+    y_j = tau*a_j + s*(w_0*m0_j + w_1*m1_j + ...) with s = 1 - tau, and
+    yields [y0, y1, ...].  A member whose type is exactly Ball, Box,
+    HalfSpace or Hyperplane is inlined from its `point_source`; any other
+    member's `project_point` is called on the list of the coordinates.  These
+    are the operations of `project_point` and of `weighted_projection`, in
+    their order, so the steps keep their bits.  Weights and set constants
+    reach the code only as values in its namespace, never as text.
+    """
+    n = family.dim
+    a, y = [f"a{j}" for j in range(n)], [f"y{j}" for j in range(n)]
+    consts, body, outs = {}, [], []
+    for i, (w, s) in enumerate(zip(family._weight_list, family.sets)):
+        k = f"m{i}_"
+        out = [f"{k}{j}" for j in range(n)]
+        if type(s) in _INLINED:
+            lines, names = s.point_source(y, out, k)
+        else:
+            lines = [f"{', '.join(out)}, = {k}project([{', '.join(y)}])"]
+            names = {f"{k}project": s.project_point}
+        body += lines
+        consts.update(names)
+        consts[f"w{i}"] = w
+        outs.append(out)
+    steps = [
+        f"{yj} = tau * {aj} + s * ({' + '.join(f'w{i} * {o[j]}' for i, o in enumerate(outs))})"
+        for j, (aj, yj) in enumerate(zip(a, y))
+    ]
+    source = "\n".join([
+        "def steps(anchor, y, taus):",
+        f"    {', '.join(consts)}, = K",
+        f"    {', '.join(a)}, = anchor",
+        f"    {', '.join(y)}, = y",
+        "    for tau in taus:",
+        "        s = 1.0 - tau",
+        *(f"        {line}" for line in body + steps),
+        f"        yield [{', '.join(y)}]",
+    ])
+    namespace = {"K": tuple(consts.values())}
+    exec(_compiled(source), namespace)
+    return namespace["steps"]
+
+
+@lru_cache(maxsize=16)
+def _compiled(source):
+    """The code object of a point kernel's source.  The source holds no
+    constant, so every family of one shape (member kinds, count and n) shares
+    it, and a problem loaded again does not compile it again."""
+    return compile(source, "<point kernel>", "exec")
 
 
 def _sweep_taus(family: Family, q: int) -> list:

@@ -12,18 +12,27 @@ operations of `project` in the same order, so `np.array(project_point(x))`
 equals `project(np.array(x))` bit for bit, but it branches on scalars where
 `project` masks with `np.where`; when the branch finds the point in the set,
 `x` itself comes back (the box has no branch).  No point-path code mutates a
-list it was given.  The solver's inner loop uses it, because on small points
-the cost of `project` is numpy call overhead, and Python float arithmetic does
-the same IEEE operations for a fraction of it.
+list it was given.  Dykstra's cycles on one point use it, because on small
+points the cost of `project` is numpy call overhead, and Python float
+arithmetic does the same IEEE operations for a fraction of it.
+
+Balls, boxes, half-spaces and hyperplanes also have `point_source(x, out,
+k)`: `project_point` written as Python source on scalar locals, for the point
+kernel of `operators`.  It returns source lines that set the locals named in
+`out` from those named in `x`, and a dict of the values the lines read, the
+set's constants and helpers, by name.  Every name it makes starts with `k`,
+except the helpers `sqrt` and `array`.  The constants are never written
+into the source, so they keep their bits.
 
 Two sums need care to keep those bits:
 
 - A norm is the square root of a sum of squares.  numpy's `add.reduce` adds
   fewer than `PAIRWISE_SUM_MIN` (8) terms in order, which a Python loop
   repeats; from 8 terms on it sums pairwise, so `point_norm` hands those sums
-  to numpy.
-- A half-space or hyperplane keeps numpy's `x @ normal`: BLAS's dot product
-  does not round like an in-order sum at any dimension.
+  to numpy, and `square_sum_source` writes numpy's pairwise order out.
+- A half-space or hyperplane keeps numpy's `x @ normal`, in `point_source`
+  too: BLAS's dot product does not round like an in-order sum at any
+  dimension.
 
 The ellipsoid converts the point to an array for `_newton_root`, the scalar
 loop of the Newton step of `project`, which `bounding_radius` runs too.
@@ -62,8 +71,10 @@ _ELLIPSOID_ROOT_RESIDUAL = 1e-12
 # round cap of the ellipsoid's Newton, in its projection and `bounding_radius`
 _ELLIPSOID_MAX_ROUNDS = 110
 
-# numpy's add.reduce sums fewer terms than this in order, and more pairwise
+# numpy's add.reduce sums fewer terms than this in order, and more pairwise,
+# in blocks of at most PAIRWISE_BLOCK terms
 PAIRWISE_SUM_MIN = 8
+PAIRWISE_BLOCK = 128
 
 
 def point_norm(d):
@@ -79,6 +90,41 @@ def point_norm(d):
     for v in d:
         total += v * v
     return math.sqrt(total)
+
+
+def square_sum_source(names):
+    """Source of an expression that sums the squares of the locals `names` in
+    numpy's `add.reduce` order, the order of `point_norm`.
+
+    Fewer than PAIRWISE_SUM_MIN (8) terms add in order.  Up to PAIRWISE_BLOCK
+    (128) terms, eight running sums r_j take every eighth term, combine as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the tail adds in
+    order.  Longer sums split at n2 = n//2 - (n//2) % 8 and add the sums of
+    the two parts.  numpy adds the sum to 0.0, which changes no square's bits.
+    """
+    n = len(names)
+    if n > PAIRWISE_BLOCK:
+        n2 = n // 2 - (n // 2) % 8
+        return f"({square_sum_source(names[:n2])} + {square_sum_source(names[n2:])})"
+    terms = [f"{v} * {v}" for v in names]
+    if n < PAIRWISE_SUM_MIN:
+        return "(" + " + ".join(terms) + ")"
+    stop = n - n % 8
+    r = ["(" + " + ".join(terms[j:stop:8]) + ")" for j in range(8)]
+    head = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
+    return "(" + " + ".join([f"({head})", *terms[stop:]]) + ")"
+
+
+def _moved_or_kept(test, setup, moved, out, x):
+    """Source lines that set the locals `out` to the expressions `moved`, after
+    the statements `setup`, when `test` holds, and to the locals `x` when not."""
+    return [
+        f"if {test}:",
+        *(f"    {line}" for line in setup),
+        *(f"    {o} = {m}" for o, m in zip(out, moved)),
+        "else:",
+        *(f"    {o} = {v}" for o, v in zip(out, x)),
+    ]
 
 
 def max_distance(u, v):
@@ -231,6 +277,17 @@ class Ball:
             return [c + v * scale for c, v in zip(center, d)]
         return x
 
+    def point_source(self, x, out, k):
+        c = [f"{k}c{j}" for j in range(self.dim)]
+        d = [f"{k}d{j}" for j in range(self.dim)]
+        lines = [f"{dj} = {v} - {cj}" for dj, v, cj in zip(d, x, c)]
+        lines.append(f"{k}n = sqrt({square_sum_source(d)})")
+        lines += _moved_or_kept(
+            f"{k}n > {k}r", [f"{k}s = {k}r / {k}n"],
+            [f"{cj} + {dj} * {k}s" for cj, dj in zip(c, d)], out, x,
+        )
+        return lines, {"sqrt": math.sqrt, f"{k}r": self.radius, **dict(zip(c, self._center_list))}
+
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
         return np.linalg.norm(x - self.center, axis=-1) <= self.radius + tol
@@ -279,6 +336,17 @@ class _Affine:
             shift = excess / self._nn
             return [v - shift * c for v, c in zip(x, self._normal_list)]
         return x
+
+    def point_source(self, x, out, k):
+        v = [f"{k}v{j}" for j in range(self.dim)]
+        lines = [f"{k}e = float(array(({', '.join(x)},)) @ {k}normal) - {k}offset"]
+        lines += _moved_or_kept(
+            f"{k}moves({k}e, 0.0)", [f"{k}s = {k}e / {k}nn"],
+            [f"{xj} - {k}s * {vj}" for xj, vj in zip(x, v)], out, x,
+        )
+        consts = {"array": np.array, f"{k}normal": self.normal, f"{k}offset": self.offset,
+                  f"{k}moves": self._moves, f"{k}nn": self._nn}
+        return lines, {**consts, **dict(zip(v, self._normal_list))}
 
 
 class HalfSpace(_Affine):
@@ -342,6 +410,14 @@ class Box:
             lo_clip if v <= lo else (hi if v >= hi else v)
             for v, (lo, lo_clip, hi) in zip(x, self._bounds)
         ]
+
+    def point_source(self, x, out, k):
+        lines, consts = [], {}
+        for j, (v, o, bounds) in enumerate(zip(x, out, self._bounds)):
+            lo, lo_clip, hi = names = f"{k}lo{j}", f"{k}lc{j}", f"{k}hi{j}"
+            consts.update(zip(names, bounds))
+            lines.append(f"{o} = {lo_clip} if {v} <= {lo} else ({hi} if {v} >= {hi} else {v})")
+        return lines, consts
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)

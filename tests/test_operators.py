@@ -118,6 +118,16 @@ def test_apply_m_rejects_bad_tau():
             apply_m(fam, tau, anchor=x, x=x)
 
 
+def test_apply_m_broadcasts_a_point_anchor_over_a_batch():
+    """A batch x keeps every row under an anchor of shape (n,)."""
+    fam = lens_family()
+    a = np.array([4.0, -3.0])
+    x = np.array([[5.0, 2.0], [0.5, 0.0], [-3.0, 1.0]])
+    got = apply_m(fam, 0.5, a, x)
+    assert got.shape == (3, 2)
+    assert np.array_equal(got, np.stack([apply_m(fam, 0.5, a, row) for row in x]))
+
+
 def test_apply_m_hat_equals_anchored_at_self():
     fam = lens_family()
     x = np.array([4.0, -3.0])
@@ -309,9 +319,15 @@ def test_bad_number_raises_before_projecting(row, monkeypatch):
     # its points by their member distances before it sweeps
     call, value, message = BAD_NUMBER_CALLS[row]
     projections = []
-    for name in ("project", "project_point"):  # the batch and the point path
+    for name in ("project", "project_point"):  # the batch path and Dykstra's point path
         method = getattr(Ball, name)
         monkeypatch.setattr(Ball, name, lambda s, x, m=method: projections.append(x) or m(s, x))
+    # the anchored steps of one point inline their balls, in a kernel built
+    # on the first point step
+    compile_steps = operators._compile_point_steps
+    monkeypatch.setattr(
+        operators, "_compile_point_steps", lambda fam: projections.append(fam) or compile_steps(fam)
+    )
     with pytest.raises(ValueError) as exc:
         call(Problem(Family(LENS_A), Family(LENS_B)), value)
     assert str(exc.value) == message

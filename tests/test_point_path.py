@@ -1,4 +1,5 @@
-"""The single-point path (`project_point`) against the checked `project` path.
+"""The single-point path (`project_point` and the point kernel) against the
+checked `project` path and the list path.
 
 `project_point` takes and returns a list of floats and promises the bits of
 `project` on the same point, so every comparison of the two paths here is
@@ -8,8 +9,15 @@ path is kept as the reference: the `Checked` wrapper routes a set's point
 projections through `project`, which is how every single-point projection
 ran before the point path existed.  Dimensions reach 12, past the 8 terms
 from which numpy sums a norm pairwise.
+
+The point kernel that runs the anchored steps of one point is held to the
+bits of `list_steps_reference`, the list path it replaced, at n = 1-20 and
+past each split of numpy's pairwise sum (8, 128 and 2 * 128 terms).
 """
 
+import io
+import pathlib
+import tokenize
 from unittest import mock
 
 import numpy as np
@@ -28,14 +36,20 @@ from bestpair import (
     Problem,
     SolverOptions,
     SteeringSchedule,
+    apply_m,
     apply_q_hat,
+    dini_monotonicity_check,
+    operators,
     project_intersection,
     q_hat_path,
     run_ashlwb,
 )
 from bestpair import sets
+from bestpair.cli import load_problem
+from bestpair.operators import anchored_steps
 from bestpair.sets import max_distance, point_norm
 
+PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
 COORD = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
@@ -303,23 +317,215 @@ def test_ellipsoid_retiring_rows_keep_the_all_rows_bits(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_family_point_equals_batch_row(data):
-    """Exact for members without a dot product.
+    """A point step of `apply_m` keeps the bits of the same step on its batch row.
 
-    A half-space or hyperplane takes `x @ normal`, which BLAS evaluates as a
-    dot product for one point and a matrix-vector product for a batch; the
-    two may round differently, so those kinds are left out.
+    Exact for members without a dot product.  A half-space or hyperplane
+    takes `x @ normal`, which BLAS evaluates as a dot product for one point
+    and a matrix-vector product for a batch; the two may round differently,
+    so those kinds are left out.
     """
     n = data.draw(st.integers(1, 12))
     kinds = data.draw(st.lists(st.sampled_from(["ball", "box", "ellipsoid"]),
                                min_size=1, max_size=3))
     fam = Family(tuple(data.draw(sets_of_kind(k, n)) for k in kinds))
     pts = np.stack(data.draw(st.lists(vectors(n), min_size=1, max_size=6)))
+    tau = data.draw(st.floats(0.01, 0.99))
     try:
-        batch = fam.weighted_projection(pts)
+        batch = apply_m(fam, tau, pts, pts)
     except EllipsoidRootFindError:
         return
     for i, p in enumerate(pts):
-        assert np.array_equal(fam.weighted_projection(p.tolist()), batch[i])
+        assert same_bits(apply_m(fam, tau, p, p), batch[i])
+
+
+def list_steps_reference(family, taus, anchor, y=None):
+    """The point branch of `anchored_steps` as it ran before the point
+    kernel: each step on lists of floats, through the members' `project_point`,
+    summed in index order."""
+    anchor = np.asarray(anchor, dtype=float).tolist()
+    y = anchor if y is None else np.asarray(y, dtype=float).tolist()
+    weights = family.weights.tolist()
+    for tau in taus:
+        s = 1.0 - tau
+        acc = [weights[0] * v for v in family.sets[0].project_point(y)]
+        for w, member in zip(weights[1:], family.sets[1:]):
+            acc = [a + w * v for a, v in zip(acc, member.project_point(y))]
+        y = [tau * a + s * p for a, p in zip(anchor, acc)]
+        yield y
+
+
+KINDS = ["ball", "halfspace", "hyperplane", "box", "ellipsoid"]
+
+
+def random_set(rng, kind, n):
+    """A set of `kind` in R^n, some of its coordinates +-0.0, drawn by numpy so
+    that n = 300 stays within hypothesis's data budget."""
+    def coords(lo, hi):
+        v = rng.uniform(lo, hi, n)
+        zeros = rng.random(n) < 0.2
+        v[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+        return v
+
+    if kind == "ball":
+        return Ball(coords(-10.0, 10.0), rng.uniform(0.01, 5.0))
+    if kind in ("halfspace", "hyperplane"):
+        normal = coords(-10.0, 10.0)
+        normal[rng.integers(n)] = rng.uniform(0.5, 10.0)
+        return (HalfSpace if kind == "halfspace" else Hyperplane)(normal, rng.uniform(-10.0, 10.0))
+    if kind == "box":
+        lo = coords(-10.0, 10.0)
+        return Box(lo, lo + coords(0.0, 5.0))
+    return Ellipsoid(coords(-10.0, 10.0), rng.uniform(0.05, 5.0, n))
+
+
+def random_point(rng, family, where):
+    p = rng.uniform(-10.0, 10.0, family.dim)
+    s = family.sets[rng.integers(len(family.sets))]
+    if where in ("boundary", "inside"):
+        p = s.project(p)  # on the boundary when p was outside
+    if where == "inside" and hasattr(s, "center"):
+        p = s.center + 0.5 * (p - s.center)
+    elif where == "far":
+        p = 1e3 * p + rng.choice([0.0, 1e4])
+    zeros = rng.random(family.dim) < 0.2
+    p[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    return p
+
+
+def steps_or_error(steps):
+    """The lists `steps` yields, and the ellipsoid root-find error that ends
+    them, if any."""
+    out = []
+    try:
+        for y in steps:
+            out.append(y)
+    except EllipsoidRootFindError:
+        return out, EllipsoidRootFindError
+    return out, None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 20) | st.sampled_from([127, 128, 129, 136, 300]),
+    st.lists(st.sampled_from(KINDS), min_size=1, max_size=3),
+    st.sampled_from(["drawn", "boundary", "inside", "far"]),
+    st.integers(0, 40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_point_kernel_equals_list_steps(n, kinds, where, q, start, seed):
+    """The point kernel yields the lists of the list path, down to the sign of
+    zero, on every kind, with non-uniform weights, at n = 1-20 and past each
+    split of numpy's pairwise sum (8, 128 and 2 * 128 terms)."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0.1, 1.0, len(kinds))
+    fam = Family(tuple(random_set(rng, k, n) for k in kinds), weights=raw / raw.sum())
+    anchor = random_point(rng, fam, where)
+    y = random_point(rng, fam, where) if start else None
+    taus = fam.schedule.tau(np.arange(q + 1)).tolist()
+    got, got_error = steps_or_error(anchored_steps(fam, taus, anchor, y))
+    expected, error = steps_or_error(list_steps_reference(fam, taus, anchor, y))
+    assert got_error is error and len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert isinstance(g, list) and same_bits(np.array(g), np.array(e))
+
+
+class SubBall(Ball):
+    """A Ball by its data, but its own type: it may change `project_point`."""
+
+
+def test_point_kernel_calls_members_it_does_not_inline(monkeypatch, rng):
+    """A Ball subclass and a wrapped set go through `project_point` once a
+    step; a Ball, Box, HalfSpace or Hyperplane is inlined and calls nothing."""
+    calls = []
+    for cls in (Ball, Box, HalfSpace, Hyperplane):
+        for name in ("project", "project_point"):
+            method = getattr(cls, name)
+            monkeypatch.setattr(
+                cls, name, lambda s, x, m=method, name=name: calls.append((type(s), name)) or m(s, x)
+            )
+    fam = Family((Ball([0.0, 0.0], 2.0), SubBall([1.0, 0.0], 2.0), Checked(Box([0, 0], [1, 1])),
+                  HalfSpace([1.0, 1.0], 0.5), Hyperplane([1.0, -1.0], 0.0)),
+                 weights=[0.1, 0.2, 0.3, 0.25, 0.15])
+    taus = fam.schedule.tau(np.arange(8)).tolist()
+    x = 4.0 * rng.standard_normal(2)
+    got = list(anchored_steps(fam, taus, x))
+    assert set(calls) == {(SubBall, "project_point"), (Box, "project")}
+    assert calls.count((SubBall, "project_point")) == calls.count((Box, "project")) == len(taus)
+    for g, e in zip(got, list_steps_reference(fam, taus, x), strict=True):
+        assert same_bits(np.array(g), np.array(e))
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """The families whose point kernel is compiled, in order."""
+    built = []
+    compile_steps = operators._compile_point_steps
+    monkeypatch.setattr(
+        operators, "_compile_point_steps", lambda fam: built.append(fam) or compile_steps(fam)
+    )
+    return built
+
+
+def test_point_kernel_is_built_once_on_the_first_point_step(builds, rng):
+    """Loading a problem, making a family and batch calls build no kernel;
+    the first point step builds its family's, and later ones reuse it."""
+    fam = load_problem(str(PROBLEMS / "lens.json")).problem.family_a
+    batch = 4.0 * rng.standard_normal((6, 2))
+    list(anchored_steps(fam, [0.5, 0.25], batch))
+    project_intersection(fam, batch)
+    dini_monotonicity_check(fam, batch, 5)
+    apply_q_hat(fam, 3, batch)
+    assert builds == []
+    point = batch[0]
+    apply_m(fam, 0.5, point, point)
+    assert builds == [fam]
+    apply_q_hat(fam, 10, point)
+    q_hat_path(fam, 4, point)
+    project_intersection(fam, point)
+    assert builds == [fam]
+
+
+def test_families_of_one_shape_share_the_kernel_code():
+    """The kernel's code depends on the member kinds, their count and n
+    alone, so it is compiled once for all families of that shape."""
+    f1 = Family((Ball([0.0, 0.0], 2.0), Ball([1.0, 0.0], 2.0)))
+    f2 = Family((Ball([5.0, 0.0], 1.0), Ball([6.0, 1.0], 3.0)), weights=[0.3, 0.7])
+    x = [3.0, 4.0]
+    assert not np.array_equal(apply_m(f1, 0.5, x, x), apply_m(f2, 0.5, x, x))
+    assert f1._point_steps.__code__ is f2._point_steps.__code__
+
+
+def test_point_kernel_keeps_the_bits_of_extreme_constants():
+    """Subnormal, -0.0 and 1e300 members reach the kernel with their bits."""
+    tiny = 5e-324
+    fam = Family(
+        (Box([-0.0, tiny, -1e300], [0.0, 1e-310, 1e300]), Ball([-0.0, tiny, 1e300], 1e300),
+         HalfSpace([tiny, -0.0, 1.0], -0.0), Hyperplane([-0.0, 1.0, tiny], 1e-310)),
+        weights=[0.4, 0.3, 0.2, 0.1],
+    )
+    taus = fam.schedule.tau(np.arange(6)).tolist()
+    for x in ([0.0, -0.0, 1e300], [-0.0, tiny, -tiny], [-1e300, 1e-310, 0.0]):
+        got = anchored_steps(fam, taus, x)
+        for g, e in zip(got, list_steps_reference(fam, taus, x), strict=True):
+            assert same_bits(np.array(g), np.array(e))
+
+
+def test_point_kernel_source_holds_no_set_constant(monkeypatch):
+    """Only indices and operators are written into the kernel's source: its
+    number literals are the 0.0 and 1.0 of its formulas."""
+    sources = []
+    compiled = operators._compiled
+    monkeypatch.setattr(operators, "_compiled", lambda src: sources.append(src) or compiled(src))
+    fam = Family(
+        (Ball([0.25, -0.0], 1.5), Box([0.1, 0.2], [0.3, 0.4]), HalfSpace([3.5, 1.0], 0.75),
+         Hyperplane([1.0, 2.0], 0.125), Ellipsoid([0.5, 0.5], [2.0, 3.0])),
+        weights=[0.3, 0.1, 0.2, 0.15, 0.25],
+    )
+    apply_m(fam, 0.375, [7.0, 9.0], [7.0, 9.0])
+    [source] = sources
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    assert {t.string for t in tokens if t.type == tokenize.NUMBER} == {"0.0", "1.0"}
 
 
 def mixed_family():
