@@ -52,7 +52,7 @@ from .oracles import (
     fix_set_audit,
     uniqueness_certificate,
 )
-from .sets import set_from_dict, set_to_dict
+from .sets import row_norm, set_from_dict, set_to_dict
 from .solver import (
     Problem,
     SolverOptions,
@@ -278,10 +278,11 @@ def _check_grid(dim: int, rho: float):
     in {0..4}^dim with sum_d (i_d - 2)^2 <= 4, built in C order one
     coordinate at a time: grid point i lies about (rho/2) * sqrt(sum_d
     (i_d - 2)^2) from the origin, so any other point lies at least 1.1 rho
-    out.  Every candidate takes the ball test, on 2-D chunks of 625 rows as
-    it would on the whole grid; a 1-D norm rounds some points on the sphere
-    out.  When at most 625 pass (dim <= 6), all are kept in C order.
-    Otherwise the kept positions are spread evenly over the N that pass and
+    out.  Every candidate takes the ball test with `sets.row_norm`, in
+    chunks of 625 rows; it rounds each row as it would on the whole grid,
+    where the 1-D `np.linalg.norm`, a BLAS dot product, rounds some points
+    on the sphere out.  When at most 625 pass (dim <= 6), all are kept in C
+    order.  Otherwise the kept positions are spread evenly over the N that pass and
     closed under j -> N-1-j, which maps a grid point to its negation; the
     first 625 in C order would all have x_0 <= 0.
     """
@@ -292,7 +293,7 @@ def _check_grid(dim: int, rho: float):
         idx = np.column_stack([idx[rows], i.astype(np.int8)])
         budget = budget[rows] - (i - 2) ** 2
     idx = np.concatenate([
-        chunk[np.linalg.norm(axis[chunk], axis=1) <= rho]
+        chunk[row_norm(axis[chunk]) <= rho]
         for chunk in np.split(idx, range(625, len(idx), 625))
     ])
     n = len(idx)

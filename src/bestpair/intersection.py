@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import MaxIterExceeded
 from .operators import Family
-from .sets import as_positive, finite_points, max_distance
+from .sets import as_positive, finite_points, max_distance, row_norm
 
 # The one accuracy of the reference projection, for the solver's stop test,
 # pair residuals and feasibility check and for the oracles; the alternating
@@ -45,7 +45,8 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     distances are measured on the whole batch.  Every row keeps the bits of
     a batch that cycles all rows, except beside a half-space or hyperplane
     from n = 8 on, where BLAS rounds a row by the rows batched with it.
-    A single-member family short-circuits to the member's exact projection.
+    A single-member family short-circuits to the member's exact projection,
+    `project_point` for a single point and `project` for a batch.
     A tol that is not positive and finite raises ValueError, an x of the
     wrong dimension DimensionMismatch, and a non-finite x ValueError, all
     before any cycle; on an exhausted budget, MaxIterExceeded carries the
@@ -54,10 +55,10 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     as_positive(tol, "tol")
     sets = family.sets
     x = finite_points(x, family.dim, "x")
-    if len(sets) == 1:
-        return sets[0].project(x)
     if x.ndim > 1:
-        return _project_rows(sets, x, tol)
+        return sets[0].project(x) if len(sets) == 1 else _project_rows(sets, x, tol)
+    if len(sets) == 1:
+        return np.asarray(sets[0].project_point(x.tolist()))
 
     projections = [s.project_point for s in sets]
     y = x.tolist()
@@ -92,7 +93,7 @@ def _project_rows(sets, x, tol):
             z = y - incs[i]
             y = s.project(z)
             incs[i] = y - z
-        moved = np.linalg.norm(y - y_prev, axis=-1)
+        moved = row_norm(y - y_prev)
         gap = float(np.max(moved, initial=0.0))
         if gap <= tol:
             out[rows] = y

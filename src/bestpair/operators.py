@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
     CONTAINS_TOL, Ball, Box, HalfSpace, Hyperplane, as_count, as_number, as_positive,
-    as_vector, finite_points, max_distance,
+    as_vector, finite_points, max_distance, row_norm,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
@@ -150,7 +150,7 @@ class Family:
         """Distances ||x - P_l(x)|| to every member, shape (L, ...)."""
         x = np.asarray(x, dtype=float)
         return np.stack(
-            [np.linalg.norm(x - s.project(x), axis=-1) for s in self.sets]
+            [row_norm(x - s.project(x)) for s in self.sets]
         )
 
 

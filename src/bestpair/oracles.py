@@ -29,7 +29,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, q_hat_path, apply_q_hat
-from .sets import Ball, as_count, as_positive, finite_points
+from .sets import Ball, as_count, as_positive, finite_points, row_norm
 from .solver import (
     DISJOINTNESS_TOL,
     IterationTrace,
@@ -209,7 +209,7 @@ def _sample_in_intersection(rng, family: Family, rho: float, count: int):
         batch = min(4096, _SAMPLING_CAP - drawn)
         drawn += batch
         g = rng.standard_normal((batch, n))
-        g /= np.linalg.norm(g, axis=1, keepdims=True)
+        g /= row_norm(g)[:, None]
         radii = rho * rng.random(batch) ** (1.0 / n)
         pts = g * radii[:, None]
         mask = family.contains(pts, tol=0.0)
@@ -318,7 +318,7 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
         raise ValueError("grid must hold at least one point")
     T = project_intersection(family, pts)
     path = q_hat_path(family, K, pts)  # (K+1, m, n): sweep outputs 0..K
-    rs = np.linalg.norm(path - T, axis=-1)  # rs[j] = r_{j+1}(x)
+    rs = row_norm(path - T)  # rs[j] = r_{j+1}(x)
     excess = rs[2:] - rs[1:-1]  # excess[k-2] = r_{k+1} - r_k, k = 2..K
     violations = [
         {"k": int(j) + 2, "point": int(i), "excess": float(excess[j, i])}
@@ -366,8 +366,8 @@ def fix_set_audit(family: Family, q: int, inside, outside) -> FixSetReport:
         raise MisclassifiedPoint(
             f"an 'outside' point violates no member by > {FIX_SET_OUTSIDE_MARGIN:g}"
         )
-    moved_in = np.linalg.norm(apply_q_hat(family, q, inside) - inside, axis=-1)
-    moved_out = np.linalg.norm(apply_q_hat(family, q, outside) - outside, axis=-1)
+    moved_in = row_norm(apply_q_hat(family, q, inside) - inside)
+    moved_out = row_norm(apply_q_hat(family, q, outside) - outside)
     return FixSetReport(
         q=q,
         max_inside_move=float(moved_in.max()),
@@ -401,10 +401,10 @@ def lemma2_surjectivity_probe(problem: Problem, trace: IterationTrace) -> Lemma2
         raise TraceTooShort("need at least 10 even iterates for the tail cluster")
     tail = np.stack([e.x for e in evens[-10:]])
     diffs = tail[:, None, :] - tail[None, :, :]
-    diameter = float(np.max(np.linalg.norm(diffs, axis=-1)))
+    diameter = float(np.max(row_norm(diffs)))
     dist_oracle = brute_force_pair(problem, problem.rho / 100.0).gap
     pa = project_intersection(problem.family_a, tail)
-    nearness = float(np.max(np.linalg.norm(tail - pa, axis=-1)))
+    nearness = float(np.max(row_norm(tail - pa)))
     return Lemma2Report(
         tail_size=len(tail),
         diameter=diameter,

@@ -24,15 +24,22 @@ set's constants and helpers, by name.  Every name it makes starts with `k`,
 except the helpers `sqrt` and `array`.  The constants are never written
 into the source, so they keep their bits.
 
-Two sums need care to keep those bits:
+A norm is the square root of a sum of squares, and every norm here sums in
+numpy's `add.reduce` order, the order of `np.linalg.norm(d, axis=-1)`:
+fewer than `PAIRWISE_SUM_MIN` (8) terms add in order, and from 8 terms on
+numpy sums pairwise.  The one order is written in three forms:
 
-- A norm is the square root of a sum of squares.  numpy's `add.reduce` adds
-  fewer than `PAIRWISE_SUM_MIN` (8) terms in order, which a Python loop
-  repeats; from 8 terms on it sums pairwise, so `point_norm` hands those sums
-  to numpy, and `square_sum_source` writes numpy's pairwise order out.
-- A half-space or hyperplane keeps numpy's `x @ normal`, in `point_source`
-  too: BLAS's dot product does not round like an in-order sum at any
-  dimension.
+- `point_norm`, on a list of floats, adds short sums in a Python loop and
+  hands longer ones to numpy;
+- `row_norm`, on an array of shape (..., n), adds the squared columns
+  `d[..., j]` in order below 8 columns, where numpy's reduce over a short
+  last axis costs several times the arithmetic, and calls `add.reduce` from
+  8 on;
+- `square_sum_source` writes numpy's pairwise order out as source.
+
+A half-space or hyperplane keeps numpy's `x @ normal`, in `point_source`
+too: BLAS's dot product does not round like an in-order sum at any
+dimension.
 
 The ellipsoid converts the point to an array for `_newton_root`, the scalar
 loop of the Newton step of `project`, which `bounding_radius` runs too.
@@ -92,6 +99,30 @@ def point_norm(d):
     return math.sqrt(total)
 
 
+def row_norm(d):
+    """Euclidean norms along the last axis of an array of shape (..., n), bit
+    for bit `np.linalg.norm(d, axis=-1)`.
+
+    Below PAIRWISE_SUM_MIN columns, `_column_norm` adds the squared columns
+    in order, as `add.reduce` does, without its cost on a short last axis;
+    from there on, and for n = 0, `add.reduce` sums pairwise.
+    """
+    n = d.shape[-1]
+    if 0 < n < PAIRWISE_SUM_MIN:
+        return _column_norm([d[..., j] for j in range(n)])
+    return np.sqrt(np.add.reduce(d * d, axis=-1))
+
+
+def _column_norm(columns):
+    """Square root of the in-order sum of the squares of `columns`, a
+    nonempty list of arrays of one shape: the norms of their rows."""
+    first = columns[0]
+    total = first * first
+    for c in columns[1:]:
+        total += c * c
+    return np.sqrt(total)
+
+
 def square_sum_source(names):
     """Source of an expression that sums the squares of the locals `names` in
     numpy's `add.reduce` order, the order of `point_norm`.
@@ -130,12 +161,13 @@ def _moved_or_kept(test, setup, moved, out, x):
 def max_distance(u, v):
     """Largest distance between paired points of u and v.
 
-    Two lists of floats are one point each: `point_norm` of their difference,
-    bit for bit `np.linalg.norm(u - v, axis=-1)`.  Arrays of shape (..., n)
-    give the largest row distance, or 0.0 when they hold no row."""
+    Two lists of floats are one point each: `point_norm` of their difference.
+    Arrays of shape (..., n) give the largest `row_norm` of their difference,
+    or 0.0 when they hold no row; both are bit for bit
+    `np.linalg.norm(u - v, axis=-1)`."""
     if isinstance(u, list):
         return point_norm([a - b for a, b in zip(u, v)])
-    return float(np.max(np.linalg.norm(u - v, axis=-1), initial=0.0))
+    return float(np.max(row_norm(u - v), initial=0.0))
 
 
 def as_points(x, dim, what="point"):
@@ -260,13 +292,28 @@ class Ball:
         return self.center.size
 
     def project(self, x):
+        """Scale x - center back to the radius where it is longer.
+
+        The scale is r / max(n, r), which is 1 inside and keeps a point at
+        the centre off 0/0; a row keeps x exactly unless n > r.  Below
+        PAIRWISE_SUM_MIN coordinates the projection runs one column at a
+        time, so that no operation on the batch broadcasts the centre or
+        the scale; from there on one broadcast costs less than the loop.
+        """
         x = as_points(x, self.dim)
-        d = x - self.center
-        n = np.linalg.norm(d, axis=-1, keepdims=True)
-        outside = n > self.radius
-        # avoid 0/0 for interior points; they keep x exactly
-        scale = np.where(outside, self.radius / np.where(outside, n, 1.0), 1.0)
-        return np.where(outside, self.center + d * scale, x)
+        r = self.radius
+        if self.dim >= PAIRWISE_SUM_MIN:
+            d = x - self.center
+            n = row_norm(d)[..., None]
+            return np.where(n > r, self.center + d * (r / np.maximum(n, r)), x)
+        center = self._center_list
+        d = [x[..., j] - c for j, c in enumerate(center)]
+        n = _column_norm(d)
+        outside, scale = n > r, r / np.maximum(n, r)
+        out = np.empty_like(x)
+        for j, (c, dj) in enumerate(zip(center, d)):
+            out[..., j] = np.where(outside, c + dj * scale, x[..., j])
+        return out
 
     def project_point(self, x):
         center = self._center_list
@@ -290,7 +337,7 @@ class Ball:
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
-        return np.linalg.norm(x - self.center, axis=-1) <= self.radius + tol
+        return row_norm(x - self.center) <= self.radius + tol
 
     def bounding_radius(self):
         return float(np.linalg.norm(self.center) + self.radius)

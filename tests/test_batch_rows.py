@@ -1,0 +1,130 @@
+"""The batch forms of the norm and of the ball projection, held to numpy's
+bits.
+
+`sets.row_norm` is the one norm of an array of rows in the package; it must
+equal `np.linalg.norm(d, axis=-1)` bit for bit on any shape (..., n), at every
+n and in particular around numpy's pairwise splits (8, 128 and 2 * 128
+terms).  `Ball.project` runs one column at a time below 8 coordinates;
+`broadcast_ball_reference`, the broadcasting form it replaced, is kept here
+so that the new form is held to its bits at every n.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bestpair import Ball
+from bestpair.sets import PAIRWISE_BLOCK, row_norm
+
+SPLITS = [m + k for m in (PAIRWISE_BLOCK, 2 * PAIRWISE_BLOCK) for k in (-1, 0, 1)]
+DIMS = st.one_of(st.integers(1, 40), st.sampled_from(SPLITS))
+# (n,), (0, n), (m, n) and (K, m, n)
+LEADS = st.one_of(
+    st.just(()), st.just((0,)), st.tuples(st.integers(1, 64)),
+    st.tuples(st.integers(1, 3), st.integers(1, 16)),
+)
+SPECIALS = st.sampled_from([None, np.inf, -np.inf, np.nan, -np.nan])
+
+
+def same_bits(a, b):
+    """Equal arrays down to the sign of zero and the bits of NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def scatter_special(rng, x, value, share=0.3):
+    """x with `value` at one random coordinate of about `share` of its rows."""
+    if value is None or not x.size:
+        return x
+    rows = x.reshape(-1, x.shape[-1])
+    hit = np.flatnonzero(rng.random(len(rows)) < share)
+    rows[hit, rng.integers(0, x.shape[-1], hit.size)] = value
+    return rows.reshape(x.shape)
+
+
+@st.composite
+def row_batches(draw):
+    """Rows of signed entries in [-1, 1] with signed zeros, each row scaled
+    by 10^e for an e in [-150, 150], and maybe an inf or NaN in some rows."""
+    n, lead = draw(DIMS), draw(LEADS)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = rng.uniform(-1.0, 1.0, lead + (n,))
+    zeros = rng.random(d.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    d[zeros] = np.copysign(0.0, rng.uniform(-1.0, 1.0, int(zeros.sum())))
+    d *= 10.0 ** rng.integers(-150, 151, lead + (1,))
+    return scatter_special(rng, d, draw(SPECIALS))
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_batches())
+def test_row_norm_equals_linalg_norm(d):
+    with np.errstate(invalid="ignore"):
+        expected = np.linalg.norm(d, axis=-1)
+        got = row_norm(d)
+    assert same_bits(got, expected)
+
+
+def test_row_norm_on_views_and_every_split():
+    """Contiguous rows, strided and column-major views, at every n of the
+    hypothesis test."""
+    rng = np.random.default_rng(7)
+    for n in [*range(1, 41), *SPLITS]:
+        base = rng.standard_normal((64, 2 * n)) * 10.0 ** rng.integers(-20, 21, (64, 1))
+        views = base[:, :n], base[:, ::2], base[::2, :n], np.asfortranarray(base[:, :n])
+        for d in views:
+            assert same_bits(row_norm(d), np.linalg.norm(d, axis=-1)), n
+
+
+def broadcast_ball_reference(ball, x):
+    """`Ball.project` as it was written before it ran one column at a time:
+    the centre and the (N, 1) scale broadcast across the rows."""
+    d = x - ball.center
+    n = np.linalg.norm(d, axis=-1, keepdims=True)
+    outside = n > ball.radius
+    scale = np.where(outside, ball.radius / np.where(outside, n, 1.0), 1.0)
+    return np.where(outside, ball.center + d * scale, x)
+
+
+@st.composite
+def balls_and_rows(draw):
+    """A ball with an integer centre and radius, so that centre + radius * e_k
+    lies exactly on its sphere, or with float ones, and a batch of rows
+    inside, on the sphere, at the centre, outside and far out, maybe with
+    inf or NaN coordinates."""
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        center = rng.integers(-5, 6, n).astype(float)
+        radius = float(rng.integers(1, 8))
+    else:
+        center = rng.uniform(-10.0, 10.0, n)
+        radius = float(rng.uniform(0.01, 5.0))
+    m = draw(st.integers(1, 12))
+    g = rng.standard_normal((m, n))
+    g /= np.linalg.norm(g, axis=-1, keepdims=True)
+    factor = rng.choice([0.0, 0.5, 1.0, 1.0 + 1e-15, 2.0, 1e6], m)
+    rows = [center + radius * factor[:, None] * g]
+    rows.append(center + radius * np.eye(n)[rng.integers(0, n, m)])  # the sphere
+    rows.append(np.repeat(center[None], 2, axis=0))  # the centre
+    x = np.concatenate(rows)
+    x[rng.random(x.shape) < 0.1] *= -0.0
+    x = scatter_special(rng, x, draw(SPECIALS), share=0.2)
+    shape = draw(st.sampled_from(["single", "rows", "stacked", "fortran"]))
+    if shape == "single":
+        x = x[0]
+    elif shape == "stacked" and len(x) % 2 == 0:
+        x = x.reshape(2, -1, n)
+    elif shape == "fortran":
+        x = np.asfortranarray(x)
+    return Ball(center, radius), x
+
+
+@settings(max_examples=400, deadline=None)
+@given(balls_and_rows())
+def test_ball_project_equals_broadcast_form(case):
+    ball, x = case
+    # an infinite coordinate makes inf * 0 on both sides
+    with np.errstate(invalid="ignore"):
+        expected = broadcast_ball_reference(ball, x)
+        got = ball.project(x)
+    assert same_bits(got, expected)

@@ -28,6 +28,8 @@
   command pays for what the package imports.
 - Every `(owner, attr)` binding that `bench/tracing.py` patches exists, so a
   refactor that drops one fails here and not in a benchmark run.
+- No `np.linalg.norm` call with an axis stays outside `sets.row_norm`: the
+  norms of rows have one summation rule, written once.
 """
 
 import ast
@@ -274,3 +276,24 @@ def test_traced_bindings_exist():
         if not hasattr(owner, attr)
     ]
     assert not missing, missing
+
+
+def test_row_norms_only_in_row_norm():
+    """`np.linalg.norm(d, axis=...)`, or its axis given by position, is
+    written nowhere in the package but in `sets.row_norm`."""
+    bad = []
+    for path in MODULES:
+        tree = parse(path)
+        allowed = {
+            id(node) for name, func in functions(tree)
+            if path.name == "sets.py" and name == "row_norm"
+            for node in ast.walk(func)
+        }
+        bad += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in allowed
+            and ast.unparse(node.func).endswith("linalg.norm")
+            and (len(node.args) >= 3 or any(kw.arg == "axis" for kw in node.keywords))
+        ]
+    assert not bad, bad

@@ -137,6 +137,21 @@ def test_point_path_equals_project(case):
         assert got is point
 
 
+@pytest.mark.parametrize("s", [
+    Ball([0.5, -1.0], 1.5), HalfSpace([1.0, 2.0], 0.5), Hyperplane([1.0, -3.0], 2.0),
+    Box([0.0, 0.0], [1.0, 1.0]), Ellipsoid([0.0, 1.0], [2.0, 0.5]),
+], ids=lambda s: s.kind)
+def test_one_member_point_runs_no_batch_projection(s):
+    """A single point of a one-member family goes through `project_point`,
+    with the bits of `project`, which it never calls."""
+    family = Family((s,))
+    for x in (np.array([4.0, -3.0]), np.array([0.5, 0.25])):
+        expected = s.project(x)
+        with mock.patch.object(type(s), "project", side_effect=AssertionError("batch path")):
+            got = project_intersection(family, x)
+        assert same_bits(got, expected)
+
+
 @pytest.mark.parametrize("lo, hi, x", [
     (0.0, 1.0, -0.0),
     (-0.0, 1.0, 0.0),
