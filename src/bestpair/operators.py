@@ -10,27 +10,29 @@ A single point runs in its family's point kernel: straight-line Python
 source written for the family's members, weights and dimension, compiled on
 the family's first point step and kept.  It holds the coordinates in
 scalar locals, inlines each ball, box, half-space and hyperplane from the
-member's `point_source` (see `sets`), and calls any other member's
-`project_point`.  It does the IEEE operations of the numpy forms in the same
-order, so the results keep their bits; so does the list stop test of
-`shlwb_project`.  Batches of shape (..., n) run on arrays.  The public
-functions take and return arrays, and check their points with
-`sets.finite_points`.  `Family.contains` is the one membership test of an
-intersection.
+member's `point_source`, and calls any other member's `project_point`.
+`point_source` is the one point form of those four kinds: their
+`project_point` runs the same source, and `sets.compiled_function` compiles
+both (see `sets`).  The kernel does the IEEE operations of the numpy forms
+in the same order, so the results keep their bits; so does the list stop
+test of `shlwb_project`, whose norm `square_sum_source` writes out.
+Batches of shape (..., n) run on arrays.  The public functions take and
+return arrays, and check their points with `sets.finite_points`.
+`Family.contains` is the one membership test of an intersection.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
     CONTAINS_TOL, Ball, Box, HalfSpace, Hyperplane, as_count, as_number, as_positive,
-    as_vector, finite_points, max_distance, row_norm,
+    as_vector, compiled_function, finite_points, max_distance, row_norm,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
@@ -190,7 +192,8 @@ def _compile_point_steps(family: Family):
     member's `project_point` is called on the list of the coordinates.  These
     are the operations of `project_point` and of `weighted_projection`, in
     their order, so the steps keep their bits.  Weights and set constants
-    reach the code only as values in its namespace, never as text.
+    reach the code through `sets.compiled_function`, never as text, so
+    every family of one shape (member kinds, count and n) shares its code.
     """
     n = family.dim
     a, y = [f"a{j}" for j in range(n)], [f"y{j}" for j in range(n)]
@@ -211,27 +214,14 @@ def _compile_point_steps(family: Family):
         f"{yj} = tau * {aj} + s * ({' + '.join(f'w{i} * {o[j]}' for i, o in enumerate(outs))})"
         for j, (aj, yj) in enumerate(zip(a, y))
     ]
-    source = "\n".join([
-        "def steps(anchor, y, taus):",
-        f"    {', '.join(consts)}, = K",
-        f"    {', '.join(a)}, = anchor",
-        f"    {', '.join(y)}, = y",
-        "    for tau in taus:",
-        "        s = 1.0 - tau",
-        *(f"        {line}" for line in body + steps),
-        f"        yield [{', '.join(y)}]",
+    return compiled_function("def steps(anchor, y, taus):", consts, [
+        f"{', '.join(a)}, = anchor",
+        f"{', '.join(y)}, = y",
+        "for tau in taus:",
+        "    s = 1.0 - tau",
+        *(f"    {line}" for line in body + steps),
+        f"    yield [{', '.join(y)}]",
     ])
-    namespace = {"K": tuple(consts.values())}
-    exec(_compiled(source), namespace)
-    return namespace["steps"]
-
-
-@lru_cache(maxsize=16)
-def _compiled(source):
-    """The code object of a point kernel's source.  The source holds no
-    constant, so every family of one shape (member kinds, count and n) shares
-    it, and a problem loaded again does not compile it again."""
-    return compile(source, "<point kernel>", "exec")
 
 
 def _sweep_taus(family: Family, q: int) -> list:

@@ -7,35 +7,36 @@ except the ellipsoid which solves a one-dimensional dual equation by
 monotone Newton from a proven lower bound, to residual <= 1e-12.
 
 Each set also has `project_point`, an unchecked projection of one point given
-as a list of n Python floats; it returns a list.  It runs the floating-point
-operations of `project` in the same order, so `np.array(project_point(x))`
-equals `project(np.array(x))` bit for bit, but it branches on scalars where
-`project` masks with `np.where`; when the branch finds the point in the set,
-`x` itself comes back (the box has no branch).  No point-path code mutates a
-list it was given.  Dykstra's cycles on one point use it, because on small
-points the cost of `project` is numpy call overhead, and Python float
-arithmetic does the same IEEE operations for a fraction of it.
+as a list of n Python floats; it returns a list, a new one except where the
+ellipsoid hands back a point it contains.  It runs the
+floating-point operations of `project` in the same order, so
+`np.array(project_point(x))` equals `project(np.array(x))` bit for bit, but
+it branches on scalars where `project` masks with `np.where`.  Dykstra's
+cycles on one point use it, because on small points the cost of `project`
+is numpy call overhead, and Python float arithmetic does the same IEEE
+operations for a fraction of it.
 
-Balls, boxes, half-spaces and hyperplanes also have `point_source(x, out,
-k)`: `project_point` written as Python source on scalar locals, for the point
-kernel of `operators`.  It returns source lines that set the locals named in
-`out` from those named in `x`, and a dict of the values the lines read, the
-set's constants and helpers, by name.  Every name it makes starts with `k`,
-except the helpers `sqrt` and `array`.  The constants are never written
-into the source, so they keep their bits.
+Balls, boxes, half-spaces and hyperplanes write that point arithmetic once,
+as `point_source(x, out, k)`: Python source on scalar locals that sets the
+locals named in `out` from those named in `x`, and a dict of the values the
+lines read, the set's constants and helpers, by name.  Every name it makes
+starts with `k`, except the helpers `sqrt` and `array`.  Their shared
+`project_point` runs that source compiled for the set, and the point kernel
+of `operators` inlines it.  `compiled_function` is the one place generated
+source is compiled: the constants reach the code as values, never as text,
+so they keep their bits.
 
 A norm is the square root of a sum of squares, and every norm here sums in
 numpy's `add.reduce` order, the order of `np.linalg.norm(d, axis=-1)`:
 fewer than `PAIRWISE_SUM_MIN` (8) terms add in order, and from 8 terms on
-numpy sums pairwise.  The one order is written in three forms:
+numpy sums pairwise.  The one order is written in two forms:
 
-- `point_norm`, on a list of floats, adds short sums in a Python loop and
-  hands longer ones to numpy;
 - `row_norm`, on an array of shape (..., n), adds the squared columns
   `d[..., j]` in order below 8 columns, where numpy's reduce over a short
   last axis costs several times the arithmetic, and calls `add.reduce` from
   8 on;
-- `square_sum_source` writes numpy's pairwise order out as source.
+- `square_sum_source` writes numpy's pairwise order out as source, for a
+  ball's `point_source` and for the distance of two lists.
 
 A half-space or hyperplane keeps numpy's `x @ normal`, in `point_source`
 too: BLAS's dot product does not round like an in-order sum at any
@@ -64,6 +65,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from typing import get_args
 
 import numpy as np
@@ -82,21 +84,6 @@ _ELLIPSOID_MAX_ROUNDS = 110
 # in blocks of at most PAIRWISE_BLOCK terms
 PAIRWISE_SUM_MIN = 8
 PAIRWISE_BLOCK = 128
-
-
-def point_norm(d):
-    """Euclidean norm of a list of floats, bit for bit `np.linalg.norm(d, axis=-1)`.
-
-    The loop does not use `sum`, which compensates its rounding from Python
-    3.12 on.
-    """
-    if len(d) >= PAIRWISE_SUM_MIN:
-        a = np.array(d)
-        return math.sqrt(np.add.reduce(a * a))
-    total = 0.0
-    for v in d:
-        total += v * v
-    return math.sqrt(total)
 
 
 def row_norm(d):
@@ -125,7 +112,7 @@ def _column_norm(columns):
 
 def square_sum_source(names):
     """Source of an expression that sums the squares of the locals `names` in
-    numpy's `add.reduce` order, the order of `point_norm`.
+    numpy's `add.reduce` order, the order of `row_norm`.
 
     Fewer than PAIRWISE_SUM_MIN (8) terms add in order.  Up to PAIRWISE_BLOCK
     (128) terms, eight running sums r_j take every eighth term, combine as
@@ -158,21 +145,50 @@ def _moved_or_kept(test, setup, moved, out, x):
     ]
 
 
+def compiled_function(head, consts, body):
+    """The function of the def line `head` and the statements `body`, each
+    name of `consts` a local bound to its value.  The values reach it as the
+    tuple `K`, never as text, so they keep their bits; code is cached by its
+    source, so every function of one shape shares it."""
+    source = "\n".join([head, f"    {', '.join(consts)}, = K", *(f"    {line}" for line in body)])
+    namespace = {"K": tuple(consts.values())}
+    exec(_code(source), namespace)
+    return namespace[head[len("def "):head.index("(")]]
+
+
+@lru_cache(maxsize=64)
+def _code(source):
+    return compile(source, "<generated>", "exec")
+
+
+@lru_cache(maxsize=64)
+def _list_distance(n):
+    """distance(u, v) of two lists of n floats, compiled: the square root of
+    `square_sum_source` of their differences."""
+    u, v, d = ([f"{c}{j}" for j in range(n)] for c in "uvd")
+    return compiled_function("def distance(u, v):", {"sqrt": math.sqrt}, [
+        f"{', '.join(u)}, = u", f"{', '.join(v)}, = v",
+        *(f"{dj} = {uj} - {vj}" for dj, uj, vj in zip(d, u, v)),
+        f"return sqrt({square_sum_source(d)})",
+    ])
+
+
 def max_distance(u, v):
     """Largest distance between paired points of u and v.
 
-    Two lists of floats are one point each: `point_norm` of their difference.
+    Two lists of floats are one point each, measured by `_list_distance`.
     Arrays of shape (..., n) give the largest `row_norm` of their difference,
     or 0.0 when they hold no row; both are bit for bit
     `np.linalg.norm(u - v, axis=-1)`."""
     if isinstance(u, list):
-        return point_norm([a - b for a, b in zip(u, v)])
+        return _list_distance(len(u))(u, v)
     return float(np.max(row_norm(u - v), initial=0.0))
 
 
 def as_points(x, dim, what="point"):
-    """Coerce to a float array of shape (..., dim); raises DimensionMismatch."""
-    x = np.asarray(x, dtype=float)
+    """Coerce to a C-ordered float array of shape (..., dim), in which numpy
+    sums a row pairwise as it does a point; raises DimensionMismatch."""
+    x = np.asarray(x, dtype=float, order="C")
     if x.ndim == 0 or x.shape[-1] != dim:
         raise DimensionMismatch(
             f"{what} has dimension {x.shape[-1] if x.ndim else 0}, expected {dim}"
@@ -271,8 +287,23 @@ def _check_dual_residual(worst):
         )
 
 
+class _PointSource:
+    """A kind whose one-point projection is written once, as `point_source`:
+    `project_point` runs it compiled for the set on the first call."""
+
+    def project_point(self, x):
+        return self._point_projection(x)
+
+    @cached_property
+    def _point_projection(self):
+        x, out = ([f"{c}{j}" for j in range(self.dim)] for c in "xp")
+        lines, consts = self.point_source(x, out, "k")
+        body = [f"{', '.join(x)}, = x", *lines, f"return [{', '.join(out)}]"]
+        return compiled_function("def project_point(x):", consts, body)
+
+
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(_PointSource):
     """Closed ball {x : ||x - center|| <= radius}."""
 
     center: np.ndarray
@@ -315,15 +346,6 @@ class Ball:
             out[..., j] = np.where(outside, c + dj * scale, x[..., j])
         return out
 
-    def project_point(self, x):
-        center = self._center_list
-        d = [v - c for v, c in zip(x, center)]
-        n = point_norm(d)
-        if n > self.radius:
-            scale = self.radius / n
-            return [c + v * scale for c, v in zip(center, d)]
-        return x
-
     def point_source(self, x, out, k):
         c = [f"{k}c{j}" for j in range(self.dim)]
         d = [f"{k}d{j}" for j in range(self.dim)]
@@ -344,7 +366,7 @@ class Ball:
 
 
 @dataclass(frozen=True, eq=False)
-class _Affine:
+class _Affine(_PointSource):
     """A nonzero normal and an offset.  Subclasses add a kind, `contains` and
     `_moves`, the test of the excess <normal, x> - offset against 0 that
     decides whether `project` moves a point onto <normal, x> = offset."""
@@ -362,7 +384,6 @@ class _Affine:
         if np.linalg.norm(self.normal) == 0.0:
             raise ValueError("normal must be nonzero")
         object.__setattr__(self, "_nn", float(self.normal @ self.normal))
-        object.__setattr__(self, "_normal_list", self.normal.tolist())
 
     @property
     def dim(self):
@@ -377,13 +398,6 @@ class _Affine:
             x,
         )
 
-    def project_point(self, x):
-        excess = float(np.array(x) @ self.normal) - self.offset
-        if self._moves(excess, 0.0):
-            shift = excess / self._nn
-            return [v - shift * c for v, c in zip(x, self._normal_list)]
-        return x
-
     def point_source(self, x, out, k):
         v = [f"{k}v{j}" for j in range(self.dim)]
         lines = [f"{k}e = float(array(({', '.join(x)},)) @ {k}normal) - {k}offset"]
@@ -393,7 +407,7 @@ class _Affine:
         )
         consts = {"array": np.array, f"{k}normal": self.normal, f"{k}offset": self.offset,
                   f"{k}moves": self._moves, f"{k}nn": self._nn}
-        return lines, {**consts, **dict(zip(v, self._normal_list))}
+        return lines, {**consts, **dict(zip(v, self.normal.tolist()))}
 
 
 class HalfSpace(_Affine):
@@ -420,7 +434,7 @@ class Hyperplane(_Affine):
 
 
 @dataclass(frozen=True, eq=False)
-class Box:
+class Box(_PointSource):
     """Axis-aligned box {x : lo <= x <= hi componentwise}."""
 
     lo: np.ndarray
@@ -436,11 +450,6 @@ class Box:
             raise DimensionMismatch("lo and hi dimensions differ")
         if not np.all(self.lo <= self.hi):
             raise ValueError("requires lo <= hi componentwise")
-        # per coordinate: lo, the clip of lo itself (which differs from lo
-        # only where lo and hi are zeros of opposite sign), and hi
-        object.__setattr__(self, "_bounds", list(zip(
-            self.lo.tolist(), np.clip(self.lo, self.lo, self.hi).tolist(), self.hi.tolist()
-        )))
 
     @property
     def dim(self):
@@ -450,17 +459,14 @@ class Box:
         x = as_points(x, self.dim)
         return np.clip(x, self.lo, self.hi)
 
-    def project_point(self, x):
-        # np.clip keeps the bound on a tie (0.0 for x = -0.0, lo = 0.0) and
-        # passes NaN through; Python's min(max(x, lo), hi) would keep x
-        return [
-            lo_clip if v <= lo else (hi if v >= hi else v)
-            for v, (lo, lo_clip, hi) in zip(x, self._bounds)
-        ]
-
     def point_source(self, x, out, k):
+        # np.clip keeps the bound on a tie (0.0 for x = -0.0, lo = 0.0) and
+        # passes NaN through; Python's min(max(x, lo), hi) would keep x.  Per
+        # coordinate: lo, the clip of lo itself (which differs from lo only
+        # where lo and hi are zeros of opposite sign), and hi.
+        columns = self.lo.tolist(), np.clip(self.lo, self.lo, self.hi).tolist(), self.hi.tolist()
         lines, consts = [], {}
-        for j, (v, o, bounds) in enumerate(zip(x, out, self._bounds)):
+        for j, (v, o, *bounds) in enumerate(zip(x, out, *columns)):
             lo, lo_clip, hi = names = f"{k}lo{j}", f"{k}lc{j}", f"{k}hi{j}"
             consts.update(zip(names, bounds))
             lines.append(f"{o} = {lo_clip} if {v} <= {lo} else ({hi} if {v} >= {hi} else {v})")
@@ -499,8 +505,9 @@ class Ellipsoid:
     def dim(self):
         return self.center.size
 
-    def _quad(self, x):
-        return np.sum(((x - self.center) / self.axes) ** 2, axis=-1)
+    def _quad(self, z):
+        """sum_d (z_d / a_d)^2 along the last axis of z, an offset from the centre."""
+        return np.add.reduce((z / self.axes) ** 2, axis=-1)
 
     def project(self, x):
         """Project via the dual equation.
@@ -521,8 +528,7 @@ class Ellipsoid:
         pts = x.reshape(-1, self.dim)
         z = pts - self.center
         a2 = self._a2
-        quad = np.sum((z / self.axes) ** 2, axis=-1)
-        outside = quad > 1.0
+        outside = self._quad(z) > 1.0
         if not np.any(outside):
             return x
         zo = z[outside]
@@ -547,7 +553,7 @@ class Ellipsoid:
 
     def project_point(self, x):
         z = np.array(x) - self.center
-        if not np.add.reduce((z / self.axes) ** 2) > 1.0:
+        if not self._quad(z) > 1.0:
             return x
         a2 = self._a2
         lam, phi = _newton_root(z * self.axes, a2, 0.0)
@@ -556,7 +562,7 @@ class Ellipsoid:
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
-        return self._quad(x) <= 1.0 + tol
+        return self._quad(x - self.center) <= 1.0 + tol
 
     def bounding_radius(self):
         """Exact radius of the smallest origin-centred ball containing the set.

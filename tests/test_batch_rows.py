@@ -6,14 +6,16 @@ equal `np.linalg.norm(d, axis=-1)` bit for bit on any shape (..., n), at every
 n and in particular around numpy's pairwise splits (8, 128 and 2 * 128
 terms).  `Ball.project` runs one column at a time below 8 coordinates;
 `broadcast_ball_reference`, the broadcasting form it replaced, is kept here
-so that the new form is held to its bits at every n.
+so that the new form is held to its bits at every n.  A column-major batch
+is projected as its C-ordered copy, whose rows numpy sums pairwise.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestpair import Ball
+from bestpair import Ball, Family, project_intersection, shlwb_project
 from bestpair.sets import PAIRWISE_BLOCK, row_norm
 
 SPLITS = [m + k for m in (PAIRWISE_BLOCK, 2 * PAIRWISE_BLOCK) for k in (-1, 0, 1)]
@@ -125,6 +127,21 @@ def test_ball_project_equals_broadcast_form(case):
     ball, x = case
     # an infinite coordinate makes inf * 0 on both sides
     with np.errstate(invalid="ignore"):
-        expected = broadcast_ball_reference(ball, x)
+        expected = broadcast_ball_reference(ball, np.ascontiguousarray(x))
         got = ball.project(x)
     assert same_bits(got, expected)
+
+
+@pytest.mark.parametrize("n", [8, 10, 20])
+def test_fortran_batch_has_the_bits_of_its_c_batch(n):
+    """numpy reduces the rows of a column-major batch in order, not
+    pairwise; the batch is projected as its C-ordered copy, so both layouts
+    give the same bits."""
+    rng = np.random.default_rng(n)
+    x = 3.0 * rng.standard_normal((200, n))
+    fx = np.asfortranarray(x)
+    ball = Ball(np.zeros(n), 2.0)
+    family = Family((ball, Ball(np.eye(n)[0], 2.0)))
+    assert same_bits(ball.project(fx), ball.project(x))
+    assert same_bits(project_intersection(family, fx), project_intersection(family, x))
+    assert same_bits(shlwb_project(family, fx, tol=1e-2), shlwb_project(family, x, tol=1e-2))

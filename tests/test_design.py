@@ -30,6 +30,12 @@
   refactor that drops one fails here and not in a benchmark run.
 - No `np.linalg.norm` call with an axis stays outside `sets.row_norm`: the
   norms of rows have one summation rule, written once.
+- Generated source is compiled in one place: the package calls `compile`
+  once, in `sets._code`, the cache of `sets.compiled_function`, and `exec`
+  once, in `compiled_function`.
+- `Ball`, `Box`, `HalfSpace` and `Hyperplane` share one `project_point`,
+  which runs their `point_source`: each of their point projections is
+  written once.
 """
 
 import ast
@@ -44,6 +50,7 @@ from collections import defaultdict
 import pytest
 
 import bestpair
+from bestpair import Ball, Box, HalfSpace, Hyperplane
 
 MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
@@ -297,3 +304,28 @@ def test_row_norms_only_in_row_norm():
             and (len(node.args) >= 3 or any(kw.arg == "axis" for kw in node.keywords))
         ]
     assert not bad, bad
+
+
+def compile_or_exec_calls(node):
+    return [
+        call.func.id for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in ("compile", "exec")
+    ]
+
+
+def test_generated_code_is_compiled_in_one_helper():
+    everywhere = [call for path in MODULES for call in compile_or_exec_calls(parse(path))]
+    assert sorted(everywhere) == ["compile", "exec"]
+    found = {
+        (path.name, name, call)
+        for path in MODULES
+        for name, func in functions(parse(path))
+        for call in compile_or_exec_calls(func)
+    }
+    assert found == {("sets.py", "_code", "compile"), ("sets.py", "compiled_function", "exec")}
+
+
+def test_inlined_kinds_share_one_project_point():
+    shared = {cls.project_point for cls in (Ball, Box, HalfSpace, Hyperplane)}
+    assert len(shared) == 1

@@ -4,15 +4,18 @@ checked `project` path and the list path.
 `project_point` takes and returns a list of floats and promises the bits of
 `project` on the same point, so every comparison of the two paths here is
 exact; the ellipsoid's root-find is also held to a bound against a 110-round
-bisection.  The checked
-path is kept as the reference: the `Checked` wrapper routes a set's point
-projections through `project`, which is how every single-point projection
-ran before the point path existed.  Dimensions reach 12, past the 8 terms
-from which numpy sums a norm pairwise.
+bisection.  A ball, box, half-space or hyperplane projects a point by its
+`point_source`, compiled; the tests here hold that source to `project`.
+The checked path is kept as the reference: the `Checked` wrapper routes a
+set's point projections through `project`, which is how every single-point
+projection ran before the point path existed.  Dimensions reach 12, past
+the 8 terms from which numpy sums a norm pairwise.
 
 The point kernel that runs the anchored steps of one point is held to the
 bits of `list_steps_reference`, the list path it replaced, at n = 1-20 and
-past each split of numpy's pairwise sum (8, 128 and 2 * 128 terms).
+past each split of numpy's pairwise sum (8, 128 and 2 * 128 terms); so is
+the distance of two lists, which writes that sum out as source too.  No
+generated source holds a set constant as text.
 """
 
 import io
@@ -47,7 +50,7 @@ from bestpair import (
 from bestpair import sets
 from bestpair.cli import load_problem
 from bestpair.operators import anchored_steps
-from bestpair.sets import max_distance, point_norm
+from bestpair.sets import PAIRWISE_BLOCK, max_distance
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
@@ -132,9 +135,9 @@ def test_point_path_equals_project(case):
     got = s.project_point(point)
     assert isinstance(got, list) and all(type(v) is float for v in got)
     assert same_bits(np.array(got), expected)
-    # the branch-based kinds hand a point they contain back unchanged
+    # the branch-based kinds keep the bits of a point they contain
     if not isinstance(s, Box) and s.contains(x, tol=0.0):
-        assert got is point
+        assert same_bits(np.array(got), x)
 
 
 @pytest.mark.parametrize("s", [
@@ -196,20 +199,29 @@ def test_affine_edge_points_agree_on_every_path(cls, offset):
 def test_affine_nan_excess(x):
     """A half-space keeps a point whose excess is NaN; a hyperplane maps it to NaN."""
     hs, hp = HalfSpace([1.0, 2.0], 1.0), Hyperplane([1.0, 2.0], 1.0)
-    assert hs.project_point(x) is x
+    assert same_bits(np.array(hs.project_point(x)), np.array(x))
     assert same_bits(hs.project(np.array(x)), np.array(x))
     assert np.all(np.isnan(hp.project_point(x)))
     assert np.all(np.isnan(hp.project(np.array(x))))
 
 
+SPLIT_DIMS = [m + k for m in (PAIRWISE_BLOCK, 2 * PAIRWISE_BLOCK) for k in (-1, 0, 1)]
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 20).flatmap(lambda n: vectors(n, st.floats(-1e3, 1e3))))
-def test_point_norm_equals_linalg_norm(d):
-    assert point_norm(d.tolist()) == np.linalg.norm(d, axis=-1)
-    # one point as lists, and a batch of shape (3, n) row by row
-    u, v = d.tolist(), d[::-1].tolist()
-    assert max_distance(u, v) == np.linalg.norm(np.array(u) - np.array(v), axis=-1)
-    rows = np.stack([d, d[::-1], 2.0 * d])
+@given(
+    (st.integers(1, 20) | st.sampled_from([*SPLIT_DIMS, 300])).flatmap(
+        lambda n: st.tuples(*[vectors(n, st.floats(-1e3, 1e3))] * 2)
+    )
+)
+def test_list_distance_equals_linalg_norm(uv):
+    """`max_distance` on two lists writes out numpy's pairwise sum: the bits
+    of `np.linalg.norm(u - v, axis=-1)` below and past each of its splits
+    (8, 128 and 2 * 128 terms)."""
+    u, v = uv
+    assert max_distance(u.tolist(), v.tolist()) == np.linalg.norm(u - v, axis=-1)
+    # a batch of shape (3, n), row by row
+    rows = np.stack([u, v, 2.0 * u])
     expected = max(np.linalg.norm(a - b, axis=-1) for a, b in zip(rows, rows[::-1]))
     assert max_distance(rows, rows[::-1]) == expected
 
@@ -526,21 +538,31 @@ def test_point_kernel_keeps_the_bits_of_extreme_constants():
             assert same_bits(np.array(g), np.array(e))
 
 
-def test_point_kernel_source_holds_no_set_constant(monkeypatch):
-    """Only indices and operators are written into the kernel's source: its
-    number literals are the 0.0 and 1.0 of its formulas."""
-    sources = []
-    compiled = operators._compiled
-    monkeypatch.setattr(operators, "_compiled", lambda src: sources.append(src) or compiled(src))
-    fam = Family(
-        (Ball([0.25, -0.0], 1.5), Box([0.1, 0.2], [0.3, 0.4]), HalfSpace([3.5, 1.0], 0.75),
-         Hyperplane([1.0, 2.0], 0.125), Ellipsoid([0.5, 0.5], [2.0, 3.0])),
-        weights=[0.3, 0.1, 0.2, 0.15, 0.25],
-    )
-    apply_m(fam, 0.375, [7.0, 9.0], [7.0, 9.0])
-    [source] = sources
+def number_literals(source):
     tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-    assert {t.string for t in tokens if t.type == tokenize.NUMBER} == {"0.0", "1.0"}
+    return {t.string for t in tokens if t.type == tokenize.NUMBER}
+
+
+def test_point_kernel_source_holds_no_set_constant(monkeypatch):
+    """Only indices and operators are written into generated source: the
+    kernel's number literals are the 0.0 and 1.0 of its formulas, and the
+    sources of `project_point` and of the list distance hold no other."""
+    sources = []
+    code = sets._code
+    monkeypatch.setattr(sets, "_code", lambda src: sources.append(src) or code(src))
+    members = (Ball([0.25, -0.0], 1.5), Box([0.1, 0.2], [0.3, 0.4]), HalfSpace([3.5, 1.0], 0.75),
+               Hyperplane([1.0, 2.0], 0.125), Ellipsoid([0.5, 0.5], [2.0, 3.0]))
+    fam = Family(members, weights=[0.3, 0.1, 0.2, 0.15, 0.25])
+    apply_m(fam, 0.375, [7.0, 9.0], [7.0, 9.0])
+    [kernel] = sources
+    assert number_literals(kernel) == {"0.0", "1.0"}
+    for s in members[:4]:
+        s.project_point([7.0, 9.0])
+    for n in (2, 8, 300):
+        sets._list_distance.__wrapped__(n)
+    assert len(sources) == 8
+    for source in sources[1:]:
+        assert number_literals(source) <= {"0.0", "1.0"}
 
 
 def mixed_family():
