@@ -6,6 +6,17 @@ variants shipped here.  It serves as the high-accuracy reference everywhere a
 projection onto an intersection is needed at tolerances the anchored
 iteration cannot reach in reasonable time (its residual decays like tau_k).
 
+A single point runs in its family's Dykstra kernel, one call for the whole
+projection: source written for the family's members and dimension, like the
+point kernels of `operators`, compiled on the family's first point
+projection and kept (`Family.point_kernel`).  The iterate and every member's
+increment live in scalar locals; each member's projection comes from
+`sets.point_projection_source`, and the gap and the member distances of the
+stop test are written out by `sets.square_sum_source`.  These are the
+operations of the cycles on lists through `project_point`, in their order,
+so the result, and the last iterate and gap of an exhausted budget, keep
+their bits.
+
 A batch retires each row once its whole Dykstra state, its row of y and of
 every increment, keeps its bits over one cycle: every later cycle would
 repeat those bits, so the row is final.  It is written to the result, and
@@ -19,11 +30,16 @@ the batch around it changes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import MaxIterExceeded
 from .operators import Family
-from .sets import as_positive, finite_points, max_distance, row_norm
+from .sets import (
+    as_positive, compiled_function, finite_points, max_distance, point_projection_source,
+    row_norm, square_sum_source,
+)
 
 # The one accuracy of the reference projection, for the solver's stop test,
 # pair residuals and feasibility check and for the oracles; the alternating
@@ -36,9 +52,9 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     """Project x onto the intersection of a Family's members.
 
     Takes a point of shape (n,) or a batch (..., n); the result is an array
-    of the same shape.  A single point runs as a list of floats through the
-    members' `project_point`, with the increments, gap and feasibility test
-    of the batch path on lists.  Stops when the per-cycle displacement and
+    of the same shape.  A single point runs in the family's Dykstra kernel
+    (see `_compile_dykstra`), with the increments, gap and feasibility test
+    of the batch path on scalars.  Stops when the per-cycle displacement and
     the worst member distance both fall below tol, within REFERENCE_MAX_ITER
     cycles.  A batch retires each row once its state keeps its bits over a
     cycle; a retired row adds 0 to the displacement, and the member
@@ -60,23 +76,61 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     if len(sets) == 1:
         return np.asarray(sets[0].project_point(x.tolist()))
 
-    projections = [s.project_point for s in sets]
-    y = x.tolist()
-    # no increment is changed in place, so they can start as one object
-    incs = [[0.0] * len(y)] * len(sets)
-    gap = np.inf
-    for _ in range(REFERENCE_MAX_ITER):
-        y_prev = y
-        for i, project in enumerate(projections):
-            z = [a - b for a, b in zip(y, incs[i])]
-            y = project(z)
-            incs[i] = [a - b for a, b in zip(y, z)]
-        gap = max_distance(y, y_prev)
-        if gap <= tol:
-            feas = max(max_distance(y, project(y)) for project in projections)
-            if feas <= tol:
-                return np.asarray(y)
-    raise _budget_exhausted(np.asarray(y), gap)
+    done, y, gap = family.point_kernel(_compile_dykstra)(x.tolist(), tol, REFERENCE_MAX_ITER)
+    if not done:
+        raise _budget_exhausted(np.asarray(y), gap)
+    return np.asarray(y)
+
+
+def _compile_dykstra(family: Family):
+    """dykstra(x, tol, cycles) of `project_intersection` on one point, written
+    as source for this family and compiled.
+
+    x is a list of n floats, the start of the iterate y0, y1, ...; member i's
+    increment is in i{i}_0, i{i}_1, ....  A cycle runs, for each member,
+    z = y - inc, y = P(z) and inc = y - z, and the gap is the distance of y
+    from the iterate before the cycle.  When the gap is at most tol, the
+    largest distance from y to its projection onto a member, taken as
+    Python's `max` takes it, is tested against tol.  The function returns
+    (True, y, gap) on success, and (False, y, gap) after `cycles` cycles,
+    with y a list.
+    """
+    n = family.dim
+    y, p, z, f, d = ([f"{c}{j}" for j in range(n)] for c in "ypzfd")
+    consts = {"sqrt": math.sqrt, "inf": math.inf}
+    cycle, feasible = [], []
+    for i, s in enumerate(family.sets):
+        k = f"m{i}_"
+        inc = [f"i{i}_{j}" for j in range(n)]
+        into_y, names = point_projection_source(s, z, y, k)
+        onto_y, _ = point_projection_source(s, y, f, k)
+        consts.update(names)
+        cycle += [
+            *(f"{zj} = {yj} - {ij}" for zj, yj, ij in zip(z, y, inc)),
+            *into_y,
+            *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
+        ]
+        feasible += [
+            *onto_y,
+            *(f"{dj} = {yj} - {fj}" for dj, yj, fj in zip(d, y, f)),
+            f"dist = sqrt({square_sum_source(d)})",
+            "feas = dist" if i == 0 else "if dist > feas: feas = dist",
+        ]
+    return compiled_function("def dykstra(x, tol, cycles):", consts, [
+        f"{', '.join(y)}, = x",
+        f"{' = '.join(f'i{i}_{j}' for i in range(len(family.sets)) for j in range(n))} = 0.0",
+        "gap = inf",
+        "for _ in range(cycles):",
+        *(f"    {pj} = {yj}" for pj, yj in zip(p, y)),
+        *(f"    {line}" for line in cycle),
+        *(f"    {dj} = {yj} - {pj}" for dj, yj, pj in zip(d, y, p)),
+        f"    gap = sqrt({square_sum_source(d)})",
+        "    if gap <= tol:",
+        *(f"        {line}" for line in feasible),
+        "        if feas <= tol:",
+        f"            return True, [{', '.join(y)}], gap",
+        f"return False, [{', '.join(y)}], gap",
+    ])
 
 
 def _project_rows(sets, x, tol):

@@ -4,18 +4,23 @@ The core operator is M[d](x) = tau*d + (1-tau)*sum_l w_l P_l(x) over a family
 of convex sets.  Products of these operators with a fixed anchor, applied with
 a vanishing steering sequence, converge to the metric projection of the anchor
 onto the family's intersection; `shlwb_project` runs that iteration directly.
-Every anchored step, here and in the solver, runs in `anchored_steps`.
+Every anchored step, here and in the solver, runs in `anchored_steps` or, for
+a whole sweep of one point, in the same step compiled as a sweep.
 
-A single point runs in its family's point kernel: straight-line Python
-source written for the family's members, weights and dimension, compiled on
-the family's first point step and kept.  It holds the coordinates in
-scalar locals, inlines each ball, box, half-space and hyperplane from the
-member's `point_source`, and calls any other member's `project_point`.
-`point_source` is the one point form of those four kinds: their
-`project_point` runs the same source, and `sets.compiled_function` compiles
-both (see `sets`).  The kernel does the IEEE operations of the numpy forms
-in the same order, so the results keep their bits; so does the list stop
-test of `shlwb_project`, whose norm `square_sum_source` writes out.
+A single point runs in its family's point kernels: straight-line Python
+source written once for the family's members, weights and dimension, and
+compiled under two heads.  `steps(anchor, y, taus)` is a generator that
+yields every step, for `anchored_steps`; `sweep(anchor, taus)` runs all the
+steps of a sweep from y = anchor and returns only the last point, for
+`apply_q_hat`, so a sweep is one call.  Each is compiled on its first use
+and kept by the family (`Family.point_kernel`).  The source holds the
+coordinates in scalar locals and runs each member's projection from
+`sets.point_projection_source`: a ball, box, half-space or hyperplane
+inlined from its `point_source`, any other member called through its
+`project_point`.  `sets.compiled_function` compiles the source (see
+`sets`).  The kernels do the IEEE operations of the numpy forms in the same
+order, so the results keep their bits; so does the list stop test of
+`shlwb_project`, whose norm `square_sum_source` writes out.
 Batches of shape (..., n) run on arrays.  The public functions take and
 return arrays, and check their points with `sets.finite_points`.
 `Family.contains` is the one membership test of an intersection.
@@ -25,22 +30,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
-    CONTAINS_TOL, Ball, Box, HalfSpace, Hyperplane, as_count, as_number, as_positive,
-    as_vector, compiled_function, finite_points, max_distance, row_norm,
+    CONTAINS_TOL, as_count, as_number, as_positive, as_vector, compiled_function,
+    finite_points, max_distance, point_projection_source, row_norm,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_MAX_ITER = 200_000
-
-# the kinds whose `point_source` the point kernel inlines; a subclass may
-# change `project_point`, so the kernel calls it like any other member's
-_INLINED = (Ball, Box, HalfSpace, Hyperplane)
 
 
 @dataclass(frozen=True)
@@ -54,6 +54,9 @@ class SteeringSchedule:
     other schedule raises ValueError naming the failing parameter, so every
     schedule that exists satisfies the axioms.  The defaults (c=1, k0=2, p=1)
     give the harmonic-type sequence 1/(k+2).
+
+    `taus` hands out the first tau_k of a list the schedule keeps, evaluated
+    as one array and extended by doubling.
     """
 
     c: float = 1.0
@@ -75,10 +78,20 @@ class SteeringSchedule:
                 "schedule violates the steering axioms: "
                 f"tau_0 = c / k0^p must lie in (0, 1), got {tau0}"
             )
+        object.__setattr__(self, "_tau_list", [])
 
     def tau(self, k):
         """tau_k for an integer index or an array of indices."""
         return self.c / (k + self.k0) ** self.p
+
+    def taus(self, count):
+        """[tau_0, ..., tau_{count-1}] as a new list of Python floats, with the
+        bits of `tau(np.arange(count)).tolist()`: numpy evaluates each entry
+        on its own, so a slice of a longer evaluation is the same."""
+        kept = self._tau_list
+        if len(kept) < count:
+            kept += self.tau(np.arange(len(kept), max(count, 2 * len(kept)))).tolist()
+        return kept[:count]
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +130,12 @@ class Family:
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
+        object.__setattr__(self, "_kernels", {})
+
+    def __getstate__(self):
+        # compiled kernels are rebuilt after unpickling; pickle cannot find
+        # generated code by name
+        return {**self.__dict__, "_kernels": {}}
 
     @property
     def dim(self):
@@ -133,10 +152,14 @@ class Family:
             acc += w * s.project(x)
         return acc
 
-    @cached_property
-    def _point_steps(self):
-        """The point kernel of `anchored_steps`, compiled on its first use."""
-        return _compile_point_steps(self)
+    def point_kernel(self, build):
+        """The point kernel `build(self)`, compiled for this family on its
+        first use and kept: the anchored steps and the sweep of `operators`
+        and Dykstra's cycles of `intersection` each have one."""
+        kernel = self._kernels.get(build)
+        if kernel is None:
+            kernel = self._kernels[build] = build(self)
+        return kernel
 
     def contains(self, x, tol=CONTAINS_TOL):
         """Whether x lies in every member within tol, shape (...); the
@@ -157,39 +180,55 @@ class Family:
 
 
 def anchored_steps(family: Family, taus, anchor, y=None):
-    """Yield y <- tau*anchor + (1-tau)*sum_l w_l P_l(y), once for each tau.
+    """An iterator of y <- tau*anchor + (1-tau)*sum_l w_l P_l(y), one step
+    for each tau.
 
-    The iteration starts from y = anchor unless a start is given.  This is
-    the one place the anchored step is written: the single step, the sweeps,
-    the sweep path and the anchored projection all run it.  Arguments are not
-    checked; `taus` is any iterable of floats, read one step at a time.
+    The iteration starts from y = anchor unless a start is given.  The
+    single step, the sweep path, the anchored projection and a batch's
+    sweeps run it; a point's sweep runs the same step source compiled as
+    `sweep` (see `apply_q_hat`).  Arguments are not checked; `taus` is any
+    iterable of floats, read one step at a time.
 
-    When anchor and y both have shape (n,), the steps run in the family's
-    point kernel (see `_compile_point_steps`) and each yields a list of
-    floats.  Otherwise the two broadcast, and each step yields an array from
+    When anchor and y both have shape (n,), the iterator is the family's point
+    kernel (see `_compile_point_steps`), and each step is a list of floats.
+    Otherwise the two broadcast, and each step is an array from
     `family.weighted_projection`.  Both give the same bits on the same point,
     except that `x @ normal` may round a batch row differently (see `sets`).
     """
     anchor = np.asarray(anchor, dtype=float)
     y = anchor if y is None else np.asarray(y, dtype=float)
     if anchor.shape == y.shape == (family.dim,):
-        yield from family._point_steps(anchor.tolist(), y.tolist(), taus)
-        return
+        return family.point_kernel(_compile_point_steps)(anchor.tolist(), y.tolist(), taus)
+    return _array_steps(family, taus, anchor, y)
+
+
+def _array_steps(family: Family, taus, anchor, y):
     for tau in taus:
         y = tau * anchor + (1.0 - tau) * family.weighted_projection(y)
         yield y
 
 
 def _compile_point_steps(family: Family):
-    """The generator function steps(anchor, y, taus) of `anchored_steps` on
-    one point, written as source for this family and compiled.
+    """The generator steps(anchor, y, taus) of `anchored_steps` on one point,
+    which yields every step as a list."""
+    return _point_step_function(family, "def steps(anchor, y, taus):", "y", "    yield")
 
-    anchor and y are lists of n floats.  The coordinates live in locals
-    y0, y1, ...; each step runs every member's projection on them, then
-    y_j = tau*a_j + s*(w_0*m0_j + w_1*m1_j + ...) with s = 1 - tau, and
-    yields [y0, y1, ...].  A member whose type is exactly Ball, Box,
-    HalfSpace or Hyperplane is inlined from its `point_source`; any other
-    member's `project_point` is called on the list of the coordinates.  These
+
+def _compile_point_sweep(family: Family):
+    """sweep(anchor, taus) of `apply_q_hat` on one point: the steps from
+    y = anchor, of which it returns only the last, as a list."""
+    return _point_step_function(family, "def sweep(anchor, taus):", "anchor", "return")
+
+
+def _point_step_function(family: Family, head, start, end):
+    """The anchored steps of one point, written as source for this family and
+    compiled under the def line `head`.
+
+    anchor and `start` are lists of n floats.  The coordinates live in locals
+    y0, y1, ..., set from `start`; each step runs every member's projection
+    on them, from `sets.point_projection_source`, then
+    y_j = tau*a_j + s*(w_0*m0_j + w_1*m1_j + ...) with s = 1 - tau; `end`
+    hands out [y0, y1, ...], a yield in the loop or a return after it.  These
     are the operations of `project_point` and of `weighted_projection`, in
     their order, so the steps keep their bits.  Weights and set constants
     reach the code through `sets.compiled_function`, never as text, so
@@ -201,11 +240,7 @@ def _compile_point_steps(family: Family):
     for i, (w, s) in enumerate(zip(family._weight_list, family.sets)):
         k = f"m{i}_"
         out = [f"{k}{j}" for j in range(n)]
-        if type(s) in _INLINED:
-            lines, names = s.point_source(y, out, k)
-        else:
-            lines = [f"{', '.join(out)}, = {k}project([{', '.join(y)}])"]
-            names = {f"{k}project": s.project_point}
+        lines, names = point_projection_source(s, y, out, k)
         body += lines
         consts.update(names)
         consts[f"w{i}"] = w
@@ -214,19 +249,19 @@ def _compile_point_steps(family: Family):
         f"{yj} = tau * {aj} + s * ({' + '.join(f'w{i} * {o[j]}' for i, o in enumerate(outs))})"
         for j, (aj, yj) in enumerate(zip(a, y))
     ]
-    return compiled_function("def steps(anchor, y, taus):", consts, [
+    return compiled_function(head, consts, [
         f"{', '.join(a)}, = anchor",
-        f"{', '.join(y)}, = y",
+        f"{', '.join(y)}, = {start}",
         "for tau in taus:",
         "    s = 1.0 - tau",
         *(f"    {line}" for line in body + steps),
-        f"    yield [{', '.join(y)}]",
+        f"{end} [{', '.join(y)}]",
     ])
 
 
 def _sweep_taus(family: Family, q: int) -> list:
-    """tau_0, ..., tau_q as Python floats, evaluated as one array."""
-    return family.schedule.tau(np.arange(as_count(q, "q", 0) + 1)).tolist()
+    """tau_0, ..., tau_q as Python floats, from the schedule's kept list."""
+    return family.schedule.taus(as_count(q, "q", 0) + 1)
 
 
 def apply_m(family: Family, tau: float, anchor, x):
@@ -248,13 +283,16 @@ def apply_q_hat(family: Family, q: int, x):
     """Anchored sweep of q+1 steps; the last row of `q_hat_path`.
 
     The anchor is the original input at every inner step and the steering
-    index restarts at 0 on every call.
+    index restarts at 0 on every call.  One point runs as one call of the
+    family's sweep kernel.
     """
     taus = _sweep_taus(family, q)
     x = finite_points(x, family.dim)
+    if x.ndim == 1:
+        return np.asarray(family.point_kernel(_compile_point_sweep)(x.tolist(), taus))
     for y in anchored_steps(family, taus, x):
         pass
-    return np.asarray(y)
+    return y
 
 
 def q_hat_path(family: Family, q: int, x):

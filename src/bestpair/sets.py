@@ -21,10 +21,13 @@ as `point_source(x, out, k)`: Python source on scalar locals that sets the
 locals named in `out` from those named in `x`, and a dict of the values the
 lines read, the set's constants and helpers, by name.  Every name it makes
 starts with `k`, except the helpers `sqrt` and `array`.  Their shared
-`project_point` runs that source compiled for the set, and the point kernel
-of `operators` inlines it.  `compiled_function` is the one place generated
-source is compiled: the constants reach the code as values, never as text,
-so they keep their bits.
+`project_point` runs that source compiled for the set, and the point kernels
+of `operators` and `intersection` inline it.  `point_projection_source` is
+the one place that decides whether a kernel inlines a member's
+`point_source` or calls its `project_point`.  `compiled_function` is the one
+place generated source is compiled: the constants reach the code as values,
+never as text, so they keep their bits.  A set pickles without its compiled
+function, and compiles it again on its next point projection.
 
 A norm is the square root of a sum of squares, and every norm here sums in
 numpy's `add.reduce` order, the order of `np.linalg.norm(d, axis=-1)`:
@@ -200,7 +203,7 @@ def finite_points(x, dim, what="point"):
     """`as_points`, and ValueError unless every coordinate is finite: NaN would
     pass through every projection and every anchored step unnoticed."""
     x = as_points(x, dim, what)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError(f"{what} must have finite coordinates")
     return x
 
@@ -293,6 +296,11 @@ class _PointSource:
 
     def project_point(self, x):
         return self._point_projection(x)
+
+    def __getstate__(self):
+        # the compiled function is rebuilt after unpickling; pickle cannot
+        # find generated code by name
+        return {k: v for k, v in self.__dict__.items() if k != "_point_projection"}
 
     @cached_property
     def _point_projection(self):
@@ -593,6 +601,22 @@ class Ellipsoid:
 
 # union of the five descriptor types
 ConvexSet = Ball | HalfSpace | Hyperplane | Box | Ellipsoid
+
+# the kinds whose `point_source` a point kernel inlines; a subclass may
+# change `project_point`, so a kernel calls it like any other member's
+_INLINED = (Ball, Box, HalfSpace, Hyperplane)
+
+
+def point_projection_source(s, x, out, k):
+    """Source lines that set the locals `out` to the projection of the locals
+    `x` onto the set s, and the dict of the values they read, for a point
+    kernel.  A set whose type is exactly Ball, Box, HalfSpace or Hyperplane is
+    inlined from its `point_source`; any other set's `project_point` is called,
+    as `{k}project`, on the list of `x`."""
+    if type(s) in _INLINED:
+        return s.point_source(x, out, k)
+    return [f"{', '.join(out)}, = {k}project([{', '.join(x)}])"], {f"{k}project": s.project_point}
+
 
 _KIND_MAP = {cls.kind: cls for cls in get_args(ConvexSet)}
 

@@ -36,6 +36,10 @@
 - `Ball`, `Box`, `HalfSpace` and `Hyperplane` share one `project_point`,
   which runs their `point_source`: each of their point projections is
   written once.
+- The choice between inlining a member's `point_source` and calling its
+  `project_point` is written once, in `sets.point_projection_source`, and
+  every point kernel (the anchored steps, the sweep and Dykstra's cycles)
+  takes it and compiles through `sets.compiled_function`.
 """
 
 import ast
@@ -329,3 +333,31 @@ def test_generated_code_is_compiled_in_one_helper():
 def test_inlined_kinds_share_one_project_point():
     shared = {cls.project_point for cls in (Ball, Box, HalfSpace, Hyperplane)}
     assert len(shared) == 1
+
+
+def calls_of(node, name):
+    return any(
+        isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
+        for call in ast.walk(node)
+    )
+
+
+def test_point_kernels_share_one_dispatch():
+    point_source_readers, dispatchers, compilers = set(), set(), set()
+    for path in MODULES:
+        for name, func in functions(parse(path)):
+            where = f"{path.name}:{name}"
+            if any(isinstance(node, ast.Attribute) and node.attr == "point_source"
+                   for node in ast.walk(func)):
+                point_source_readers.add(where)
+            if calls_of(func, "point_projection_source"):
+                dispatchers.add(where)
+            if path.name != "sets.py" and calls_of(func, "compiled_function"):
+                compilers.add(where)
+    assert point_source_readers == {
+        "sets.py:point_projection_source", "sets.py:_PointSource._point_projection",
+    }
+    assert dispatchers == compilers == {
+        "operators.py:_point_step_function", "intersection.py:_compile_dykstra",
+    }
+

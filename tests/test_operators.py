@@ -322,11 +322,11 @@ def test_bad_number_raises_before_projecting(row, monkeypatch):
     for name in ("project", "project_point"):  # the batch path and Dykstra's point path
         method = getattr(Ball, name)
         monkeypatch.setattr(Ball, name, lambda s, x, m=method: projections.append(x) or m(s, x))
-    # the anchored steps of one point inline their balls, in a kernel built
-    # on the first point step
-    compile_steps = operators._compile_point_steps
+    # the anchored steps, the sweep and Dykstra's cycles of one point inline
+    # their balls, in kernels built on their first use
+    kernel = Family.point_kernel
     monkeypatch.setattr(
-        operators, "_compile_point_steps", lambda fam: projections.append(fam) or compile_steps(fam)
+        Family, "point_kernel", lambda fam, build: projections.append(fam) or kernel(fam, build)
     )
     with pytest.raises(ValueError) as exc:
         call(Problem(Family(LENS_A), Family(LENS_B)), value)

@@ -1,4 +1,4 @@
-"""The single-point path (`project_point` and the point kernel) against the
+"""The single-point path (`project_point` and the point kernels) against the
 checked `project` path and the list path.
 
 `project_point` takes and returns a list of floats and promises the bits of
@@ -11,15 +11,20 @@ set's point projections through `project`, which is how every single-point
 projection ran before the point path existed.  Dimensions reach 12, past
 the 8 terms from which numpy sums a norm pairwise.
 
-The point kernel that runs the anchored steps of one point is held to the
-bits of `list_steps_reference`, the list path it replaced, at n = 1-20 and
-past each split of numpy's pairwise sum (8, 128 and 2 * 128 terms); so is
-the distance of two lists, which writes that sum out as source too.  No
-generated source holds a set constant as text.
+The point kernels that run the anchored steps of one point are held to the
+bits of `list_steps_reference`, the list path they replaced, at n = 1-20
+and past each split of numpy's pairwise sum (8, 128 and 2 * 128 terms): the
+steps kernel step by step, and the sweep kernel by its last step.  The
+Dykstra kernel of `project_intersection` is held to `list_cycles_reference`,
+the cycles on lists it replaced, in its result and in the last iterate and
+gap of an exhausted budget.  So is the distance of two lists, which writes
+that sum out as source too.  No generated source holds a set constant as
+text, and a set or family that has compiled a kernel still pickles.
 """
 
 import io
 import pathlib
+import pickle
 import tokenize
 from unittest import mock
 
@@ -36,6 +41,7 @@ from bestpair import (
     Family,
     HalfSpace,
     Hyperplane,
+    MaxIterExceeded,
     Problem,
     SolverOptions,
     SteeringSchedule,
@@ -47,8 +53,9 @@ from bestpair import (
     q_hat_path,
     run_ashlwb,
 )
-from bestpair import sets
+from bestpair import intersection, sets
 from bestpair.cli import load_problem
+from bestpair.intersection import REFERENCE_TOL
 from bestpair.operators import anchored_steps
 from bestpair.sets import PAIRWISE_BLOCK, max_distance
 
@@ -443,7 +450,8 @@ def steps_or_error(steps):
 def test_point_kernel_equals_list_steps(n, kinds, where, q, start, seed):
     """The point kernel yields the lists of the list path, down to the sign of
     zero, on every kind, with non-uniform weights, at n = 1-20 and past each
-    split of numpy's pairwise sum (8, 128 and 2 * 128 terms)."""
+    split of numpy's pairwise sum (8, 128 and 2 * 128 terms); a point
+    `apply_q_hat`, one call of the sweep kernel, returns the last of them."""
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.1, 1.0, len(kinds))
     fam = Family(tuple(random_set(rng, k, n) for k in kinds), weights=raw / raw.sum())
@@ -455,6 +463,12 @@ def test_point_kernel_equals_list_steps(n, kinds, where, q, start, seed):
     assert got_error is error and len(got) == len(expected)
     for g, e in zip(got, expected):
         assert isinstance(g, list) and same_bits(np.array(g), np.array(e))
+    if not start:
+        try:
+            last = apply_q_hat(fam, q, anchor)
+        except EllipsoidRootFindError:
+            last = EllipsoidRootFindError
+        assert last is error if error else same_bits(last, np.array(expected[-1]))
 
 
 class SubBall(Ball):
@@ -485,18 +499,23 @@ def test_point_kernel_calls_members_it_does_not_inline(monkeypatch, rng):
 
 @pytest.fixture()
 def builds(monkeypatch):
-    """The families whose point kernel is compiled, in order."""
+    """(kernel, family) of every point kernel compiled, in order."""
     built = []
-    compile_steps = operators._compile_point_steps
-    monkeypatch.setattr(
-        operators, "_compile_point_steps", lambda fam: built.append(fam) or compile_steps(fam)
-    )
+    for module, kernel, name in ((operators, "steps", "_compile_point_steps"),
+                                 (operators, "sweep", "_compile_point_sweep"),
+                                 (intersection, "dykstra", "_compile_dykstra")):
+        build = getattr(module, name)
+        monkeypatch.setattr(
+            module, name, lambda fam, b=build, k=kernel: built.append((k, fam)) or b(fam)
+        )
     return built
 
 
 def test_point_kernel_is_built_once_on_the_first_point_step(builds, rng):
     """Loading a problem, making a family and batch calls build no kernel;
-    the first point step builds its family's, and later ones reuse it."""
+    the first point step builds its family's steps kernel, the first point
+    sweep its sweep kernel and the first point projection its Dykstra
+    kernel, and later calls reuse them."""
     fam = load_problem(str(PROBLEMS / "lens.json")).problem.family_a
     batch = 4.0 * rng.standard_normal((6, 2))
     list(anchored_steps(fam, [0.5, 0.25], batch))
@@ -506,11 +525,12 @@ def test_point_kernel_is_built_once_on_the_first_point_step(builds, rng):
     assert builds == []
     point = batch[0]
     apply_m(fam, 0.5, point, point)
-    assert builds == [fam]
-    apply_q_hat(fam, 10, point)
-    q_hat_path(fam, 4, point)
-    project_intersection(fam, point)
-    assert builds == [fam]
+    assert builds == [("steps", fam)]
+    for _ in range(2):
+        apply_q_hat(fam, 10, point)
+        q_hat_path(fam, 4, point)
+        project_intersection(fam, point)
+    assert builds == [("steps", fam), ("sweep", fam), ("dykstra", fam)]
 
 
 def test_families_of_one_shape_share_the_kernel_code():
@@ -520,7 +540,8 @@ def test_families_of_one_shape_share_the_kernel_code():
     f2 = Family((Ball([5.0, 0.0], 1.0), Ball([6.0, 1.0], 3.0)), weights=[0.3, 0.7])
     x = [3.0, 4.0]
     assert not np.array_equal(apply_m(f1, 0.5, x, x), apply_m(f2, 0.5, x, x))
-    assert f1._point_steps.__code__ is f2._point_steps.__code__
+    build = operators._compile_point_steps
+    assert f1.point_kernel(build).__code__ is f2.point_kernel(build).__code__
 
 
 def test_point_kernel_keeps_the_bits_of_extreme_constants():
@@ -546,7 +567,9 @@ def number_literals(source):
 def test_point_kernel_source_holds_no_set_constant(monkeypatch):
     """Only indices and operators are written into generated source: the
     kernel's number literals are the 0.0 and 1.0 of its formulas, and the
-    sources of `project_point` and of the list distance hold no other."""
+    sources of the sweep and Dykstra kernels, of `project_point` and of the
+    list distance hold no other.  Each kernel is compiled by
+    `sets.compiled_function` on its first use."""
     sources = []
     code = sets._code
     monkeypatch.setattr(sets, "_code", lambda src: sources.append(src) or code(src))
@@ -556,11 +579,16 @@ def test_point_kernel_source_holds_no_set_constant(monkeypatch):
     apply_m(fam, 0.375, [7.0, 9.0], [7.0, 9.0])
     [kernel] = sources
     assert number_literals(kernel) == {"0.0", "1.0"}
+    apply_q_hat(fam, 3, [7.0, 9.0])
+    monkeypatch.setattr(intersection, "REFERENCE_MAX_ITER", 3)
+    with pytest.raises(MaxIterExceeded):
+        project_intersection(fam, [7.0, 9.0])
+    assert [src.split("(", 1)[0] for src in sources] == ["def steps", "def sweep", "def dykstra"]
     for s in members[:4]:
         s.project_point([7.0, 9.0])
     for n in (2, 8, 300):
         sets._list_distance.__wrapped__(n)
-    assert len(sources) == 8
+    assert len(sources) == 10
     for source in sources[1:]:
         assert number_literals(source) <= {"0.0", "1.0"}
 
@@ -580,12 +608,14 @@ def lens_family():
 
 @pytest.mark.parametrize("make", [lens_family, mixed_family])
 def test_q_hat_path_last_row_is_apply_q_hat(make, rng):
+    """Bit for bit, at every q, while the schedule's kept tau list grows."""
     fam = make()
     point = 4.0 * rng.standard_normal(fam.dim)
     batch = 4.0 * rng.standard_normal((5, fam.dim))
-    for x in (point, batch):
-        path = q_hat_path(fam, 30, x)
-        assert np.array_equal(path[-1], apply_q_hat(fam, 30, x))
+    for q in (0, 1, 2, 5, 30, 3, 64, 300, 129):
+        for x in (point, batch):
+            path = q_hat_path(fam, q, x)
+            assert same_bits(path[-1], apply_q_hat(fam, q, x))
 
 
 def checked(fam):
@@ -643,3 +673,175 @@ def test_run_matches_checked_projections(make):
     assert len(fast.entries) == len(slow.entries)
     for e, f in zip(fast.entries, slow.entries):
         assert np.array_equal(e.x, f.x) and e.gap == f.gap
+
+
+# --- the kept tau list --------------------------------------------------------
+
+
+@pytest.mark.parametrize("c, k0, p", [
+    (1.0, 2.0, 1.0), (0.004, 2.0, 1.0), (0.5, 1.5, 0.5), (0.3, 3.0, 0.7), (0.9, 1.01, 0.7),
+    (2.0, 7.0, 0.5), (1e-3, 1e3, 0.999),
+])
+def test_schedule_taus_are_the_array_evaluation(c, k0, p):
+    """The kept tau list, grown by doubling, hands out the bits of
+    `tau(np.arange(q + 1)).tolist()` for every q up to 1 000, asked for in
+    rising order or first at the longest."""
+    def bits(values):
+        return np.array(values).tobytes()
+
+    rising, longest_first = SteeringSchedule(c, k0, p), SteeringSchedule(c, k0, p)
+    longest_first.taus(1001)
+    for q in range(1001):
+        expected = bits(rising.tau(np.arange(q + 1)).tolist())
+        assert bits(rising.taus(q + 1)) == expected
+        assert bits(longest_first.taus(q + 1)) == expected
+    assert rising.taus(0) == []
+
+
+def test_schedule_taus_are_a_copy():
+    """A caller that changes the list it was handed changes no later list."""
+    sched = SteeringSchedule(c=0.5, k0=2.0, p=0.7)
+    expected = sched.tau(np.arange(6)).tolist()
+    got = sched.taus(6)
+    got[0] = 0.25
+    got.append(0.125)
+    del got[3]
+    assert sched.taus(6) == expected
+    fam = Family((Ball([0.0, 0.0], 2.0), Ball([1.0, 0.0], 2.0)), schedule=sched)
+    operators._sweep_taus(fam, 5).clear()
+    assert sched.taus(6) == expected
+
+
+# --- the Dykstra kernel -----------------------------------------------------------
+
+
+def list_cycles_reference(family, x, tol=REFERENCE_TOL):
+    """The point branch of `project_intersection` as it ran before the
+    Dykstra kernel: Dykstra's cycles on lists of floats through the members'
+    `project_point`, with the gap and the feasibility test of `max_distance`."""
+    projections = [s.project_point for s in family.sets]
+    y = np.asarray(x, dtype=float).tolist()
+    # no increment is changed in place, so they can start as one object
+    incs = [[0.0] * len(y)] * len(projections)
+    gap = np.inf
+    for _ in range(intersection.REFERENCE_MAX_ITER):
+        y_prev = y
+        for i, project in enumerate(projections):
+            z = [a - b for a, b in zip(y, incs[i])]
+            y = project(z)
+            incs[i] = [a - b for a, b in zip(y, z)]
+        gap = max_distance(y, y_prev)
+        if gap <= tol:
+            feas = max(max_distance(y, project(y)) for project in projections)
+            if feas <= tol:
+                return np.asarray(y)
+    raise MaxIterExceeded("list cycles ran out", last=np.asarray(y), gap=gap)
+
+
+def outcome(project, *args):
+    """('done', result), ('exhausted', last, gap) or ('error', type)."""
+    try:
+        return "done", project(*args)
+    except MaxIterExceeded as exc:
+        return "exhausted", exc.last, exc.gap
+    except EllipsoidRootFindError:
+        return "error", EllipsoidRootFindError
+
+
+def same_outcome(got, expected):
+    assert got[0] == expected[0]
+    if got[0] == "done":
+        assert same_bits(got[1], expected[1])
+    elif got[0] == "exhausted":
+        assert same_bits(got[1], expected[1]) and got[2] == expected[2]
+
+
+def member_around(rng, kind, point):
+    """A set of `kind` that holds `point`, or one drawn at random (the
+    family may then be empty); "subball" and "checked" are a Ball subclass
+    and a checked box, which the kernel calls."""
+    n = point.size
+    if kind == "subball":
+        return SubBall(point + rng.uniform(-0.5, 0.5, n), 0.5 * np.sqrt(n) + rng.uniform(0.0, 3.0))
+    if kind == "checked":
+        return Checked(Box(point - rng.uniform(0.0, 2.0, n), point + rng.uniform(0.0, 2.0, n)))
+    s = random_set(rng, kind, n)
+    if rng.random() < 0.3:
+        return s
+    if kind == "ball":
+        return Ball(point + rng.uniform(-0.5, 0.5, n), 0.5 * np.sqrt(n) + rng.uniform(0.0, 3.0))
+    if kind in ("halfspace", "hyperplane"):
+        slack = rng.uniform(0.0, 2.0) if kind == "halfspace" else 0.0
+        return type(s)(s.normal, float(s.normal @ point) + slack)
+    if kind == "box":
+        return Box(point - rng.uniform(0.0, 2.0, n), point + rng.uniform(0.0, 2.0, n))
+    return Ellipsoid(point, s.axes)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(1, 20) | st.sampled_from([127, 128, 129]),
+    st.lists(st.sampled_from([*KINDS, "subball", "checked"]), min_size=2, max_size=3),
+    st.sampled_from(["drawn", "boundary", "inside", "far"]),
+    st.sampled_from([REFERENCE_TOL, 1e-6, 1e-3]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dykstra_kernel_equals_list_cycles(n, kinds, where, tol, seed):
+    """The Dykstra kernel keeps the bits of the list cycles on every kind, a
+    Ball subclass and a checked member included, at n = 1-20 and past the
+    splits of numpy's pairwise sum: the result, or under a small budget the
+    last iterate and gap of `MaxIterExceeded`."""
+    rng = np.random.default_rng(seed)
+    common = rng.uniform(-3.0, 3.0, n)
+    fam = Family(tuple(member_around(rng, k, common) for k in kinds))
+    x = random_point(rng, fam, where)
+    with mock.patch.object(intersection, "REFERENCE_MAX_ITER", 300):
+        expected = outcome(list_cycles_reference, fam, x, tol)
+        got = outcome(project_intersection, fam, x, tol)
+    same_outcome(got, expected)
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 2000])
+def test_empty_family_exhausts_with_the_list_cycles_last_iterate(monkeypatch, budget):
+    """Unit balls at (0, 0) and (5, 0), as balls, a subclass and a checked
+    member: `MaxIterExceeded` carries the list cycles' last iterate and gap
+    under a monkeypatched budget, and its message names the budget."""
+    monkeypatch.setattr(intersection, "REFERENCE_MAX_ITER", budget)
+    for far in (Ball([5.0, 0.0], 1.0), SubBall([5.0, 0.0], 1.0), Checked(Ball([5.0, 0.0], 1.0))):
+        fam = Family((Ball([0.0, 0.0], 1.0), far))
+        for x in ([2.0, 0.0], [-3.0, 4.0], [2.5, -0.0]):
+            expected = outcome(list_cycles_reference, fam, x)
+            assert expected[0] == "exhausted"
+            same_outcome(outcome(project_intersection, fam, x), expected)
+            with pytest.raises(MaxIterExceeded, match=f"in {budget} cycles"):
+                project_intersection(fam, x)
+
+
+# --- pickling ---------------------------------------------------------------------
+
+
+def test_pickle_after_point_projections_keeps_the_bits():
+    """A set or family that has compiled its point code pickles; the copy
+    drops the compiled functions, rebuilds them on first use and gives the
+    same bits."""
+    members = (Ball([0.0, 0.0], 2.0), Box([-1.0, -1.0], [1.0, 1.0]), HalfSpace([1.0, 1.0], 0.5),
+               Hyperplane([1.0, -1.0], 0.0), Ellipsoid([0.0, 0.0], [2.0, 1.0]))
+    fam = Family(members, weights=[0.3, 0.1, 0.2, 0.15, 0.25], schedule=SCHED)
+    x = np.array([7.0, 9.0])
+
+    def results(f):
+        return [
+            *(np.array(s.project_point(x.tolist())) for s in f.sets),
+            apply_q_hat(f, 20, x), q_hat_path(f, 5, x), project_intersection(f, x),
+        ]
+
+    expected = results(fam)
+    copy = pickle.loads(pickle.dumps(fam))
+    assert copy._kernels == {}
+    assert not any("_point_projection" in vars(s) for s in copy.sets)
+    for got, want in zip(results(copy), expected, strict=True):
+        assert same_bits(got, want)
+    assert len(copy._kernels) == 3
+    assert all("_point_projection" in vars(s) for s in copy.sets[:4])
+    ball = pickle.loads(pickle.dumps(fam.sets[0]))
+    assert ball.project_point([7.0, 9.0]) == fam.sets[0].project_point([7.0, 9.0])
