@@ -10,12 +10,12 @@ A single point runs in its family's Dykstra kernel, one call for the whole
 projection: source written for the family's members and dimension, like the
 point kernels of `operators`, compiled on the family's first point
 projection and kept (`Family.point_kernel`).  The iterate and every member's
-increment live in scalar locals; each member's projection comes from
-`sets.point_projection_source`, and the gap and the member distances of the
-stop test are written out by `sets.square_sum_source`.  These are the
-operations of the cycles on lists through `project_point`, in their order,
-so the result, and the last iterate and gap of an exhausted budget, keep
-their bits.
+increment live in scalar locals; each member's projection, an ellipsoid's
+Newton included, comes from `sets.point_projection_source`, and the gap and
+the member distances of the stop test from `sets.square_sum_source`.  These
+are the operations of the cycles on lists through `project_point`, in their
+order, so the result, and the last iterate and gap of an exhausted budget,
+keep their bits.
 
 A batch retires each row once its whole Dykstra state, its row of y and of
 every increment, keeps its bits over one cycle: every later cycle would

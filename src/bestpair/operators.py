@@ -15,9 +15,9 @@ steps of a sweep from y = anchor and returns only the last point, for
 `apply_q_hat`, so a sweep is one call.  Each is compiled on its first use
 and kept by the family (`Family.point_kernel`).  The source holds the
 coordinates in scalar locals and runs each member's projection from
-`sets.point_projection_source`: a ball, box, half-space or hyperplane
-inlined from its `point_source`, any other member called through its
-`project_point`.  `sets.compiled_function` compiles the source (see
+`sets.point_projection_source`: a member of one of the five kinds inlined
+from its `point_source`, any other member, a subclass too, called through
+its `project_point`.  `sets.compiled_function` compiles the source (see
 `sets`).  The kernels do the IEEE operations of the numpy forms in the same
 order, so the results keep their bits; so does the list stop test of
 `shlwb_project`, whose norm `square_sum_source` writes out.

@@ -7,27 +7,25 @@ except the ellipsoid which solves a one-dimensional dual equation by
 monotone Newton from a proven lower bound, to residual <= 1e-12.
 
 Each set also has `project_point`, an unchecked projection of one point given
-as a list of n Python floats; it returns a list, a new one except where the
-ellipsoid hands back a point it contains.  It runs the
+as a list of n Python floats, which returns a new list.  It runs the
 floating-point operations of `project` in the same order, so
 `np.array(project_point(x))` equals `project(np.array(x))` bit for bit, but
-it branches on scalars where `project` masks with `np.where`.  Dykstra's
-cycles on one point use it, because on small points the cost of `project`
-is numpy call overhead, and Python float arithmetic does the same IEEE
-operations for a fraction of it.
+branches on scalars where `project` masks with `np.where`: on small points
+the cost of `project` is numpy call overhead, and Python float arithmetic
+does the same IEEE operations for a fraction of it.
 
-Balls, boxes, half-spaces and hyperplanes write that point arithmetic once,
-as `point_source(x, out, k)`: Python source on scalar locals that sets the
-locals named in `out` from those named in `x`, and a dict of the values the
-lines read, the set's constants and helpers, by name.  Every name it makes
-starts with `k`, except the helpers `sqrt` and `array`.  Their shared
-`project_point` runs that source compiled for the set, and the point kernels
-of `operators` and `intersection` inline it.  `point_projection_source` is
-the one place that decides whether a kernel inlines a member's
-`point_source` or calls its `project_point`.  `compiled_function` is the one
-place generated source is compiled: the constants reach the code as values,
-never as text, so they keep their bits.  A set pickles without its compiled
-function, and compiles it again on its next point projection.
+Each kind writes that point arithmetic once, as `point_source(x, out, k)`:
+Python source on scalar locals that sets the locals named in `out` from
+those named in `x`, and a dict of the values the lines read, the set's
+constants and helpers, by name.  Every name it makes starts with `k`, except
+the helpers `sqrt` and `array`.  Their shared `project_point` runs that
+source compiled for the set, and the point kernels of `operators` and
+`intersection` inline it.  `point_projection_source` is the one place that
+decides whether a kernel inlines a member's `point_source` or calls its
+`project_point`.  `compiled_function` is the one place generated source is
+compiled: the constants reach the code as values, never as text, so they
+keep their bits.  A set pickles without its compiled function, and compiles
+it again on its next point projection.
 
 A norm is the square root of a sum of squares, and every norm here sums in
 numpy's `add.reduce` order, the order of `np.linalg.norm(d, axis=-1)`:
@@ -38,15 +36,13 @@ numpy sums pairwise.  The one order is written in two forms:
   `d[..., j]` in order below 8 columns, where numpy's reduce over a short
   last axis costs several times the arithmetic, and calls `add.reduce` from
   8 on;
-- `square_sum_source` writes numpy's pairwise order out as source, for a
-  ball's `point_source` and for the distance of two lists.
+- `sum_source` writes it out as source, and `square_sum_source` for
+  squares, for the `point_source` of a ball or an ellipsoid and for the
+  distance of two lists.
 
 A half-space or hyperplane keeps numpy's `x @ normal`, in `point_source`
 too: BLAS's dot product does not round like an in-order sum at any
 dimension.
-
-The ellipsoid converts the point to an array for `_newton_root`, the scalar
-loop of the Newton step of `project`, which `bounding_radius` runs too.
 
 Each kind declares the class attributes `strictly_convex` and `bounded`.  The
 bounded kinds (ball, box, ellipsoid) have `bounding_radius`, the radius of the
@@ -113,27 +109,31 @@ def _column_norm(columns):
     return np.sqrt(total)
 
 
-def square_sum_source(names):
-    """Source of an expression that sums the squares of the locals `names` in
-    numpy's `add.reduce` order, the order of `row_norm`.
+def sum_source(terms):
+    """Source of an expression that sums the expressions `terms`, each bound
+    tighter than `+`, in numpy's `add.reduce` order, the order of `row_norm`.
 
     Fewer than PAIRWISE_SUM_MIN (8) terms add in order.  Up to PAIRWISE_BLOCK
     (128) terms, eight running sums r_j take every eighth term, combine as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the tail adds in
     order.  Longer sums split at n2 = n//2 - (n//2) % 8 and add the sums of
-    the two parts.  numpy adds the sum to 0.0, which changes no square's bits.
+    the two parts.  numpy adds the sum to 0.0, a no-op as no term here is -0.0.
     """
-    n = len(names)
+    n = len(terms)
     if n > PAIRWISE_BLOCK:
         n2 = n // 2 - (n // 2) % 8
-        return f"({square_sum_source(names[:n2])} + {square_sum_source(names[n2:])})"
-    terms = [f"{v} * {v}" for v in names]
+        return f"({sum_source(terms[:n2])} + {sum_source(terms[n2:])})"
     if n < PAIRWISE_SUM_MIN:
         return "(" + " + ".join(terms) + ")"
     stop = n - n % 8
     r = ["(" + " + ".join(terms[j:stop:8]) + ")" for j in range(8)]
     head = f"(({r[0]} + {r[1]}) + ({r[2]} + {r[3]})) + (({r[4]} + {r[5]}) + ({r[6]} + {r[7]}))"
     return "(" + " + ".join([f"({head})", *terms[stop:]]) + ")"
+
+
+def square_sum_source(names):
+    """`sum_source` of the squares of the locals `names`."""
+    return sum_source([f"{v} * {v}" for v in names])
 
 
 def _moved_or_kept(test, setup, moved, out, x):
@@ -266,18 +266,24 @@ def _newton_step(g, s):
     return phi, phi / (2.0 * np.add.reduce(r2 / s, axis=-1))
 
 
-def _newton_root(g, shift, floor):
-    """(lam, phi(lam)) for one point, by Newton from `_dual_start` up to the
-    first step that does not raise lam (a NaN step included); should the round
-    cap come first, phi is the residual a step back, which is no smaller."""
+def _newton_rows(g, shift, floor):
+    """(lam, phi(lam)) of each row of g by Newton from `_dual_start`.  A row
+    leaves at its first step that would not raise lam, a NaN step included,
+    with that step's phi, or at the round cap with the larger phi a step back."""
     lam = _dual_start(g, shift, floor)
+    rows = np.arange(len(g))  # the rows still rising, in order
+    lam_end, phi_end = np.empty_like(lam), np.empty_like(lam)
     for _ in range(_ELLIPSOID_MAX_ROUNDS):
-        phi, step = _newton_step(g, shift + lam)
+        phi, step = _newton_step(g, shift + lam[:, None])
         nxt = lam + step
-        if not nxt > lam:
-            break
-        lam = nxt
-    return lam, phi
+        rises = nxt > lam
+        lam = np.where(rises, nxt, lam)
+        lam_end[rows], phi_end[rows] = lam, phi
+        if not rises.all():
+            g, lam, rows = g[rises], lam[rises], rows[rises]
+            if not rows.size:
+                break
+    return lam_end, phi_end
 
 
 def _check_dual_residual(worst):
@@ -464,15 +470,17 @@ class Box(_PointSource):
         return self.lo.size
 
     def project(self, x):
+        # not np.clip, whose signed-zero ties depend on the bounds' strides
         x = as_points(x, self.dim)
-        return np.clip(x, self.lo, self.hi)
+        return np.minimum(np.maximum(x, self.lo), self.hi)
 
     def point_source(self, x, out, k):
-        # np.clip keeps the bound on a tie (0.0 for x = -0.0, lo = 0.0) and
-        # passes NaN through; Python's min(max(x, lo), hi) would keep x.  Per
-        # coordinate: lo, the clip of lo itself (which differs from lo only
+        # np.maximum and np.minimum keep the bound on a tie (0.0 for x = -0.0,
+        # lo = 0.0) and pass NaN through; Python's min and max would keep x.
+        # Per coordinate: lo, the projection of lo (which differs from lo only
         # where lo and hi are zeros of opposite sign), and hi.
-        columns = self.lo.tolist(), np.clip(self.lo, self.lo, self.hi).tolist(), self.hi.tolist()
+        lo_clip = np.minimum(np.maximum(self.lo, self.lo), self.hi)
+        columns = self.lo.tolist(), lo_clip.tolist(), self.hi.tolist()
         lines, consts = [], {}
         for j, (v, o, *bounds) in enumerate(zip(x, out, *columns)):
             lo, lo_clip, hi = names = f"{k}lo{j}", f"{k}lc{j}", f"{k}hi{j}"
@@ -491,7 +499,7 @@ class Box(_PointSource):
 
 
 @dataclass(frozen=True, eq=False)
-class Ellipsoid:
+class Ellipsoid(_PointSource):
     """Axis-aligned ellipsoid {x : sum_d ((x_d - c_d)/axes_d)^2 <= 1}."""
 
     center: np.ndarray
@@ -505,9 +513,12 @@ class Ellipsoid:
         object.__setattr__(self, "axes", as_vector(self.axes, "axes"))
         if self.center.size != self.axes.size:
             raise DimensionMismatch("center and axes dimensions differ")
-        if not np.all(self.axes > 0):
-            raise ValueError("axes must be positive")
-        object.__setattr__(self, "_a2", self.axes**2)
+        with np.errstate(over="ignore"):
+            a2 = self.axes**2
+        # a projection divides by a^2 + lam, so a^2 = 0 or inf would make it NaN
+        if not np.all((self.axes > 0) & (a2 > 0.0) & (a2 < math.inf)):
+            raise ValueError("axes must be positive, with squares that neither underflow nor overflow")
+        object.__setattr__(self, "_a2", a2)
 
     @property
     def dim(self):
@@ -524,49 +535,43 @@ class Ellipsoid:
         y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the unique root of
         phi(lam) = sum_d (g_d / (a_d^2 + lam))^2 - 1, where g_d = z_d * a_d.
         phi is convex and decreasing, so Newton from the lower bound
-        `_dual_start` rises monotonically to the root.  A row keeps its lam,
-        and the phi of that step, at the first step that would not raise it,
-        and leaves the batch; a step is a function of the row alone, so each
-        row has the bits of `project_point` on that point.  Should the round
-        cap come first, the residual checked is the one a step back, which
-        is no smaller.
+        `_dual_start` rises monotonically to the root (`_newton_rows`).
+        `point_source` takes the same steps, so a row keeps the bits of
+        `project_point` on its point.
         """
         x = as_points(x, self.dim)
-        shape = x.shape
         pts = x.reshape(-1, self.dim)
         z = pts - self.center
-        a2 = self._a2
         outside = self._quad(z) > 1.0
         if not np.any(outside):
             return x
         zo = z[outside]
-        g = zo * self.axes
-        lam = _dual_start(g, a2, 0.0)
-        rows = np.arange(len(g))  # the outside rows still rising, in order
-        lam_end, phi_end = np.empty_like(lam), np.empty_like(lam)
-        for _ in range(_ELLIPSOID_MAX_ROUNDS):
-            phi, step = _newton_step(g, a2 + lam[:, None])
-            nxt = lam + step
-            rises = nxt > lam
-            lam = np.where(rises, nxt, lam)
-            lam_end[rows], phi_end[rows] = lam, phi
-            if not rises.all():
-                g, lam, rows = g[rises], lam[rises], rows[rises]
-                if not rows.size:
-                    break
-        _check_dual_residual(np.abs(phi_end).max())
+        lam, phi = _newton_rows(zo * self.axes, self._a2, 0.0)
+        _check_dual_residual(np.abs(phi).max())
         proj = pts.copy()
-        proj[outside] = self.center + zo * a2 / (a2 + lam_end[:, None])
-        return proj.reshape(shape)
+        proj[outside] = self.center + zo * self._a2 / (self._a2 + lam[:, None])
+        return proj.reshape(x.shape)
 
-    def project_point(self, x):
-        z = np.array(x) - self.center
-        if not self._quad(z) > 1.0:
-            return x
-        a2 = self._a2
-        lam, phi = _newton_root(z * self.axes, a2, 0.0)
-        _check_dual_residual(abs(phi))
-        return (self.center + z * a2 / (a2 + lam)).tolist()
+    def point_source(self, x, out, k):
+        # `project` on scalars: q_j = z_j / a_j, g_j = z_j * a_j, and in each
+        # Newton round t_j = a_j^2 + lam, u_j = g_j / t_j and r_j = u_j * u_j
+        n = range(self.dim)
+        c, a, aa, z, q, g, t, u, r = ([f"{k}{p}{j}" for j in n] for p in "c a aa z q g t u r".split())
+        newton = [line for j in n for line in (
+            f"{t[j]} = {aa[j]} + {k}lam", f"{u[j]} = {g[j]} / {t[j]}", f"{r[j]} = {u[j]} * {u[j]}")]
+        r_over_t = sum_source([f"{r[j]} / {t[j]}" for j in n])
+        newton += [f"{k}phi = {sum_source(r)} - 1.0", f"{k}nxt = {k}lam + {k}phi / ({k}two * {r_over_t})",
+                   f"if not {k}nxt > {k}lam:", "    break", f"{k}lam = {k}nxt"]
+        setup = [*(f"{g[j]} = {z[j]} * {a[j]}" for j in n),
+                 f"{k}lam = max({', '.join(f'abs({g[j]}) - {aa[j]}' for j in n)}, 0.0)",
+                 f"for {k}i in range({k}rounds):", *(f"    {line}" for line in newton),
+                 f"{k}check(abs({k}phi))"]
+        lines = [line for j in n for line in (f"{z[j]} = {x[j]} - {c[j]}", f"{q[j]} = {z[j]} / {a[j]}")]
+        lines += _moved_or_kept(f"{square_sum_source(q)} > 1.0", setup,
+                                [f"{c[j]} + {z[j]} * {aa[j]} / ({aa[j]} + {k}lam)" for j in n], out, x)
+        values = np.concatenate([self.center, self.axes, self._a2]).tolist()
+        consts = {f"{k}two": 2.0, f"{k}rounds": _ELLIPSOID_MAX_ROUNDS, f"{k}check": _check_dual_residual}
+        return lines, {**consts, **dict(zip(c + a + aa, values))}
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
@@ -579,7 +584,7 @@ class Ellipsoid:
         s_d = g_d / (lam - a_d^2) with g = a*c, where psi(lam) = sum_d (g_d /
         (lam - a_d^2))^2 = 1 past max a^2 (or lam = max a^2 if psi < 1 there);
         the longest-axis part of s follows c's (any longest axis if c has
-        none) and takes up the rest of ||s|| = 1.  `_newton_root` solves
+        none) and takes up the rest of ||s|| = 1.  `_newton_rows` solves
         psi - 1 = 0 from the float past the pole, not from the pole, where a
         tiny longest-axis part makes the step NaN; a lam a rounding short of
         the root leaves ||s|| > 1, and s is scaled back onto the sphere.
@@ -590,7 +595,7 @@ class Ellipsoid:
         top = a2 == amax2
         # a sum that is empty or underflows makes the step -inf, and the loop stops
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam = _newton_root(g[g != 0.0], -a2[g != 0.0], np.nextafter(amax2, np.inf))[0]
+            lam = _newton_rows(g[g != 0.0][None], -a2[g != 0.0], np.nextafter(amax2, np.inf))[0][0]
         s = np.where(top, 0.0, g / np.where(top, 1.0, lam - a2))
         v = np.where(top, c, 0.0)  # scaled below, so that a tiny part keeps its direction
         v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]
@@ -602,23 +607,18 @@ class Ellipsoid:
 # union of the five descriptor types
 ConvexSet = Ball | HalfSpace | Hyperplane | Box | Ellipsoid
 
-# the kinds whose `point_source` a point kernel inlines; a subclass may
-# change `project_point`, so a kernel calls it like any other member's
-_INLINED = (Ball, Box, HalfSpace, Hyperplane)
+_KIND_MAP = {cls.kind: cls for cls in get_args(ConvexSet)}
 
 
 def point_projection_source(s, x, out, k):
     """Source lines that set the locals `out` to the projection of the locals
     `x` onto the set s, and the dict of the values they read, for a point
-    kernel.  A set whose type is exactly Ball, Box, HalfSpace or Hyperplane is
-    inlined from its `point_source`; any other set's `project_point` is called,
-    as `{k}project`, on the list of `x`."""
-    if type(s) in _INLINED:
+    kernel.  A set whose type is exactly one of the five kinds is inlined
+    from its `point_source`; any other set's `project_point`, a subclass's
+    too, is called as `{k}project` on the list of `x`."""
+    if type(s) in _KIND_MAP.values():
         return s.point_source(x, out, k)
     return [f"{', '.join(out)}, = {k}project([{', '.join(x)}])"], {f"{k}project": s.project_point}
-
-
-_KIND_MAP = {cls.kind: cls for cls in get_args(ConvexSet)}
 
 
 def set_from_dict(record):

@@ -33,9 +33,8 @@
 - Generated source is compiled in one place: the package calls `compile`
   once, in `sets._code`, the cache of `sets.compiled_function`, and `exec`
   once, in `compiled_function`.
-- `Ball`, `Box`, `HalfSpace` and `Hyperplane` share one `project_point`,
-  which runs their `point_source`: each of their point projections is
-  written once.
+- The five kinds of `ConvexSet` share one `project_point`, which runs their
+  `point_source`: each point projection is written once.
 - The choice between inlining a member's `point_source` and calling its
   `project_point` is written once, in `sets.point_projection_source`, and
   every point kernel (the anchored steps, the sweep and Dykstra's cycles)
@@ -50,11 +49,12 @@ import re
 import subprocess
 import sys
 from collections import defaultdict
+from typing import get_args
 
 import pytest
 
 import bestpair
-from bestpair import Ball, Box, HalfSpace, Hyperplane
+from bestpair.sets import ConvexSet
 
 MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
@@ -331,7 +331,9 @@ def test_generated_code_is_compiled_in_one_helper():
 
 
 def test_inlined_kinds_share_one_project_point():
-    shared = {cls.project_point for cls in (Ball, Box, HalfSpace, Hyperplane)}
+    kinds = get_args(ConvexSet)
+    assert len(kinds) == 5
+    shared = {cls.project_point for cls in kinds}
     assert len(shared) == 1
 
 

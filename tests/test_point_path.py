@@ -4,8 +4,9 @@ checked `project` path and the list path.
 `project_point` takes and returns a list of floats and promises the bits of
 `project` on the same point, so every comparison of the two paths here is
 exact; the ellipsoid's root-find is also held to a bound against a 110-round
-bisection.  A ball, box, half-space or hyperplane projects a point by its
-`point_source`, compiled; the tests here hold that source to `project`.
+bisection, and its point path raises where its batch does, at the round cap
+too.  Every kind projects a point by its `point_source`, compiled; the tests
+here hold that source to `project`.
 The checked path is kept as the reference: the `Checked` wrapper routes a
 set's point projections through `project`, which is how every single-point
 projection ran before the point path existed.  Dimensions reach 12, past
@@ -173,10 +174,25 @@ def test_one_member_point_runs_no_batch_projection(s):
     (0.0, 1.0, float("nan")),
 ])
 def test_box_point_path_keeps_clip_signed_zeros(lo, hi, x):
-    """np.clip keeps the bound on a tie and passes NaN through."""
+    """The box keeps the bound on a tie, as np.clip does on a point, and
+    passes NaN through."""
     box = Box([lo, 0.0], [hi, 1.0])
     point = np.array([x, 0.5])
     assert same_bits(np.array(box.project_point(point.tolist())), box.project(point))
+
+
+def test_box_tie_with_a_signed_zero_keeps_its_bits_on_every_shape():
+    """-0.0 onto `Box([0], [0])` is the bound 0.0 as a point of shape (1,) and
+    on every row of shape (1, 1) and (3, 1), through `project` and through an
+    `apply_m` step, whose -0.0 / 2 + 0.0 / 2 is 0.0 only if the bound was kept.
+    (np.clip gave -0.0 on the rows: its loop depends on the bounds' strides.)"""
+    box = Box([0.0], [0.0])
+    fam = Family((box,))
+    for shape in ((1,), (1, 1), (3, 1)):
+        x = np.full(shape, -0.0)
+        assert same_bits(box.project(x), np.zeros(shape))
+        assert same_bits(apply_m(fam, 0.5, x, x), np.zeros(shape))
+    assert same_bits(np.array(box.project_point([-0.0])), np.zeros(1))
 
 
 NAN, INF = float("nan"), float("inf")
@@ -261,7 +277,8 @@ def bisection_110(e, pts):
 def test_ellipsoid_newton_matches_110_round_bisection(data):
     """Newton lands within 8 ulps of the largest coordinate of the bisection's
     row, fails exactly where the bisection leaves a dual residual over 1e-12,
-    and the point path keeps the bits of the batch row."""
+    on the batch and on each such point, and the point path keeps the bits of
+    the batch row."""
     n = data.draw(st.integers(1, 20))
     e = data.draw(sets_of_kind("ellipsoid", n))
     scale = data.draw(st.sampled_from([1.0, 1e3, 1e4]))
@@ -270,6 +287,11 @@ def test_ellipsoid_newton_matches_110_round_bisection(data):
     if np.any(residual > 1e-12):
         with pytest.raises(EllipsoidRootFindError):
             e.project(pts)
+        outside = np.sum(((pts - e.center) / e.axes) ** 2, axis=-1) > 1.0
+        for p, r in zip(pts[outside], residual, strict=True):
+            if r > 1e-12:
+                with pytest.raises(EllipsoidRootFindError):
+                    e.project_point(p.tolist())
         return
     got = e.project(pts)
     bound = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(expected).max(axis=-1))
@@ -301,6 +323,31 @@ def test_ellipsoid_newton_rounds_stay_under_20(monkeypatch, rng):
     monkeypatch.setattr(sets, "_ELLIPSOID_MAX_ROUNDS", 1)
     with pytest.raises(EllipsoidRootFindError):
         e.project(far)
+
+
+def test_point_kernels_raise_at_the_round_cap_where_the_batch_does(monkeypatch, rng):
+    """A thin 20-D ellipsoid beside a ball: a point sweep and a point Dykstra
+    projection run under the default cap, and under a one-round cap raise
+    `EllipsoidRootFindError` on the point as on its batch of one row.  A
+    family compiles its kernels on first use, so each is made under its cap."""
+    n = 20
+    axes = rng.uniform(0.5, 3.0, n)
+    axes[0] = 1e-4
+    center = rng.uniform(-1.0, 1.0, n)
+    x = center + 1e3 * rng.standard_normal(n)
+
+    def family():
+        return Family((Ellipsoid(center, axes), Ball(center, 1.0)))
+
+    fam = family()
+    apply_q_hat(fam, 3, x)
+    project_intersection(fam, x)
+    monkeypatch.setattr(sets, "_ELLIPSOID_MAX_ROUNDS", 1)
+    fam = family()
+    for run in (lambda p: apply_q_hat(fam, 3, p), lambda p: project_intersection(fam, p)):
+        for p in (x[None], x):
+            with pytest.raises(EllipsoidRootFindError):
+                run(p)
 
 
 def all_rows_newton(e, pts):
@@ -477,17 +524,19 @@ class SubBall(Ball):
 
 def test_point_kernel_calls_members_it_does_not_inline(monkeypatch, rng):
     """A Ball subclass and a wrapped set go through `project_point` once a
-    step; a Ball, Box, HalfSpace or Hyperplane is inlined and calls nothing."""
+    step; a Ball, Box, HalfSpace, Hyperplane or Ellipsoid is inlined and calls
+    nothing."""
     calls = []
-    for cls in (Ball, Box, HalfSpace, Hyperplane):
+    for cls in (Ball, Box, HalfSpace, Hyperplane, Ellipsoid):
         for name in ("project", "project_point"):
             method = getattr(cls, name)
             monkeypatch.setattr(
                 cls, name, lambda s, x, m=method, name=name: calls.append((type(s), name)) or m(s, x)
             )
     fam = Family((Ball([0.0, 0.0], 2.0), SubBall([1.0, 0.0], 2.0), Checked(Box([0, 0], [1, 1])),
-                  HalfSpace([1.0, 1.0], 0.5), Hyperplane([1.0, -1.0], 0.0)),
-                 weights=[0.1, 0.2, 0.3, 0.25, 0.15])
+                  HalfSpace([1.0, 1.0], 0.5), Hyperplane([1.0, -1.0], 0.0),
+                  Ellipsoid([0.5, -0.5], [2.0, 0.5])),
+                 weights=[0.1, 0.2, 0.3, 0.2, 0.1, 0.1])
     taus = fam.schedule.tau(np.arange(8)).tolist()
     x = 4.0 * rng.standard_normal(2)
     got = list(anchored_steps(fam, taus, x))
@@ -584,11 +633,11 @@ def test_point_kernel_source_holds_no_set_constant(monkeypatch):
     with pytest.raises(MaxIterExceeded):
         project_intersection(fam, [7.0, 9.0])
     assert [src.split("(", 1)[0] for src in sources] == ["def steps", "def sweep", "def dykstra"]
-    for s in members[:4]:
+    for s in members:
         s.project_point([7.0, 9.0])
     for n in (2, 8, 300):
         sets._list_distance.__wrapped__(n)
-    assert len(sources) == 10
+    assert len(sources) == 11
     for source in sources[1:]:
         assert number_literals(source) <= {"0.0", "1.0"}
 
@@ -842,6 +891,6 @@ def test_pickle_after_point_projections_keeps_the_bits():
     for got, want in zip(results(copy), expected, strict=True):
         assert same_bits(got, want)
     assert len(copy._kernels) == 3
-    assert all("_point_projection" in vars(s) for s in copy.sets[:4])
+    assert all("_point_projection" in vars(s) for s in copy.sets)
     ball = pickle.loads(pickle.dumps(fam.sets[0]))
     assert ball.project_point([7.0, 9.0]) == fam.sets[0].project_point([7.0, 9.0])

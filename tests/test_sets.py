@@ -478,6 +478,13 @@ def test_ball_radius_message_names_the_value(radius, shown):
     assert str(exc.value) == f"radius must be positive and finite, got {shown}"
 
 
+@pytest.mark.parametrize("axes", [[1e-170], [1.0, 1e-163], [1e160], [2e154, 1.0]])
+def test_ellipsoid_axes_whose_squares_underflow_or_overflow_rejected(axes):
+    # a^2 = 0 or inf would make every projection NaN, and a point projection divide by 0
+    with pytest.raises(ValueError, match="^axes must be positive, with squares that neither"):
+        Ellipsoid(np.zeros(len(axes)), axes)
+
+
 @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cls", [HalfSpace, Hyperplane])
 def test_non_finite_offset_rejected(cls, offset):
