@@ -52,7 +52,7 @@ from .oracles import (
     fix_set_audit,
     uniqueness_certificate,
 )
-from .sets import row_norm, set_from_dict, set_to_dict
+from .sets import max_distance, row_norm, set_from_dict, set_to_dict
 from .solver import (
     Problem,
     SolverOptions,
@@ -203,9 +203,7 @@ def _write_trace_csv(path: str, trace, dim: int):
         if e.inner is not None:
             base = prev
             for step in e.inner:
-                lines.append(
-                    row(e.k, f"{e.phase}-inner", e.sweep, float(np.linalg.norm(step - base)), step)
-                )
+                lines.append(row(e.k, f"{e.phase}-inner", e.sweep, max_distance(step, base), step))
                 base = step
         lines.append(row(e.k, e.phase, e.sweep, e.gap, e.x))
         prev = e.x
@@ -279,12 +277,11 @@ def _check_grid(dim: int, rho: float):
     coordinate at a time: grid point i lies about (rho/2) * sqrt(sum_d
     (i_d - 2)^2) from the origin, so any other point lies at least 1.1 rho
     out.  Every candidate takes the ball test with `sets.row_norm`, in
-    chunks of 625 rows; it rounds each row as it would on the whole grid,
-    where the 1-D `np.linalg.norm`, a BLAS dot product, rounds some points
-    on the sphere out.  When at most 625 pass (dim <= 6), all are kept in C
-    order.  Otherwise the kept positions are spread evenly over the N that pass and
-    closed under j -> N-1-j, which maps a grid point to its negation; the
-    first 625 in C order would all have x_0 <= 0.
+    chunks of 625 rows; it rounds each row as it would on the whole grid.
+    When at most 625 pass (dim <= 6), all are kept in C order.  Otherwise
+    the kept positions are spread evenly over the N that pass and closed
+    under j -> N-1-j, which maps a grid point to its negation; the first
+    625 in C order would all have x_0 <= 0.
     """
     axis = np.linspace(-rho, rho, 5)
     idx, budget = np.zeros((1, 0), dtype=np.int8), np.array([4])

@@ -10,9 +10,11 @@ A single point runs in its family's Dykstra kernel, one call for the whole
 projection: source written for the family's members and dimension, like the
 point kernels of `operators`, compiled on the family's first point
 projection and kept (`Family.point_kernel`).  The iterate and every member's
-increment live in scalar locals; each member's projection, an ellipsoid's
-Newton included, comes from `sets.point_projection_source`, and the gap and
-the member distances of the stop test from `sets.square_sum_source`.  These
+increment live in scalar locals.  A cycle takes each member's projection,
+an ellipsoid's Newton included, from `sets.point_projection_source`; the
+feasibility test calls the member's `project_point`, compiled from the same
+source, so each member's source is in the kernel once.  The gap and the
+member distances of the stop test come from `sets.square_sum_source`.  These
 are the operations of the cycles on lists through `project_point`, in their
 order, so the result, and the last iterate and gap of an exhausted budget,
 keep their bits.
@@ -90,10 +92,10 @@ def _compile_dykstra(family: Family):
     increment is in i{i}_0, i{i}_1, ....  A cycle runs, for each member,
     z = y - inc, y = P(z) and inc = y - z, and the gap is the distance of y
     from the iterate before the cycle.  When the gap is at most tol, the
-    largest distance from y to its projection onto a member, taken as
-    Python's `max` takes it, is tested against tol.  The function returns
-    (True, y, gap) on success, and (False, y, gap) after `cycles` cycles,
-    with y a list.
+    largest distance from y to its projection onto a member, by the
+    member's `project_point` and taken as Python's `max` takes it, is
+    tested against tol.  The function returns (True, y, gap) on success,
+    and (False, y, gap) after `cycles` cycles, with y a list.
     """
     n = family.dim
     y, p, z, f, d = ([f"{c}{j}" for j in range(n)] for c in "ypzfd")
@@ -103,15 +105,14 @@ def _compile_dykstra(family: Family):
         k = f"m{i}_"
         inc = [f"i{i}_{j}" for j in range(n)]
         into_y, names = point_projection_source(s, z, y, k)
-        onto_y, _ = point_projection_source(s, y, f, k)
-        consts.update(names)
+        consts.update({**names, f"{k}project": s.project_point})
         cycle += [
             *(f"{zj} = {yj} - {ij}" for zj, yj, ij in zip(z, y, inc)),
             *into_y,
             *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
         ]
         feasible += [
-            *onto_y,
+            f"{', '.join(f)}, = {k}project([{', '.join(y)}])",
             *(f"{dj} = {yj} - {fj}" for dj, yj, fj in zip(d, y, f)),
             f"dist = sqrt({square_sum_source(d)})",
             "feas = dist" if i == 0 else "if dist > feas: feas = dist",

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, q_hat_path, apply_q_hat
-from .sets import Ball, as_count, as_positive, finite_points, row_norm
+from .sets import Ball, as_count, as_positive, finite_points, max_distance, row_norm
 from .solver import (
     DISJOINTNESS_TOL,
     IterationTrace,
@@ -172,7 +172,7 @@ def brute_force_pair(problem: Problem, resolution: float) -> OracleResult:
         v = project_intersection(problem.family_b, u)
     return OracleResult(
         pair=(u, v),
-        gap=float(np.linalg.norm(u - v)),
+        gap=max_distance(u, v),
         method="GridPolish",
         resolution=resolution,
     )
@@ -185,7 +185,7 @@ def analytic_two_ball_pair(problem: Problem) -> OracleResult:
         raise ValueError("analytic oracle requires single-ball families")
     ca, ra = fa[0].center, fa[0].radius
     cb, rb = fb[0].center, fb[0].radius
-    d = float(np.linalg.norm(cb - ca))
+    d = max_distance(cb, ca)
     if d <= ra + rb:
         raise ValueError("balls are not disjoint")
     u = (cb - ca) / d
@@ -252,7 +252,7 @@ def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationR
     for point in (a, b):
         if point.ndim != 1:
             raise DimensionMismatch(f"pair has shape {point.shape}, expected ({problem.dim},)")
-    gap = float(np.linalg.norm(a - b))
+    gap = max_distance(a, b)
     if gap <= 0.0:
         raise PreconditionGapZero("separation check needs a pair with positive gap")
     rng = np.random.default_rng(problem.seed)

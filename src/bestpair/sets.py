@@ -27,10 +27,12 @@ compiled: the constants reach the code as values, never as text, so they
 keep their bits.  A set pickles without its compiled function, and compiles
 it again on its next point projection.
 
-A norm is the square root of a sum of squares, and every norm here sums in
-numpy's `add.reduce` order, the order of `np.linalg.norm(d, axis=-1)`:
-fewer than `PAIRWISE_SUM_MIN` (8) terms add in order, and from 8 terms on
-numpy sums pairwise.  The one order is written in two forms:
+A norm is the square root of a sum of squares, and every norm of the
+package sums in numpy's `add.reduce` order, the order of
+`np.linalg.norm(d, axis=-1)`: fewer than `PAIRWISE_SUM_MIN` (8) terms add in
+order, and from 8 terms on numpy sums pairwise.  This module is the only one
+that knows the rule: every length the package measures is a `row_norm` or a
+`max_distance`.  The one order is written in two forms:
 
 - `row_norm`, on an array of shape (..., n), adds the squared columns
   `d[..., j]` in order below 8 columns, where numpy's reduce over a short
@@ -38,7 +40,7 @@ numpy sums pairwise.  The one order is written in two forms:
   8 on;
 - `sum_source` writes it out as source, and `square_sum_source` for
   squares, for the `point_source` of a ball or an ellipsoid and for the
-  distance of two lists.
+  distance of two points.
 
 A half-space or hyperplane keeps numpy's `x @ normal`, in `point_source`
 too: BLAS's dot product does not round like an in-order sum at any
@@ -52,10 +54,10 @@ largest over its members as its radius rho.
 `as_points` is the one dimension check of the layers above, `finite_points`
 adds the one finiteness check, `as_number` and `as_vector` are the one type
 check of numbers read from input, and `max_distance` is the distance every
-stop test measures, on two lists or two arrays.  `as_positive` is the one
-check of a positive, finite number (a radius, `k0`, a tolerance, a grid
-resolution), and `as_count` of an integer count (`max_sweeps`, `q`, `K`,
-`samples`).  Each set's `contains` is its membership test;
+stop test, gap and residual measures, on two points or two batches.
+`as_positive` is the one check of a positive, finite number (a radius, `k0`,
+a tolerance, a grid resolution), and `as_count` of an integer count
+(`max_sweeps`, `q`, `K`, `samples`).  Each set's `contains` is its membership test;
 `operators.Family.contains` joins them for an intersection.
 """
 
@@ -179,13 +181,15 @@ def _list_distance(n):
 def max_distance(u, v):
     """Largest distance between paired points of u and v.
 
-    Two lists of floats are one point each, measured by `_list_distance`.
-    Arrays of shape (..., n) give the largest `row_norm` of their difference,
-    or 0.0 when they hold no row; both are bit for bit
-    `np.linalg.norm(u - v, axis=-1)`."""
-    if isinstance(u, list):
-        return _list_distance(len(u))(u, v)
-    return float(np.max(row_norm(u - v), initial=0.0))
+    A point, a list of floats or an array of shape (n,), against another is
+    measured on lists by `_list_distance`.  Batches of shape (..., n) give
+    the largest `row_norm` of their difference, or 0.0 when they hold no
+    row.  Both keep the bits of `row_norm(u - v)`."""
+    if isinstance(u, np.ndarray):
+        if u.ndim != 1:
+            return float(np.max(row_norm(u - v), initial=0.0))
+        u = u.tolist()
+    return _list_distance(len(u))(u, v.tolist() if isinstance(v, np.ndarray) else v)
 
 
 def as_points(x, dim, what="point"):
@@ -376,14 +380,16 @@ class Ball(_PointSource):
         return row_norm(x - self.center) <= self.radius + tol
 
     def bounding_radius(self):
-        return float(np.linalg.norm(self.center) + self.radius)
+        return float(row_norm(self.center) + self.radius)
 
 
 @dataclass(frozen=True, eq=False)
 class _Affine(_PointSource):
-    """A nonzero normal and an offset.  Subclasses add a kind, `contains` and
-    `_moves`, the test of the excess <normal, x> - offset against 0 that
-    decides whether `project` moves a point onto <normal, x> = offset."""
+    """A normal vector, whose squared length is neither 0, subnormal nor
+    inf, and an offset; its length is kept for `contains`.  Subclasses add
+    a kind, `contains` and `_moves`, the test of the excess <normal, x> -
+    offset against 0 that decides whether `project` moves a point onto
+    <normal, x> = offset."""
 
     normal: np.ndarray
     offset: float
@@ -395,9 +401,15 @@ class _Affine(_PointSource):
         object.__setattr__(self, "offset", as_number(self.offset, "offset"))
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        if np.linalg.norm(self.normal) == 0.0:
-            raise ValueError("normal must be nonzero")
-        object.__setattr__(self, "_nn", float(self.normal @ self.normal))
+        with np.errstate(over="ignore"):
+            nn = float(self.normal @ self.normal)
+        # a projection divides by nn, so 0, a subnormal or inf would spoil it
+        if not np.finfo(float).tiny <= nn < math.inf:
+            raise ValueError(
+                "normal must be nonzero, with a squared length that neither underflows nor overflows"
+            )
+        object.__setattr__(self, "_nn", nn)
+        object.__setattr__(self, "_norm", float(row_norm(self.normal)))
 
     @property
     def dim(self):
@@ -433,7 +445,7 @@ class HalfSpace(_Affine):
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
         # slack measured as a distance, so it does not scale with ||normal||
-        return x @ self.normal - self.offset <= tol * np.linalg.norm(self.normal)
+        return x @ self.normal - self.offset <= tol * self._norm
 
 
 class Hyperplane(_Affine):
@@ -444,7 +456,7 @@ class Hyperplane(_Affine):
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
-        return np.abs(x @ self.normal - self.offset) <= tol * np.linalg.norm(self.normal)
+        return np.abs(x @ self.normal - self.offset) <= tol * self._norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -495,7 +507,7 @@ class Box(_PointSource):
     def bounding_radius(self):
         # farthest vertex from the origin
         far = np.maximum(np.abs(self.lo), np.abs(self.hi))
-        return float(np.linalg.norm(far))
+        return float(row_norm(far))
 
 
 @dataclass(frozen=True, eq=False)
@@ -600,8 +612,8 @@ class Ellipsoid(_PointSource):
         v = np.where(top, c, 0.0)  # scaled below, so that a tiny part keeps its direction
         v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]
         ss = float(np.sum(s**2))
-        s = s / math.sqrt(ss) if ss > 1.0 else s + math.sqrt(1.0 - ss) * v / np.linalg.norm(v)
-        return float(np.linalg.norm(c + a * s))
+        s = s / math.sqrt(ss) if ss > 1.0 else s + math.sqrt(1.0 - ss) * v / row_norm(v)
+        return float(row_norm(c + a * s))
 
 
 # union of the five descriptor types

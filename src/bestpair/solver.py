@@ -24,7 +24,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, apply_q_hat, q_hat_path
-from .sets import as_count, as_positive
+from .sets import as_count, as_positive, max_distance, row_norm
 
 DISJOINTNESS_TOL = 1e-6
 # Accuracy of the baseline's inner projections and its outer-iteration budget
@@ -172,7 +172,7 @@ def _alternate_projections(problem: Problem):
     for k in range(BASELINE_MAX_OUTER):
         u = project_intersection(problem.family_a, z, tol=BASELINE_INNER_TOL)
         z_new = project_intersection(problem.family_b, u, tol=BASELINE_INNER_TOL)
-        if float(np.linalg.norm(z_new - z)) <= tol:
+        if max_distance(z_new, z) <= tol:
             u = project_intersection(problem.family_a, z_new, tol=BASELINE_INNER_TOL)
             return u, z_new, k + 1
         z = z_new
@@ -185,7 +185,7 @@ def validate_problem(problem: Problem) -> ProblemReport:
     feas_a = _family_feasibility(problem.family_a, "A")
     feas_b = _family_feasibility(problem.family_b, "B")
     u, z, _ = _alternate_projections(problem)
-    distance = float(np.linalg.norm(u - z))
+    distance = max_distance(u, z)
     if distance <= DISJOINTNESS_TOL:
         raise ProblemValidationError(
             f"families not disjoint (distance estimate {distance:.3e})"
@@ -199,12 +199,12 @@ def _best_pair(problem: Problem, a, b, iterations) -> BestPair:
     return BestPair(
         a=a,
         b=b,
-        gap=float(np.linalg.norm(a - b)),
+        gap=max_distance(a, b),
         residuals=(
-            float(np.linalg.norm(a - project_intersection(fam_a, a))),
-            float(np.linalg.norm(b - project_intersection(fam_b, b))),
-            float(np.linalg.norm(a - project_intersection(fam_a, b))),
-            float(np.linalg.norm(b - project_intersection(fam_b, a))),
+            max_distance(a, project_intersection(fam_a, a)),
+            max_distance(b, project_intersection(fam_b, b)),
+            max_distance(a, project_intersection(fam_a, b)),
+            max_distance(b, project_intersection(fam_b, a)),
         ),
         iterations=iterations,
     )
@@ -229,7 +229,7 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     validate_problem(problem)
-    norm = float(np.linalg.norm(x0))
+    norm = float(row_norm(x0))
     projected = norm > problem.rho
     if projected:  # start inside B[0, rho]
         x0 = x0 * (problem.rho / norm)
@@ -243,20 +243,16 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     terminal = "MaxSweeps"
     for r in range(opts.max_sweeps):
         x_odd, inner_a = _sweep(fam_a, r, x, opts.record_inner_steps)
-        entries.append(
-            TraceEntry(2 * r + 1, x_odd, "A", r, float(np.linalg.norm(x_odd - x)), inner_a)
-        )
+        entries.append(TraceEntry(2 * r + 1, x_odd, "A", r, max_distance(x_odd, x), inner_a))
         x_even, inner_b = _sweep(fam_b, r, x_odd, opts.record_inner_steps)
-        entries.append(
-            TraceEntry(2 * r + 2, x_even, "B", r, float(np.linalg.norm(x_even - x_odd)), inner_b)
-        )
+        entries.append(TraceEntry(2 * r + 2, x_even, "B", r, max_distance(x_even, x_odd), inner_b))
         x = x_even
         if odd_prev is not None:
-            d_odd = float(np.linalg.norm(x_odd - odd_prev))
-            d_even = float(np.linalg.norm(x_even - even_prev))
+            d_odd = max_distance(x_odd, odd_prev)
+            d_even = max_distance(x_even, even_prev)
             if d_odd <= opts.pair_gap_tol and d_even <= opts.pair_gap_tol:
-                ra = float(np.linalg.norm(x_odd - project_intersection(fam_a, x_even)))
-                rb = float(np.linalg.norm(x_even - project_intersection(fam_b, x_odd)))
+                ra = max_distance(x_odd, project_intersection(fam_a, x_even))
+                rb = max_distance(x_even, project_intersection(fam_b, x_odd))
                 if max(ra, rb) <= _STOP_RESIDUAL_FACTOR * opts.fixed_point_tol:
                     terminal = "Converged"
                     break

@@ -187,6 +187,13 @@ REJECTED_FILES = {
         for kind in ("halfspace", "hyperplane")
         for offset in (NAN, INF, -INF)
     },
+    **{
+        f"{kind}-normal-{scale:g}": (
+            ("familyA", "sets"), [BALL_A, {"type": kind, "normal": [scale, 0.0], "offset": 0.0}],
+            "normal must be nonzero, with a squared length that neither underflows nor overflows")
+        for kind in ("halfspace", "hyperplane")
+        for scale in (1e160, 1e-160)
+    },
     "options-int": (("options",), 5, "options must be an object"),
     "options-list": (("options",), [1], "options must be an object"),
     "schedule-int": (("familyA", "schedule"), 5, "familyA.schedule must be an object"),

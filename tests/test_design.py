@@ -28,8 +28,10 @@
   command pays for what the package imports.
 - Every `(owner, attr)` binding that `bench/tracing.py` patches exists, so a
   refactor that drops one fails here and not in a benchmark run.
-- No `np.linalg.norm` call with an axis stays outside `sets.row_norm`: the
-  norms of rows have one summation rule, written once.
+- The package calls, and imports, no `np.linalg.norm`, `math.dist`,
+  `math.hypot` or `np.hypot`: each rounds a length its own way, and every
+  length goes through `sets.row_norm` or `sets.max_distance`, so the package
+  has one summation rule, written once.
 - Generated source is compiled in one place: the package calls `compile`
   once, in `sets._code`, the cache of `sets.compiled_function`, and `exec`
   once, in `compiled_function`.
@@ -289,24 +291,22 @@ def test_traced_bindings_exist():
     assert not missing, missing
 
 
+OTHER_NORM = re.compile(r"(\w+\.)*(linalg\.norm|hypot)|math\.dist")
+
+
 def test_row_norms_only_in_row_norm():
-    """`np.linalg.norm(d, axis=...)`, or its axis given by position, is
-    written nowhere in the package but in `sets.row_norm`."""
+    """No call or import of a length function but `sets.row_norm` and
+    `sets.max_distance` is written in the package."""
     bad = []
     for path in MODULES:
-        tree = parse(path)
-        allowed = {
-            id(node) for name, func in functions(tree)
-            if path.name == "sets.py" and name == "row_norm"
-            for node in ast.walk(func)
-        }
-        bad += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call) and id(node) not in allowed
-            and ast.unparse(node.func).endswith("linalg.norm")
-            and (len(node.args) >= 3 or any(kw.arg == "axis" for kw in node.keywords))
-        ]
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Call):
+                names = [ast.unparse(node.func)]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            bad += [f"{path.name}:{node.lineno}" for name in names if OTHER_NORM.fullmatch(name)]
     assert not bad, bad
 
 

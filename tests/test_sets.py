@@ -485,6 +485,15 @@ def test_ellipsoid_axes_whose_squares_underflow_or_overflow_rejected(axes):
         Ellipsoid(np.zeros(len(axes)), axes)
 
 
+@pytest.mark.parametrize("normal", [[1e-170, 0.0], [1e160, 0.0], [1e-160, 0.0], [0.0, 2e154]])
+@pytest.mark.parametrize("cls", [HalfSpace, Hyperplane])
+def test_normal_whose_squared_length_underflows_or_overflows_rejected(cls, normal):
+    # a projection divides by <normal, normal>: at inf an outside point stays
+    # put and is contained, and a subnormal one moves it past the boundary
+    with pytest.raises(ValueError, match="^normal must be nonzero, with a squared length that"):
+        cls(normal, 0.0)
+
+
 @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cls", [HalfSpace, Hyperplane])
 def test_non_finite_offset_rejected(cls, offset):
