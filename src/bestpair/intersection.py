@@ -22,12 +22,9 @@ keep their bits.
 A batch retires each row once its whole Dykstra state, its row of y and of
 every increment, keeps its bits over one cycle: every later cycle would
 repeat those bits, so the row is final.  It is written to the result, and
-the later cycles project only the rows still moving.  Balls, boxes and
-ellipsoids compute each row from that row alone, so every row ends with the
-bits it would have if all rows ran every cycle.  Half-spaces and hyperplanes
-take BLAS's `x @ normal`, which from n = 8 on rounds a row according to the
-rows batched with it; there a row may move by rounding, as it does whenever
-the batch around it changes.
+the later cycles project only the rows still moving.  Every kind computes
+each row from that row alone, so every row ends with the bits it would have
+if all rows ran every cycle.
 """
 
 from __future__ import annotations
@@ -61,8 +58,7 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     cycles.  A batch retires each row once its state keeps its bits over a
     cycle; a retired row adds 0 to the displacement, and the member
     distances are measured on the whole batch.  Every row keeps the bits of
-    a batch that cycles all rows, except beside a half-space or hyperplane
-    from n = 8 on, where BLAS rounds a row by the rows batched with it.
+    a batch that cycles all rows.
     A single-member family short-circuits to the member's exact projection,
     `project_point` for a single point and `project` for a batch.
     A tol that is not positive and finite raises ValueError, an x of the

@@ -36,7 +36,7 @@ import numpy as np
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
     CONTAINS_TOL, as_count, as_number, as_positive, as_vector, compiled_function,
-    finite_points, max_distance, point_projection_source, row_norm,
+    finite_points, max_distance, point_projection_source, row_norm, row_sum,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
@@ -125,7 +125,7 @@ class Family:
             raise ValueError("weights length must match number of sets")
         if not np.all(w > 0):
             raise ValueError("weights must be strictly positive")
-        if abs(float(np.sum(w)) - 1.0) > 1e-12:
+        if abs(float(row_sum(w)) - 1.0) > 1e-12:
             raise ValueError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
@@ -192,8 +192,7 @@ def anchored_steps(family: Family, taus, anchor, y=None):
     When anchor and y both have shape (n,), the iterator is the family's point
     kernel (see `_compile_point_steps`), and each step is a list of floats.
     Otherwise the two broadcast, and each step is an array from
-    `family.weighted_projection`.  Both give the same bits on the same point,
-    except that `x @ normal` may round a batch row differently (see `sets`).
+    `family.weighted_projection`.  Both give the same bits on the same point.
     """
     anchor = np.asarray(anchor, dtype=float)
     y = anchor if y is None else np.asarray(y, dtype=float)

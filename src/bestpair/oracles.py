@@ -29,7 +29,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, q_hat_path, apply_q_hat
-from .sets import Ball, as_count, as_positive, finite_points, max_distance, row_norm
+from .sets import Ball, as_count, as_positive, finite_points, max_distance, row_dot, row_norm
 from .solver import (
     DISJOINTNESS_TOL,
     IterationTrace,
@@ -147,7 +147,9 @@ def brute_force_pair(problem: Problem, resolution: float) -> OracleResult:
         raise ValueError("oracle limited to dimension <= 3")
     as_positive(resolution, "resolution")
     n, rho = problem.dim, problem.rho
-    m = int(round(2.0 * rho / resolution)) + 1
+    # a subnormal resolution makes the cell count inf, which int() rejects;
+    # capped at the limit, it fails the test below
+    m = int(round(min(2.0 * rho / resolution, _GRID_POINT_LIMIT))) + 1
     if m**n > _GRID_POINT_LIMIT:
         raise ValueError("resolution too fine for the grid oracle")
     axis = np.linspace(-rho, rho, m)
@@ -258,8 +260,8 @@ def separation_check(problem: Problem, pair, samples: int = 1000) -> SeparationR
     rng = np.random.default_rng(problem.seed)
     ys_a = _sample_in_intersection(rng, problem.family_a, problem.rho, samples)
     ys_b = _sample_in_intersection(rng, problem.family_b, problem.rho, samples)
-    min_a = float(np.min((ys_a - a) @ (a - b)))
-    min_b = float(np.min((ys_b - b) @ (b - a)))
+    min_a = float(np.min(row_dot(ys_a - a, a - b)))
+    min_b = float(np.min(row_dot(ys_b - b, b - a)))
     t = 1e-3
     wa = a + t * (b - a)
     wb = b + t * (a - b)

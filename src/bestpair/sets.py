@@ -18,33 +18,25 @@ Each kind writes that point arithmetic once, as `point_source(x, out, k)`:
 Python source on scalar locals that sets the locals named in `out` from
 those named in `x`, and a dict of the values the lines read, the set's
 constants and helpers, by name.  Every name it makes starts with `k`, except
-the helpers `sqrt` and `array`.  Their shared `project_point` runs that
-source compiled for the set, and the point kernels of `operators` and
-`intersection` inline it.  `point_projection_source` is the one place that
-decides whether a kernel inlines a member's `point_source` or calls its
-`project_point`.  `compiled_function` is the one place generated source is
-compiled: the constants reach the code as values, never as text, so they
-keep their bits.  A set pickles without its compiled function, and compiles
-it again on its next point projection.
+the helper `sqrt`.  Their shared `project_point` runs that source compiled
+for the set, and the point kernels of `operators` and `intersection` inline
+it.  `point_projection_source` is the one place that decides whether a
+kernel inlines a member's `point_source` or calls its `project_point`.
+`compiled_function` is the one place generated source is compiled: the
+constants reach the code as values, never as text, so they keep their bits.
+A set pickles without its compiled function, and compiles it again on its
+next point projection.
 
-A norm is the square root of a sum of squares, and every norm of the
-package sums in numpy's `add.reduce` order, the order of
-`np.linalg.norm(d, axis=-1)`: fewer than `PAIRWISE_SUM_MIN` (8) terms add in
-order, and from 8 terms on numpy sums pairwise.  This module is the only one
-that knows the rule: every length the package measures is a `row_norm` or a
-`max_distance`.  The one order is written in two forms:
-
-- `row_norm`, on an array of shape (..., n), adds the squared columns
-  `d[..., j]` in order below 8 columns, where numpy's reduce over a short
-  last axis costs several times the arithmetic, and calls `add.reduce` from
-  8 on;
-- `sum_source` writes it out as source, and `square_sum_source` for
-  squares, for the `point_source` of a ball or an ellipsoid and for the
-  distance of two points.
-
-A half-space or hyperplane keeps numpy's `x @ normal`, in `point_source`
-too: BLAS's dot product does not round like an in-order sum at any
-dimension.
+Every sum of the package, of a point or of a batch row, adds its terms in
+one order, numpy's `add.reduce` order: fewer than `PAIRWISE_SUM_MIN` (8)
+terms add in order, and from 8 terms on they add pairwise.  `sum_source` is
+the one statement of that order.  It writes the sum out as source: the
+`point_source` of a ball, a half-space, a hyperplane or an ellipsoid and the
+distance of two points run it on scalars, and `row_sum` runs it compiled on
+the columns of an array, so that a batch row adds as its point does,
+whatever the batch around it or its layout.  `row_norm` and `row_dot` are
+`row_sum` of products, and every length the package measures is a
+`row_norm` or a `max_distance`.
 
 Each kind declares the class attributes `strictly_convex` and `bounded`.  The
 bounded kinds (ball, box, ellipsoid) have `bounding_radius`, the radius of the
@@ -87,39 +79,44 @@ PAIRWISE_SUM_MIN = 8
 PAIRWISE_BLOCK = 128
 
 
+def row_sum(a):
+    """Sums along the last axis of an array of shape (..., n): `sum_source`,
+    compiled for n, on the columns `a[..., j]`.  n = 0 gives zeros."""
+    n = a.shape[-1]
+    if not n:
+        return np.zeros(a.shape[:-1])
+    return _column_sum(n)(*(a[..., j] for j in range(n)))
+
+
+@lru_cache(maxsize=64)
+def _column_sum(n):
+    """column_sum(c0, ..., c{n-1}) = `sum_source` of its n arguments."""
+    c = [f"c{j}" for j in range(n)]
+    return compiled_function(f"def column_sum({', '.join(c)}):", {}, [f"return {sum_source(c)}"])
+
+
+def row_dot(x, v):
+    """Inner products of the rows of x with v along the last axis, by `row_sum`."""
+    return row_sum(x * v)
+
+
 def row_norm(d):
-    """Euclidean norms along the last axis of an array of shape (..., n), bit
-    for bit `np.linalg.norm(d, axis=-1)`.
-
-    Below PAIRWISE_SUM_MIN columns, `_column_norm` adds the squared columns
-    in order, as `add.reduce` does, without its cost on a short last axis;
-    from there on, and for n = 0, `add.reduce` sums pairwise.
-    """
-    n = d.shape[-1]
-    if 0 < n < PAIRWISE_SUM_MIN:
-        return _column_norm([d[..., j] for j in range(n)])
-    return np.sqrt(np.add.reduce(d * d, axis=-1))
-
-
-def _column_norm(columns):
-    """Square root of the in-order sum of the squares of `columns`, a
-    nonempty list of arrays of one shape: the norms of their rows."""
-    first = columns[0]
-    total = first * first
-    for c in columns[1:]:
-        total += c * c
-    return np.sqrt(total)
+    """Euclidean norms along the last axis of an array of shape (..., n), by
+    `row_sum`: on a C-ordered array, bit for bit `np.linalg.norm(d, axis=-1)`."""
+    return np.sqrt(row_sum(d * d))
 
 
 def sum_source(terms):
     """Source of an expression that sums the expressions `terms`, each bound
-    tighter than `+`, in numpy's `add.reduce` order, the order of `row_norm`.
+    tighter than `+`, in numpy's `add.reduce` order.
 
     Fewer than PAIRWISE_SUM_MIN (8) terms add in order.  Up to PAIRWISE_BLOCK
     (128) terms, eight running sums r_j take every eighth term, combine as
     ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), and the tail adds in
     order.  Longer sums split at n2 = n//2 - (n//2) % 8 and add the sums of
-    the two parts.  numpy adds the sum to 0.0, a no-op as no term here is -0.0.
+    the two parts.  numpy also adds the sum to 0.0, which is left out: a sum
+    whose terms are all -0.0 is -0.0 here and +0.0 in numpy.  No sum of
+    squares is one, and the tests of an affine excess take -0.0 as 0.0.
     """
     n = len(terms)
     if n > PAIRWISE_BLOCK:
@@ -152,10 +149,11 @@ def _moved_or_kept(test, setup, moved, out, x):
 
 def compiled_function(head, consts, body):
     """The function of the def line `head` and the statements `body`, each
-    name of `consts` a local bound to its value.  The values reach it as the
-    tuple `K`, never as text, so they keep their bits; code is cached by its
-    source, so every function of one shape shares it."""
-    source = "\n".join([head, f"    {', '.join(consts)}, = K", *(f"    {line}" for line in body)])
+    name of `consts`, if any, a local bound to its value.  The values reach
+    it as the tuple `K`, never as text, so they keep their bits; code is
+    cached by its source, so every function of one shape shares it."""
+    unpack = [f"{', '.join(consts)}, = K"] if consts else []
+    source = "\n".join([head, *(f"    {line}" for line in unpack + body)])
     namespace = {"K": tuple(consts.values())}
     exec(_code(source), namespace)
     return namespace[head[len("def "):head.index("(")]]
@@ -193,9 +191,8 @@ def max_distance(u, v):
 
 
 def as_points(x, dim, what="point"):
-    """Coerce to a C-ordered float array of shape (..., dim), in which numpy
-    sums a row pairwise as it does a point; raises DimensionMismatch."""
-    x = np.asarray(x, dtype=float, order="C")
+    """Coerce to a float array of shape (..., dim); raises DimensionMismatch."""
+    x = np.asarray(x, dtype=float)
     if x.ndim == 0 or x.shape[-1] != dim:
         raise DimensionMismatch(
             f"{what} has dimension {x.shape[-1] if x.ndim else 0}, expected {dim}"
@@ -266,8 +263,8 @@ def _newton_step(g, s):
     phi is convex and decreasing, so from a lam left of the root the step is
     positive and the next lam stays left of it, up to rounding."""
     r2 = (g / s) ** 2
-    phi = np.add.reduce(r2, axis=-1) - 1.0
-    return phi, phi / (2.0 * np.add.reduce(r2 / s, axis=-1))
+    phi = row_sum(r2) - 1.0
+    return phi, phi / (2.0 * row_sum(r2 / s))
 
 
 def _newton_rows(g, shift, floor):
@@ -357,7 +354,7 @@ class Ball(_PointSource):
             return np.where(n > r, self.center + d * (r / np.maximum(n, r)), x)
         center = self._center_list
         d = [x[..., j] - c for j, c in enumerate(center)]
-        n = _column_norm(d)
+        n = np.sqrt(_column_sum(self.dim)(*(dj * dj for dj in d)))
         outside, scale = n > r, r / np.maximum(n, r)
         out = np.empty_like(x)
         for j, (c, dj) in enumerate(zip(center, d)):
@@ -402,7 +399,7 @@ class _Affine(_PointSource):
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
         with np.errstate(over="ignore"):
-            nn = float(self.normal @ self.normal)
+            nn = float(row_dot(self.normal, self.normal))
         # a projection divides by nn, so 0, a subnormal or inf would spoil it
         if not np.finfo(float).tiny <= nn < math.inf:
             raise ValueError(
@@ -417,7 +414,7 @@ class _Affine(_PointSource):
 
     def project(self, x):
         x = as_points(x, self.dim)
-        excess = x @ self.normal - self.offset
+        excess = row_dot(x, self.normal) - self.offset
         return np.where(
             self._moves(excess, 0.0)[..., None],
             x - (excess / self._nn)[..., None] * self.normal,
@@ -426,13 +423,12 @@ class _Affine(_PointSource):
 
     def point_source(self, x, out, k):
         v = [f"{k}v{j}" for j in range(self.dim)]
-        lines = [f"{k}e = float(array(({', '.join(x)},)) @ {k}normal) - {k}offset"]
+        lines = [f"{k}e = {sum_source([f'{xj} * {vj}' for xj, vj in zip(x, v)])} - {k}offset"]
         lines += _moved_or_kept(
             f"{k}moves({k}e, 0.0)", [f"{k}s = {k}e / {k}nn"],
             [f"{xj} - {k}s * {vj}" for xj, vj in zip(x, v)], out, x,
         )
-        consts = {"array": np.array, f"{k}normal": self.normal, f"{k}offset": self.offset,
-                  f"{k}moves": self._moves, f"{k}nn": self._nn}
+        consts = {f"{k}offset": self.offset, f"{k}moves": self._moves, f"{k}nn": self._nn}
         return lines, {**consts, **dict(zip(v, self.normal.tolist()))}
 
 
@@ -445,7 +441,7 @@ class HalfSpace(_Affine):
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
         # slack measured as a distance, so it does not scale with ||normal||
-        return x @ self.normal - self.offset <= tol * self._norm
+        return row_dot(x, self.normal) - self.offset <= tol * self._norm
 
 
 class Hyperplane(_Affine):
@@ -456,7 +452,7 @@ class Hyperplane(_Affine):
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
-        return np.abs(x @ self.normal - self.offset) <= tol * self._norm
+        return np.abs(row_dot(x, self.normal) - self.offset) <= tol * self._norm
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,7 +534,7 @@ class Ellipsoid(_PointSource):
 
     def _quad(self, z):
         """sum_d (z_d / a_d)^2 along the last axis of z, an offset from the centre."""
-        return np.add.reduce((z / self.axes) ** 2, axis=-1)
+        return row_sum((z / self.axes) ** 2)
 
     def project(self, x):
         """Project via the dual equation.
@@ -611,7 +607,7 @@ class Ellipsoid(_PointSource):
         s = np.where(top, 0.0, g / np.where(top, 1.0, lam - a2))
         v = np.where(top, c, 0.0)  # scaled below, so that a tiny part keeps its direction
         v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]
-        ss = float(np.sum(s**2))
+        ss = float(row_sum(s * s))
         s = s / math.sqrt(ss) if ss > 1.0 else s + math.sqrt(1.0 - ss) * v / row_norm(v)
         return float(row_norm(c + a * s))
 

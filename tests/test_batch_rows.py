@@ -1,14 +1,20 @@
-"""The batch forms of the norm and of the ball projection, held to numpy's
-bits.
+"""The batch forms of the sum, the norm and the ball projection, held to
+the point path and to numpy's bits.
 
-`sets.row_norm` is the one norm of an array of rows in the package; it must
-equal `np.linalg.norm(d, axis=-1)` bit for bit on any shape (..., n), at every
-n and in particular around numpy's pairwise splits (8, 128 and 2 * 128
-terms).  `Ball.project` runs one column at a time below 8 coordinates;
+`sets.row_sum` evaluates `sets.sum_source` on the columns of an array, and
+`row_dot` and `row_norm` are its sums of products.  Each row must keep the
+bits of `sum_source` evaluated on its floats, the point path, and of
+numpy's `add.reduce` on a C-ordered array, up to the sign of a sum of zeros,
+at every n and in particular around numpy's pairwise splits (8, 128 and
+2 * 128 terms).  `row_norm` must equal `np.linalg.norm` of the C-ordered
+array bit for bit, on any shape (..., n) and any layout.  `Ball.project`
+runs one column at a time below 8 coordinates;
 `broadcast_ball_reference`, the broadcasting form it replaced, is kept here
 so that the new form is held to its bits at every n.  A column-major batch
-is projected as its C-ordered copy, whose rows numpy sums pairwise.
+has the bits of its C-ordered copy.
 """
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bestpair import Ball, Family, project_intersection, shlwb_project
-from bestpair.sets import PAIRWISE_BLOCK, row_norm
+from bestpair.sets import PAIRWISE_BLOCK, row_dot, row_norm, row_sum, sum_source
 
 SPLITS = [m + k for m in (PAIRWISE_BLOCK, 2 * PAIRWISE_BLOCK) for k in (-1, 0, 1)]
 DIMS = st.one_of(st.integers(1, 40), st.sampled_from(SPLITS))
@@ -68,13 +74,37 @@ def test_row_norm_equals_linalg_norm(d):
 
 def test_row_norm_on_views_and_every_split():
     """Contiguous rows, strided and column-major views, at every n of the
-    hypothesis test."""
+    hypothesis test, each with the bits of its C-ordered copy."""
     rng = np.random.default_rng(7)
     for n in [*range(1, 41), *SPLITS]:
         base = rng.standard_normal((64, 2 * n)) * 10.0 ** rng.integers(-20, 21, (64, 1))
         views = base[:, :n], base[:, ::2], base[::2, :n], np.asfortranarray(base[:, :n])
         for d in views:
-            assert same_bits(row_norm(d), np.linalg.norm(d, axis=-1)), n
+            assert same_bits(row_norm(d), np.linalg.norm(np.ascontiguousarray(d), axis=-1)), n
+
+
+@lru_cache
+def point_sum(n):
+    """`sum_source` of n terms as a function of n Python floats: the sum of
+    a point in a point kernel."""
+    terms = [f"t{j}" for j in range(n)]
+    return eval(f"lambda {', '.join(terms)}: {sum_source(terms)}")
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_batches(), st.integers(0, 2**32 - 1))
+def test_row_sum_and_row_dot_follow_the_point_path(d, seed):
+    """Bit for bit the point path on every row; and numpy's `add.reduce` once
+    the sum is added to 0.0, as numpy adds it, which turns -0.0 into 0.0."""
+    n = d.shape[-1]
+    v = np.random.default_rng(seed).uniform(-2.0, 2.0, n)
+    v[:: max(1, n // 3)] *= -0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        for terms, got in ((d, row_sum(d)), (d * v, row_dot(d, v))):
+            rows = terms.reshape(-1, n).tolist()
+            expected = np.array([point_sum(n)(*row) for row in rows], dtype=float)
+            assert same_bits(got, expected.reshape(d.shape[:-1]))
+            assert same_bits(got + 0.0, np.add.reduce(terms, axis=-1))
 
 
 def broadcast_ball_reference(ball, x):
@@ -135,8 +165,7 @@ def test_ball_project_equals_broadcast_form(case):
 @pytest.mark.parametrize("n", [8, 10, 20])
 def test_fortran_batch_has_the_bits_of_its_c_batch(n):
     """numpy reduces the rows of a column-major batch in order, not
-    pairwise; the batch is projected as its C-ordered copy, so both layouts
-    give the same bits."""
+    pairwise; `row_sum` adds columns, so both layouts give the same bits."""
     rng = np.random.default_rng(n)
     x = 3.0 * rng.standard_normal((200, n))
     fx = np.asfortranarray(x)

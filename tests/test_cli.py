@@ -375,6 +375,9 @@ def test_non_finite_point_exits_1(argv, capsys):
      "tol must be positive and finite, got nan"),
     (["project", LENS, "--family", "A", "--point", "5,5", "--tol", "0"],
      "tol must be positive and finite, got 0.0"),
+    # a subnormal resolution makes the grid's cell count overflow to inf
+    (["oracle", LENS, "--resolution", "1e-320"], "resolution too fine for the grid oracle"),
+    (["compare", LENS, "--resolution", "1e-320"], "resolution too fine for the grid oracle"),
 ])
 def test_bad_numeric_option_exits_1(argv, message, capsys):
     assert main(argv) == 1

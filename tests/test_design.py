@@ -30,8 +30,13 @@
   refactor that drops one fails here and not in a benchmark run.
 - The package calls, and imports, no `np.linalg.norm`, `math.dist`,
   `math.hypot` or `np.hypot`: each rounds a length its own way, and every
-  length goes through `sets.row_norm` or `sets.max_distance`, so the package
-  has one summation rule, written once.
+  length goes through `sets.row_norm` or `sets.max_distance`.
+- The package writes no `@` and calls, and imports, no `np.dot`,
+  `np.matmul`, `np.inner`, `np.vdot`, `np.einsum`, `np.sum` or
+  `np.add.reduce`, nor a method of those names: BLAS rounds a row by the
+  rows batched with it, and numpy sums a row by the layout of its array.
+  Every sum goes through `sets.sum_source`, on arrays by `sets.row_sum`, so
+  the package has one summation rule, written once.
 - Generated source is compiled in one place: the package calls `compile`
   once, in `sets._code`, the cache of `sets.compiled_function`, and `exec`
   once, in `compiled_function`.
@@ -307,6 +312,26 @@ def test_row_norms_only_in_row_norm():
             else:
                 continue
             bad += [f"{path.name}:{node.lineno}" for name in names if OTHER_NORM.fullmatch(name)]
+    assert not bad, bad
+
+
+OTHER_SUM = re.compile(r"(\w+\.)+(dot|matmul|inner|vdot|einsum|sum|add\.reduce)")
+
+
+def test_sums_only_in_sum_source():
+    """No `@` and no call or import of a numpy sum or product is written in
+    the package."""
+    bad = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                bad.append(f"{path.name}:{node.lineno}: @")
+            elif isinstance(node, ast.Call) and OTHER_SUM.fullmatch(ast.unparse(node.func)):
+                bad.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}")
+            elif isinstance(node, ast.ImportFrom):
+                bad += [f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                        for alias in node.names
+                        if OTHER_SUM.fullmatch(f"{node.module}.{alias.name}")]
     assert not bad, bad
 
 

@@ -2,9 +2,7 @@
 
 A batch retires each row once its Dykstra state keeps its bits over a cycle.
 `all_rows_reference`, the batch loop as it ran before rows retired, is kept
-here so that the retiring loop is held to its bits: exactly on balls, boxes
-and ellipsoids, and within 1e-12 beside a half-space from n = 8 on, where
-BLAS's matrix-vector product rounds a row according to its batch.
+here so that the retiring loop is held to its bits, beside a half-space too.
 """
 
 import numpy as np
@@ -184,8 +182,7 @@ def test_retiring_rows_keep_the_all_rows_bits(n, kinds, m, at_origin, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 7, 8, 9, 10, 16, 20])
 def test_retiring_rows_beside_a_half_space(n):
-    """Bit for bit below n = 8; from 8 on BLAS rounds `x @ normal` for a row
-    by the rows batched with it, so the rows agree within 1e-12."""
+    """Bit for bit at every n, past numpy's pairwise split at 8 terms too."""
     rng = np.random.default_rng(n)
     point = rng.uniform(-1.0, 1.0, n)
     normal = rng.standard_normal(n)
@@ -194,10 +191,7 @@ def test_retiring_rows_beside_a_half_space(n):
     family = Family(tuple(members))
     expected = all_rows_reference(family, x)
     got = project_intersection(family, x)
-    if n < 8:
-        assert np.array_equal(bits(got), bits(expected))
-    else:
-        assert np.max(np.abs(got - expected)) <= 1e-12
+    assert np.array_equal(bits(got), bits(expected))
 
 
 def test_empty_intersection_batch_keeps_its_shape(monkeypatch):

@@ -108,9 +108,12 @@ def sets_of_kind(draw, kind, n):
     return Ellipsoid(draw(vectors(n)), axes)
 
 
+KINDS = ["ball", "halfspace", "hyperplane", "box", "ellipsoid"]
+
+
 @st.composite
 def set_and_point(draw):
-    kind = draw(st.sampled_from(["ball", "halfspace", "hyperplane", "box", "ellipsoid"]))
+    kind = draw(st.sampled_from(KINDS))
     n = draw(st.integers(1, 12))
     s = draw(sets_of_kind(kind, n))
     p = draw(vectors(n))
@@ -418,16 +421,9 @@ def test_ellipsoid_retiring_rows_keep_the_all_rows_bits(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_family_point_equals_batch_row(data):
-    """A point step of `apply_m` keeps the bits of the same step on its batch row.
-
-    Exact for members without a dot product.  A half-space or hyperplane
-    takes `x @ normal`, which BLAS evaluates as a dot product for one point
-    and a matrix-vector product for a batch; the two may round differently,
-    so those kinds are left out.
-    """
+    """A point step of `apply_m` keeps the bits of the same step on its batch row."""
     n = data.draw(st.integers(1, 12))
-    kinds = data.draw(st.lists(st.sampled_from(["ball", "box", "ellipsoid"]),
-                               min_size=1, max_size=3))
+    kinds = data.draw(st.lists(st.sampled_from(KINDS), min_size=1, max_size=3))
     fam = Family(tuple(data.draw(sets_of_kind(k, n)) for k in kinds))
     pts = np.stack(data.draw(st.lists(vectors(n), min_size=1, max_size=6)))
     tau = data.draw(st.floats(0.01, 0.99))
@@ -437,6 +433,26 @@ def test_family_point_equals_batch_row(data):
         return
     for i, p in enumerate(pts):
         assert same_bits(apply_m(fam, tau, p, p), batch[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sub_batch_path_has_the_bits_of_the_full_batch(data):
+    """`q_hat_path` on any slice of a batch keeps the bits of the same rows
+    of the full batch, with half-spaces and hyperplanes from n = 8 on, where
+    numpy's sums split pairwise."""
+    n = data.draw(st.integers(8, 12))
+    kinds = [data.draw(st.sampled_from(["halfspace", "hyperplane"])),
+             *data.draw(st.lists(st.sampled_from(KINDS), max_size=2))]
+    fam = Family(tuple(data.draw(sets_of_kind(k, n)) for k in kinds), schedule=SCHED)
+    pts = np.stack(data.draw(st.lists(vectors(n), min_size=2, max_size=24)))
+    start = data.draw(st.integers(0, len(pts) - 1))
+    stop = data.draw(st.integers(start + 1, len(pts)))
+    try:
+        full = q_hat_path(fam, 3, pts)
+    except EllipsoidRootFindError:
+        return
+    assert same_bits(q_hat_path(fam, 3, pts[start:stop]), full[:, start:stop])
 
 
 def list_steps_reference(family, taus, anchor, y=None):
@@ -453,9 +469,6 @@ def list_steps_reference(family, taus, anchor, y=None):
             acc = [a + w * v for a, v in zip(acc, member.project_point(y))]
         y = [tau * a + s * p for a, p in zip(anchor, acc)]
         yield y
-
-
-KINDS = ["ball", "halfspace", "hyperplane", "box", "ellipsoid"]
 
 
 def random_set(rng, kind, n):
