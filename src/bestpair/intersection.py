@@ -19,12 +19,13 @@ are the operations of the cycles on lists through `project_point`, in their
 order, so the result, and the last iterate and gap of an exhausted budget,
 keep their bits.
 
-A batch retires each row once its whole Dykstra state, its row of y and of
-every increment, keeps its bits over one cycle: every later cycle would
-repeat those bits, so the row is final.  It is written to the result, and
-the later cycles project only the rows still moving.  Every kind computes
-each row from that row alone, so every row ends with the bits it would have
-if all rows ran every cycle.
+A batch runs the same cycle source on columns, compiled once per family
+(`_compile_column_cycle`), so a row has the bits of its point.  Its
+Dykstra state is one C-ordered array of shape (n*(L+1), rows): the columns
+of y, then those of each member's increment.  A row retires once its whole
+state keeps its bits over one cycle: every later cycle would repeat those
+bits, so the row is final.  It is written to the result, and one
+compression of the state drops it from the later cycles.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     sets = family.sets
     x = finite_points(x, family.dim, "x")
     if x.ndim > 1:
-        return sets[0].project(x) if len(sets) == 1 else _project_rows(sets, x, tol)
+        return sets[0].project(x) if len(sets) == 1 else _project_rows(family, x, tol)
     if len(sets) == 1:
         return np.asarray(sets[0].project_point(x.tolist()))
 
@@ -85,37 +86,29 @@ def _compile_dykstra(family: Family):
     as source for this family and compiled.
 
     x is a list of n floats, the start of the iterate y0, y1, ...; member i's
-    increment is in i{i}_0, i{i}_1, ....  A cycle runs, for each member,
-    z = y - inc, y = P(z) and inc = y - z, and the gap is the distance of y
-    from the iterate before the cycle.  When the gap is at most tol, the
-    largest distance from y to its projection onto a member, by the
-    member's `project_point` and taken as Python's `max` takes it, is
-    tested against tol.  The function returns (True, y, gap) on success,
-    and (False, y, gap) after `cycles` cycles, with y a list.
+    increment is in i{i}_0, i{i}_1, ....  A cycle is `_cycle_source`, and the
+    gap is the distance of y from the iterate before the cycle.  When the gap
+    is at most tol, the largest distance from y to its projection onto a
+    member, by the member's `project_point` and taken as Python's `max`
+    takes it, is tested against tol.  The function returns (True, y, gap) on
+    success, and (False, y, gap) after `cycles` cycles, with y a list.
     """
     n = family.dim
-    y, p, z, f, d = ([f"{c}{j}" for j in range(n)] for c in "ypzfd")
-    consts = {"sqrt": math.sqrt, "inf": math.inf}
-    cycle, feasible = [], []
+    state, cycle, consts = _cycle_source(family, False)
+    y, p, f, d = ([f"{c}{j}" for j in range(n)] for c in "ypfd")
+    consts.update({"sqrt": math.sqrt, "inf": math.inf})
+    feasible = []
     for i, s in enumerate(family.sets):
-        k = f"m{i}_"
-        inc = [f"i{i}_{j}" for j in range(n)]
-        into_y, names = point_projection_source(s, z, y, k)
-        consts.update({**names, f"{k}project": s.project_point})
-        cycle += [
-            *(f"{zj} = {yj} - {ij}" for zj, yj, ij in zip(z, y, inc)),
-            *into_y,
-            *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
-        ]
+        consts[f"m{i}_project"] = s.project_point
         feasible += [
-            f"{', '.join(f)}, = {k}project([{', '.join(y)}])",
+            f"{', '.join(f)}, = m{i}_project([{', '.join(y)}])",
             *(f"{dj} = {yj} - {fj}" for dj, yj, fj in zip(d, y, f)),
             f"dist = sqrt({square_sum_source(d)})",
             "feas = dist" if i == 0 else "if dist > feas: feas = dist",
         ]
     return compiled_function("def dykstra(x, tol, cycles):", consts, [
         f"{', '.join(y)}, = x",
-        f"{' = '.join(f'i{i}_{j}' for i in range(len(family.sets)) for j in range(n))} = 0.0",
+        f"{' = '.join(state[n:])} = 0.0",
         "gap = inf",
         "for _ in range(cycles):",
         *(f"    {pj} = {yj}" for pj, yj in zip(p, y)),
@@ -130,49 +123,73 @@ def _compile_dykstra(family: Family):
     ])
 
 
-def _project_rows(sets, x, tol):
+def _compile_column_cycle(family: Family):
+    """cycle(state) of `_project_rows`: one cycle of `_cycle_source` on the
+    columns of the state, the rows of the array `state`, returned as a list."""
+    state, cycle, consts = _cycle_source(family, True)
+    return compiled_function("def cycle(state):", consts, [
+        f"{', '.join(state)}, = state", *cycle, f"return [{', '.join(state)}]",
+    ])
+
+
+def _cycle_source(family: Family, columns):
+    """The names of Dykstra's state, y0, ..., y{n-1} and then member i's
+    increment i{i}_0, ..., and the source lines and values of one cycle, on
+    scalars or on columns: for each member, z = y - inc, y = P(z), from
+    `sets.point_projection_source`, and inc = y - z."""
+    n = family.dim
+    y, z = ([f"{c}{j}" for j in range(n)] for c in "yz")
+    state, cycle, consts = list(y), [], {}
+    for i, s in enumerate(family.sets):
+        inc = [f"i{i}_{j}" for j in range(n)]
+        into_y, names = point_projection_source(s, z, y, f"m{i}_", columns)
+        consts.update(names)
+        state += inc
+        cycle += [
+            *(f"{zj} = {yj} - {ij}" for zj, yj, ij in zip(z, y, inc)),
+            *into_y,
+            *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
+        ]
+    return state, cycle, consts
+
+
+def _project_rows(family: Family, x, tol):
     """Dykstra's cycles on a batch (..., n), retiring each settled row."""
-    pts = x.reshape(-1, x.shape[-1])
+    n = family.dim
+    cycle = family.point_kernel(_compile_column_cycle)
+    pts = x.reshape(-1, n)
     out = np.empty_like(pts)
     rows = np.arange(len(pts))  # the rows of `out` still cycling, in order
-    y = pts
-    incs = [np.zeros_like(y)] * len(sets)
+    state = np.zeros((n * (len(family.sets) + 1), len(pts)))
+    state[:n] = pts.T
     gap = np.inf
     for _ in range(REFERENCE_MAX_ITER):
-        y_prev, incs_prev = y, incs.copy()
-        for i, s in enumerate(sets):
-            z = y - incs[i]
-            y = s.project(z)
-            incs[i] = y - z
-        moved = row_norm(y - y_prev)
+        state_prev, state = state, np.stack(cycle(state))
+        moved = row_norm((state[:n] - state_prev[:n]).T)
         gap = float(np.max(moved, initial=0.0))
         if gap <= tol:
-            out[rows] = y
-            feas = max(max_distance(out, s.project(out)) for s in sets)
+            out[rows] = state[:n].T
+            feas = max(max_distance(out, s.project(out)) for s in family.sets)
             if feas <= tol:
                 return out.reshape(x.shape)
-        settled = _settled(moved, [y, *incs], [y_prev, *incs_prev])
+        settled = _settled(moved, state, state_prev)
         if settled.any():
-            out[rows[settled]] = y[settled]
-            # `compress` is `[keep]` on the first axis, at half its cost on rows
-            keep = ~settled
-            y, rows = y.compress(keep, axis=0), rows[keep]
-            incs = [inc.compress(keep, axis=0) for inc in incs]
-    out[rows] = y
+            out[rows[settled]] = state[:n, settled].T
+            state, rows = state[:, ~settled], rows[~settled]
+    out[rows] = state[:n].T
     raise _budget_exhausted(out.reshape(x.shape), gap)
 
 
 def _settled(moved, state, state_prev):
-    """Mask of the rows whose arrays in `state` all kept their bits; only the
-    rows that `moved` 0 are compared.  Bits, not `==`, so that a zero which
-    flips its sign keeps the row going."""
+    """Mask of the rows, the columns of the arrays `state` and `state_prev`,
+    whose every entry kept its bits; only the rows that `moved` 0 are
+    compared.  Bits, not `==`, so that a zero which flips its sign keeps the
+    row going."""
     settled = moved == 0.0
     rows = np.flatnonzero(settled)
     if rows.size:
-        same = np.ones(rows.size, dtype=bool)
-        for now, before in zip(state, state_prev):
-            same &= np.all(now[rows].view(np.int64) == before[rows].view(np.int64), axis=-1)
-        settled[rows] = same
+        now, before = state[:, rows].view(np.int64), state_prev[:, rows].view(np.int64)
+        settled[rows] = np.all(now == before, axis=0)
     return settled
 
 

@@ -21,8 +21,11 @@ its `project_point`.  `sets.compiled_function` compiles the source (see
 `sets`).  The kernels do the IEEE operations of the numpy forms in the same
 order, so the results keep their bits; so does the list stop test of
 `shlwb_project`, whose norm `square_sum_source` writes out.
-Batches of shape (..., n) run on arrays.  The public functions take and
-return arrays, and check their points with `sets.finite_points`.
+Batches of shape (..., n) run the same step source on columns, each local
+a column y[..., j] and each member inlined in its column form or called
+through its `project`; the steps are lists of columns, and a function
+stacks only the steps it returns.  The public functions take and return
+arrays, and check their points with `sets.finite_points`.
 `Family.contains` is the one membership test of an intersection.
 """
 
@@ -35,8 +38,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
-    CONTAINS_TOL, as_count, as_number, as_positive, as_vector, compiled_function,
-    finite_points, max_distance, point_projection_source, row_norm, row_sum,
+    CONTAINS_TOL, as_count, as_number, as_positive, as_vector, column_distance, columns_of,
+    compiled_function, finite_points, max_distance, point_projection_source, row_norm, row_sum,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
@@ -143,8 +146,8 @@ class Family:
 
     def weighted_projection(self, x):
         """sum_l w_l P_l(x) for x of shape (n,) or (..., n), accumulated in
-        index order through the members' `project`.  A single point's steps
-        run in the point kernel, which writes this sum out inline."""
+        index order through the members' `project`.  The anchored steps run
+        in the kernels, which write this sum out inline."""
         x = np.asarray(x, dtype=float)
         weights = self._weight_list
         acc = weights[0] * self.sets[0].project(x)
@@ -153,9 +156,9 @@ class Family:
         return acc
 
     def point_kernel(self, build):
-        """The point kernel `build(self)`, compiled for this family on its
-        first use and kept: the anchored steps and the sweep of `operators`
-        and Dykstra's cycles of `intersection` each have one."""
+        """The kernel `build(self)`, compiled for this family on its first use
+        and kept: the anchored steps and the sweep of `operators` and
+        Dykstra's cycles of `intersection`, on a point or a batch."""
         kernel = self._kernels.get(build)
         if kernel is None:
             kernel = self._kernels[build] = build(self)
@@ -191,47 +194,51 @@ def anchored_steps(family: Family, taus, anchor, y=None):
 
     When anchor and y both have shape (n,), the iterator is the family's point
     kernel (see `_compile_point_steps`), and each step is a list of floats.
-    Otherwise the two broadcast, and each step is an array from
-    `family.weighted_projection`.  Both give the same bits on the same point.
+    Otherwise the two broadcast to a batch, the iterator is the same source
+    on columns (see `_compile_column_steps`), and each step is the list of
+    the columns y[..., j], which `np.stack(step, axis=-1)` stacks.  Both
+    give the same bits on the same point.
     """
     anchor = np.asarray(anchor, dtype=float)
     y = anchor if y is None else np.asarray(y, dtype=float)
     if anchor.shape == y.shape == (family.dim,):
         return family.point_kernel(_compile_point_steps)(anchor.tolist(), y.tolist(), taus)
-    return _array_steps(family, taus, anchor, y)
-
-
-def _array_steps(family: Family, taus, anchor, y):
-    for tau in taus:
-        y = tau * anchor + (1.0 - tau) * family.weighted_projection(y)
-        yield y
+    anchor, y = np.broadcast_arrays(anchor, y)
+    return family.point_kernel(_compile_column_steps)(columns_of(anchor), columns_of(y), taus)
 
 
 def _compile_point_steps(family: Family):
     """The generator steps(anchor, y, taus) of `anchored_steps` on one point,
     which yields every step as a list."""
-    return _point_step_function(family, "def steps(anchor, y, taus):", "y", "    yield")
+    return _step_function(family, "def steps(anchor, y, taus):", "y", "    yield", False)
+
+
+def _compile_column_steps(family: Family):
+    """The generator column_steps(anchor, y, taus) of `anchored_steps` on a
+    batch, which yields every step as the list of its columns."""
+    return _step_function(family, "def column_steps(anchor, y, taus):", "y", "    yield", True)
 
 
 def _compile_point_sweep(family: Family):
     """sweep(anchor, taus) of `apply_q_hat` on one point: the steps from
     y = anchor, of which it returns only the last, as a list."""
-    return _point_step_function(family, "def sweep(anchor, taus):", "anchor", "return")
+    return _step_function(family, "def sweep(anchor, taus):", "anchor", "return", False)
 
 
-def _point_step_function(family: Family, head, start, end):
-    """The anchored steps of one point, written as source for this family and
-    compiled under the def line `head`.
+def _step_function(family: Family, head, start, end, columns):
+    """The anchored steps, written as source for this family and compiled
+    under the def line `head`, on a point's scalars or a batch's columns.
 
-    anchor and `start` are lists of n floats.  The coordinates live in locals
-    y0, y1, ..., set from `start`; each step runs every member's projection
-    on them, from `sets.point_projection_source`, then
+    anchor and `start` hold n floats or n columns.  The coordinates live in
+    locals y0, y1, ..., set from `start`; each step runs every member's
+    projection on them, from `sets.point_projection_source`, then
     y_j = tau*a_j + s*(w_0*m0_j + w_1*m1_j + ...) with s = 1 - tau; `end`
-    hands out [y0, y1, ...], a yield in the loop or a return after it.  These
-    are the operations of `project_point` and of `weighted_projection`, in
-    their order, so the steps keep their bits.  Weights and set constants
-    reach the code through `sets.compiled_function`, never as text, so
-    every family of one shape (member kinds, count and n) shares its code.
+    hands out [y0, y1, ...], a yield in the loop or a return after it.
+    These are the operations of `project_point` and of `weighted_projection`,
+    in their order, so the steps keep their bits, and a batch row has the
+    bits of its point.  Weights and set constants reach the code through
+    `sets.compiled_function`, never as text, so every family of one shape
+    (member kinds, count and n) shares its code.
     """
     n = family.dim
     a, y = [f"a{j}" for j in range(n)], [f"y{j}" for j in range(n)]
@@ -239,7 +246,7 @@ def _point_step_function(family: Family, head, start, end):
     for i, (w, s) in enumerate(zip(family._weight_list, family.sets)):
         k = f"m{i}_"
         out = [f"{k}{j}" for j in range(n)]
-        lines, names = point_projection_source(s, y, out, k)
+        lines, names = point_projection_source(s, y, out, k, columns)
         body += lines
         consts.update(names)
         consts[f"w{i}"] = w
@@ -269,7 +276,7 @@ def apply_m(family: Family, tau: float, anchor, x):
         raise ValueError(f"tau must lie in (0,1), got {tau}")
     anchor = finite_points(anchor, family.dim, "anchor")
     x = finite_points(x, family.dim)
-    return np.asarray(next(anchored_steps(family, (tau,), anchor, x)))
+    return np.stack(next(anchored_steps(family, (tau,), anchor, x)), axis=-1)
 
 
 def apply_m_hat(family: Family, tau: float, x):
@@ -283,7 +290,7 @@ def apply_q_hat(family: Family, q: int, x):
 
     The anchor is the original input at every inner step and the steering
     index restarts at 0 on every call.  One point runs as one call of the
-    family's sweep kernel.
+    family's sweep kernel; a batch stacks only its last step.
     """
     taus = _sweep_taus(family, q)
     x = finite_points(x, family.dim)
@@ -291,7 +298,7 @@ def apply_q_hat(family: Family, q: int, x):
         return np.asarray(family.point_kernel(_compile_point_sweep)(x.tolist(), taus))
     for y in anchored_steps(family, taus, x):
         pass
-    return y
+    return np.stack(y, axis=-1)
 
 
 def q_hat_path(family: Family, q: int, x):
@@ -303,8 +310,9 @@ def q_hat_path(family: Family, q: int, x):
     taus = _sweep_taus(family, q)
     x = finite_points(x, family.dim)
     out = np.empty((q + 1,) + x.shape)
+    columns = np.moveaxis(out, -1, 1)  # columns[t, j] is out[t, ..., j]
     for t, y in enumerate(anchored_steps(family, taus, x)):
-        out[t] = y
+        columns[t] = y
     return out
 
 
@@ -317,26 +325,27 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     is Theta(tau_k) even at the limit, so an unscaled gap test would stall.
 
     Accepts a batch of anchors of shape (..., n); the stop test then uses the
-    largest row gap.  A non-finite anchor, or a tol that is not positive and
-    finite, is rejected with ValueError before any step.  Raises
-    MaxIterExceeded (carrying the last iterate and gap) when the
-    SHLWB_MAX_ITER budget runs out, which signals slow steering or an empty
-    intersection.
+    largest row gap, measured on the steps' columns.  A non-finite anchor, or
+    a tol that is not positive and finite, is rejected with ValueError before
+    any step.  Raises MaxIterExceeded (carrying the last iterate and gap)
+    when the SHLWB_MAX_ITER budget runs out, which signals slow steering or an
+    empty intersection.
     """
     as_positive(tol, "tol")
     anchor = finite_points(anchor, family.dim, "anchor")
     # tau_k is evaluated lazily, one scalar at a time: the budget is large and
     # most runs stop early.  One copy drives the steps, the other the stop test.
     taus, stop_taus = itertools.tee(map(family.schedule.tau, range(SHLWB_MAX_ITER)))
-    x = anchor.tolist() if anchor.ndim == 1 else anchor
+    x = anchor.tolist() if anchor.ndim == 1 else list(columns_of(anchor))
+    distance = max_distance if anchor.ndim == 1 else column_distance
     gap = np.inf
     for tau, x_next in zip(stop_taus, anchored_steps(family, taus, anchor)):
-        gap = max_distance(x_next, x)
+        gap = distance(x_next, x)
         x = x_next
         if gap <= tol * tau:
-            return np.asarray(x)
+            return np.stack(x, axis=-1)
     raise MaxIterExceeded(
         f"no convergence within {SHLWB_MAX_ITER} iterations (last gap {gap:.3e})",
-        last=np.asarray(x),
+        last=np.stack(x, axis=-1),
         gap=gap,
     )

@@ -6,26 +6,25 @@ shape (n,) or a batch of shape (..., n) and are exact up to floating point,
 except the ellipsoid which solves a one-dimensional dual equation by
 monotone Newton from a proven lower bound, to residual <= 1e-12.
 
-Each set also has `project_point`, an unchecked projection of one point given
-as a list of n Python floats, which returns a new list.  It runs the
-floating-point operations of `project` in the same order, so
-`np.array(project_point(x))` equals `project(np.array(x))` bit for bit, but
-branches on scalars where `project` masks with `np.where`: on small points
-the cost of `project` is numpy call overhead, and Python float arithmetic
-does the same IEEE operations for a fraction of it.
-
-Each kind writes that point arithmetic once, as `point_source(x, out, k)`:
-Python source on scalar locals that sets the locals named in `out` from
-those named in `x`, and a dict of the values the lines read, the set's
-constants and helpers, by name.  Every name it makes starts with `k`, except
-the helper `sqrt`.  Their shared `project_point` runs that source compiled
-for the set, and the point kernels of `operators` and `intersection` inline
-it.  `point_projection_source` is the one place that decides whether a
-kernel inlines a member's `point_source` or calls its `project_point`.
-`compiled_function` is the one place generated source is compiled: the
-constants reach the code as values, never as text, so they keep their bits.
-A set pickles without its compiled function, and compiles it again on its
-next point projection.
+Each kind writes its projection once, as `point_source(x, out, k, columns)`:
+Python source that sets the locals named in `out` from those named in `x`,
+and a dict of the values the lines read, the set's constants and helpers,
+by name.  Every name it makes starts with `k`, except the helpers.  On
+scalars each name holds a float and the source branches; on columns each
+holds a column x[..., j] of a batch, every row runs the setup, and
+`np.where` keeps the rows that do not move.  Three places switch between
+the forms: `_moved_or_kept`, the box's clamp and the ellipsoid's Newton
+loop.  Both do the same IEEE operations in the same order, so a batch row
+has the bits of its point.  The kinds share `project_point`, an unchecked
+projection of one point given as a list of n floats, which runs the scalar
+source compiled on its first call, and `project`, which runs a point
+(n,) through it and a batch (..., n) through the column source.  The
+kernels of `operators` and `intersection` inline either form.
+`point_projection_source` is the one place that decides whether a kernel
+inlines a member's `point_source` or calls the member.  `compiled_function`
+is the one place generated source is compiled: the constants reach the code
+as values, never as text, so they keep their bits.  A set pickles without
+its compiled function, and compiles it again on its next point projection.
 
 Every sum of the package, of a point or of a batch row, adds its terms in
 one order, numpy's `add.reduce` order: fewer than `PAIRWISE_SUM_MIN` (8)
@@ -58,7 +57,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial, reduce
 from typing import get_args
 
 import numpy as np
@@ -96,8 +95,9 @@ def _column_sum(n):
 
 
 def row_dot(x, v):
-    """Inner products of the rows of x with v along the last axis, by `row_sum`."""
-    return row_sum(x * v)
+    """Inner products of the rows of x with the vector v along the last axis:
+    `row_sum` of the products, formed one column at a time, `x[..., j] * v_j`."""
+    return _column_sum(len(v))(*(x[..., j] * vj for j, vj in enumerate(v.tolist())))
 
 
 def row_norm(d):
@@ -135,9 +135,17 @@ def square_sum_source(names):
     return sum_source([f"{v} * {v}" for v in names])
 
 
-def _moved_or_kept(test, setup, moved, out, x):
+def _moved_or_kept(test, setup, moved, out, x, k, columns):
     """Source lines that set the locals `out` to the expressions `moved`, after
-    the statements `setup`, when `test` holds, and to the locals `x` when not."""
+    the statements `setup`, where `test` holds, and to the locals `x` where not.
+
+    On scalars this is a branch.  On columns the mask `test` is the local
+    `{k}m`, and the setup and `out_j = where({k}m, moved_j, x_j)` run on
+    every row under `quiet`, which hides the divisions by zero and invalid
+    operations of the rows that `where` discards, and no overflow."""
+    if columns:
+        return [f"{k}m = {test}", "with quiet():", *(f"    {line}" for line in setup),
+                *(f"    {o} = where({k}m, {m}, {v})" for o, m, v in zip(out, moved, x))]
     return [
         f"if {test}:",
         *(f"    {line}" for line in setup),
@@ -145,6 +153,20 @@ def _moved_or_kept(test, setup, moved, out, x):
         "else:",
         *(f"    {o} = {v}" for o, v in zip(out, x)),
     ]
+
+
+# the helpers, by name, that `point_source` reads on scalars and on columns
+_HELPERS = {
+    False: {"sqrt": math.sqrt},
+    True: {"sqrt": np.sqrt, "where": np.where, "maximum": np.maximum, "minimum": np.minimum,
+           "largest": np.max, "quiet": partial(np.errstate, divide="ignore", invalid="ignore")},
+}
+
+
+def columns_of(x):
+    """The columns x[..., j] of a batch (..., n), as the rows of a C-ordered
+    array of shape (n, ...), which the generated code unpacks."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
 
 def compiled_function(head, consts, body):
@@ -180,14 +202,22 @@ def max_distance(u, v):
     """Largest distance between paired points of u and v.
 
     A point, a list of floats or an array of shape (n,), against another is
-    measured on lists by `_list_distance`.  Batches of shape (..., n) give
-    the largest `row_norm` of their difference, or 0.0 when they hold no
-    row.  Both keep the bits of `row_norm(u - v)`."""
+    measured on lists by `_list_distance`.  Batches of shape (..., n) are
+    measured on their columns by `column_distance`.  Both keep the bits of
+    the largest `row_norm(u - v)`."""
     if isinstance(u, np.ndarray):
         if u.ndim != 1:
-            return float(np.max(row_norm(u - v), initial=0.0))
+            return column_distance(np.moveaxis(u, -1, 0), np.moveaxis(v, -1, 0))
         u = u.tolist()
     return _list_distance(len(u))(u, v.tolist() if isinstance(v, np.ndarray) else v)
+
+
+def column_distance(u, v):
+    """Largest distance between paired rows of two batches, each given by its
+    n columns: the square root of `sum_source` of the squared differences
+    of the columns, or 0.0 when the batches hold no row."""
+    d = [uj - vj for uj, vj in zip(u, v)]
+    return float(np.max(np.sqrt(_column_sum(len(d))(*(dj * dj for dj in d))), initial=0.0))
 
 
 def as_points(x, dim, what="point"):
@@ -251,40 +281,21 @@ def as_vector(v, what):
 def _dual_start(g, shift, floor):
     """A lower bound past `floor` on the root of phi(lam) = sum_d (g_d /
     (shift_d + lam))^2 - 1, along the last axis of g: term d is at least 1
-    while shift_d + lam <= |g_d|.  The projection passes shift a^2 and floor
-    0, `Ellipsoid.bounding_radius` shift -a^2 and the float past max a^2."""
+    while shift_d + lam <= |g_d|.  The projection's `point_source` writes it
+    out with shift a^2 and floor 0; `Ellipsoid.bounding_radius` passes shift
+    -a^2 and the float past max a^2."""
     return np.maximum.reduce(np.abs(g) - shift, axis=-1, initial=floor)
 
 
 def _newton_step(g, s):
-    """phi(lam) and the Newton step from lam, given s = shift + lam; the last
-    axis of g and s is the dimension, so a batch passes lam as a column.
+    """phi(lam) and the Newton step from lam, given s = shift + lam, along the
+    last axis of g and s, for `Ellipsoid.bounding_radius`.
 
     phi is convex and decreasing, so from a lam left of the root the step is
     positive and the next lam stays left of it, up to rounding."""
     r2 = (g / s) ** 2
     phi = row_sum(r2) - 1.0
     return phi, phi / (2.0 * row_sum(r2 / s))
-
-
-def _newton_rows(g, shift, floor):
-    """(lam, phi(lam)) of each row of g by Newton from `_dual_start`.  A row
-    leaves at its first step that would not raise lam, a NaN step included,
-    with that step's phi, or at the round cap with the larger phi a step back."""
-    lam = _dual_start(g, shift, floor)
-    rows = np.arange(len(g))  # the rows still rising, in order
-    lam_end, phi_end = np.empty_like(lam), np.empty_like(lam)
-    for _ in range(_ELLIPSOID_MAX_ROUNDS):
-        phi, step = _newton_step(g, shift + lam[:, None])
-        nxt = lam + step
-        rises = nxt > lam
-        lam = np.where(rises, nxt, lam)
-        lam_end[rows], phi_end[rows] = lam, phi
-        if not rises.all():
-            g, lam, rows = g[rises], lam[rises], rows[rises]
-            if not rows.size:
-                break
-    return lam_end, phi_end
 
 
 def _check_dual_residual(worst):
@@ -298,8 +309,18 @@ def _check_dual_residual(worst):
 
 
 class _PointSource:
-    """A kind whose one-point projection is written once, as `point_source`:
-    `project_point` runs it compiled for the set on the first call."""
+    """A kind whose projection is written once, as `point_source`: compiled on
+    scalars for the set's first point, and on columns for each batch, so
+    that a batch reads the round cap of the moment."""
+
+    def project(self, x):
+        """The projection of a point (n,) or a batch (..., n), in x's shape:
+        `point_source` on the point's scalars or on the batch's columns."""
+        x = as_points(x, self.dim)
+        if x.ndim == 1:
+            return np.array(self._point_projection(x.tolist()))
+        project = self._source_function("def project_columns(x):", True)
+        return np.stack(project(columns_of(x)), axis=-1)
 
     def project_point(self, x):
         return self._point_projection(x)
@@ -311,10 +332,15 @@ class _PointSource:
 
     @cached_property
     def _point_projection(self):
+        return self._source_function("def project_point(x):", False)
+
+    def _source_function(self, head, columns):
+        """`point_source` on scalars or on columns, compiled under the def line
+        `head`: from the n coordinates or columns x to the list of the out's."""
         x, out = ([f"{c}{j}" for j in range(self.dim)] for c in "xp")
-        lines, consts = self.point_source(x, out, "k")
+        lines, consts = self.point_source(x, out, "k", columns)
         body = [f"{', '.join(x)}, = x", *lines, f"return [{', '.join(out)}]"]
-        return compiled_function("def project_point(x):", consts, body)
+        return compiled_function(head, consts, body)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,46 +357,23 @@ class Ball(_PointSource):
         object.__setattr__(self, "center", as_vector(self.center, "center"))
         radius = as_positive(as_number(self.radius, "radius"), "radius")
         object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "_center_list", self.center.tolist())
 
     @property
     def dim(self):
         return self.center.size
 
-    def project(self, x):
-        """Scale x - center back to the radius where it is longer.
-
-        The scale is r / max(n, r), which is 1 inside and keeps a point at
-        the centre off 0/0; a row keeps x exactly unless n > r.  Below
-        PAIRWISE_SUM_MIN coordinates the projection runs one column at a
-        time, so that no operation on the batch broadcasts the centre or
-        the scale; from there on one broadcast costs less than the loop.
-        """
-        x = as_points(x, self.dim)
-        r = self.radius
-        if self.dim >= PAIRWISE_SUM_MIN:
-            d = x - self.center
-            n = row_norm(d)[..., None]
-            return np.where(n > r, self.center + d * (r / np.maximum(n, r)), x)
-        center = self._center_list
-        d = [x[..., j] - c for j, c in enumerate(center)]
-        n = np.sqrt(_column_sum(self.dim)(*(dj * dj for dj in d)))
-        outside, scale = n > r, r / np.maximum(n, r)
-        out = np.empty_like(x)
-        for j, (c, dj) in enumerate(zip(center, d)):
-            out[..., j] = np.where(outside, c + dj * scale, x[..., j])
-        return out
-
-    def point_source(self, x, out, k):
+    def point_source(self, x, out, k, columns):
+        # scale x - center back to the radius where it is longer; a point at
+        # the centre, of length 0, is kept
         c = [f"{k}c{j}" for j in range(self.dim)]
         d = [f"{k}d{j}" for j in range(self.dim)]
         lines = [f"{dj} = {v} - {cj}" for dj, v, cj in zip(d, x, c)]
         lines.append(f"{k}n = sqrt({square_sum_source(d)})")
         lines += _moved_or_kept(
             f"{k}n > {k}r", [f"{k}s = {k}r / {k}n"],
-            [f"{cj} + {dj} * {k}s" for cj, dj in zip(c, d)], out, x,
+            [f"{cj} + {dj} * {k}s" for cj, dj in zip(c, d)], out, x, k, columns,
         )
-        return lines, {"sqrt": math.sqrt, f"{k}r": self.radius, **dict(zip(c, self._center_list))}
+        return lines, {**_HELPERS[columns], f"{k}r": self.radius, **dict(zip(c, self.center.tolist()))}
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
@@ -412,24 +415,15 @@ class _Affine(_PointSource):
     def dim(self):
         return self.normal.size
 
-    def project(self, x):
-        x = as_points(x, self.dim)
-        excess = row_dot(x, self.normal) - self.offset
-        return np.where(
-            self._moves(excess, 0.0)[..., None],
-            x - (excess / self._nn)[..., None] * self.normal,
-            x,
-        )
-
-    def point_source(self, x, out, k):
+    def point_source(self, x, out, k, columns):
         v = [f"{k}v{j}" for j in range(self.dim)]
         lines = [f"{k}e = {sum_source([f'{xj} * {vj}' for xj, vj in zip(x, v)])} - {k}offset"]
         lines += _moved_or_kept(
             f"{k}moves({k}e, 0.0)", [f"{k}s = {k}e / {k}nn"],
-            [f"{xj} - {k}s * {vj}" for xj, vj in zip(x, v)], out, x,
+            [f"{xj} - {k}s * {vj}" for xj, vj in zip(x, v)], out, x, k, columns,
         )
         consts = {f"{k}offset": self.offset, f"{k}moves": self._moves, f"{k}nn": self._nn}
-        return lines, {**consts, **dict(zip(v, self.normal.tolist()))}
+        return lines, {**_HELPERS[columns], **consts, **dict(zip(v, self.normal.tolist()))}
 
 
 class HalfSpace(_Affine):
@@ -477,24 +471,22 @@ class Box(_PointSource):
     def dim(self):
         return self.lo.size
 
-    def project(self, x):
-        # not np.clip, whose signed-zero ties depend on the bounds' strides
-        x = as_points(x, self.dim)
-        return np.minimum(np.maximum(x, self.lo), self.hi)
-
-    def point_source(self, x, out, k):
-        # np.maximum and np.minimum keep the bound on a tie (0.0 for x = -0.0,
-        # lo = 0.0) and pass NaN through; Python's min and max would keep x.
-        # Per coordinate: lo, the projection of lo (which differs from lo only
-        # where lo and hi are zeros of opposite sign), and hi.
+    def point_source(self, x, out, k, columns):
+        # a column is clamped by np.maximum and np.minimum, not np.clip, whose
+        # signed-zero ties depend on the bounds' strides.  They keep the bound
+        # on a tie (0.0 for x = -0.0, lo = 0.0) and pass NaN through, where
+        # Python's min and max would keep x, so a scalar takes per coordinate
+        # lo, the projection of lo (which differs from lo only where lo and hi
+        # are zeros of opposite sign), or hi.
+        lo, lc, hi = ([f"{k}{c}{j}" for j in range(self.dim)] for c in ("lo", "lc", "hi"))
         lo_clip = np.minimum(np.maximum(self.lo, self.lo), self.hi)
-        columns = self.lo.tolist(), lo_clip.tolist(), self.hi.tolist()
-        lines, consts = [], {}
-        for j, (v, o, *bounds) in enumerate(zip(x, out, *columns)):
-            lo, lo_clip, hi = names = f"{k}lo{j}", f"{k}lc{j}", f"{k}hi{j}"
-            consts.update(zip(names, bounds))
-            lines.append(f"{o} = {lo_clip} if {v} <= {lo} else ({hi} if {v} >= {hi} else {v})")
-        return lines, consts
+        consts = dict(zip(lo + lc + hi, np.concatenate([self.lo, lo_clip, self.hi]).tolist()))
+        if columns:
+            lines = [f"{o} = minimum(maximum({v}, {lj}), {hj})" for o, v, lj, hj in zip(out, x, lo, hi)]
+        else:
+            lines = [f"{o} = {cj} if {v} <= {lj} else ({hj} if {v} >= {hj} else {v})"
+                     for o, v, lj, cj, hj in zip(out, x, lo, lc, hi)]
+        return lines, {**_HELPERS[columns], **consts}
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
@@ -532,58 +524,50 @@ class Ellipsoid(_PointSource):
     def dim(self):
         return self.center.size
 
-    def _quad(self, z):
-        """sum_d (z_d / a_d)^2 along the last axis of z, an offset from the centre."""
-        return row_sum((z / self.axes) ** 2)
-
-    def project(self, x):
-        """Project via the dual equation.
+    def point_source(self, x, out, k, columns):
+        """The projection via the dual equation.
 
         For z = x - center outside the ellipsoid the projection is
         y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the unique root of
         phi(lam) = sum_d (g_d / (a_d^2 + lam))^2 - 1, where g_d = z_d * a_d.
         phi is convex and decreasing, so Newton from the lower bound
-        `_dual_start` rises monotonically to the root (`_newton_rows`).
-        `point_source` takes the same steps, so a row keeps the bits of
-        `project_point` on its point.
+        max(|g_d| - a_d^2, 0) rises monotonically to the root.  A point
+        leaves at its first step that would not raise lam, a NaN step
+        included, with that step's phi, or at the round cap with the phi a
+        step back.  On columns `where` freezes a row's lam from that step on,
+        so it recomputes that phi, until no row outside rises.
         """
-        x = as_points(x, self.dim)
-        pts = x.reshape(-1, self.dim)
-        z = pts - self.center
-        outside = self._quad(z) > 1.0
-        if not np.any(outside):
-            return x
-        zo = z[outside]
-        lam, phi = _newton_rows(zo * self.axes, self._a2, 0.0)
-        _check_dual_residual(np.abs(phi).max())
-        proj = pts.copy()
-        proj[outside] = self.center + zo * self._a2 / (self._a2 + lam[:, None])
-        return proj.reshape(x.shape)
-
-    def point_source(self, x, out, k):
-        # `project` on scalars: q_j = z_j / a_j, g_j = z_j * a_j, and in each
-        # Newton round t_j = a_j^2 + lam, u_j = g_j / t_j and r_j = u_j * u_j
+        # q_j = z_j / a_j, g_j = z_j * a_j, and in each Newton round
+        # t_j = a_j^2 + lam, u_j = g_j / t_j and r_j = u_j * u_j
         n = range(self.dim)
         c, a, aa, z, q, g, t, u, r = ([f"{k}{p}{j}" for j in n] for p in "c a aa z q g t u r".split())
         newton = [line for j in n for line in (
             f"{t[j]} = {aa[j]} + {k}lam", f"{u[j]} = {g[j]} / {t[j]}", f"{r[j]} = {u[j]} * {u[j]}")]
         r_over_t = sum_source([f"{r[j]} / {t[j]}" for j in n])
-        newton += [f"{k}phi = {sum_source(r)} - 1.0", f"{k}nxt = {k}lam + {k}phi / ({k}two * {r_over_t})",
-                   f"if not {k}nxt > {k}lam:", "    break", f"{k}lam = {k}nxt"]
-        setup = [*(f"{g[j]} = {z[j]} * {a[j]}" for j in n),
-                 f"{k}lam = max({', '.join(f'abs({g[j]}) - {aa[j]}' for j in n)}, 0.0)",
-                 f"for {k}i in range({k}rounds):", *(f"    {line}" for line in newton),
-                 f"{k}check(abs({k}phi))"]
+        newton += [f"{k}phi = {sum_source(r)} - 1.0", f"{k}nxt = {k}lam + {k}phi / ({k}two * {r_over_t})"]
+        starts = [f"abs({g[j]}) - {aa[j]}" for j in n]
+        if columns:
+            start = reduce(lambda left, term: f"maximum({left}, {term})", starts, "0.0")
+            newton += [f"{k}up = ({k}nxt > {k}lam) & {k}m", f"{k}lam = where({k}up, {k}nxt, {k}lam)",
+                       f"if not {k}up.any():", "    break"]
+            check = f"{k}check(largest(abs({k}phi), where={k}m, initial=0.0))"
+        else:
+            start = f"max({', '.join(starts)}, 0.0)"
+            newton += [f"if not {k}nxt > {k}lam:", "    break", f"{k}lam = {k}nxt"]
+            check = f"{k}check(abs({k}phi))"
+        setup = [*(f"{g[j]} = {z[j]} * {a[j]}" for j in n), f"{k}lam = {start}",
+                 f"for {k}i in range({k}rounds):", *(f"    {line}" for line in newton), check]
         lines = [line for j in n for line in (f"{z[j]} = {x[j]} - {c[j]}", f"{q[j]} = {z[j]} / {a[j]}")]
         lines += _moved_or_kept(f"{square_sum_source(q)} > 1.0", setup,
-                                [f"{c[j]} + {z[j]} * {aa[j]} / ({aa[j]} + {k}lam)" for j in n], out, x)
+                                [f"{c[j]} + {z[j]} * {aa[j]} / ({aa[j]} + {k}lam)" for j in n],
+                                out, x, k, columns)
         values = np.concatenate([self.center, self.axes, self._a2]).tolist()
         consts = {f"{k}two": 2.0, f"{k}rounds": _ELLIPSOID_MAX_ROUNDS, f"{k}check": _check_dual_residual}
-        return lines, {**consts, **dict(zip(c + a + aa, values))}
+        return lines, {**_HELPERS[columns], **consts, **dict(zip(c + a + aa, values))}
 
     def contains(self, x, tol=CONTAINS_TOL):
         x = as_points(x, self.dim)
-        return self._quad(x - self.center) <= 1.0 + tol
+        return row_sum(((x - self.center) / self.axes) ** 2) <= 1.0 + tol
 
     def bounding_radius(self):
         """Exact radius of the smallest origin-centred ball containing the set.
@@ -592,18 +576,26 @@ class Ellipsoid(_PointSource):
         s_d = g_d / (lam - a_d^2) with g = a*c, where psi(lam) = sum_d (g_d /
         (lam - a_d^2))^2 = 1 past max a^2 (or lam = max a^2 if psi < 1 there);
         the longest-axis part of s follows c's (any longest axis if c has
-        none) and takes up the rest of ||s|| = 1.  `_newton_rows` solves
-        psi - 1 = 0 from the float past the pole, not from the pole, where a
-        tiny longest-axis part makes the step NaN; a lam a rounding short of
-        the root leaves ||s|| > 1, and s is scaled back onto the sphere.
+        none) and takes up the rest of ||s|| = 1.  Newton solves psi - 1 = 0
+        from the float past the pole, not from the pole, where a tiny
+        longest-axis part makes the step NaN, and stops at its first step
+        that would not raise lam, as the projection's does; a lam a rounding
+        short of the root leaves ||s|| > 1, and s is scaled back onto the
+        sphere.
         """
         c, a, a2 = self.center, self.axes, self._a2
         amax2 = float(np.max(a2))
         g = a * c
         top = a2 == amax2
+        off, shift = g[g != 0.0], -a2[g != 0.0]
         # a sum that is empty or underflows makes the step -inf, and the loop stops
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam = _newton_rows(g[g != 0.0][None], -a2[g != 0.0], np.nextafter(amax2, np.inf))[0][0]
+            lam = _dual_start(off, shift, np.nextafter(amax2, np.inf))
+            for _ in range(_ELLIPSOID_MAX_ROUNDS):
+                nxt = lam + _newton_step(off, shift + lam)[1]
+                if not nxt > lam:
+                    break
+                lam = nxt
         s = np.where(top, 0.0, g / np.where(top, 1.0, lam - a2))
         v = np.where(top, c, 0.0)  # scaled below, so that a tiny part keeps its direction
         v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]
@@ -618,15 +610,22 @@ ConvexSet = Ball | HalfSpace | Hyperplane | Box | Ellipsoid
 _KIND_MAP = {cls.kind: cls for cls in get_args(ConvexSet)}
 
 
-def point_projection_source(s, x, out, k):
+def point_projection_source(s, x, out, k, columns):
     """Source lines that set the locals `out` to the projection of the locals
-    `x` onto the set s, and the dict of the values they read, for a point
-    kernel.  A set whose type is exactly one of the five kinds is inlined
-    from its `point_source`; any other set's `project_point`, a subclass's
-    too, is called as `{k}project` on the list of `x`."""
+    `x` onto the set s, on scalars or on columns, and the dict of the values
+    they read, for a kernel.  A set whose type is exactly one of the five
+    kinds is inlined from its `point_source`; any other set, a subclass too,
+    is called as `{k}project` on the list of `x`: its `project_point` on
+    scalars, and its `project` on the batch the columns stack to."""
     if type(s) in _KIND_MAP.values():
-        return s.point_source(x, out, k)
-    return [f"{', '.join(out)}, = {k}project([{', '.join(x)}])"], {f"{k}project": s.project_point}
+        return s.point_source(x, out, k, columns)
+    project = partial(_project_columns, s.project) if columns else s.project_point
+    return [f"{', '.join(out)}, = {k}project([{', '.join(x)}])"], {f"{k}project": project}
+
+
+def _project_columns(project, columns):
+    """The columns of `project`, a batch projection, on the batch `columns` stack to."""
+    return columns_of(project(np.stack(columns, axis=-1)))
 
 
 def set_from_dict(record):

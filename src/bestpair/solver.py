@@ -70,16 +70,22 @@ class Problem:
     def __post_init__(self):
         if self.family_a.dim != self.family_b.dim:
             raise DimensionMismatch("families have different dimensions")
+        radii = []
         for label, fam in (("A", self.family_a), ("B", self.family_b)):
-            if not any(s.bounded for s in fam.sets):
+            bounded = [(i, s) for i, s in enumerate(fam.sets) if s.bounded]
+            if not bounded:
                 raise ProblemValidationError(
                     f"family {label} has no bounded member; the bounding hypothesis fails"
                 )
-        sets = self.family_a.sets + self.family_b.sets
-        rho = max(s.bounding_radius() for s in sets if s.bounded)
-        if not np.isfinite(rho):  # rho = 0 passes here and fails validation as not disjoint
-            raise ValueError(f"rho must be finite, got {rho!r}")
-        object.__setattr__(self, "rho", rho)
+            for i, s in bounded:
+                with np.errstate(over="ignore"):
+                    radii.append(s.bounding_radius())
+                if not np.isfinite(radii[-1]):
+                    raise ValueError(
+                        f"family {label} member {i} ({s.kind}) has a bounding radius that overflows"
+                    )
+        # rho = 0 passes here and fails validation as not disjoint
+        object.__setattr__(self, "rho", max(radii))
 
     @property
     def dim(self):

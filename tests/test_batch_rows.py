@@ -8,9 +8,9 @@ numpy's `add.reduce` on a C-ordered array, up to the sign of a sum of zeros,
 at every n and in particular around numpy's pairwise splits (8, 128 and
 2 * 128 terms).  `row_norm` must equal `np.linalg.norm` of the C-ordered
 array bit for bit, on any shape (..., n) and any layout.  `Ball.project`
-runs one column at a time below 8 coordinates;
-`broadcast_ball_reference`, the broadcasting form it replaced, is kept here
-so that the new form is held to its bits at every n.  A column-major batch
+runs one column at a time; `broadcast_ball_reference`, the broadcasting
+form it replaced, is kept here so that the new form is held to its bits at
+every n.  A column-major batch
 has the bits of its C-ordered copy.
 """
 

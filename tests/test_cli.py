@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -249,6 +250,22 @@ def test_rejected_problem_file_exits_1(case, tmp_path, capsys):
     problem = write(tmp_path, "p.json", mutated(path, value))
     assert main(["run", problem, "--out", str(tmp_path / "t")]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("family", ["familyA", "familyB"])
+def test_bounding_radius_that_overflows_names_its_member(family, tmp_path, capsys):
+    """A ball centred at (1e308, 1e308) has a bounding radius past the
+    largest float: `check` exits 1 with one line naming the family, the
+    member and its kind, and numpy warns of no overflow."""
+    doc = json.loads(pathlib.Path(TWO_BALLS).read_text())
+    doc[family]["sets"][0]["center"] = [1e308, 1e308]
+    problem = write(tmp_path, "p.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["check", problem]) == 1
+    label = family[-1]
+    assert capsys.readouterr() == (
+        "", f"error: family {label} member 0 (ball) has a bounding radius that overflows\n")
 
 
 @pytest.mark.parametrize("command", ["run", "compare", "check"])

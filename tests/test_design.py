@@ -40,12 +40,15 @@
 - Generated source is compiled in one place: the package calls `compile`
   once, in `sets._code`, the cache of `sets.compiled_function`, and `exec`
   once, in `compiled_function`.
-- The five kinds of `ConvexSet` share one `project_point`, which runs their
-  `point_source`: each point projection is written once.
-- The choice between inlining a member's `point_source` and calling its
-  `project_point` is written once, in `sets.point_projection_source`, and
-  every point kernel (the anchored steps, the sweep and Dykstra's cycles)
-  takes it and compiles through `sets.compiled_function`.
+- The five kinds of `ConvexSet` share one `project_point` and one
+  `project`, which run their `point_source` on scalars and on columns: each
+  projection is written once, for points and batches.
+- The choice between inlining a member's `point_source` and calling the
+  member is written once, in `sets.point_projection_source`.  The anchored
+  steps of a point or a batch take it in `operators._step_function`, and
+  Dykstra's cycle in `intersection._cycle_source`, which the point kernel
+  and the batch's cycle compile; every kernel compiles through
+  `sets.compiled_function`.
 """
 
 import ast
@@ -362,6 +365,13 @@ def test_inlined_kinds_share_one_project_point():
     assert len(shared) == 1
 
 
+def test_inlined_kinds_share_one_project():
+    kinds = get_args(ConvexSet)
+    assert len(kinds) == 5
+    shared = {cls.project for cls in kinds}
+    assert len(shared) == 1
+
+
 def calls_of(node, name):
     return any(
         isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
@@ -382,9 +392,11 @@ def test_point_kernels_share_one_dispatch():
             if path.name != "sets.py" and calls_of(func, "compiled_function"):
                 compilers.add(where)
     assert point_source_readers == {
-        "sets.py:point_projection_source", "sets.py:_PointSource._point_projection",
+        "sets.py:point_projection_source", "sets.py:_PointSource._source_function",
     }
-    assert dispatchers == compilers == {
-        "operators.py:_point_step_function", "intersection.py:_compile_dykstra",
+    assert dispatchers == {"operators.py:_step_function", "intersection.py:_cycle_source"}
+    assert compilers == {
+        "operators.py:_step_function", "intersection.py:_compile_dykstra",
+        "intersection.py:_compile_column_cycle",
     }
 

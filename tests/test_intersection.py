@@ -211,15 +211,16 @@ def test_empty_intersection_batch_keeps_its_shape(monkeypatch):
 
 
 def test_a_zero_that_flips_its_sign_does_not_settle():
-    """The settle test compares bits: 0.0 and -0.0 are equal by `==`."""
+    """The settle test compares bits: 0.0 and -0.0 are equal by `==`.  The
+    state holds the columns of y and of the increment, one row per column."""
     y = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
     y_prev = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     inc = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]])
     moved = np.linalg.norm(y - y_prev, axis=-1)
-    settled = intersection._settled(moved, [y, inc], [y_prev, inc])
+    settled = intersection._settled(moved, np.vstack([y.T, inc.T]), np.vstack([y_prev.T, inc.T]))
     assert settled.tolist() == [False, True, False]
     inc_prev = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    settled = intersection._settled(moved, [y, inc], [y_prev, inc_prev])
+    settled = intersection._settled(moved, np.vstack([y.T, inc.T]), np.vstack([y_prev.T, inc_prev.T]))
     assert settled.tolist() == [False, False, False]
 
 

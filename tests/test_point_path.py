@@ -27,6 +27,7 @@ import io
 import pathlib
 import pickle
 import tokenize
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -149,6 +150,75 @@ def test_point_path_equals_project(case):
     # the branch-based kinds keep the bits of a point they contain
     if not isinstance(s, Box) and s.contains(x, tol=0.0):
         assert same_bits(np.array(got), x)
+
+
+def rows_around(s, draws, n):
+    """Rows for a batch of s: drawn ones and 1e3 times them, the set's
+    centre (a point of the plane for an affine set, the middle of a box),
+    their projections, which lie on the boundary when they were outside,
+    and copies with signed zeros in some coordinates."""
+    drawn = np.stack(draws)
+    if isinstance(s, (Ball, Ellipsoid)):
+        centre = s.center
+    elif isinstance(s, Box):
+        centre = 0.5 * (s.lo + s.hi)
+    else:
+        centre = s.project(np.zeros(n))
+    rows = np.concatenate([drawn, 1e3 * drawn, centre[None]])
+    rows = np.concatenate([rows, s.project(rows)])
+    signed = rows.copy()
+    signed[:, ::2] = np.copysign(0.0, rows[:, ::2])
+    signed[:, 1::2] = np.copysign(0.0, -rows[:, 1::2])
+    return np.concatenate([rows, signed])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KINDS), st.integers(1, 20), st.data())
+def test_batch_rows_equal_project_point(kind, n, data):
+    """`project` on a C-ordered, a column-major, a stacked (2, m, n) and an
+    empty batch equals `project_point` on every row, bit for bit, or raises
+    where some row's point does."""
+    s = data.draw(sets_of_kind(kind, n))
+    rows = rows_around(s, data.draw(st.lists(vectors(n), min_size=1, max_size=6)), n)
+    try:
+        expected = np.array([s.project_point(row.tolist()) for row in rows])
+    except EllipsoidRootFindError:
+        with pytest.raises(EllipsoidRootFindError):
+            s.project(rows)
+        return
+    half = len(rows) // 2 * 2
+    cases = [
+        (rows, expected), (np.asfortranarray(rows), expected),
+        (rows[:half].reshape(2, -1, n), expected[:half].reshape(2, -1, n)),
+        (np.zeros((0, n)), np.zeros((0, n))), (np.zeros((3, 0, n)), np.zeros((3, 0, n))),
+    ]
+    for x, want in cases:
+        assert same_bits(s.project(x), want)
+
+
+def test_batch_at_the_centre_projects_without_a_warning():
+    """A row at a ball's or an ellipsoid's exact centre divides by zero in
+    the lanes `where` discards, and raises no `RuntimeWarning`; the tests run
+    with warnings as errors, and the check below holds outside them too."""
+    for s in (Ball([0.5, -1.0, 2.0], 1.5), Ellipsoid([0.5, -1.0, 2.0], [2.0, 0.5, 1.0])):
+        x = np.stack([s.center, s.center + 3.0, s.center])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = s.project(x)
+        assert same_bits(got[0], s.center) and same_bits(got[2], s.center)
+        assert same_bits(got[1], np.array(s.project_point(x[1].tolist())))
+
+
+def test_batch_warnings_hidden_only_in_the_discarded_lanes():
+    """The column form hides divisions by zero and invalid operations only
+    in its own code: an overflow of a batch row still warns, and the
+    caller's code between two steps of a batch runs under numpy's settings."""
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        Ball([0.0, 0.0], 1.0).project(np.array([[1e200, 1e200], [0.0, 0.0]]))
+    fam = Family((Ball([0.0, 0.0], 2.0), Ellipsoid([1.0, 0.0], [2.0, 1.0])), schedule=SCHED)
+    settings_outside = np.geterr()
+    for _ in anchored_steps(fam, [0.5, 0.25, 0.125], np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])):
+        assert np.geterr() == settings_outside
 
 
 @pytest.mark.parametrize("s", [
@@ -918,9 +988,9 @@ def test_empty_family_exhausts_with_the_list_cycles_last_iterate(monkeypatch, bu
 
 
 def test_pickle_after_point_projections_keeps_the_bits():
-    """A set or family that has compiled its point code pickles; the copy
-    drops the compiled functions, rebuilds them on first use and gives the
-    same bits."""
+    """A set or family that has compiled its point code, or projected a
+    batch, pickles; the copy drops the compiled functions, rebuilds them on
+    first use and gives the same bits."""
     members = (Ball([0.0, 0.0], 2.0), Box([-1.0, -1.0], [1.0, 1.0]), HalfSpace([1.0, 1.0], 0.5),
                Hyperplane([1.0, -1.0], 0.0), Ellipsoid([0.0, 0.0], [2.0, 1.0]))
     fam = Family(members, weights=[0.3, 0.1, 0.2, 0.15, 0.25], schedule=SCHED)
@@ -942,3 +1012,7 @@ def test_pickle_after_point_projections_keeps_the_bits():
     assert all("_point_projection" in vars(s) for s in copy.sets)
     ball = pickle.loads(pickle.dumps(fam.sets[0]))
     assert ball.project_point([7.0, 9.0]) == fam.sets[0].project_point([7.0, 9.0])
+    batch = np.array([[7.0, 9.0], [0.5, -3.0], [0.0, -0.0]])
+    for s in members:  # a set that has projected a batch pickles too
+        want = s.project(batch)
+        assert same_bits(pickle.loads(pickle.dumps(s)).project(batch), want)

@@ -200,7 +200,7 @@ def test_infinite_bounding_radius_is_rejected():
     far = Family((Ball([1e308, 1e308], 1.0),), schedule=SCHED)
     with np.errstate(over="ignore"), pytest.raises(ValueError) as exc:
         Problem(near, far)
-    assert str(exc.value) == "rho must be finite, got inf"
+    assert str(exc.value) == "family B member 0 (ball) has a bounding radius that overflows"
 
 
 def test_baseline_raises_when_its_budget_runs_out(monkeypatch):
