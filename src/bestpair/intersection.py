@@ -8,8 +8,8 @@ iteration cannot reach in reasonable time (its residual decays like tau_k).
 
 A single point runs in its family's Dykstra kernel, one call for the whole
 projection: source written for the family's members and dimension, like the
-point kernels of `operators`, compiled on the family's first point
-projection and kept (`Family.point_kernel`).  The iterate and every member's
+step kernel of `operators`, compiled on the family's first point
+projection and kept (`sets.Compiled`).  The iterate and every member's
 increment live in scalar locals.  A cycle takes each member's projection,
 an ellipsoid's Newton included, from `sets.point_projection_source`; the
 feasibility test calls the member's `project_point`, compiled from the same
@@ -19,13 +19,14 @@ are the operations of the cycles on lists through `project_point`, in their
 order, so the result, and the last iterate and gap of an exhausted budget,
 keep their bits.
 
-A batch runs the same cycle source on columns, compiled once per family
-(`_compile_column_cycle`), so a row has the bits of its point.  Its
-Dykstra state is one C-ordered array of shape (n*(L+1), rows): the columns
-of y, then those of each member's increment.  A row retires once its whole
-state keeps its bits over one cycle: every later cycle would repeat those
-bits, so the row is final.  It is written to the result, and one
-compression of the state drops it from the later cycles.
+A batch runs the same cycle source on columns, compiled on the family's
+first batch projection and kept (`_compile_column_cycle`), so a row has the
+bits of its point.  Its Dykstra state is one C-ordered array of shape
+(n*(L+1), rows): the columns of y, then those of each member's increment.
+A row retires once its whole state keeps its bits over one cycle: every
+later cycle would repeat those bits, so the row is final.  It is written to
+the result, and one compression of the state drops it from the later
+cycles.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     if len(sets) == 1:
         return np.asarray(sets[0].project_point(x.tolist()))
 
-    done, y, gap = family.point_kernel(_compile_dykstra)(x.tolist(), tol, REFERENCE_MAX_ITER)
+    done, y, gap = family.kernel(_compile_dykstra)(x.tolist(), tol, REFERENCE_MAX_ITER)
     if not done:
         raise _budget_exhausted(np.asarray(y), gap)
     return np.asarray(y)
@@ -156,7 +157,7 @@ def _cycle_source(family: Family, columns):
 def _project_rows(family: Family, x, tol):
     """Dykstra's cycles on a batch (..., n), retiring each settled row."""
     n = family.dim
-    cycle = family.point_kernel(_compile_column_cycle)
+    cycle = family.kernel(_compile_column_cycle)
     pts = x.reshape(-1, n)
     out = np.empty_like(pts)
     rows = np.arange(len(pts))  # the rows of `out` still cycling, in order

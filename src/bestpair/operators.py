@@ -4,28 +4,27 @@ The core operator is M[d](x) = tau*d + (1-tau)*sum_l w_l P_l(x) over a family
 of convex sets.  Products of these operators with a fixed anchor, applied with
 a vanishing steering sequence, converge to the metric projection of the anchor
 onto the family's intersection; `shlwb_project` runs that iteration directly.
-Every anchored step, here and in the solver, runs in `anchored_steps` or, for
-a whole sweep of one point, in the same step compiled as a sweep.
+Every anchored step, here and in the solver, runs in the family's one step
+kernel (`_step_function`).
 
-A single point runs in its family's point kernels: straight-line Python
-source written once for the family's members, weights and dimension, and
-compiled under two heads.  `steps(anchor, y, taus)` is a generator that
-yields every step, for `anchored_steps`; `sweep(anchor, taus)` runs all the
-steps of a sweep from y = anchor and returns only the last point, for
-`apply_q_hat`, so a sweep is one call.  Each is compiled on its first use
-and kept by the family (`Family.point_kernel`).  The source holds the
-coordinates in scalar locals and runs each member's projection from
+The step is straight-line Python source written once for the family's
+members, weights and dimension, and compiled under one head,
+`steps(anchor, y, blocks)`: a generator that runs the taus of each block
+and yields the step after the block.  `anchored_steps` passes one tau a
+block, so it yields every step; `apply_q_hat` passes the sweep's taus as
+one block, so a sweep is one kernel run.  The kernel has two forms, each
+compiled on its first use and kept by the family (`sets.Compiled`).  On one
+point each local is a scalar coordinate; on a batch (..., n) each local is
+a column y[..., j], and the steps are lists of columns, of which a function
+stacks only those it returns.  Each member's projection comes from
 `sets.point_projection_source`: a member of one of the five kinds inlined
 from its `point_source`, any other member, a subclass too, called through
-its `project_point`.  `sets.compiled_function` compiles the source (see
-`sets`).  The kernels do the IEEE operations of the numpy forms in the same
-order, so the results keep their bits; so does the list stop test of
-`shlwb_project`, whose norm `square_sum_source` writes out.
-Batches of shape (..., n) run the same step source on columns, each local
-a column y[..., j] and each member inlined in its column form or called
-through its `project`; the steps are lists of columns, and a function
-stacks only the steps it returns.  The public functions take and return
-arrays, and check their points with `sets.finite_points`.
+its `project_point` or its `project`.  The kernel does the IEEE operations
+of the numpy forms in the same order, so the results keep their bits, and a
+batch row has the bits of its point; so does the list stop test of
+`shlwb_project`, whose norm `square_sum_source` writes out.  The public
+functions take and return arrays, and check their points with
+`sets.finite_points`.
 `Family.contains` is the one membership test of an intersection.
 """
 
@@ -33,13 +32,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
-    CONTAINS_TOL, as_count, as_number, as_positive, as_vector, column_distance, columns_of,
-    compiled_function, finite_points, max_distance, point_projection_source, row_norm, row_sum,
+    CONTAINS_TOL, Compiled, as_count, as_number, as_positive, as_vector, column_distance,
+    columns_of, compiled_function, finite_points, max_distance, point_projection_source, row_norm,
+    row_sum,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
@@ -98,7 +99,7 @@ class SteeringSchedule:
 
 
 @dataclass(frozen=True, eq=False)
-class Family:
+class Family(Compiled):
     """Ordered convex sets with simplex weights and a steering schedule.
 
     Weights default to uniform.  The schedule satisfies the steering axioms by
@@ -133,12 +134,6 @@ class Family:
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
-        object.__setattr__(self, "_kernels", {})
-
-    def __getstate__(self):
-        # compiled kernels are rebuilt after unpickling; pickle cannot find
-        # generated code by name
-        return {**self.__dict__, "_kernels": {}}
 
     @property
     def dim(self):
@@ -154,15 +149,6 @@ class Family:
         for w, s in zip(weights[1:], self.sets[1:]):
             acc += w * s.project(x)
         return acc
-
-    def point_kernel(self, build):
-        """The kernel `build(self)`, compiled for this family on its first use
-        and kept: the anchored steps and the sweep of `operators` and
-        Dykstra's cycles of `intersection`, on a point or a batch."""
-        kernel = self._kernels.get(build)
-        if kernel is None:
-            kernel = self._kernels[build] = build(self)
-        return kernel
 
     def contains(self, x, tol=CONTAINS_TOL):
         """Whether x lies in every member within tol, shape (...); the
@@ -187,56 +173,37 @@ def anchored_steps(family: Family, taus, anchor, y=None):
     for each tau.
 
     The iteration starts from y = anchor unless a start is given.  The
-    single step, the sweep path, the anchored projection and a batch's
-    sweeps run it; a point's sweep runs the same step source compiled as
-    `sweep` (see `apply_q_hat`).  Arguments are not checked; `taus` is any
-    iterable of floats, read one step at a time.
+    single step, the sweep path, the anchored projection and the solver's
+    sweeps run it.  Arguments are not checked; `taus` is any iterable of
+    floats, read one step at a time.
 
-    When anchor and y both have shape (n,), the iterator is the family's point
-    kernel (see `_compile_point_steps`), and each step is a list of floats.
-    Otherwise the two broadcast to a batch, the iterator is the same source
-    on columns (see `_compile_column_steps`), and each step is the list of
-    the columns y[..., j], which `np.stack(step, axis=-1)` stacks.  Both
-    give the same bits on the same point.
+    When anchor and y both have shape (n,), the iterator is the family's step
+    kernel on scalars, and each step is a list of floats.  Otherwise the two
+    broadcast to a batch, the iterator is the kernel on columns, and each
+    step is the list of the columns y[..., j], which `np.stack(step,
+    axis=-1)` stacks.  Both give the same bits on the same point.
     """
     anchor = np.asarray(anchor, dtype=float)
     y = anchor if y is None else np.asarray(y, dtype=float)
     if anchor.shape == y.shape == (family.dim,):
-        return family.point_kernel(_compile_point_steps)(anchor.tolist(), y.tolist(), taus)
+        return family.kernel(_point_steps)(anchor.tolist(), y.tolist(), zip(taus))
     anchor, y = np.broadcast_arrays(anchor, y)
-    return family.point_kernel(_compile_column_steps)(columns_of(anchor), columns_of(y), taus)
+    return family.kernel(_column_steps)(columns_of(anchor), columns_of(y), zip(taus))
 
 
-def _compile_point_steps(family: Family):
-    """The generator steps(anchor, y, taus) of `anchored_steps` on one point,
-    which yields every step as a list."""
-    return _step_function(family, "def steps(anchor, y, taus):", "y", "    yield", False)
+def _step_function(family: Family, columns):
+    """The generator steps(anchor, y, blocks): the anchored steps, written as
+    source for this family and compiled, on a point's scalars or a batch's
+    columns.
 
-
-def _compile_column_steps(family: Family):
-    """The generator column_steps(anchor, y, taus) of `anchored_steps` on a
-    batch, which yields every step as the list of its columns."""
-    return _step_function(family, "def column_steps(anchor, y, taus):", "y", "    yield", True)
-
-
-def _compile_point_sweep(family: Family):
-    """sweep(anchor, taus) of `apply_q_hat` on one point: the steps from
-    y = anchor, of which it returns only the last, as a list."""
-    return _step_function(family, "def sweep(anchor, taus):", "anchor", "return", False)
-
-
-def _step_function(family: Family, head, start, end, columns):
-    """The anchored steps, written as source for this family and compiled
-    under the def line `head`, on a point's scalars or a batch's columns.
-
-    anchor and `start` hold n floats or n columns.  The coordinates live in
-    locals y0, y1, ..., set from `start`; each step runs every member's
+    anchor and y hold n floats or n columns.  The coordinates live in
+    locals y0, y1, ..., set from y; each step runs every member's
     projection on them, from `sets.point_projection_source`, then
-    y_j = tau*a_j + s*(w_0*m0_j + w_1*m1_j + ...) with s = 1 - tau; `end`
-    hands out [y0, y1, ...], a yield in the loop or a return after it.
-    These are the operations of `project_point` and of `weighted_projection`,
-    in their order, so the steps keep their bits, and a batch row has the
-    bits of its point.  Weights and set constants reach the code through
+    y_j = tau*a_j + s*(w_0*m0_j + w_1*m1_j + ...) with s = 1 - tau.  After
+    the taus of each block it yields [y0, y1, ...].  These are the
+    operations of `project_point` and of `weighted_projection`, in their
+    order, so the steps keep their bits, and a batch row has the bits of its
+    point.  Weights and set constants reach the code through
     `sets.compiled_function`, never as text, so every family of one shape
     (member kinds, count and n) shares its code.
     """
@@ -255,14 +222,21 @@ def _step_function(family: Family, head, start, end, columns):
         f"{yj} = tau * {aj} + s * ({' + '.join(f'w{i} * {o[j]}' for i, o in enumerate(outs))})"
         for j, (aj, yj) in enumerate(zip(a, y))
     ]
-    return compiled_function(head, consts, [
+    return compiled_function("def steps(anchor, y, blocks):", consts, [
         f"{', '.join(a)}, = anchor",
-        f"{', '.join(y)}, = {start}",
-        "for tau in taus:",
-        "    s = 1.0 - tau",
-        *(f"    {line}" for line in body + steps),
-        f"{end} [{', '.join(y)}]",
+        f"{', '.join(y)}, = y",
+        "for taus in blocks:",
+        "    for tau in taus:",
+        "        s = 1.0 - tau",
+        *(f"        {line}" for line in body + steps),
+        f"    yield [{', '.join(y)}]",
     ])
+
+
+# the builds of the step kernel's two forms, for `Family.kernel`: on one
+# point, each step a list of floats, and on a batch, a list of columns
+_point_steps = partial(_step_function, columns=False)
+_column_steps = partial(_step_function, columns=True)
 
 
 def _sweep_taus(family: Family, q: int) -> list:
@@ -289,15 +263,18 @@ def apply_q_hat(family: Family, q: int, x):
     """Anchored sweep of q+1 steps; the last row of `q_hat_path`.
 
     The anchor is the original input at every inner step and the steering
-    index restarts at 0 on every call.  One point runs as one call of the
-    family's sweep kernel; a batch stacks only its last step.
+    index restarts at 0 on every call.  The sweep's taus are one block of
+    the family's step kernel, so a sweep is one kernel run, which yields
+    only the last step.
     """
     taus = _sweep_taus(family, q)
     x = finite_points(x, family.dim)
     if x.ndim == 1:
-        return np.asarray(family.point_kernel(_compile_point_sweep)(x.tolist(), taus))
-    for y in anchored_steps(family, taus, x):
-        pass
+        start = x.tolist()
+        [y] = family.kernel(_point_steps)(start, start, (taus,))
+        return np.asarray(y)
+    start = columns_of(x)
+    [y] = family.kernel(_column_steps)(start, start, (taus,))
     return np.stack(y, axis=-1)
 
 
@@ -327,9 +304,9 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     Accepts a batch of anchors of shape (..., n); the stop test then uses the
     largest row gap, measured on the steps' columns.  A non-finite anchor, or
     a tol that is not positive and finite, is rejected with ValueError before
-    any step.  Raises MaxIterExceeded (carrying the last iterate and gap)
-    when the SHLWB_MAX_ITER budget runs out, which signals slow steering or an
-    empty intersection.
+    any step.  Raises MaxIterExceeded (carrying the last iterate and gap,
+    and naming the bound tol*tau_k the gap missed) when the SHLWB_MAX_ITER
+    budget runs out, which signals slow steering or an empty intersection.
     """
     as_positive(tol, "tol")
     anchor = finite_points(anchor, family.dim, "anchor")
@@ -338,14 +315,15 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     taus, stop_taus = itertools.tee(map(family.schedule.tau, range(SHLWB_MAX_ITER)))
     x = anchor.tolist() if anchor.ndim == 1 else list(columns_of(anchor))
     distance = max_distance if anchor.ndim == 1 else column_distance
-    gap = np.inf
+    gap = bound = np.inf
     for tau, x_next in zip(stop_taus, anchored_steps(family, taus, anchor)):
-        gap = distance(x_next, x)
+        gap, bound = distance(x_next, x), tol * tau
         x = x_next
-        if gap <= tol * tau:
+        if gap <= bound:
             return np.stack(x, axis=-1)
     raise MaxIterExceeded(
-        f"no convergence within {SHLWB_MAX_ITER} iterations (last gap {gap:.3e})",
+        f"no convergence within {SHLWB_MAX_ITER} iterations "
+        f"(last gap {gap:.3e} > tol*tau_k = {bound:.3e})",
         last=np.stack(x, axis=-1),
         gap=gap,
     )

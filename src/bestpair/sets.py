@@ -17,14 +17,16 @@ the forms: `_moved_or_kept`, the box's clamp and the ellipsoid's Newton
 loop.  Both do the same IEEE operations in the same order, so a batch row
 has the bits of its point.  The kinds share `project_point`, an unchecked
 projection of one point given as a list of n floats, which runs the scalar
-source compiled on its first call, and `project`, which runs a point
-(n,) through it and a batch (..., n) through the column source.  The
-kernels of `operators` and `intersection` inline either form.
-`point_projection_source` is the one place that decides whether a kernel
-inlines a member's `point_source` or calls the member.  `compiled_function`
-is the one place generated source is compiled: the constants reach the code
-as values, never as text, so they keep their bits.  A set pickles without
-its compiled function, and compiles it again on its next point projection.
+source, and `project`, which runs a point (n,) through it and a batch
+(..., n) through the column source.  The kernels of `operators` and
+`intersection` inline either form.  `point_projection_source` is the one
+place that decides whether a kernel inlines a member's `point_source` or
+calls the member.  `compiled_function` is the one place generated source is
+compiled: the constants reach the code as values, never as text, so they
+keep their bits.  `Compiled` is the one place compiled code is kept, by
+sets and families alike: `kernel` builds each function on its first use,
+so each reads the ellipsoid's round cap once, when it is built, and an
+object pickles without its functions and builds them again.
 
 Every sum of the package, of a point or of a batch row, adds its terms in
 one order, numpy's `add.reduce` order: fewer than `PAIRWISE_SUM_MIN` (8)
@@ -57,7 +59,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache, partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import get_args
 
 import numpy as np
@@ -141,8 +143,9 @@ def _moved_or_kept(test, setup, moved, out, x, k, columns):
 
     On scalars this is a branch.  On columns the mask `test` is the local
     `{k}m`, and the setup and `out_j = where({k}m, moved_j, x_j)` run on
-    every row under `quiet`, which hides the divisions by zero and invalid
-    operations of the rows that `where` discards, and no overflow."""
+    every row under `quiet`, which hides the divisions by zero, invalid
+    operations and overflows of the rows that `where` discards, as Python
+    floats do on scalars; the lines before the mask still warn."""
     if columns:
         return [f"{k}m = {test}", "with quiet():", *(f"    {line}" for line in setup),
                 *(f"    {o} = where({k}m, {m}, {v})" for o, m, v in zip(out, moved, x))]
@@ -159,7 +162,8 @@ def _moved_or_kept(test, setup, moved, out, x, k, columns):
 _HELPERS = {
     False: {"sqrt": math.sqrt},
     True: {"sqrt": np.sqrt, "where": np.where, "maximum": np.maximum, "minimum": np.minimum,
-           "largest": np.max, "quiet": partial(np.errstate, divide="ignore", invalid="ignore")},
+           "largest": np.max,
+           "quiet": partial(np.errstate, divide="ignore", invalid="ignore", over="ignore")},
 }
 
 
@@ -308,39 +312,52 @@ def _check_dual_residual(worst):
         )
 
 
-class _PointSource:
+class Compiled:
+    """Code compiled for an object, a set or a family, on its first use and
+    kept: `kernel(build)` is `build(self)`, built once per build.  An object
+    pickles without its compiled code, and builds it again on first use."""
+
+    def kernel(self, build):
+        try:
+            return self._kernels[build]
+        except (AttributeError, KeyError):
+            kernel = self.__dict__.setdefault("_kernels", {})[build] = build(self)
+            return kernel
+
+    def __getstate__(self):
+        # pickle cannot find generated code by name
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
+
+
+class _PointSource(Compiled):
     """A kind whose projection is written once, as `point_source`: compiled on
-    scalars for the set's first point, and on columns for each batch, so
-    that a batch reads the round cap of the moment."""
+    scalars for the set's first point and on columns for its first batch."""
 
     def project(self, x):
         """The projection of a point (n,) or a batch (..., n), in x's shape:
         `point_source` on the point's scalars or on the batch's columns."""
         x = as_points(x, self.dim)
         if x.ndim == 1:
-            return np.array(self._point_projection(x.tolist()))
-        project = self._source_function("def project_columns(x):", True)
-        return np.stack(project(columns_of(x)), axis=-1)
+            return np.array(self.kernel(_point_projection)(x.tolist()))
+        return np.stack(self.kernel(_column_projection)(columns_of(x)), axis=-1)
 
     def project_point(self, x):
-        return self._point_projection(x)
+        return self.kernel(_point_projection)(x)
 
-    def __getstate__(self):
-        # the compiled function is rebuilt after unpickling; pickle cannot
-        # find generated code by name
-        return {k: v for k, v in self.__dict__.items() if k != "_point_projection"}
 
-    @cached_property
-    def _point_projection(self):
-        return self._source_function("def project_point(x):", False)
+def _projection_function(s, columns):
+    """`point_source` of the set s on scalars or on columns, compiled: from
+    the n coordinates or columns x to the list of the out's."""
+    x, out = ([f"{c}{j}" for j in range(s.dim)] for c in "xp")
+    lines, consts = s.point_source(x, out, "k", columns)
+    head = "def project_columns(x):" if columns else "def project_point(x):"
+    body = [f"{', '.join(x)}, = x", *lines, f"return [{', '.join(out)}]"]
+    return compiled_function(head, consts, body)
 
-    def _source_function(self, head, columns):
-        """`point_source` on scalars or on columns, compiled under the def line
-        `head`: from the n coordinates or columns x to the list of the out's."""
-        x, out = ([f"{c}{j}" for j in range(self.dim)] for c in "xp")
-        lines, consts = self.point_source(x, out, "k", columns)
-        body = [f"{', '.join(x)}, = x", *lines, f"return [{', '.join(out)}]"]
-        return compiled_function(head, consts, body)
+
+# the builds of a set's two kernels, for `Compiled.kernel`
+_point_projection = partial(_projection_function, columns=False)
+_column_projection = partial(_projection_function, columns=True)
 
 
 @dataclass(frozen=True, eq=False)

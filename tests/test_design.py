@@ -48,7 +48,11 @@
   steps of a point or a batch take it in `operators._step_function`, and
   Dykstra's cycle in `intersection._cycle_source`, which the point kernel
   and the batch's cycle compile; every kernel compiles through
-  `sets.compiled_function`.
+  `sets.compiled_function`.  The anchored step is compiled under one def
+  line.
+- Compiled code is kept in one way: `Family` and the five kinds share one
+  `kernel` and one `__getstate__`, those of `sets.Compiled`, and the
+  package names no `cached_property`, so none holds generated code.
 """
 
 import ast
@@ -64,7 +68,7 @@ from typing import get_args
 import pytest
 
 import bestpair
-from bestpair.sets import ConvexSet
+from bestpair.sets import Compiled, ConvexSet
 
 MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
@@ -372,6 +376,28 @@ def test_inlined_kinds_share_one_project():
     assert len(shared) == 1
 
 
+def test_sets_and_families_share_one_kernel_cache():
+    owners = (bestpair.Family, *get_args(ConvexSet))
+    assert {cls.kernel for cls in owners} == {Compiled.kernel}
+    assert {cls.__getstate__ for cls in owners} == {Compiled.__getstate__}
+
+
+def test_no_cached_property():
+    found = [
+        f"{path.name}:{node.lineno}" for path in MODULES for node in ast.walk(parse(path))
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and getattr(node, "id", getattr(node, "attr", None)) == "cached_property"
+    ]
+    assert found == []
+
+
+def test_the_anchored_step_has_one_head():
+    operators = parse(pathlib.Path(bestpair.__file__).parent / "operators.py")
+    heads = [node.value for node in ast.walk(operators) if isinstance(node, ast.Constant)
+             and isinstance(node.value, str) and node.value.startswith("def ")]
+    assert heads == ["def steps(anchor, y, blocks):"]
+
+
 def calls_of(node, name):
     return any(
         isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name
@@ -392,7 +418,7 @@ def test_point_kernels_share_one_dispatch():
             if path.name != "sets.py" and calls_of(func, "compiled_function"):
                 compilers.add(where)
     assert point_source_readers == {
-        "sets.py:point_projection_source", "sets.py:_PointSource._source_function",
+        "sets.py:point_projection_source", "sets.py:_projection_function",
     }
     assert dispatchers == {"operators.py:_step_function", "intersection.py:_cycle_source"}
     assert compilers == {

@@ -211,6 +211,16 @@ def test_shlwb_max_iter_exceeded_carries_state(monkeypatch):
     assert exc.value.gap > 0
 
 
+def test_shlwb_budget_error_names_the_bound_it_missed(monkeypatch):
+    # the stop test is gap <= tol*tau_k, and tau_2 = 1/4 on the default schedule
+    monkeypatch.setattr(operators, "SHLWB_MAX_ITER", 3)
+    with pytest.raises(MaxIterExceeded) as exc:
+        shlwb_project(lens_family(), np.array([5.0, 0.0]), tol=1e-9)
+    assert str(exc.value) == (
+        f"no convergence within 3 iterations (last gap {exc.value.gap:.3e} > tol*tau_k = 2.500e-10)"
+    )
+
+
 @pytest.mark.parametrize("anchor", [[np.nan, 0.0], [[5.0, 0.0], [0.0, np.inf]]])
 def test_shlwb_rejects_non_finite_anchor(anchor):
     # checked before the first step, not after the 200 000-step budget
@@ -322,11 +332,11 @@ def test_bad_number_raises_before_projecting(row, monkeypatch):
     for name in ("project", "project_point"):  # the batch path and Dykstra's point path
         method = getattr(Ball, name)
         monkeypatch.setattr(Ball, name, lambda s, x, m=method: projections.append(x) or m(s, x))
-    # the anchored steps, the sweep and Dykstra's cycles of one point inline
-    # their balls, in kernels built on their first use
-    kernel = Family.point_kernel
+    # the anchored steps and Dykstra's cycles of one point inline their
+    # balls, in kernels built on their first use
+    kernel = Family.kernel
     monkeypatch.setattr(
-        Family, "point_kernel", lambda fam, build: projections.append(fam) or kernel(fam, build)
+        Family, "kernel", lambda fam, build: projections.append(fam) or kernel(fam, build)
     )
     with pytest.raises(ValueError) as exc:
         call(Problem(Family(LENS_A), Family(LENS_B)), value)

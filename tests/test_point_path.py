@@ -54,6 +54,7 @@ from bestpair import (
     project_intersection,
     q_hat_path,
     run_ashlwb,
+    shlwb_project,
 )
 from bestpair import intersection, sets
 from bestpair.cli import load_problem
@@ -198,15 +199,31 @@ def test_batch_rows_equal_project_point(kind, n, data):
 
 def test_batch_at_the_centre_projects_without_a_warning():
     """A row at a ball's or an ellipsoid's exact centre divides by zero in
-    the lanes `where` discards, and raises no `RuntimeWarning`; the tests run
-    with warnings as errors, and the check below holds outside them too."""
-    for s in (Ball([0.5, -1.0, 2.0], 1.5), Ellipsoid([0.5, -1.0, 2.0], [2.0, 0.5, 1.0])):
-        x = np.stack([s.center, s.center + 3.0, s.center])
+    the lanes `where` discards, and a row a subnormal square off an
+    ellipsoid's centre overflows its Newton step there; neither raises a
+    `RuntimeWarning`.  The tests run with warnings as errors, and the check
+    below holds outside them too."""
+    for s in (Ball([0.5, -1.0, 2.0], 1.5), Ellipsoid([0.5, -1.0, 2.0], [2.0, 0.5, 1.0]),
+              Ellipsoid([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])):
+        x = np.stack([s.center, s.center + 3.0, s.center, s.center + [0.0, 0.0, 6.7e-161]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = s.project(x)
         assert same_bits(got[0], s.center) and same_bits(got[2], s.center)
+        assert same_bits(got[3], x[3])
         assert same_bits(got[1], np.array(s.project_point(x[1].tolist())))
+
+
+def test_batch_project_compiles_once_per_set(monkeypatch):
+    """A set compiles its column function on its first batch and keeps it,
+    as it keeps its point function."""
+    sources = []
+    code = sets._code
+    monkeypatch.setattr(sets, "_code", lambda src: sources.append(src) or code(src))
+    for s in (Ball([0.5, -1.0], 1.5), Ellipsoid([0.5, -1.0], [2.0, 0.5])):
+        for x in (np.array([[4.0, 3.0], [0.0, 0.0]]), np.array([[-2.0, 1.0]]), np.array([1.0, 7.0])):
+            s.project(x)
+    assert [src.split("(", 1)[0] for src in sources] == ["def project_columns", "def project_point"] * 2
 
 
 def test_batch_warnings_hidden_only_in_the_discarded_lanes():
@@ -414,6 +431,7 @@ def test_ellipsoid_newton_rounds_stay_under_20(monkeypatch, rng):
             for p in pts:
                 e.project_point(p.tolist())
     monkeypatch.setattr(sets, "_ELLIPSOID_MAX_ROUNDS", 1)
+    e = Ellipsoid(e.center, e.axes)  # a set reads the cap when it compiles
     with pytest.raises(EllipsoidRootFindError):
         e.project(far)
 
@@ -653,8 +671,7 @@ def test_point_kernel_calls_members_it_does_not_inline(monkeypatch, rng):
 def builds(monkeypatch):
     """(kernel, family) of every point kernel compiled, in order."""
     built = []
-    for module, kernel, name in ((operators, "steps", "_compile_point_steps"),
-                                 (operators, "sweep", "_compile_point_sweep"),
+    for module, kernel, name in ((operators, "steps", "_point_steps"),
                                  (intersection, "dykstra", "_compile_dykstra")):
         build = getattr(module, name)
         monkeypatch.setattr(
@@ -664,9 +681,9 @@ def builds(monkeypatch):
 
 
 def test_point_kernel_is_built_once_on_the_first_point_step(builds, rng):
-    """Loading a problem, making a family and batch calls build no kernel;
-    the first point step builds its family's steps kernel, the first point
-    sweep its sweep kernel and the first point projection its Dykstra
+    """Loading a problem, making a family and batch calls build no point
+    kernel; the first point step builds its family's steps kernel, which
+    the point sweeps reuse, and the first point projection its Dykstra
     kernel, and later calls reuse them."""
     fam = load_problem(str(PROBLEMS / "lens.json")).problem.family_a
     batch = 4.0 * rng.standard_normal((6, 2))
@@ -682,7 +699,34 @@ def test_point_kernel_is_built_once_on_the_first_point_step(builds, rng):
         apply_q_hat(fam, 10, point)
         q_hat_path(fam, 4, point)
         project_intersection(fam, point)
-    assert builds == [("steps", fam), ("sweep", fam), ("dykstra", fam)]
+    assert builds == [("steps", fam), ("dykstra", fam)]
+
+
+def test_a_family_keeps_one_step_kernel_per_form(rng):
+    """Point and batch `apply_m`, `apply_q_hat`, `q_hat_path` and
+    `shlwb_project` all run the one step kernel, in its point form or its
+    column form."""
+    fam = Family((Ball([0, 0], 2.0), Ball([1, 0], 2.0)))
+    batch = 4.0 * rng.standard_normal((6, 2))
+    for x in (batch[0], batch):
+        apply_m(fam, 0.5, x, x)
+        apply_q_hat(fam, 10, x)
+        q_hat_path(fam, 4, x)
+        shlwb_project(fam, x)
+    assert set(fam._kernels) == {operators._point_steps, operators._column_steps}
+
+
+@pytest.mark.parametrize("member", [
+    Ball([0.5, -1.0], 1.5), HalfSpace([1.0, 2.0], 0.5), Hyperplane([1.0, -3.0], 2.0),
+    Box([0.0, 0.0], [1.0, 1.0]), Ellipsoid([0.0, 1.0], [2.0, 0.5]),
+], ids=lambda s: s.kind)
+def test_point_sweep_is_the_last_anchored_step(member, rng):
+    """A point's `apply_q_hat`, one run of the kernel over one block of taus,
+    has the bits of the last step of `anchored_steps`, one tau a block."""
+    fam = Family((member, Ball([0.0, 0.0], 2.0)), weights=[0.625, 0.375], schedule=SCHED)
+    for x in 4.0 * rng.standard_normal((5, 2)):
+        *_, last = anchored_steps(fam, fam.schedule.taus(31), x)
+        assert same_bits(apply_q_hat(fam, 30, x), np.array(last))
 
 
 def test_families_of_one_shape_share_the_kernel_code():
@@ -692,8 +736,8 @@ def test_families_of_one_shape_share_the_kernel_code():
     f2 = Family((Ball([5.0, 0.0], 1.0), Ball([6.0, 1.0], 3.0)), weights=[0.3, 0.7])
     x = [3.0, 4.0]
     assert not np.array_equal(apply_m(f1, 0.5, x, x), apply_m(f2, 0.5, x, x))
-    build = operators._compile_point_steps
-    assert f1.point_kernel(build).__code__ is f2.point_kernel(build).__code__
+    build = operators._point_steps
+    assert f1.kernel(build).__code__ is f2.kernel(build).__code__
 
 
 def test_point_kernel_keeps_the_bits_of_extreme_constants():
@@ -719,9 +763,10 @@ def number_literals(source):
 def test_point_kernel_source_holds_no_set_constant(monkeypatch):
     """Only indices and operators are written into generated source: the
     kernel's number literals are the 0.0 and 1.0 of its formulas, and the
-    sources of the sweep and Dykstra kernels, of `project_point` and of the
-    list distance hold no other.  Each kernel is compiled by
-    `sets.compiled_function` on its first use."""
+    sources of the Dykstra kernel, of `project_point` and of the list
+    distance hold no other.  Each kernel is compiled by
+    `sets.compiled_function` on its first use, and a point sweep compiles
+    nothing: it runs the steps kernel."""
     sources = []
     code = sets._code
     monkeypatch.setattr(sets, "_code", lambda src: sources.append(src) or code(src))
@@ -736,13 +781,13 @@ def test_point_kernel_source_holds_no_set_constant(monkeypatch):
     with pytest.raises(MaxIterExceeded):
         project_intersection(fam, [7.0, 9.0])
     # Dykstra's feasibility test calls each member's `project_point`
-    heads = ["def steps", "def sweep", "def dykstra", *["def project_point"] * len(members)]
+    heads = ["def steps", "def dykstra", *["def project_point"] * len(members)]
     assert [src.split("(", 1)[0] for src in sources] == heads
     for s in members:
         s.project_point([7.0, 9.0])
     for n in (2, 8, 300):
         sets._list_distance.__wrapped__(n)
-    assert len(sources) == 11
+    assert len(sources) == 10
     for source in sources[1:]:
         assert number_literals(source) <= {"0.0", "1.0"}
 
@@ -1004,12 +1049,11 @@ def test_pickle_after_point_projections_keeps_the_bits():
 
     expected = results(fam)
     copy = pickle.loads(pickle.dumps(fam))
-    assert copy._kernels == {}
-    assert not any("_point_projection" in vars(s) for s in copy.sets)
+    assert not any("_kernels" in vars(c) for c in (copy, *copy.sets))
     for got, want in zip(results(copy), expected, strict=True):
         assert same_bits(got, want)
-    assert len(copy._kernels) == 3
-    assert all("_point_projection" in vars(s) for s in copy.sets)
+    assert len(copy._kernels) == 2
+    assert all(len(s._kernels) == 1 for s in copy.sets)
     ball = pickle.loads(pickle.dumps(fam.sets[0]))
     assert ball.project_point([7.0, 9.0]) == fam.sets[0].project_point([7.0, 9.0])
     batch = np.array([[7.0, 9.0], [0.5, -3.0], [0.0, -0.0]])
