@@ -19,11 +19,12 @@ weights/schedule/options/seed are optional.  Set records are tagged:
 derived from the families.  All randomness flows from the file-level seed.
 
 Exit codes: 0 success/Converged, 1 malformed command-line argument, parse
-or validation error (a non-finite --x0 or --point included), 2 MaxSweeps,
-3 projection failure (iteration budget exceeded, ellipsoid root-find or
-sampling failed), 4 solver disagreement in `compare`.  Every failure prints
-one `error:` line on stderr, except a failed validation in `check`, which
-its report holds in `mandatory.validation.error`.
+or validation error (a non-finite --x0 or --point, or an empty field in a
+list of numbers, included), 2 MaxSweeps, 3 projection failure (iteration
+budget exceeded, ellipsoid root-find or sampling failed), 4 solver
+disagreement in `compare`.  Every failure prints one `error:` line on
+stderr, except a failed validation in `check`, which its report holds in
+`mandatory.validation.error`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .oracles import (
     fix_set_audit,
     uniqueness_certificate,
 )
-from .sets import max_distance, row_norm, set_from_dict, set_to_dict
+from .sets import as_count, max_distance, row_norm, set_from_dict, set_to_dict
 from .solver import (
     Problem,
     SolverOptions,
@@ -66,6 +67,7 @@ _TOP_KEYS = {"dimension", "familyA", "familyB", "options", "seed"}
 _FAMILY_KEYS = {f.name for f in fields(Family)}
 _SCHEDULE_KEYS = {f.name for f in fields(SteeringSchedule)}
 _OPTION_KEYS = {f.name for f in fields(SolverOptions)}
+AGREEMENT_TOL = 1e-2
 
 
 @dataclass
@@ -108,19 +110,13 @@ def parse_problem(doc: dict) -> ParsedProblem:
     for key in ("dimension", "familyA", "familyB"):
         if key not in doc:
             raise ValueError(f"missing key {key!r} in problem file")
-    dimension = doc["dimension"]
-    if isinstance(dimension, bool) or not isinstance(dimension, int) or dimension < 1:
-        raise ValueError("'dimension' must be a positive integer")
+    dimension = as_count(doc["dimension"], "dimension", 1)
     fam_a = _parse_family(doc["familyA"], dimension, "familyA")
     fam_b = _parse_family(doc["familyB"], dimension, "familyB")
     opts_rec = doc.get("options", {})
     _reject_unknown(opts_rec, _OPTION_KEYS, "options")
     options = SolverOptions(**opts_rec)
-    seed = doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError("'seed' must be an integer")
-    problem = Problem(fam_a, fam_b, options, seed)
-    return ParsedProblem(problem)
+    return ParsedProblem(Problem(fam_a, fam_b, options, doc.get("seed", 0)))
 
 
 def serialize_problem(problem: Problem) -> dict:
@@ -153,22 +149,22 @@ def load_problem(path: str) -> ParsedProblem:
     return parse_problem(doc)
 
 
-def _parse_floats(text: str):
-    return [float(t) for t in text.split(",") if t.strip() != ""]
-
-
 def _parse_point(text: str, option: str):
-    """Coordinates of a comma-separated point; NaN and infinities are rejected."""
-    point = np.array(_parse_floats(text))
-    if not np.all(np.isfinite(point)):
-        raise ValueError(f"{option} must have finite coordinates, got {text!r}")
-    return point
+    """Coordinates of a comma-separated point; ValueError naming the option on
+    an empty field, a non-number, NaN or an infinity."""
+    try:
+        point = np.array([float(t) for t in text.split(",")])
+        if np.isfinite(point).all():
+            return point
+    except ValueError:
+        pass
+    raise ValueError(f"{option} must be comma-separated finite numbers, got {text!r}")
 
 
 def _schedule_arg(text: str) -> SteeringSchedule:
     """The --schedule value 'c,k0,p'; argparse names the option in any error."""
     try:
-        c, k0, p = _parse_floats(text)
+        c, k0, p = map(float, text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected three numbers 'c,k0,p', got {text!r}") from exc
     try:
@@ -219,7 +215,7 @@ def _dump_json(path: str, payload: dict):
 
 def cmd_run(problem: Problem, args) -> int:
     problem = _with_overrides(problem, args)
-    x0 = _parse_point(args.x0, "--x0") if args.x0 else None
+    x0 = None if args.x0 is None else _parse_point(args.x0, "--x0")
     trace = run_ashlwb(problem, x0)
     pair = extract_best_pair(trace, problem)
     out = args.out or "trace"
@@ -336,8 +332,9 @@ def cmd_compare(problem: Problem, args) -> int:
     for name, gap, resid, iters in rows:
         print(f"{name:<18}{gap:<24.12f}{resid:<16.3e}{iters if iters is not None else '-'}")
     gaps = [r[1] for r in rows]
-    agree = max(gaps) - min(gaps) <= 1e-2
-    print(f"agreement within 1e-2: {agree}")
+    agree = max(gaps) - min(gaps) <= AGREEMENT_TOL
+    bound = np.format_float_scientific(AGREEMENT_TOL, trim="-", exp_digits=1)
+    print(f"agreement within {bound}: {agree}")
     return 0 if agree else 4
 
 

@@ -5,6 +5,8 @@ projection onto the intersection, and does so geometrically for the set
 variants shipped here.  It serves as the high-accuracy reference everywhere a
 projection onto an intersection is needed at tolerances the anchored
 iteration cannot reach in reasonable time (its residual decays like tau_k).
+Its accuracy is the package's one accuracy, `sets.REFERENCE_TOL`, unless a
+tol is given; validation and the baseline pass `solver.BASELINE_INNER_TOL`.
 
 A single point runs in its family's Dykstra kernel, one call for the whole
 projection: source written for the family's members and dimension, like the
@@ -21,12 +23,12 @@ keep their bits.
 
 A batch runs the same cycle source on columns, compiled on the family's
 first batch projection and kept (`_compile_column_cycle`), so a row has the
-bits of its point.  Its Dykstra state is one C-ordered array of shape
-(n*(L+1), rows): the columns of y, then those of each member's increment.
-A row retires once its whole state keeps its bits over one cycle: every
-later cycle would repeat those bits, so the row is final.  It is written to
-the result, and one compression of the state drops it from the later
-cycles.
+bits of its point, and its feasibility is `Family.member_distances`.  Its
+Dykstra state is one C-ordered array of shape (n*(L+1), rows): the columns
+of y, then those of each member's increment.  A row retires once its whole
+state keeps its bits over one cycle: every later cycle would repeat those
+bits, so the row is final.  It is written to the result, and one
+compression of the state drops it from the later cycles.
 """
 
 from __future__ import annotations
@@ -38,14 +40,10 @@ import numpy as np
 from .errors import MaxIterExceeded
 from .operators import Family
 from .sets import (
-    as_positive, compiled_function, finite_points, max_distance, point_projection_source,
+    REFERENCE_TOL, as_positive, compiled_function, finite_points, point_projection_source,
     row_norm, square_sum_source,
 )
 
-# The one accuracy of the reference projection, for the solver's stop test,
-# pair residuals and feasibility check and for the oracles; the alternating
-# projections of validation and the baseline run at BASELINE_INNER_TOL.
-REFERENCE_TOL = 1e-9
 REFERENCE_MAX_ITER = 50_000
 
 
@@ -170,7 +168,7 @@ def _project_rows(family: Family, x, tol):
         gap = float(np.max(moved, initial=0.0))
         if gap <= tol:
             out[rows] = state[:n].T
-            feas = max(max_distance(out, s.project(out)) for s in family.sets)
+            feas = float(np.max(family.member_distances(out), initial=0.0))
             if feas <= tol:
                 return out.reshape(x.shape)
         settled = _settled(moved, state, state_prev)

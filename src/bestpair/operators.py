@@ -38,13 +38,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
-    CONTAINS_TOL, Compiled, as_count, as_number, as_positive, as_vector, column_distance,
+    REFERENCE_TOL, Compiled, as_count, as_number, as_positive, as_vector, column_distance,
     columns_of, compiled_function, finite_points, max_distance, point_projection_source, row_norm,
     row_sum,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
 SHLWB_MAX_ITER = 200_000
+WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -129,8 +130,8 @@ class Family(Compiled):
             raise ValueError("weights length must match number of sets")
         if not np.all(w > 0):
             raise ValueError("weights must be strictly positive")
-        if abs(float(row_sum(w)) - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1 within 1e-12")
+        if abs(float(row_sum(w)) - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"weights must sum to 1 within {WEIGHT_SUM_TOL:g}")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_weight_list", w.tolist())
@@ -150,7 +151,7 @@ class Family(Compiled):
             acc += w * s.project(x)
         return acc
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x, tol=REFERENCE_TOL):
         """Whether x lies in every member within tol, shape (...); the
         members are tested in order until no point of x is left."""
         inside = self.sets[0].contains(x, tol)

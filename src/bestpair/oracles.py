@@ -29,7 +29,10 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, q_hat_path, apply_q_hat
-from .sets import Ball, as_count, as_positive, finite_points, max_distance, row_dot, row_norm
+from .sets import (
+    REFERENCE_TOL, Ball, as_count, as_positive, column_sum, finite_points, max_distance, row_dot,
+    row_norm,
+)
 from .solver import (
     DISJOINTNESS_TOL,
     IterationTrace,
@@ -38,11 +41,6 @@ from .solver import (
 )
 
 SEPARATION_SLACK = 1e-6
-DINI_SLACK = 1e-9
-# fix-set audit: an inside point may be this far from a member set, and a
-# sweep may move it at most this far; an outside point must violate a member
-# by more than FIX_SET_OUTSIDE_MARGIN
-FIX_SET_INSIDE_TOL = 1e-9
 FIX_SET_OUTSIDE_MARGIN = 1e-3
 _GRID_POINT_LIMIT = 2 * 10**8
 _CHUNK = 1 << 21
@@ -165,7 +163,7 @@ def brute_force_pair(problem: Problem, resolution: float) -> OracleResult:
         best = np.inf
         for start in range(0, len(rim_a), rows):
             chunk = rim_a[start : start + rows]
-            d2 = sum((a[:, None] - b) ** 2 for a, b in zip(chunk.T, rim_b.T))
+            d2 = column_sum(n)(*((a[:, None] - b) ** 2 for a, b in zip(chunk.T, rim_b.T)))
             k = int(np.argmin(d2))
             if d2.flat[k] < best:
                 best, v = d2.flat[k], rim_b[k % len(rim_b)]
@@ -201,9 +199,8 @@ def analytic_two_ball_pair(problem: Problem) -> OracleResult:
 def _sample_in_intersection(rng, family: Family, rho: float, count: int):
     """Rejection-sample `count` points of the intersection inside B[0, rho]."""
     n = family.dim
-    out = []
-    drawn = 0
-    while sum(len(o) for o in out) < count:
+    out, kept, drawn = [], 0, 0
+    while kept < count:
         if drawn >= _SAMPLING_CAP:
             raise SamplingFailure(
                 f"rejection sampling exhausted {_SAMPLING_CAP} draws"
@@ -214,9 +211,8 @@ def _sample_in_intersection(rng, family: Family, rho: float, count: int):
         g /= row_norm(g)[:, None]
         radii = rho * rng.random(batch) ** (1.0 / n)
         pts = g * radii[:, None]
-        mask = family.contains(pts, tol=0.0)
-        if mask.any():
-            out.append(pts[mask])
+        out.append(pts[family.contains(pts, tol=0.0)])
+        kept += len(out[-1])
     return np.concatenate(out)[:count]
 
 
@@ -310,9 +306,10 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
 
     With T the reference intersection projection, r_k(x) is the distance of
     the (k-1)-sweep output from T(x).  Monotonicity r_{k+1} <= r_k + slack is
-    asserted for k = 2..K; the per-k grid supremum is reported as the
-    uniform-convergence profile.  The grid is checked with `finite_points`,
-    and must hold at least one point, before any projection.
+    asserted for k = 2..K, with T's accuracy `sets.REFERENCE_TOL` as the
+    slack; the per-k grid supremum is reported as the uniform-convergence
+    profile.  The grid is checked with `finite_points`, and must hold at
+    least one point, before any projection.
     """
     K = as_count(K, "K", 1)
     pts = np.atleast_2d(finite_points(grid, family.dim, "grid"))
@@ -324,7 +321,7 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
     excess = rs[2:] - rs[1:-1]  # excess[k-2] = r_{k+1} - r_k, k = 2..K
     violations = [
         {"k": int(j) + 2, "point": int(i), "excess": float(excess[j, i])}
-        for j, i in zip(*np.nonzero(excess > DINI_SLACK))
+        for j, i in zip(*np.nonzero(excess > REFERENCE_TOL))
     ]
     return DiniReport(
         K=K,
@@ -345,7 +342,7 @@ class FixSetReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_inside_move <= FIX_SET_INSIDE_TOL and self.min_outside_move > 0.0
+        return self.max_inside_move <= REFERENCE_TOL and self.min_outside_move > 0.0
 
     def to_dict(self):
         return {**asdict(self), "passed": self.passed}
@@ -354,12 +351,15 @@ class FixSetReport:
 def fix_set_audit(family: Family, q: int, inside, outside) -> FixSetReport:
     """Sweeps must fix intersection points and move points outside it.
 
-    Both point sets are checked with `finite_points` before any projection.
+    An inside point may lie at most `sets.REFERENCE_TOL` from each member,
+    and a sweep may move it at most that far; an outside point must lie more
+    than FIX_SET_OUTSIDE_MARGIN from some member.  Both point sets are
+    checked with `finite_points` before any projection.
     """
     inside = np.atleast_2d(finite_points(inside, family.dim, "inside"))
     outside = np.atleast_2d(finite_points(outside, family.dim, "outside"))
     d_in = family.member_distances(inside).max(axis=0)
-    if np.any(d_in > FIX_SET_INSIDE_TOL):
+    if np.any(d_in > REFERENCE_TOL):
         raise MisclassifiedPoint(
             f"an 'inside' point is {d_in.max():.3e} from a member set"
         )

@@ -33,11 +33,11 @@ one order, numpy's `add.reduce` order: fewer than `PAIRWISE_SUM_MIN` (8)
 terms add in order, and from 8 terms on they add pairwise.  `sum_source` is
 the one statement of that order.  It writes the sum out as source: the
 `point_source` of a ball, a half-space, a hyperplane or an ellipsoid and the
-distance of two points run it on scalars, and `row_sum` runs it compiled on
-the columns of an array, so that a batch row adds as its point does,
-whatever the batch around it or its layout.  `row_norm` and `row_dot` are
-`row_sum` of products, and every length the package measures is a
-`row_norm` or a `max_distance`.
+distance of two points run it on scalars, and `column_sum` runs it
+compiled on columns, those of an array in `row_sum`, so that a batch row
+adds as its point does, whatever the batch around it or its layout.
+`row_norm` and `row_dot` are `row_sum` of products, and every length the
+package measures is a `row_norm` or a `max_distance`.
 
 Each kind declares the class attributes `strictly_convex` and `bounded`.  The
 bounded kinds (ball, box, ellipsoid) have `bounding_radius`, the radius of the
@@ -50,8 +50,9 @@ check of numbers read from input, and `max_distance` is the distance every
 stop test, gap and residual measures, on two points or two batches.
 `as_positive` is the one check of a positive, finite number (a radius, `k0`,
 a tolerance, a grid resolution), and `as_count` of an integer count
-(`max_sweeps`, `q`, `K`, `samples`).  Each set's `contains` is its membership test;
-`operators.Family.contains` joins them for an intersection.
+(`max_sweeps`, `q`, `K`, `samples`, `seed`, `dimension`).  Each set's
+`contains` is its membership test, within `REFERENCE_TOL`, the package's one
+accuracy; `operators.Family.contains` joins them for an intersection.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, EllipsoidRootFindError
 
-# Default additive slack for containment tests. Double-precision projections
-# land within ~1e-12 of boundaries, so 1e-9 absorbs accumulated rounding.
-CONTAINS_TOL = 1e-9
+# The package's one accuracy, that of `intersection.project_intersection`:
+# its result lies within it of every member, so `contains` takes it as slack.
+REFERENCE_TOL = 1e-9
 
 _ELLIPSOID_ROOT_RESIDUAL = 1e-12
 # round cap of the ellipsoid's Newton, in its projection and `bounding_radius`
@@ -86,12 +87,12 @@ def row_sum(a):
     n = a.shape[-1]
     if not n:
         return np.zeros(a.shape[:-1])
-    return _column_sum(n)(*(a[..., j] for j in range(n)))
+    return column_sum(n)(*(a[..., j] for j in range(n)))
 
 
 @lru_cache(maxsize=64)
-def _column_sum(n):
-    """column_sum(c0, ..., c{n-1}) = `sum_source` of its n arguments."""
+def column_sum(n):
+    """column_sum(n)(c0, ..., c{n-1}) = `sum_source` of its n arguments."""
     c = [f"c{j}" for j in range(n)]
     return compiled_function(f"def column_sum({', '.join(c)}):", {}, [f"return {sum_source(c)}"])
 
@@ -99,7 +100,7 @@ def _column_sum(n):
 def row_dot(x, v):
     """Inner products of the rows of x with the vector v along the last axis:
     `row_sum` of the products, formed one column at a time, `x[..., j] * v_j`."""
-    return _column_sum(len(v))(*(x[..., j] * vj for j, vj in enumerate(v.tolist())))
+    return column_sum(len(v))(*(x[..., j] * vj for j, vj in enumerate(v.tolist())))
 
 
 def row_norm(d):
@@ -221,7 +222,7 @@ def column_distance(u, v):
     n columns: the square root of `sum_source` of the squared differences
     of the columns, or 0.0 when the batches hold no row."""
     d = [uj - vj for uj, vj in zip(u, v)]
-    return float(np.max(np.sqrt(_column_sum(len(d))(*(dj * dj for dj in d))), initial=0.0))
+    return float(np.max(np.sqrt(column_sum(len(d))(*(dj * dj for dj in d))), initial=0.0))
 
 
 def as_points(x, dim, what="point"):
@@ -392,7 +393,7 @@ class Ball(_PointSource):
         )
         return lines, {**_HELPERS[columns], f"{k}r": self.radius, **dict(zip(c, self.center.tolist()))}
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
         return row_norm(x - self.center) <= self.radius + tol
 
@@ -449,7 +450,7 @@ class HalfSpace(_Affine):
     kind = "halfspace"
     _moves = operator.gt  # a NaN excess keeps the point
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
         # slack measured as a distance, so it does not scale with ||normal||
         return row_dot(x, self.normal) - self.offset <= tol * self._norm
@@ -461,7 +462,7 @@ class Hyperplane(_Affine):
     kind = "hyperplane"
     _moves = operator.ne  # a NaN excess maps the point to NaN
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
         return np.abs(row_dot(x, self.normal) - self.offset) <= tol * self._norm
 
@@ -505,7 +506,7 @@ class Box(_PointSource):
                      for o, v, lj, cj, hj in zip(out, x, lo, lc, hi)]
         return lines, {**_HELPERS[columns], **consts}
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
         return np.all((x >= self.lo - tol) & (x <= self.hi + tol), axis=-1)
 
@@ -582,7 +583,7 @@ class Ellipsoid(_PointSource):
         consts = {f"{k}two": 2.0, f"{k}rounds": _ELLIPSOID_MAX_ROUNDS, f"{k}check": _check_dual_residual}
         return lines, {**_HELPERS[columns], **consts, **dict(zip(c + a + aa, values))}
 
-    def contains(self, x, tol=CONTAINS_TOL):
+    def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
         return row_sum(((x - self.center) / self.axes) ** 2) <= 1.0 + tol
 

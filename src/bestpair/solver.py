@@ -59,7 +59,7 @@ class Problem:
     """Two families and solver options.  `rho` is derived: B[0, rho] is the
     smallest origin-centred ball that holds every member of both families
     whose kind declares `bounded`, and a family without one raises
-    ProblemValidationError."""
+    ProblemValidationError.  The seed must be an integer >= 0."""
 
     family_a: Family
     family_b: Family
@@ -68,6 +68,7 @@ class Problem:
     rho: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
         if self.family_a.dim != self.family_b.dim:
             raise DimensionMismatch("families have different dimensions")
         radii = []

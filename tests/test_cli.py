@@ -160,8 +160,9 @@ NAN, INF = float("nan"), float("inf")
 REJECTED_FILES = {
     "not-an-object": ((), [], "problem file must contain a JSON object"),
     "no-familyB": (("familyB",), DELETE, "missing key 'familyB' in problem file"),
-    "dimension-0": (("dimension",), 0, "'dimension' must be a positive integer"),
-    "seed-1.5": (("seed",), 1.5, "'seed' must be an integer"),
+    "dimension-0": (("dimension",), 0, "dimension must be an integer >= 1, got 0"),
+    "seed-1.5": (("seed",), 1.5, "seed must be an integer >= 0, got 1.5"),
+    "seed--1": (("seed",), -1, "seed must be an integer >= 0, got -1"),
     "familyA-int": (("familyA",), 5, "familyA must be an object"),
     "familyA-list": (("familyA",), [BALL_A], "familyA must be an object"),
     "no-sets": (("familyA", "sets"), [], "familyA needs a nonempty 'sets' list"),
@@ -212,8 +213,8 @@ REJECTED_FILES = {
     "c-string": (("familyA", "schedule", "c"), "a", "c must be a number, got 'a'"),
     "c-bool": (("familyA", "schedule", "c"), True, "c must be a number, got True"),
     "k0-numeric-string": (("familyA", "schedule", "k0"), "2", "k0 must be a number, got '2'"),
-    "seed-bool": (("seed",), True, "'seed' must be an integer"),
-    "dimension-bool": (("dimension",), True, "'dimension' must be a positive integer"),
+    "seed-bool": (("seed",), True, "seed must be an integer >= 0, got True"),
+    "dimension-bool": (("dimension",), True, "dimension must be an integer >= 1, got True"),
     "radius-bool": (("familyA", "sets", 0, "radius"), True, "radius must be a number, got True"),
     "radius-numeric-string": (("familyA", "sets", 0, "radius"), "1",
                               "radius must be a number, got '1'"),
@@ -375,11 +376,16 @@ def test_project_budget_exhausted_exits_3(capsys):
     ["run", TWO_BALLS, "--x0", "nan,0"],
     ["run", TWO_BALLS, "--x0", "0,inf"],
     ["project", TWO_BALLS, "--family", "A", "--point", "nan,0"],
+    # an empty field is not dropped, and an empty --x0 is not the origin
+    ["run", TWO_BALLS, "--x0=1,,0"],
+    ["run", TWO_BALLS, "--x0="],
+    ["project", LENS, "--family", "A", "--point=5,,0"],
 ])
 def test_non_finite_point_exits_1(argv, capsys):
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "finite" in err and err.count("\n") == 1
+    option = "--x0" if argv[0] == "run" else "--point"
+    assert err.startswith(f"error: {option} ") and "finite" in err and err.count("\n") == 1
 
 
 # an infinite resolution gives the oracle one grid cell that an infinite slack
@@ -415,6 +421,7 @@ def test_usage_error_exits_1(argv, option, capsys):
 def test_malformed_schedule_exits_1(capsys):
     for schedule, reason in [
         ("1,2", "expected three numbers 'c,k0,p', got '1,2'"),
+        ("0.004,,2,1", "expected three numbers 'c,k0,p', got '0.004,,2,1'"),
         ("1,2,0", "schedule violates the steering axioms: p must lie in (0, 1], got 0.0"),
     ]:
         assert main(["run", TWO_BALLS, "--schedule", schedule]) == 1

@@ -11,6 +11,9 @@
 - No nonzero numeric literal is passed as `tol=` or `inner_tol=`: a call
   either takes the callee's default or names the constant it uses.
   `tol=0.0`, an exact containment test, is allowed.
+- No float literal but 0.0 and 1.0 is written in a comparison: a tolerance
+  or a bound is a named module constant, and a message that states it is
+  built from that constant.
 - No two functions, methods and nested functions included, have the same
   body of two or more statements once a leading docstring is dropped: a
   shared body is written once and called or inherited.
@@ -33,8 +36,9 @@
   length goes through `sets.row_norm` or `sets.max_distance`.
 - The package writes no `@` and calls, and imports, no `np.dot`,
   `np.matmul`, `np.inner`, `np.vdot`, `np.einsum`, `np.sum` or
-  `np.add.reduce`, nor a method of those names: BLAS rounds a row by the
-  rows batched with it, and numpy sums a row by the layout of its array.
+  `np.add.reduce`, nor a method of those names, nor the builtin `sum`: BLAS
+  rounds a row by the rows batched with it, numpy sums a row by the layout
+  of its array, and `sum` adds in its own order.
   Every sum goes through `sets.sum_source`, on arrays by `sets.row_sum`, so
   the package has one summation rule, written once.
 - Generated source is compiled in one place: the package calls `compile`
@@ -186,6 +190,19 @@ def test_no_literal_tolerance_argument(path):
     assert not bad, bad
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_float_literal_in_a_comparison(path):
+    bad = [
+        f"line {node.lineno}: {node.value!r}"
+        for compare in ast.walk(parse(path))
+        if isinstance(compare, ast.Compare)
+        for node in ast.walk(compare)
+        if isinstance(node, ast.Constant) and type(node.value) is float
+        and node.value not in (0.0, 1.0)
+    ]
+    assert not bad, bad
+
+
 def test_no_function_body_written_twice():
     where = defaultdict(list)
     for path in MODULES:
@@ -322,12 +339,12 @@ def test_row_norms_only_in_row_norm():
     assert not bad, bad
 
 
-OTHER_SUM = re.compile(r"(\w+\.)+(dot|matmul|inner|vdot|einsum|sum|add\.reduce)")
+OTHER_SUM = re.compile(r"(\w+\.)+(dot|matmul|inner|vdot|einsum|sum|add\.reduce)|sum")
 
 
 def test_sums_only_in_sum_source():
-    """No `@` and no call or import of a numpy sum or product is written in
-    the package."""
+    """No `@` and no call or import of a numpy sum or product, nor a call of
+    the builtin `sum`, is written in the package."""
     bad = []
     for path in MODULES:
         for node in ast.walk(parse(path)):

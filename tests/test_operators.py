@@ -316,6 +316,11 @@ BAD_NUMBER_CALLS = {
         "samples must be an integer >= 1, got {}",
     ),
     **bad_number_rows(
+        {"Problem": lambda p, seed: Problem(p.family_a, p.family_b, seed=seed)},
+        [(-1, "-1"), (1.5, "1.5"), (True, "True")],
+        "seed must be an integer >= 0, got {}",
+    ),
+    **bad_number_rows(
         {"brute_force_pair": brute_force_pair},
         [(True, "True")],
         "resolution must be positive and finite, got {}",

@@ -291,7 +291,7 @@ def loop_scan(rs, K):
     violations, max_violation = [], 0.0
     for k in range(2, K + 1):
         excess = rs[k] - rs[k - 1]
-        for i in np.nonzero(excess > oracles.DINI_SLACK)[0]:
+        for i in np.nonzero(excess > oracles.REFERENCE_TOL)[0]:
             violations.append({"k": k, "point": int(i), "excess": float(excess[i])})
         max_violation = max(max_violation, float(np.max(excess)))
     return violations, max_violation
