@@ -191,8 +191,7 @@ def _write_trace_csv(path: str, trace, dim: int):
     lines = [header]
 
     def row(k, phase, sweep, gap, x):
-        coords = ",".join(repr(float(v)) for v in x)
-        return f"{k},{phase},{sweep},{repr(float(gap))},{coords}"
+        return f"{k},{phase},{sweep},{gap!r},{','.join(map(repr, x.tolist()))}"
 
     prev = trace.x0
     for e in trace.entries:

@@ -9,9 +9,10 @@ Its accuracy is the package's one accuracy, `sets.REFERENCE_TOL`, unless a
 tol is given; validation and the baseline pass `solver.BASELINE_INNER_TOL`.
 
 A single point runs in its family's Dykstra kernel, one call for the whole
-projection: source written for the family's members and dimension, like the
-step kernel of `operators`, compiled on the family's first point
-projection and kept (`sets.Compiled`).  The iterate and every member's
+projection: source written for the family's shape, its member types and
+dimension, like the step kernel of `operators`, bound to the family's
+constants on its first point projection and kept, its code compiled once
+per shape (`sets.Compiled`).  The iterate and every member's
 increment live in scalar locals.  A cycle takes each member's projection,
 an ellipsoid's Newton included, from `sets.point_projection_source`; the
 feasibility test calls the member's `project_point`, compiled from the same
@@ -21,7 +22,7 @@ are the operations of the cycles on lists through `project_point`, in their
 order, so the result, and the last iterate and gap of an exhausted budget,
 keep their bits.
 
-A batch runs the same cycle source on columns, compiled on the family's
+A batch runs the same cycle source on columns, bound on the family's
 first batch projection and kept (`_compile_column_cycle`), so a row has the
 bits of its point, and its feasibility is `Family.member_distances`.  Its
 Dykstra state is one C-ordered array of shape (n*(L+1), rows): the columns
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import MaxIterExceeded
 from .operators import Family
 from .sets import (
-    REFERENCE_TOL, as_positive, compiled_function, finite_points, point_projection_source,
+    REFERENCE_TOL, as_positive, finite_points, point_projection_constants, point_projection_source,
     row_norm, square_sum_source,
 )
 
@@ -81,8 +82,8 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
 
 
 def _compile_dykstra(family: Family):
-    """dykstra(x, tol, cycles) of `project_intersection` on one point, written
-    as source for this family and compiled.
+    """The kernel dykstra(x, tol, cycles) of `project_intersection` on one
+    point, written as source for this family's shape.
 
     x is a list of n floats, the start of the iterate y0, y1, ...; member i's
     increment is in i{i}_0, i{i}_1, ....  A cycle is `_cycle_source`, and the
@@ -92,64 +93,78 @@ def _compile_dykstra(family: Family):
     takes it, is tested against tol.  The function returns (True, y, gap) on
     success, and (False, y, gap) after `cycles` cycles, with y a list.
     """
-    n = family.dim
-    state, cycle, consts = _cycle_source(family, False)
-    y, p, f, d = ([f"{c}{j}" for j in range(n)] for c in "ypfd")
-    consts.update({"sqrt": math.sqrt, "inf": math.inf})
-    feasible = []
-    for i, s in enumerate(family.sets):
-        consts[f"m{i}_project"] = s.project_point
-        feasible += [
-            f"{', '.join(f)}, = m{i}_project([{', '.join(y)}])",
-            *(f"{dj} = {yj} - {fj}" for dj, yj, fj in zip(d, y, f)),
-            f"dist = sqrt({square_sum_source(d)})",
-            "feas = dist" if i == 0 else "if dist > feas: feas = dist",
+    consts = {**_cycle_constants(family, False), "sqrt": math.sqrt, "inf": math.inf}
+    consts.update({f"m{i}_project": s.project_point for i, s in enumerate(family.sets)})
+
+    def body():
+        n = family.dim
+        state, cycle = _cycle_source(family, False)
+        y, p, f, d = ([f"{c}{j}" for j in range(n)] for c in "ypfd")
+        feasible = []
+        for i in range(len(family.sets)):
+            feasible += [
+                f"{', '.join(f)}, = m{i}_project([{', '.join(y)}])",
+                *(f"{dj} = {yj} - {fj}" for dj, yj, fj in zip(d, y, f)),
+                f"dist = sqrt({square_sum_source(d)})",
+                "feas = dist" if i == 0 else "if dist > feas: feas = dist",
+            ]
+        return [
+            f"{', '.join(y)}, = x",
+            f"{' = '.join(state[n:])} = 0.0",
+            "gap = inf",
+            "for _ in range(cycles):",
+            *(f"    {pj} = {yj}" for pj, yj in zip(p, y)),
+            *(f"    {line}" for line in cycle),
+            *(f"    {dj} = {yj} - {pj}" for dj, yj, pj in zip(d, y, p)),
+            f"    gap = sqrt({square_sum_source(d)})",
+            "    if gap <= tol:",
+            *(f"        {line}" for line in feasible),
+            "        if feas <= tol:",
+            f"            return True, [{', '.join(y)}], gap",
+            f"return False, [{', '.join(y)}], gap",
         ]
-    return compiled_function("def dykstra(x, tol, cycles):", consts, [
-        f"{', '.join(y)}, = x",
-        f"{' = '.join(state[n:])} = 0.0",
-        "gap = inf",
-        "for _ in range(cycles):",
-        *(f"    {pj} = {yj}" for pj, yj in zip(p, y)),
-        *(f"    {line}" for line in cycle),
-        *(f"    {dj} = {yj} - {pj}" for dj, yj, pj in zip(d, y, p)),
-        f"    gap = sqrt({square_sum_source(d)})",
-        "    if gap <= tol:",
-        *(f"        {line}" for line in feasible),
-        "        if feas <= tol:",
-        f"            return True, [{', '.join(y)}], gap",
-        f"return False, [{', '.join(y)}], gap",
-    ])
+
+    return "def dykstra(x, tol, cycles):", consts, body
 
 
 def _compile_column_cycle(family: Family):
-    """cycle(state) of `_project_rows`: one cycle of `_cycle_source` on the
-    columns of the state, the rows of the array `state`, returned as a list."""
-    state, cycle, consts = _cycle_source(family, True)
-    return compiled_function("def cycle(state):", consts, [
-        f"{', '.join(state)}, = state", *cycle, f"return [{', '.join(state)}]",
-    ])
+    """The kernel cycle(state) of `_project_rows`: one cycle of
+    `_cycle_source` on the columns of the state, the rows of the array
+    `state`, returned as a list."""
+
+    def body():
+        state, cycle = _cycle_source(family, True)
+        return [f"{', '.join(state)}, = state", *cycle, f"return [{', '.join(state)}]"]
+
+    return "def cycle(state):", _cycle_constants(family, True), body
 
 
 def _cycle_source(family: Family, columns):
     """The names of Dykstra's state, y0, ..., y{n-1} and then member i's
-    increment i{i}_0, ..., and the source lines and values of one cycle, on
-    scalars or on columns: for each member, z = y - inc, y = P(z), from
+    increment i{i}_0, ..., and the source lines of one cycle, on scalars or
+    on columns: for each member, z = y - inc, y = P(z), from
     `sets.point_projection_source`, and inc = y - z."""
     n = family.dim
     y, z = ([f"{c}{j}" for j in range(n)] for c in "yz")
-    state, cycle, consts = list(y), [], {}
+    state, cycle = list(y), []
     for i, s in enumerate(family.sets):
         inc = [f"i{i}_{j}" for j in range(n)]
-        into_y, names = point_projection_source(s, z, y, f"m{i}_", columns)
-        consts.update(names)
         state += inc
         cycle += [
             *(f"{zj} = {yj} - {ij}" for zj, yj, ij in zip(z, y, inc)),
-            *into_y,
+            *point_projection_source(s, z, y, f"m{i}_", columns),
             *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
         ]
-    return state, cycle, consts
+    return state, cycle
+
+
+def _cycle_constants(family: Family, columns):
+    """The values that the lines of `_cycle_source` read: each member's,
+    from `sets.point_projection_constants`."""
+    consts = {}
+    for i, s in enumerate(family.sets):
+        consts.update(point_projection_constants(s, f"m{i}_", columns))
+    return consts
 
 
 def _project_rows(family: Family, x, tol):

@@ -8,13 +8,15 @@ Every anchored step, here and in the solver, runs in the family's one step
 kernel (`_step_function`).
 
 The step is straight-line Python source written once for the family's
-members, weights and dimension, and compiled under one head,
+shape, its member types and dimension, and compiled under one head,
 `steps(anchor, y, blocks)`: a generator that runs the taus of each block
 and yields the step after the block.  `anchored_steps` passes one tau a
-block, so it yields every step; `apply_q_hat` passes the sweep's taus as
-one block, so a sweep is one kernel run.  The kernel has two forms, each
-compiled on its first use and kept by the family (`sets.Compiled`).  On one
-point each local is a scalar coordinate; on a batch (..., n) each local is
+block, so it yields every step; `apply_q_hat` and `point_sweep`, which the
+solver runs, pass the sweep's taus as one block, so a sweep is one kernel
+run.  The kernel has two forms, each bound to the family's weights and
+member constants on its first use and kept by the family; its code is
+compiled on the first use by any family of that shape (`sets.Compiled`).
+On one point each local is a scalar coordinate; on a batch (..., n) each local is
 a column y[..., j], and the steps are lists of columns, of which a function
 stacks only those it returns.  Each member's projection comes from
 `sets.point_projection_source`: a member of one of the five kinds inlined
@@ -22,9 +24,10 @@ from its `point_source`, any other member, a subclass too, called through
 its `project_point` or its `project`.  The kernel does the IEEE operations
 of the numpy forms in the same order, so the results keep their bits, and a
 batch row has the bits of its point; so does the list stop test of
-`shlwb_project`, whose norm `square_sum_source` writes out.  The public
+`shlwb_project`, whose norm `square_sum_source` writes out, and whose
+taus come from the schedule's kept list, as every sweep's do.  The public
 functions take and return arrays, and check their points with
-`sets.finite_points`.
+`sets.finite_points`; `point_sweep` takes and returns a list, unchecked.
 `Family.contains` is the one membership test of an intersection.
 """
 
@@ -39,8 +42,8 @@ import numpy as np
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
     REFERENCE_TOL, Compiled, as_count, as_number, as_positive, as_vector, column_distance,
-    columns_of, compiled_function, finite_points, max_distance, point_projection_source, row_norm,
-    row_sum,
+    columns_of, finite_points, max_distance, point_projection_constants, point_projection_source,
+    row_norm, row_sum,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
@@ -140,6 +143,9 @@ class Family(Compiled):
     def dim(self):
         return self.sets[0].dim
 
+    def _members(self):
+        return self.sets
+
     def weighted_projection(self, x):
         """sum_l w_l P_l(x) for x of shape (n,) or (..., n), accumulated in
         index order through the members' `project`.  The anchored steps run
@@ -193,9 +199,9 @@ def anchored_steps(family: Family, taus, anchor, y=None):
 
 
 def _step_function(family: Family, columns):
-    """The generator steps(anchor, y, blocks): the anchored steps, written as
-    source for this family and compiled, on a point's scalars or a batch's
-    columns.
+    """The kernel of the generator steps(anchor, y, blocks): the anchored
+    steps, written as source for this family's shape, on a point's scalars
+    or a batch's columns.
 
     anchor and y hold n floats or n columns.  The coordinates live in
     locals y0, y1, ..., set from y; each step runs every member's
@@ -204,34 +210,38 @@ def _step_function(family: Family, columns):
     the taus of each block it yields [y0, y1, ...].  These are the
     operations of `project_point` and of `weighted_projection`, in their
     order, so the steps keep their bits, and a batch row has the bits of its
-    point.  Weights and set constants reach the code through
-    `sets.compiled_function`, never as text, so every family of one shape
-    (member kinds, count and n) shares its code.
+    point.  Weights and set constants are the kernel's constants, never
+    text, so every family of one shape (member types, count and n) shares
+    its code.
     """
-    n = family.dim
-    a, y = [f"a{j}" for j in range(n)], [f"y{j}" for j in range(n)]
-    consts, body, outs = {}, [], []
+    consts = {}
     for i, (w, s) in enumerate(zip(family._weight_list, family.sets)):
-        k = f"m{i}_"
-        out = [f"{k}{j}" for j in range(n)]
-        lines, names = point_projection_source(s, y, out, k, columns)
-        body += lines
-        consts.update(names)
+        consts.update(point_projection_constants(s, f"m{i}_", columns))
         consts[f"w{i}"] = w
-        outs.append(out)
-    steps = [
-        f"{yj} = tau * {aj} + s * ({' + '.join(f'w{i} * {o[j]}' for i, o in enumerate(outs))})"
-        for j, (aj, yj) in enumerate(zip(a, y))
-    ]
-    return compiled_function("def steps(anchor, y, blocks):", consts, [
-        f"{', '.join(a)}, = anchor",
-        f"{', '.join(y)}, = y",
-        "for taus in blocks:",
-        "    for tau in taus:",
-        "        s = 1.0 - tau",
-        *(f"        {line}" for line in body + steps),
-        f"    yield [{', '.join(y)}]",
-    ])
+
+    def body():
+        n = family.dim
+        a, y = [f"a{j}" for j in range(n)], [f"y{j}" for j in range(n)]
+        lines, outs = [], []
+        for i, s in enumerate(family.sets):
+            out = [f"m{i}_{j}" for j in range(n)]
+            lines += point_projection_source(s, y, out, f"m{i}_", columns)
+            outs.append(out)
+        lines += [
+            f"{yj} = tau * {aj} + s * ({' + '.join(f'w{i} * {o[j]}' for i, o in enumerate(outs))})"
+            for j, (aj, yj) in enumerate(zip(a, y))
+        ]
+        return [
+            f"{', '.join(a)}, = anchor",
+            f"{', '.join(y)}, = y",
+            "for taus in blocks:",
+            "    for tau in taus:",
+            "        s = 1.0 - tau",
+            *(f"        {line}" for line in lines),
+            f"    yield [{', '.join(y)}]",
+        ]
+
+    return "def steps(anchor, y, blocks):", consts, body
 
 
 # the builds of the step kernel's two forms, for `Family.kernel`: on one
@@ -243,6 +253,15 @@ _column_steps = partial(_step_function, columns=True)
 def _sweep_taus(family: Family, q: int) -> list:
     """tau_0, ..., tau_q as Python floats, from the schedule's kept list."""
     return family.schedule.taus(as_count(q, "q", 0) + 1)
+
+
+def point_sweep(family: Family, q: int, x: list) -> list:
+    """The sweep of q+1 anchored steps from the point x, a list of n floats,
+    anchored at x: one run of the family's step kernel over one block of
+    taus, tau_0, ..., tau_q.  Unchecked, like `project_point`; returns a
+    list of n floats."""
+    [y] = family.kernel(_point_steps)(x, x, (family.schedule.taus(q + 1),))
+    return y
 
 
 def apply_m(family: Family, tau: float, anchor, x):
@@ -268,14 +287,12 @@ def apply_q_hat(family: Family, q: int, x):
     the family's step kernel, so a sweep is one kernel run, which yields
     only the last step.
     """
-    taus = _sweep_taus(family, q)
+    q = as_count(q, "q", 0)
     x = finite_points(x, family.dim)
     if x.ndim == 1:
-        start = x.tolist()
-        [y] = family.kernel(_point_steps)(start, start, (taus,))
-        return np.asarray(y)
+        return np.asarray(point_sweep(family, q, x.tolist()))
     start = columns_of(x)
-    [y] = family.kernel(_column_steps)(start, start, (taus,))
+    [y] = family.kernel(_column_steps)(start, start, (_sweep_taus(family, q),))
     return np.stack(y, axis=-1)
 
 
@@ -311,9 +328,8 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
     """
     as_positive(tol, "tol")
     anchor = finite_points(anchor, family.dim, "anchor")
-    # tau_k is evaluated lazily, one scalar at a time: the budget is large and
-    # most runs stop early.  One copy drives the steps, the other the stop test.
-    taus, stop_taus = itertools.tee(map(family.schedule.tau, range(SHLWB_MAX_ITER)))
+    # one copy of the taus drives the steps, the other the stop test
+    taus, stop_taus = itertools.tee(_read_taus(family.schedule, SHLWB_MAX_ITER))
     x = anchor.tolist() if anchor.ndim == 1 else list(columns_of(anchor))
     distance = max_distance if anchor.ndim == 1 else column_distance
     gap = bound = np.inf
@@ -328,3 +344,15 @@ def shlwb_project(family: Family, anchor, tol: float = SHLWB_DEFAULT_TOL):
         last=np.stack(x, axis=-1),
         gap=gap,
     )
+
+
+def _read_taus(schedule: SteeringSchedule, count: int):
+    """tau_0, ..., tau_{count-1}, one at a time, from the list `taus` keeps,
+    so they have its bits.  The list grows by doubling as they are read: the
+    budget is large and most runs stop early, and k steps from a list that
+    starts empty evaluate fewer than 2k + 1 taus."""
+    done = 0
+    while done < count:
+        block = schedule.taus(min(count, 2 * done + 1))[done:]
+        yield from block
+        done += len(block)

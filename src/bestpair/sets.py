@@ -7,9 +7,10 @@ except the ellipsoid which solves a one-dimensional dual equation by
 monotone Newton from a proven lower bound, to residual <= 1e-12.
 
 Each kind writes its projection once, as `point_source(x, out, k, columns)`:
-Python source that sets the locals named in `out` from those named in `x`,
-and a dict of the values the lines read, the set's constants and helpers,
-by name.  Every name it makes starts with `k`, except the helpers.  On
+lines of Python source that set the locals named in `out` from those named
+in `x`, which depend on the kind and n alone.  Its twin `point_constants(k,
+columns)` gives the values the lines read, the set's constants and helpers,
+by name.  Every name they make starts with `k`, except the helpers.  On
 scalars each name holds a float and the source branches; on columns each
 holds a column x[..., j] of a batch, every row runs the setup, and
 `np.where` keeps the rows that do not move.  Three places switch between
@@ -19,14 +20,19 @@ has the bits of its point.  The kinds share `project_point`, an unchecked
 projection of one point given as a list of n floats, which runs the scalar
 source, and `project`, which runs a point (n,) through it and a batch
 (..., n) through the column source.  The kernels of `operators` and
-`intersection` inline either form.  `point_projection_source` is the one
-place that decides whether a kernel inlines a member's `point_source` or
-calls the member.  `compiled_function` is the one place generated source is
-compiled: the constants reach the code as values, never as text, so they
-keep their bits.  `Compiled` is the one place compiled code is kept, by
-sets and families alike: `kernel` builds each function on its first use,
-so each reads the ellipsoid's round cap once, when it is built, and an
-object pickles without its functions and builds them again.
+`intersection` inline either form.  `point_projection_source` and
+`point_projection_constants` are the one place that decides whether a
+kernel inlines a member or calls it.
+
+Code is kept by shape, values by object.  `compiled_function` is the one
+place generated source is compiled and bound: the constants reach the code
+as values, never as text, so they keep their bits, and the code of each
+kernel shape is compiled once and kept, so a later object of a known shape
+writes no source and compiles nothing.  `Compiled.kernel`, shared by sets
+and families, names the shape, the build and the exact type and dim of each
+member, and keeps the object's own functions: it binds each on its first
+use, so each reads the ellipsoid's round cap once, when it is bound, and an
+object pickles without its functions and binds them again.
 
 Every sum of the package, of a point or of a batch row, adds its terms in
 one order, numpy's `add.reduce` order: fewer than `PAIRWISE_SUM_MIN` (8)
@@ -94,7 +100,7 @@ def row_sum(a):
 def column_sum(n):
     """column_sum(n)(c0, ..., c{n-1}) = `sum_source` of its n arguments."""
     c = [f"c{j}" for j in range(n)]
-    return compiled_function(f"def column_sum({', '.join(c)}):", {}, [f"return {sum_source(c)}"])
+    return compiled_function(f"def column_sum({', '.join(c)}):", {}, lambda: [f"return {sum_source(c)}"])
 
 
 def row_dot(x, v):
@@ -174,21 +180,34 @@ def columns_of(x):
     return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
 
-def compiled_function(head, consts, body):
-    """The function of the def line `head` and the statements `body`, each
+# the code of each kernel shape compiled, and the names of the constants its
+# first line unpacks, by shape; at most _SHAPES_KEPT shapes, the oldest dropped
+_shape_code = {}
+_SHAPES_KEPT = 64
+
+
+def compiled_function(head, consts, body, shape=None):
+    """The function of the def line `head` and the statements `body()`, each
     name of `consts`, if any, a local bound to its value.  The values reach
-    it as the tuple `K`, never as text, so they keep their bits; code is
-    cached by its source, so every function of one shape shares it."""
-    unpack = [f"{', '.join(consts)}, = K"] if consts else []
-    source = "\n".join([head, *(f"    {line}" for line in unpack + body)])
-    namespace = {"K": tuple(consts.values())}
-    exec(_code(source), namespace)
+    it as the tuple `K`, never as text, so they keep their bits.  Code is
+    kept by `shape`, a key of all that the source depends on: a later call
+    of a known shape neither calls `body` nor compiles, but binds its own
+    values, in the order of the names the code unpacks.  A shape of None is
+    compiled every time."""
+    try:
+        code, names = _shape_code[shape]
+    except KeyError:
+        names = tuple(consts)
+        unpack = [f"{', '.join(names)}, = K"] if names else []
+        source = "\n".join([head, *(f"    {line}" for line in unpack + body())])
+        code = compile(source, "<generated>", "exec")
+        if shape is not None:
+            if len(_shape_code) >= _SHAPES_KEPT:
+                del _shape_code[next(iter(_shape_code))]
+            _shape_code[shape] = code, names
+    namespace = {"K": tuple(consts[name] for name in names)}
+    exec(code, namespace)
     return namespace[head[len("def "):head.index("(")]]
-
-
-@lru_cache(maxsize=64)
-def _code(source):
-    return compile(source, "<generated>", "exec")
 
 
 @lru_cache(maxsize=64)
@@ -196,7 +215,7 @@ def _list_distance(n):
     """distance(u, v) of two lists of n floats, compiled: the square root of
     `square_sum_source` of their differences."""
     u, v, d = ([f"{c}{j}" for j in range(n)] for c in "uvd")
-    return compiled_function("def distance(u, v):", {"sqrt": math.sqrt}, [
+    return compiled_function("def distance(u, v):", {"sqrt": math.sqrt}, lambda: [
         f"{', '.join(u)}, = u", f"{', '.join(v)}, = v",
         *(f"{dj} = {uj} - {vj}" for dj, uj, vj in zip(d, u, v)),
         f"return sqrt({square_sum_source(d)})",
@@ -314,16 +333,25 @@ def _check_dual_residual(worst):
 
 
 class Compiled:
-    """Code compiled for an object, a set or a family, on its first use and
-    kept: `kernel(build)` is `build(self)`, built once per build.  An object
-    pickles without its compiled code, and builds it again on first use."""
+    """The kernels of an object, a set or a family: `kernel(build)` is the
+    function of `build(self)`, a (head, constants, body) triple, bound on
+    first use and kept.  Its code is compiled once per shape, the build and
+    the exact type and dim of each member in order (a set is its own one
+    member), which is all that reaches the source; an object of a known
+    shape only binds its constants to that code.  An object pickles without
+    its functions, and binds them again on first use."""
 
     def kernel(self, build):
         try:
             return self._kernels[build]
         except (AttributeError, KeyError):
-            kernel = self.__dict__.setdefault("_kernels", {})[build] = build(self)
+            shape = (build, *((type(s), s.dim) for s in self._members()))
+            kernel = compiled_function(*build(self), shape)
+            self.__dict__.setdefault("_kernels", {})[build] = kernel
             return kernel
+
+    def _members(self):
+        return (self,)
 
     def __getstate__(self):
         # pickle cannot find generated code by name
@@ -331,8 +359,9 @@ class Compiled:
 
 
 class _PointSource(Compiled):
-    """A kind whose projection is written once, as `point_source`: compiled on
-    scalars for the set's first point and on columns for its first batch."""
+    """A kind whose projection is written once, as `point_source`, with the
+    values it reads from `point_constants`: bound on scalars for the set's
+    first point and on columns for its first batch."""
 
     def project(self, x):
         """The projection of a point (n,) or a batch (..., n), in x's shape:
@@ -347,18 +376,26 @@ class _PointSource(Compiled):
 
 
 def _projection_function(s, columns):
-    """`point_source` of the set s on scalars or on columns, compiled: from
-    the n coordinates or columns x to the list of the out's."""
-    x, out = ([f"{c}{j}" for j in range(s.dim)] for c in "xp")
-    lines, consts = s.point_source(x, out, "k", columns)
+    """The kernel of `point_source` of the set s on scalars or on columns:
+    from the n coordinates or columns x to the list of the out's."""
+
+    def body():
+        x, out = ([f"{c}{j}" for j in range(s.dim)] for c in "xp")
+        lines = s.point_source(x, out, "k", columns)
+        return [f"{', '.join(x)}, = x", *lines, f"return [{', '.join(out)}]"]
+
     head = "def project_columns(x):" if columns else "def project_point(x):"
-    body = [f"{', '.join(x)}, = x", *lines, f"return [{', '.join(out)}]"]
-    return compiled_function(head, consts, body)
+    return head, s.point_constants("k", columns), body
 
 
 # the builds of a set's two kernels, for `Compiled.kernel`
 _point_projection = partial(_projection_function, columns=False)
 _column_projection = partial(_projection_function, columns=True)
+
+
+def _indexed(prefix, values):
+    """{prefix}0, {prefix}1, ... bound to the floats `values`, in order."""
+    return {f"{prefix}{j}": v for j, v in enumerate(values)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -387,11 +424,13 @@ class Ball(_PointSource):
         d = [f"{k}d{j}" for j in range(self.dim)]
         lines = [f"{dj} = {v} - {cj}" for dj, v, cj in zip(d, x, c)]
         lines.append(f"{k}n = sqrt({square_sum_source(d)})")
-        lines += _moved_or_kept(
+        return lines + _moved_or_kept(
             f"{k}n > {k}r", [f"{k}s = {k}r / {k}n"],
             [f"{cj} + {dj} * {k}s" for cj, dj in zip(c, d)], out, x, k, columns,
         )
-        return lines, {**_HELPERS[columns], f"{k}r": self.radius, **dict(zip(c, self.center.tolist()))}
+
+    def point_constants(self, k, columns):
+        return {**_HELPERS[columns], f"{k}r": self.radius, **_indexed(f"{k}c", self.center.tolist())}
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
@@ -436,12 +475,14 @@ class _Affine(_PointSource):
     def point_source(self, x, out, k, columns):
         v = [f"{k}v{j}" for j in range(self.dim)]
         lines = [f"{k}e = {sum_source([f'{xj} * {vj}' for xj, vj in zip(x, v)])} - {k}offset"]
-        lines += _moved_or_kept(
+        return lines + _moved_or_kept(
             f"{k}moves({k}e, 0.0)", [f"{k}s = {k}e / {k}nn"],
             [f"{xj} - {k}s * {vj}" for xj, vj in zip(x, v)], out, x, k, columns,
         )
+
+    def point_constants(self, k, columns):
         consts = {f"{k}offset": self.offset, f"{k}moves": self._moves, f"{k}nn": self._nn}
-        return lines, {**_HELPERS[columns], **consts, **dict(zip(v, self.normal.tolist()))}
+        return {**_HELPERS[columns], **consts, **_indexed(f"{k}v", self.normal.tolist())}
 
 
 class HalfSpace(_Affine):
@@ -497,14 +538,15 @@ class Box(_PointSource):
         # lo, the projection of lo (which differs from lo only where lo and hi
         # are zeros of opposite sign), or hi.
         lo, lc, hi = ([f"{k}{c}{j}" for j in range(self.dim)] for c in ("lo", "lc", "hi"))
-        lo_clip = np.minimum(np.maximum(self.lo, self.lo), self.hi)
-        consts = dict(zip(lo + lc + hi, np.concatenate([self.lo, lo_clip, self.hi]).tolist()))
         if columns:
-            lines = [f"{o} = minimum(maximum({v}, {lj}), {hj})" for o, v, lj, hj in zip(out, x, lo, hi)]
-        else:
-            lines = [f"{o} = {cj} if {v} <= {lj} else ({hj} if {v} >= {hj} else {v})"
-                     for o, v, lj, cj, hj in zip(out, x, lo, lc, hi)]
-        return lines, {**_HELPERS[columns], **consts}
+            return [f"{o} = minimum(maximum({v}, {lj}), {hj})" for o, v, lj, hj in zip(out, x, lo, hi)]
+        return [f"{o} = {cj} if {v} <= {lj} else ({hj} if {v} >= {hj} else {v})"
+                for o, v, lj, cj, hj in zip(out, x, lo, lc, hi)]
+
+    def point_constants(self, k, columns):
+        lo_clip = np.minimum(np.maximum(self.lo, self.lo), self.hi)
+        return {**_HELPERS[columns], **_indexed(f"{k}lo", self.lo.tolist()),
+                **_indexed(f"{k}lc", lo_clip.tolist()), **_indexed(f"{k}hi", self.hi.tolist())}
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
@@ -576,12 +618,15 @@ class Ellipsoid(_PointSource):
         setup = [*(f"{g[j]} = {z[j]} * {a[j]}" for j in n), f"{k}lam = {start}",
                  f"for {k}i in range({k}rounds):", *(f"    {line}" for line in newton), check]
         lines = [line for j in n for line in (f"{z[j]} = {x[j]} - {c[j]}", f"{q[j]} = {z[j]} / {a[j]}")]
-        lines += _moved_or_kept(f"{square_sum_source(q)} > 1.0", setup,
-                                [f"{c[j]} + {z[j]} * {aa[j]} / ({aa[j]} + {k}lam)" for j in n],
-                                out, x, k, columns)
-        values = np.concatenate([self.center, self.axes, self._a2]).tolist()
+        return lines + _moved_or_kept(f"{square_sum_source(q)} > 1.0", setup,
+                                      [f"{c[j]} + {z[j]} * {aa[j]} / ({aa[j]} + {k}lam)" for j in n],
+                                      out, x, k, columns)
+
+    def point_constants(self, k, columns):
+        # the round cap is read here, when a kernel is bound
         consts = {f"{k}two": 2.0, f"{k}rounds": _ELLIPSOID_MAX_ROUNDS, f"{k}check": _check_dual_residual}
-        return lines, {**_HELPERS[columns], **consts, **dict(zip(c + a + aa, values))}
+        return {**_HELPERS[columns], **consts, **_indexed(f"{k}c", self.center.tolist()),
+                **_indexed(f"{k}a", self.axes.tolist()), **_indexed(f"{k}aa", self._a2.tolist())}
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
@@ -628,17 +673,32 @@ ConvexSet = Ball | HalfSpace | Hyperplane | Box | Ellipsoid
 _KIND_MAP = {cls.kind: cls for cls in get_args(ConvexSet)}
 
 
+def _inlined(s):
+    """Whether kernels inline the set s from its `point_source`: whether its
+    type is exactly one of the five kinds."""
+    return type(s) in _KIND_MAP.values()
+
+
 def point_projection_source(s, x, out, k, columns):
     """Source lines that set the locals `out` to the projection of the locals
-    `x` onto the set s, on scalars or on columns, and the dict of the values
-    they read, for a kernel.  A set whose type is exactly one of the five
-    kinds is inlined from its `point_source`; any other set, a subclass too,
-    is called as `{k}project` on the list of `x`: its `project_point` on
-    scalars, and its `project` on the batch the columns stack to."""
-    if type(s) in _KIND_MAP.values():
+    `x` onto the set s, on scalars or on columns, for a kernel; they depend
+    on s's type and dim alone, and read the values of
+    `point_projection_constants`.  A set whose type is exactly one of the
+    five kinds is inlined from its `point_source`; any other set, a subclass
+    too, is called as `{k}project` on the list of `x`."""
+    if _inlined(s):
         return s.point_source(x, out, k, columns)
-    project = partial(_project_columns, s.project) if columns else s.project_point
-    return [f"{', '.join(out)}, = {k}project([{', '.join(x)}])"], {f"{k}project": project}
+    return [f"{', '.join(out)}, = {k}project([{', '.join(x)}])"]
+
+
+def point_projection_constants(s, k, columns):
+    """The values, by name, that the lines of `point_projection_source` read:
+    an inlined set's `point_constants`, and as `{k}project` any other set's
+    `project_point` on scalars, or its `project` on the batch the columns
+    stack to."""
+    if _inlined(s):
+        return s.point_constants(k, columns)
+    return {f"{k}project": partial(_project_columns, s.project) if columns else s.project_point}
 
 
 def _project_columns(project, columns):

@@ -11,6 +11,7 @@ validator live here as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     TraceTooShort,
 )
 from .intersection import project_intersection
-from .operators import Family, apply_q_hat, q_hat_path
+from .operators import Family, point_sweep, q_hat_path
 from .sets import as_count, as_positive, max_distance, row_norm
 
 DISJOINTNESS_TOL = 1e-6
@@ -226,7 +227,9 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     even-iterate changes fall below pair_gap_tol and the mutual-projection
     residuals fall below fixed_point_tol/2, else MaxSweeps.  A non-finite x0
     is rejected with ValueError before any work is done, and a problem that
-    fails `validate_problem` with ProblemValidationError.
+    fails `validate_problem` with ProblemValidationError.  The iterates are
+    lists, each sweep one `point_sweep`, and a sweep that leaves a
+    non-finite point raises ValueError naming its family and sweep.
     """
     if x0 is None:
         x0 = np.zeros(problem.dim)
@@ -246,13 +249,13 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
 
     entries = []
     odd_prev = even_prev = None
-    x = x0
+    x = x0.tolist()
     terminal = "MaxSweeps"
     for r in range(opts.max_sweeps):
-        x_odd, inner_a = _sweep(fam_a, r, x, opts.record_inner_steps)
-        entries.append(TraceEntry(2 * r + 1, x_odd, "A", r, max_distance(x_odd, x), inner_a))
-        x_even, inner_b = _sweep(fam_b, r, x_odd, opts.record_inner_steps)
-        entries.append(TraceEntry(2 * r + 2, x_even, "B", r, max_distance(x_even, x_odd), inner_b))
+        x_odd, inner_a = _sweep(fam_a, "A", r, x, opts.record_inner_steps)
+        entries.append(TraceEntry(2 * r + 1, np.array(x_odd), "A", r, max_distance(x_odd, x), inner_a))
+        x_even, inner_b = _sweep(fam_b, "B", r, x_odd, opts.record_inner_steps)
+        entries.append(TraceEntry(2 * r + 2, np.array(x_even), "B", r, max_distance(x_even, x_odd), inner_b))
         x = x_even
         if odd_prev is not None:
             d_odd = max_distance(x_odd, odd_prev)
@@ -267,12 +270,18 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     return IterationTrace(x0=x0, x0_projected=projected, entries=entries, terminal=terminal)
 
 
-def _sweep(family: Family, r, anchor, record):
-    """r+1 anchored steps on one family; returns (result, inner or None)."""
+def _sweep(family: Family, label, r, anchor, record):
+    """r+1 anchored steps on family `label` from the list `anchor`; returns
+    (result as a list, inner or None).  A non-finite result raises
+    ValueError naming the family and the sweep."""
     if record:
         inner = q_hat_path(family, r, anchor)
-        return inner[-1], inner
-    return apply_q_hat(family, r, anchor), None
+        y = inner[-1].tolist()
+    else:
+        y, inner = point_sweep(family, r, anchor), None
+    if not all(map(math.isfinite, y)):
+        raise ValueError(f"sweep {r} on family {label} gave a non-finite point")
+    return y, inner
 
 
 def extract_best_pair(trace: IterationTrace, problem: Problem) -> BestPair:

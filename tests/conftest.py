@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from bestpair import extract_best_pair, run_ashlwb
+from bestpair import extract_best_pair, run_ashlwb, sets
 from bestpair.cli import load_problem
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
@@ -41,3 +41,21 @@ def lens_run(lens_parsed):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20230413)
+
+
+@pytest.fixture()
+def cold_kernels(monkeypatch):
+    """An empty cache of kernel code for the test: every kernel shape it
+    builds writes and compiles its source afresh, whatever ran before."""
+    monkeypatch.setattr(sets, "_shape_code", {})
+
+
+@pytest.fixture()
+def compiled_sources(cold_kernels, monkeypatch):
+    """The generated sources `sets.compiled_function` compiles during the
+    test, in order, from an empty cache of kernel code."""
+    sources = []
+    monkeypatch.setattr(sets, "compile",
+                        lambda source, *args: sources.append(source) or compile(source, *args),
+                        raising=False)
+    return sources

@@ -42,18 +42,20 @@
   Every sum goes through `sets.sum_source`, on arrays by `sets.row_sum`, so
   the package has one summation rule, written once.
 - Generated source is compiled in one place: the package calls `compile`
-  once, in `sets._code`, the cache of `sets.compiled_function`, and `exec`
-  once, in `compiled_function`.
+  and `exec` once each, both in `sets.compiled_function`, which keeps the
+  code of each kernel shape.
 - The five kinds of `ConvexSet` share one `project_point` and one
   `project`, which run their `point_source` on scalars and on columns: each
   projection is written once, for points and batches.
 - The choice between inlining a member's `point_source` and calling the
-  member is written once, in `sets.point_projection_source`.  The anchored
-  steps of a point or a batch take it in `operators._step_function`, and
-  Dykstra's cycle in `intersection._cycle_source`, which the point kernel
-  and the batch's cycle compile; every kernel compiles through
-  `sets.compiled_function`.  The anchored step is compiled under one def
-  line.
+  member is written once, in `sets.point_projection_source` for the lines
+  and `sets.point_projection_constants` for the values they read.  The
+  anchored steps of a point or a batch take them in
+  `operators._step_function`, and Dykstra's cycle in
+  `intersection._cycle_source` and `_cycle_constants`, which the point
+  kernel and the batch's cycle build on; every kernel of a set or a family
+  is bound by `sets.Compiled.kernel`, through `sets.compiled_function`.
+  The anchored step is compiled under one def line.
 - Compiled code is kept in one way: `Family` and the five kinds share one
   `kernel` and one `__getstate__`, those of `sets.Compiled`, and the
   package names no `cached_property`, so none holds generated code.
@@ -376,7 +378,7 @@ def test_generated_code_is_compiled_in_one_helper():
         for name, func in functions(parse(path))
         for call in compile_or_exec_calls(func)
     }
-    assert found == {("sets.py", "_code", "compile"), ("sets.py", "compiled_function", "exec")}
+    assert found == {("sets.py", "compiled_function", "compile"), ("sets.py", "compiled_function", "exec")}
 
 
 def test_inlined_kinds_share_one_project_point():
@@ -423,23 +425,31 @@ def calls_of(node, name):
 
 
 def test_point_kernels_share_one_dispatch():
-    point_source_readers, dispatchers, compilers = set(), set(), set()
+    source_readers, constant_readers, dispatchers, constant_dispatchers = set(), set(), set(), set()
+    compilers = set()
     for path in MODULES:
         for name, func in functions(parse(path)):
             where = f"{path.name}:{name}"
-            if any(isinstance(node, ast.Attribute) and node.attr == "point_source"
-                   for node in ast.walk(func)):
-                point_source_readers.add(where)
+            attrs = {node.attr for node in ast.walk(func) if isinstance(node, ast.Attribute)}
+            if "point_source" in attrs:
+                source_readers.add(where)
+            if "point_constants" in attrs:
+                constant_readers.add(where)
             if calls_of(func, "point_projection_source"):
                 dispatchers.add(where)
-            if path.name != "sets.py" and calls_of(func, "compiled_function"):
+            if calls_of(func, "point_projection_constants"):
+                constant_dispatchers.add(where)
+            if calls_of(func, "compiled_function"):
                 compilers.add(where)
-    assert point_source_readers == {
+    assert source_readers == {
         "sets.py:point_projection_source", "sets.py:_projection_function",
+        "sets.py:_projection_function.body",
     }
-    assert dispatchers == {"operators.py:_step_function", "intersection.py:_cycle_source"}
-    assert compilers == {
-        "operators.py:_step_function", "intersection.py:_compile_dykstra",
-        "intersection.py:_compile_column_cycle",
+    assert constant_readers == {"sets.py:point_projection_constants", "sets.py:_projection_function"}
+    assert dispatchers == {
+        "operators.py:_step_function", "operators.py:_step_function.body",
+        "intersection.py:_cycle_source",
     }
-
+    assert constant_dispatchers == {"operators.py:_step_function", "intersection.py:_cycle_constants"}
+    # the kernels of sets and families are bound by `Compiled.kernel` alone
+    assert compilers == {"sets.py:column_sum", "sets.py:_list_distance", "sets.py:Compiled.kernel"}

@@ -221,6 +221,32 @@ def test_shlwb_budget_error_names_the_bound_it_missed(monkeypatch):
     )
 
 
+@pytest.mark.parametrize("p", [0.7, 0.5])
+def test_shlwb_iterates_have_the_bits_of_apply_q_hat(p, monkeypatch):
+    """Iterate k of `shlwb_project`, stepped with taus from the schedule's
+    kept list, has the bits of `apply_q_hat(family, k, anchor)` on a family
+    whose equal schedule evaluates its own list: at p != 1 a tau evaluated
+    alone, as a Python float, can differ in its last bit.  The kept list
+    grows as the run reads it, to fewer than twice the steps taken, not to
+    the budget."""
+    fam = Family((Ball([0.0, 0.0], 2.0), Ball([1.0, 0.0], 2.0)), schedule=SteeringSchedule(1.0, 2.0, p))
+    anchor = np.array([5.0, 3.0])
+    steps, run = [], operators.anchored_steps
+
+    def recorded(*args):
+        for y in run(*args):
+            steps.append(y)
+            yield y
+
+    monkeypatch.setattr(operators, "anchored_steps", recorded)
+    shlwb_project(fam, anchor)
+    assert len(fam.schedule._tau_list) < 2 * len(steps) + 1
+    twin = Family(fam.sets, schedule=SteeringSchedule(1.0, 2.0, p))
+    assert len(steps) > 400
+    for k, y in enumerate(steps[:400]):
+        assert np.array(y).tobytes() == apply_q_hat(twin, k, anchor).tobytes()
+
+
 @pytest.mark.parametrize("anchor", [[np.nan, 0.0], [[5.0, 0.0], [0.0, np.inf]]])
 def test_shlwb_rejects_non_finite_anchor(anchor):
     # checked before the first step, not after the 200 000-step budget

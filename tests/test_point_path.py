@@ -214,12 +214,10 @@ def test_batch_at_the_centre_projects_without_a_warning():
         assert same_bits(got[1], np.array(s.project_point(x[1].tolist())))
 
 
-def test_batch_project_compiles_once_per_set(monkeypatch):
+def test_batch_project_compiles_once_per_set(compiled_sources):
     """A set compiles its column function on its first batch and keeps it,
     as it keeps its point function."""
-    sources = []
-    code = sets._code
-    monkeypatch.setattr(sets, "_code", lambda src: sources.append(src) or code(src))
+    sources = compiled_sources
     for s in (Ball([0.5, -1.0], 1.5), Ellipsoid([0.5, -1.0], [2.0, 0.5])):
         for x in (np.array([[4.0, 3.0], [0.0, 0.0]]), np.array([[-2.0, 1.0]]), np.array([1.0, 7.0])):
             s.project(x)
@@ -668,8 +666,8 @@ def test_point_kernel_calls_members_it_does_not_inline(monkeypatch, rng):
 
 
 @pytest.fixture()
-def builds(monkeypatch):
-    """(kernel, family) of every point kernel compiled, in order."""
+def builds(cold_kernels, monkeypatch):
+    """(kernel, family) of every point kernel built, in order."""
     built = []
     for module, kernel, name in ((operators, "steps", "_point_steps"),
                                  (intersection, "dykstra", "_compile_dykstra")):
@@ -740,6 +738,105 @@ def test_families_of_one_shape_share_the_kernel_code():
     assert f1.kernel(build).__code__ is f2.kernel(build).__code__
 
 
+# the kernel builds of a set and of a family, each (head, constants, body)
+SET_BUILDS = (sets._point_projection, sets._column_projection)
+FAMILY_BUILDS = (operators._point_steps, operators._column_steps, intersection._compile_dykstra,
+                 intersection._compile_column_cycle)
+
+
+def kernel_text(build, owner):
+    """The def line, constant names and body lines `build` writes for owner."""
+    head, consts, body = build(owner)
+    return head, tuple(consts), body()
+
+
+def family_of(kinds, n, rng):
+    point = rng.uniform(-3.0, 3.0, n)
+    raw = rng.uniform(0.1, 1.0, len(kinds))
+    return Family(tuple(member_around(rng, k, point) for k in kinds), weights=raw / raw.sum())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 10),
+    st.lists(st.sampled_from([*KINDS, "subball", "checked"]), min_size=1, max_size=3),
+    st.lists(st.sampled_from([*KINDS, "subball", "checked"]), min_size=1, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_objects_of_one_shape_write_one_source(n, kinds, other_kinds, seed):
+    """Two sets or families of one shape, drawn with different data, write
+    the same source and constant names in every build of either form, so
+    `Compiled.kernel` may key code by shape: members of other types, or in
+    another order, key other code."""
+    rng = np.random.default_rng(seed)
+    f1, f2, f3 = family_of(kinds, n, rng), family_of(kinds, n, rng), family_of(other_kinds, n, rng)
+    for build in FAMILY_BUILDS:
+        assert kernel_text(build, f1) == kernel_text(build, f2)
+    for s1, s2 in zip(f1.sets, f2.sets):
+        if isinstance(s1, sets.Compiled):
+            for build in SET_BUILDS:
+                assert kernel_text(build, s1) == kernel_text(build, s2)
+    with mock.patch.object(sets, "_shape_code", {}):
+        for fam in (f1, f2, f3):
+            for build in FAMILY_BUILDS:
+                fam.kernel(build)
+        shapes = 1 if [type(s) for s in f1.sets] == [type(s) for s in f3.sets] else 2
+        assert len(sets._shape_code) == shapes * len(FAMILY_BUILDS)
+
+
+def kernel_results(fam, points):
+    """The outcome of every kernel of the family and its members on points,
+    Dykstra's under a budget of 300 cycles."""
+    out = []
+    for s in fam.sets:
+        out += [("done", np.array(s.project_point(p.tolist()))) for p in points]
+        out.append(("done", s.project(points)))
+    for x in (*points, points):
+        out.append(outcome(apply_q_hat, fam, 6, x))
+        with mock.patch.object(intersection, "REFERENCE_MAX_ITER", 300):
+            out.append(outcome(project_intersection, fam, x))
+    return out
+
+
+@pytest.mark.parametrize("kind", [*KINDS, "subball"])
+def test_a_kernel_bound_from_the_cache_has_the_bits_of_a_cold_one(kind, cold_kernels, rng):
+    """A family of a kind and a ball, and its members, give the same bits
+    from code compiled for them, on an empty cache, and from code compiled
+    for a family of other data and the same shape, on random points."""
+    n = 5
+    points = 4.0 * rng.standard_normal((4, n))
+
+    def family(seed):
+        return family_of([kind, "ball"], n, np.random.default_rng(seed))
+
+    cold = kernel_results(family(1), points)
+    sets._shape_code.clear()
+    kernel_results(family(2), points)
+    shapes = len(sets._shape_code)
+    for got, want in zip(kernel_results(family(1), points), cold, strict=True):
+        same_outcome(got, want)
+    assert len(sets._shape_code) == shapes
+
+
+def test_a_second_family_of_a_known_shape_writes_no_source(compiled_sources, monkeypatch, rng):
+    """Once a family of one shape has run every kernel, a second family of
+    that shape, and its members, call no `point_source` and compile
+    nothing: they bind their constants to the code already compiled."""
+    written = []
+    for cls in (Ball, sets._Affine, Box, Ellipsoid):
+        method = cls.point_source
+        monkeypatch.setattr(cls, "point_source",
+                            lambda self, *args, m=method: written.append(type(self)) or m(self, *args))
+    kinds = ["ellipsoid", "halfspace", "box", "hyperplane", "ball", "subball"]
+    points = 4.0 * rng.standard_normal((3, 4))
+    kernel_results(family_of(kinds, 4, np.random.default_rng(1)), points)
+    assert written and compiled_sources
+    written.clear()
+    compiled_sources.clear()
+    kernel_results(family_of(kinds, 4, np.random.default_rng(2)), points)
+    assert written == [] and compiled_sources == []
+
+
 def test_point_kernel_keeps_the_bits_of_extreme_constants():
     """Subnormal, -0.0 and 1e300 members reach the kernel with their bits."""
     tiny = 5e-324
@@ -760,16 +857,14 @@ def number_literals(source):
     return {t.string for t in tokens if t.type == tokenize.NUMBER}
 
 
-def test_point_kernel_source_holds_no_set_constant(monkeypatch):
+def test_point_kernel_source_holds_no_set_constant(compiled_sources, monkeypatch):
     """Only indices and operators are written into generated source: the
     kernel's number literals are the 0.0 and 1.0 of its formulas, and the
     sources of the Dykstra kernel, of `project_point` and of the list
     distance hold no other.  Each kernel is compiled by
     `sets.compiled_function` on its first use, and a point sweep compiles
     nothing: it runs the steps kernel."""
-    sources = []
-    code = sets._code
-    monkeypatch.setattr(sets, "_code", lambda src: sources.append(src) or code(src))
+    sources = compiled_sources
     members = (Ball([0.25, -0.0], 1.5), Box([0.1, 0.2], [0.3, 0.4]), HalfSpace([3.5, 1.0], 0.75),
                Hyperplane([1.0, 2.0], 0.125), Ellipsoid([0.5, 0.5], [2.0, 3.0]))
     fam = Family(members, weights=[0.3, 0.1, 0.2, 0.15, 0.25])
@@ -1000,7 +1095,7 @@ def test_dykstra_kernel_equals_list_cycles(n, kinds, where, tol, seed):
     same_outcome(got, expected)
 
 
-def test_dykstra_kernel_writes_each_member_once(monkeypatch):
+def test_dykstra_kernel_writes_each_member_once(cold_kernels, monkeypatch):
     """The cycle inlines each member's projection, and the feasibility test
     calls its `project_point`, which is compiled from the same source."""
     calls = []

@@ -128,6 +128,26 @@ def test_non_finite_x0_rejected_before_any_sweep(bad, monkeypatch):
         run_ashlwb(two_ball_problem(), [bad, 0.0])
 
 
+class NanBall(Ball):
+    """A Ball whose point projection is NaN; kernels call it, not inline it."""
+
+    def project_point(self, x):
+        return [np.nan] * len(x)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("label", ["A", "B"])
+def test_a_non_finite_sweep_names_its_family_and_sweep(label, record, monkeypatch):
+    """A sweep that leaves a non-finite point raises at once, whether or not
+    the inner steps are recorded, naming the family and the sweep."""
+    monkeypatch.setattr("bestpair.solver.validate_problem", lambda problem: None)
+    good, bad = Family((Ball([-3.0, 0.0], 1.0),)), Family((NanBall([3.0, 0.0], 1.0),))
+    families = (bad, good) if label == "A" else (good, bad)
+    problem = Problem(*families, options=SolverOptions(record_inner_steps=record))
+    with pytest.raises(ValueError, match=f"^sweep 0 on family {label} gave a non-finite point$"):
+        run_ashlwb(problem)
+
+
 @pytest.mark.parametrize("value", [np.nan, 2.5, 0, True, "200"])
 def test_options_reject_non_integer_max_sweeps(value):
     with pytest.raises(ValueError, match="max_sweeps must be an integer >= 1"):
