@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -86,9 +87,10 @@ def _reject_unknown(record, allowed: set, where: str):
 
 def _parse_family(record, dimension: int, where: str) -> Family:
     _reject_unknown(record, _FAMILY_KEYS, where)
-    if "sets" not in record or not record["sets"]:
+    records = record.get("sets")
+    if not isinstance(records, list) or not records:
         raise ValueError(f"{where} needs a nonempty 'sets' list")
-    sets = tuple(set_from_dict(r) for r in record["sets"])
+    sets = tuple(set_from_dict(r) for r in records)
     for s in sets:
         if s.dim != dimension:
             raise ValueError(f"{where} contains a set of dimension {s.dim}, expected {dimension}")
@@ -206,12 +208,6 @@ def _write_trace_csv(path: str, trace, dim: int):
         fh.write("\n".join(lines) + "\n")
 
 
-def _dump_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_run(problem: Problem, args) -> int:
     problem = _with_overrides(problem, args)
     x0 = None if args.x0 is None else _parse_point(args.x0, "--x0")
@@ -226,8 +222,10 @@ def cmd_run(problem: Problem, args) -> int:
         "sweeps": trace.sweeps,
         "x0_projected": trace.x0_projected,
     }
-    _dump_json(out + ".json", summary)
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    text = json.dumps(summary, indent=2, sort_keys=True)
+    with open(out + ".json", "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    print(text)
     return 0 if trace.terminal == "Converged" else 2
 
 
@@ -345,7 +343,9 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built on the first `main` call and kept."""
     ap = _ArgumentParser(
         prog="bestpair",
         description="Best approximation pair between two disjoint intersections of convex sets.",

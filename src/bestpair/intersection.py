@@ -10,17 +10,19 @@ tol is given; validation and the baseline pass `solver.BASELINE_INNER_TOL`.
 
 A single point runs in its family's Dykstra kernel, one call for the whole
 projection: source written for the family's shape, its member types and
-dimension, like the step kernel of `operators`, bound to the family's
-constants on its first point projection and kept, its code compiled once
-per shape (`sets.Compiled`).  The iterate and every member's
-increment live in scalar locals.  A cycle takes each member's projection,
-an ellipsoid's Newton included, from `sets.point_projection_source`; the
-feasibility test calls the member's `project_point`, compiled from the same
-source, so each member's source is in the kernel once.  The gap and the
-member distances of the stop test come from `sets.square_sum_source`.  These
-are the operations of the cycles on lists through `project_point`, in their
-order, so the result, and the last iterate and gap of an exhausted budget,
-keep their bits.
+dimension, like the step kernel of `operators`, bound on its first point
+projection and kept, its code compiled once per shape (`sets.Compiled`).
+Its values are `sets.member_constants`, the scalar helpers once and each
+member's numbers, and the `inf` and `project_point` of the stop test; the
+batch cycle binds the column helpers and the same numbers.  The iterate
+and every member's increment live in scalar locals.  A cycle takes each
+member's projection, an ellipsoid's Newton included, from
+`sets.point_projection_source`; the feasibility test calls the member's
+`project_point`, compiled from the same source, so each member's source is
+in the kernel once.  The gap and the member distances of the stop test
+come from `sets.square_sum_source`.  These are the operations of the
+cycles on lists through `project_point`, in their order, so the result,
+and the last iterate and gap of an exhausted budget, keep their bits.
 
 A batch runs the same cycle source on columns, bound on the family's
 first batch projection and kept (`_compile_column_cycle`), so a row has the
@@ -41,8 +43,8 @@ import numpy as np
 from .errors import MaxIterExceeded
 from .operators import Family
 from .sets import (
-    REFERENCE_TOL, as_positive, finite_points, point_projection_constants, point_projection_source,
-    row_norm, square_sum_source,
+    REFERENCE_TOL, as_positive, finite_points, member_constants, point_projection_source, row_norm,
+    square_sum_source,
 )
 
 REFERENCE_MAX_ITER = 50_000
@@ -93,7 +95,7 @@ def _compile_dykstra(family: Family):
     takes it, is tested against tol.  The function returns (True, y, gap) on
     success, and (False, y, gap) after `cycles` cycles, with y a list.
     """
-    consts = {**_cycle_constants(family, False), "sqrt": math.sqrt, "inf": math.inf}
+    consts = {**member_constants(family.sets, False), "inf": math.inf}
     consts.update({f"m{i}_project": s.project_point for i, s in enumerate(family.sets)})
 
     def body():
@@ -136,7 +138,7 @@ def _compile_column_cycle(family: Family):
         state, cycle = _cycle_source(family, True)
         return [f"{', '.join(state)}, = state", *cycle, f"return [{', '.join(state)}]"]
 
-    return "def cycle(state):", _cycle_constants(family, True), body
+    return "def cycle(state):", member_constants(family.sets, True), body
 
 
 def _cycle_source(family: Family, columns):
@@ -156,15 +158,6 @@ def _cycle_source(family: Family, columns):
             *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
         ]
     return state, cycle
-
-
-def _cycle_constants(family: Family, columns):
-    """The values that the lines of `_cycle_source` read: each member's,
-    from `sets.point_projection_constants`."""
-    consts = {}
-    for i, s in enumerate(family.sets):
-        consts.update(point_projection_constants(s, f"m{i}_", columns))
-    return consts
 
 
 def _project_rows(family: Family, x, tol):

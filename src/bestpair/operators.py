@@ -42,8 +42,8 @@ import numpy as np
 from .errors import DimensionMismatch, MaxIterExceeded
 from .sets import (
     REFERENCE_TOL, Compiled, as_count, as_number, as_positive, as_vector, column_distance,
-    columns_of, finite_points, max_distance, point_projection_constants, point_projection_source,
-    row_norm, row_sum,
+    columns_of, finite_points, max_distance, member_constants, point_projection_source, row_norm,
+    row_sum,
 )
 
 SHLWB_DEFAULT_TOL = 1e-4
@@ -210,14 +210,12 @@ def _step_function(family: Family, columns):
     the taus of each block it yields [y0, y1, ...].  These are the
     operations of `project_point` and of `weighted_projection`, in their
     order, so the steps keep their bits, and a batch row has the bits of its
-    point.  Weights and set constants are the kernel's constants, never
-    text, so every family of one shape (member types, count and n) shares
-    its code.
+    point.  Weights, and the form's helpers and each member's numbers from
+    `sets.member_constants`, are the kernel's constants, never text, so
+    every family of one shape (member types, count and n) shares its code.
     """
-    consts = {}
-    for i, (w, s) in enumerate(zip(family._weight_list, family.sets)):
-        consts.update(point_projection_constants(s, f"m{i}_", columns))
-        consts[f"w{i}"] = w
+    consts = member_constants(family.sets, columns)
+    consts.update({f"w{i}": w for i, w in enumerate(family._weight_list)})
 
     def body():
         n = family.dim

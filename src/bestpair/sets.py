@@ -8,21 +8,22 @@ monotone Newton from a proven lower bound, to residual <= 1e-12.
 
 Each kind writes its projection once, as `point_source(x, out, k, columns)`:
 lines of Python source that set the locals named in `out` from those named
-in `x`, which depend on the kind and n alone.  Its twin `point_constants(k,
-columns)` gives the values the lines read, the set's constants and helpers,
-by name.  Every name they make starts with `k`, except the helpers.  On
-scalars each name holds a float and the source branches; on columns each
-holds a column x[..., j] of a batch, every row runs the setup, and
-`np.where` keeps the rows that do not move.  Three places switch between
-the forms: `_moved_or_kept`, the box's clamp and the ellipsoid's Newton
-loop.  Both do the same IEEE operations in the same order, so a batch row
-has the bits of its point.  The kinds share `project_point`, an unchecked
-projection of one point given as a list of n floats, which runs the scalar
-source, and `project`, which runs a point (n,) through it and a batch
-(..., n) through the column source.  The kernels of `operators` and
-`intersection` inline either form.  `point_projection_source` and
-`point_projection_constants` are the one place that decides whether a
-kernel inlines a member or calls it.
+in `x`, which depend on the kind and n alone.  Its twin `point_constants(k)`
+gives the values the lines read, the set's numbers by name, the same for
+both forms.  Every name they make starts with `k`, except the form's
+`_HELPERS`, which each kernel binds once.  On scalars each name holds a
+float and the source branches; on columns each holds a column x[..., j] of
+a batch, every row runs the setup, and `np.where` keeps the rows that do
+not move.  Three places switch between the forms: `_moved_or_kept`, the
+box's clamp and the ellipsoid's Newton loop.  Both do the same IEEE
+operations in the same order, so a batch row has the bits of its point.
+The kinds share `project_point`, an unchecked projection of one point
+given as a list of n floats, which runs the scalar source, and `project`,
+which runs a point (n,) through it and a batch (..., n) through the column
+source.  The kernels of `operators` and `intersection` inline either form.
+`point_projection_source` and `point_projection_constants` are the one
+place that decides whether a kernel inlines a member or calls it, and
+`member_constants` is the one loop that binds a family's members.
 
 Code is kept by shape, values by object.  `compiled_function` is the one
 place generated source is compiled and bound: the constants reach the code
@@ -64,7 +65,6 @@ accuracy; `operators.Family.contains` joins them for an intersection.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial, reduce
 from typing import get_args
@@ -165,11 +165,21 @@ def _moved_or_kept(test, setup, moved, out, x, k, columns):
     ]
 
 
+def _check_dual_residual(worst):
+    """EllipsoidRootFindError if `worst`, the largest dual residual of an
+    ellipsoid projection, exceeds `_ELLIPSOID_ROOT_RESIDUAL`."""
+    if worst > _ELLIPSOID_ROOT_RESIDUAL:
+        raise EllipsoidRootFindError(
+            f"dual residual {worst:.3e} after at most {_ELLIPSOID_MAX_ROUNDS} "
+            "Newton rounds; axes may be numerically degenerate"
+        )
+
+
 # the helpers, by name, that `point_source` reads on scalars and on columns
 _HELPERS = {
-    False: {"sqrt": math.sqrt},
+    False: {"sqrt": math.sqrt, "check_residual": _check_dual_residual},
     True: {"sqrt": np.sqrt, "where": np.where, "maximum": np.maximum, "minimum": np.minimum,
-           "largest": np.max,
+           "largest": np.max, "check_residual": _check_dual_residual,
            "quiet": partial(np.errstate, divide="ignore", invalid="ignore", over="ignore")},
 }
 
@@ -322,16 +332,6 @@ def _newton_step(g, s):
     return phi, phi / (2.0 * row_sum(r2 / s))
 
 
-def _check_dual_residual(worst):
-    """EllipsoidRootFindError if `worst`, the largest dual residual of an
-    ellipsoid projection, exceeds `_ELLIPSOID_ROOT_RESIDUAL`."""
-    if worst > _ELLIPSOID_ROOT_RESIDUAL:
-        raise EllipsoidRootFindError(
-            f"dual residual {worst:.3e} after at most {_ELLIPSOID_MAX_ROUNDS} "
-            "Newton rounds; axes may be numerically degenerate"
-        )
-
-
 class Compiled:
     """The kernels of an object, a set or a family: `kernel(build)` is the
     function of `build(self)`, a (head, constants, body) triple, bound on
@@ -385,7 +385,7 @@ def _projection_function(s, columns):
         return [f"{', '.join(x)}, = x", *lines, f"return [{', '.join(out)}]"]
 
     head = "def project_columns(x):" if columns else "def project_point(x):"
-    return head, s.point_constants("k", columns), body
+    return head, {**_HELPERS[columns], **s.point_constants("k")}, body
 
 
 # the builds of a set's two kernels, for `Compiled.kernel`
@@ -429,8 +429,8 @@ class Ball(_PointSource):
             [f"{cj} + {dj} * {k}s" for cj, dj in zip(c, d)], out, x, k, columns,
         )
 
-    def point_constants(self, k, columns):
-        return {**_HELPERS[columns], f"{k}r": self.radius, **_indexed(f"{k}c", self.center.tolist())}
+    def point_constants(self, k):
+        return {f"{k}r": self.radius, **_indexed(f"{k}c", self.center.tolist())}
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
@@ -444,9 +444,9 @@ class Ball(_PointSource):
 class _Affine(_PointSource):
     """A normal vector, whose squared length is neither 0, subnormal nor
     inf, and an offset; its length is kept for `contains`.  Subclasses add
-    a kind, `contains` and `_moves`, the test of the excess <normal, x> -
-    offset against 0 that decides whether `project` moves a point onto
-    <normal, x> = offset."""
+    a kind, `contains` and `_moves`, the comparison operator that
+    `point_source` writes between the excess <normal, x> - offset and 0.0:
+    where it holds, `project` moves a point onto <normal, x> = offset."""
 
     normal: np.ndarray
     offset: float
@@ -476,20 +476,19 @@ class _Affine(_PointSource):
         v = [f"{k}v{j}" for j in range(self.dim)]
         lines = [f"{k}e = {sum_source([f'{xj} * {vj}' for xj, vj in zip(x, v)])} - {k}offset"]
         return lines + _moved_or_kept(
-            f"{k}moves({k}e, 0.0)", [f"{k}s = {k}e / {k}nn"],
+            f"{k}e {self._moves} 0.0", [f"{k}s = {k}e / {k}nn"],
             [f"{xj} - {k}s * {vj}" for xj, vj in zip(x, v)], out, x, k, columns,
         )
 
-    def point_constants(self, k, columns):
-        consts = {f"{k}offset": self.offset, f"{k}moves": self._moves, f"{k}nn": self._nn}
-        return {**_HELPERS[columns], **consts, **_indexed(f"{k}v", self.normal.tolist())}
+    def point_constants(self, k):
+        return {f"{k}offset": self.offset, f"{k}nn": self._nn, **_indexed(f"{k}v", self.normal.tolist())}
 
 
 class HalfSpace(_Affine):
     """Closed half-space {x : <normal, x> <= offset}."""
 
     kind = "halfspace"
-    _moves = operator.gt  # a NaN excess keeps the point
+    _moves = ">"  # a NaN excess keeps the point
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
@@ -501,7 +500,7 @@ class Hyperplane(_Affine):
     """Hyperplane {x : <normal, x> = offset}."""
 
     kind = "hyperplane"
-    _moves = operator.ne  # a NaN excess maps the point to NaN
+    _moves = "!="  # a NaN excess maps the point to NaN
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
@@ -543,10 +542,10 @@ class Box(_PointSource):
         return [f"{o} = {cj} if {v} <= {lj} else ({hj} if {v} >= {hj} else {v})"
                 for o, v, lj, cj, hj in zip(out, x, lo, lc, hi)]
 
-    def point_constants(self, k, columns):
+    def point_constants(self, k):
         lo_clip = np.minimum(np.maximum(self.lo, self.lo), self.hi)
-        return {**_HELPERS[columns], **_indexed(f"{k}lo", self.lo.tolist()),
-                **_indexed(f"{k}lc", lo_clip.tolist()), **_indexed(f"{k}hi", self.hi.tolist())}
+        return {**_indexed(f"{k}lo", self.lo.tolist()), **_indexed(f"{k}lc", lo_clip.tolist()),
+                **_indexed(f"{k}hi", self.hi.tolist())}
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)
@@ -597,24 +596,25 @@ class Ellipsoid(_PointSource):
         step back.  On columns `where` freezes a row's lam from that step on,
         so it recomputes that phi, until no row outside rises.
         """
-        # q_j = z_j / a_j, g_j = z_j * a_j, and in each Newton round
-        # t_j = a_j^2 + lam, u_j = g_j / t_j and r_j = u_j * u_j
+        # q_j = z_j / a_j, g_j = z_j * a_j, and in each Newton round t_j = a_j^2 + lam,
+        # u_j = g_j / t_j, r_j = u_j * u_j and rt = sum r_j / t_j; rt + rt is 2.0 * rt
         n = range(self.dim)
         c, a, aa, z, q, g, t, u, r = ([f"{k}{p}{j}" for j in n] for p in "c a aa z q g t u r".split())
         newton = [line for j in n for line in (
             f"{t[j]} = {aa[j]} + {k}lam", f"{u[j]} = {g[j]} / {t[j]}", f"{r[j]} = {u[j]} * {u[j]}")]
-        r_over_t = sum_source([f"{r[j]} / {t[j]}" for j in n])
-        newton += [f"{k}phi = {sum_source(r)} - 1.0", f"{k}nxt = {k}lam + {k}phi / ({k}two * {r_over_t})"]
+        rt = sum_source([f"{r[j]} / {t[j]}" for j in n])
+        newton += [f"{k}phi = {sum_source(r)} - 1.0", f"{k}rt = {rt}",
+                   f"{k}nxt = {k}lam + {k}phi / ({k}rt + {k}rt)"]
         starts = [f"abs({g[j]}) - {aa[j]}" for j in n]
         if columns:
             start = reduce(lambda left, term: f"maximum({left}, {term})", starts, "0.0")
             newton += [f"{k}up = ({k}nxt > {k}lam) & {k}m", f"{k}lam = where({k}up, {k}nxt, {k}lam)",
                        f"if not {k}up.any():", "    break"]
-            check = f"{k}check(largest(abs({k}phi), where={k}m, initial=0.0))"
+            check = f"check_residual(largest(abs({k}phi), where={k}m, initial=0.0))"
         else:
             start = f"max({', '.join(starts)}, 0.0)"
             newton += [f"if not {k}nxt > {k}lam:", "    break", f"{k}lam = {k}nxt"]
-            check = f"{k}check(abs({k}phi))"
+            check = f"check_residual(abs({k}phi))"
         setup = [*(f"{g[j]} = {z[j]} * {a[j]}" for j in n), f"{k}lam = {start}",
                  f"for {k}i in range({k}rounds):", *(f"    {line}" for line in newton), check]
         lines = [line for j in n for line in (f"{z[j]} = {x[j]} - {c[j]}", f"{q[j]} = {z[j]} / {a[j]}")]
@@ -622,10 +622,9 @@ class Ellipsoid(_PointSource):
                                       [f"{c[j]} + {z[j]} * {aa[j]} / ({aa[j]} + {k}lam)" for j in n],
                                       out, x, k, columns)
 
-    def point_constants(self, k, columns):
+    def point_constants(self, k):
         # the round cap is read here, when a kernel is bound
-        consts = {f"{k}two": 2.0, f"{k}rounds": _ELLIPSOID_MAX_ROUNDS, f"{k}check": _check_dual_residual}
-        return {**_HELPERS[columns], **consts, **_indexed(f"{k}c", self.center.tolist()),
+        return {f"{k}rounds": _ELLIPSOID_MAX_ROUNDS, **_indexed(f"{k}c", self.center.tolist()),
                 **_indexed(f"{k}a", self.axes.tolist()), **_indexed(f"{k}aa", self._a2.tolist())}
 
     def contains(self, x, tol=REFERENCE_TOL):
@@ -697,8 +696,17 @@ def point_projection_constants(s, k, columns):
     `project_point` on scalars, or its `project` on the batch the columns
     stack to."""
     if _inlined(s):
-        return s.point_constants(k, columns)
+        return s.point_constants(k)
     return {f"{k}project": partial(_project_columns, s.project) if columns else s.project_point}
+
+
+def member_constants(members, columns):
+    """The values of a kernel over the sets `members`, by name: the form's
+    helpers, and member i's `point_projection_constants` prefixed `m{i}_`."""
+    consts = dict(_HELPERS[columns])
+    for i, s in enumerate(members):
+        consts.update(point_projection_constants(s, f"m{i}_", columns))
+    return consts
 
 
 def _project_columns(project, columns):

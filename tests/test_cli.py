@@ -166,6 +166,9 @@ REJECTED_FILES = {
     "familyA-int": (("familyA",), 5, "familyA must be an object"),
     "familyA-list": (("familyA",), [BALL_A], "familyA must be an object"),
     "no-sets": (("familyA", "sets"), [], "familyA needs a nonempty 'sets' list"),
+    "sets-int": (("familyA", "sets"), 5, "familyA needs a nonempty 'sets' list"),
+    "sets-object": (("familyA", "sets"), BALL_A, "familyA needs a nonempty 'sets' list"),
+    "sets-string": (("familyA", "sets"), "a", "familyA needs a nonempty 'sets' list"),
     "set-of-dimension-3": (("familyA", "sets", 0, "center"), [0.0, 0.0, 0.0],
                            "familyA contains a set of dimension 3, expected 2"),
     "set-not-an-object": (("familyA", "sets", 0), 5,
@@ -251,6 +254,24 @@ def test_rejected_problem_file_exits_1(case, tmp_path, capsys):
     problem = write(tmp_path, "p.json", mutated(path, value))
     assert main(["run", problem, "--out", str(tmp_path / "t")]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, request):
+    """Two `main` calls in one process construct the top-level parser once:
+    the first call builds it and the second reuses it."""
+    built = []
+
+    class Counting(cli._ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_ArgumentParser", Counting)
+    cli._build_parser.cache_clear()
+    request.addfinalizer(cli._build_parser.cache_clear)
+    missing = str(tmp_path / "missing.json")
+    assert [main(["run", missing]), main(["run", missing])] == [1, 1]
+    assert built.count("bestpair") == 1
 
 
 @pytest.mark.parametrize("family", ["familyA", "familyB"])

@@ -50,12 +50,19 @@
 - The choice between inlining a member's `point_source` and calling the
   member is written once, in `sets.point_projection_source` for the lines
   and `sets.point_projection_constants` for the values they read.  The
-  anchored steps of a point or a batch take them in
+  anchored steps of a point or a batch take the lines in
   `operators._step_function`, and Dykstra's cycle in
-  `intersection._cycle_source` and `_cycle_constants`, which the point
-  kernel and the batch's cycle build on; every kernel of a set or a family
-  is bound by `sets.Compiled.kernel`, through `sets.compiled_function`.
-  The anchored step is compiled under one def line.
+  `intersection._cycle_source`, which the point kernel and the batch's
+  cycle build on; all three kernels take the values from
+  `sets.member_constants`, the one loop that binds a family's members.
+  Every kernel of a set or a family is bound by `sets.Compiled.kernel`,
+  through `sets.compiled_function`.  The anchored step is compiled under
+  one def line.
+- A kind's `point_constants(k)` takes no form and gives only the set's
+  numbers, ints and floats: the form's helpers are bound once per kernel,
+  and what the type decides, the affine comparison and the Newton step's
+  doubling, is written in the source, so `sets` imports no `operator` and
+  no kernel reads a name ending in `moves`, `two` or `check`.
 - Compiled code is kept in one way: `Family` and the five kinds share one
   `kernel` and one `__getstate__`, those of `sets.Compiled`, and the
   package names no `cached_property`, so none holds generated code.
@@ -71,10 +78,12 @@ import sys
 from collections import defaultdict
 from typing import get_args
 
+import numpy as np
 import pytest
 
 import bestpair
-from bestpair.sets import Compiled, ConvexSet
+from bestpair import intersection, operators, sets
+from bestpair.sets import Ball, Box, Compiled, ConvexSet, Ellipsoid, HalfSpace, Hyperplane
 
 MODULES = sorted(pathlib.Path(bestpair.__file__).parent.glob("*.py"))
 TEST_MODULES = sorted(pathlib.Path(__file__).parent.glob("test_*.py"))
@@ -450,6 +459,49 @@ def test_point_kernels_share_one_dispatch():
         "operators.py:_step_function", "operators.py:_step_function.body",
         "intersection.py:_cycle_source",
     }
-    assert constant_dispatchers == {"operators.py:_step_function", "intersection.py:_cycle_constants"}
+    assert constant_dispatchers == {"sets.py:member_constants"}
     # the kernels of sets and families are bound by `Compiled.kernel` alone
     assert compilers == {"sets.py:column_sum", "sets.py:_list_distance", "sets.py:Compiled.kernel"}
+
+
+def one_of_each_kind(n):
+    """A set of each of the five kinds in R^n."""
+    ones = np.ones(n)
+    return (Ball(np.zeros(n), 1.0), HalfSpace(ones, 0.5), Hyperplane(ones, 0.5), Box(-ones, ones),
+            Ellipsoid(np.zeros(n), np.arange(1.0, n + 1.0)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_point_constants_are_the_sets_numbers(n):
+    """Each kind's `point_constants(k)` takes no form and gives ints and
+    floats only: helpers and comparisons are no values of a set."""
+    kinds = one_of_each_kind(n)
+    assert {type(s) for s in kinds} == set(get_args(ConvexSet))
+    for s in kinds:
+        values = s.point_constants("k")
+        assert values and all(name.startswith("k") for name in values)
+        assert {type(v) for v in values.values()} <= {int, float}, type(s).__name__
+
+
+def test_sets_imports_no_operator():
+    tree = parse(pathlib.Path(sets.__file__))
+    assert "operator" not in set(imported_roots(tree))
+
+
+def test_no_kernel_reads_a_per_set_helper(compiled_sources):
+    """The affine comparison, Newton's doubling and the residual check are
+    written in the source or bound once per kernel as a helper: no
+    generated kernel reads a name ending in `moves`, `two` or `check`."""
+    family = bestpair.Family(one_of_each_kind(3))
+    for build in (operators._point_steps, operators._column_steps, intersection._compile_dykstra,
+                  intersection._compile_column_cycle):
+        family.kernel(build)
+    for s in family.sets:
+        s.kernel(sets._point_projection)
+        s.kernel(sets._column_projection)
+    kernels = [source for source in compiled_sources if not source.startswith("def column_sum(")]
+    assert len(kernels) == 4 + 2 * 5
+    names = {node.id for source in kernels for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Name)}
+    assert "check_residual" in names
+    assert not [name for name in names if name.endswith(("moves", "two", "check"))]
