@@ -176,7 +176,9 @@ def _schedule_arg(text: str) -> SteeringSchedule:
 
 
 def _with_overrides(problem: Problem, args) -> Problem:
-    if args.max_sweeps is not None:
+    """The problem with the command's --max-sweeps and --schedule, where it
+    has them and they are given."""
+    if getattr(args, "max_sweeps", None) is not None:
         options = dataclasses.replace(problem.options, max_sweeps=args.max_sweeps)
         problem = dataclasses.replace(problem, options=options)
     if args.schedule is not None:
@@ -230,9 +232,21 @@ def cmd_run(problem: Problem, args) -> int:
 
 
 def cmd_project(problem: Problem, args) -> int:
+    problem = _with_overrides(problem, args)
     fam = problem.family_a if args.family == "A" else problem.family_b
     point = _parse_point(args.point, "--point")
-    y = shlwb_project(fam, point, tol=args.tol)
+    try:
+        y = shlwb_project(fam, point, tol=args.tol)
+    except MaxIterExceeded as exc:
+        # the schedule, not the stop rule, is the usual cause: name it, and
+        # how far the last iterate is from the answer
+        off = max_distance(exc.last, project_intersection(fam, point))
+        s = fam.schedule
+        raise MaxIterExceeded(
+            f"{exc}; with schedule c={s.c:g}, k0={s.k0:g}, p={s.p:g} the last iterate "
+            f"lies {off:.3e} from the reference projection",
+            last=exc.last, gap=exc.gap,
+        ) from exc
     residuals = [float(v) for v in fam.member_distances(y)]
     print(json.dumps({"point": [float(v) for v in y], "member_residuals": residuals}, indent=2))
     return 0
@@ -379,8 +393,10 @@ def _build_parser():
     cmp_.add_argument("--resolution", type=float, default=0.01)
     cmp_.set_defaults(func=cmd_compare)
 
-    for solve in (run, cmp_):  # the overrides `_with_overrides` applies
+    # the overrides `_with_overrides` applies
+    for solve in (run, cmp_):
         solve.add_argument("--max-sweeps", type=int, default=None, dest="max_sweeps")
+    for solve in (run, cmp_, proj):
         solve.add_argument("--schedule", type=_schedule_arg, default=None,
                            help="override both schedules as 'c,k0,p'")
     return ap

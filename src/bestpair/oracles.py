@@ -310,6 +310,10 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
     slack; the per-k grid supremum is reported as the uniform-convergence
     profile.  The grid is checked with `finite_points`, and must hold at
     least one point, before any projection.
+
+    Its memory is one sweep path, (K+1, m, n), and the residuals, (K+1, m),
+    plus the temporaries of one sweep, (m, n): the residuals are measured
+    one sweep at a time, with the bits of `row_norm` on the whole path.
     """
     K = as_count(K, "K", 1)
     pts = np.atleast_2d(finite_points(grid, family.dim, "grid"))
@@ -317,7 +321,9 @@ def dini_monotonicity_check(family: Family, grid, K: int) -> DiniReport:
         raise ValueError("grid must hold at least one point")
     T = project_intersection(family, pts)
     path = q_hat_path(family, K, pts)  # (K+1, m, n): sweep outputs 0..K
-    rs = row_norm(path - T)  # rs[j] = r_{j+1}(x)
+    rs = np.empty(path.shape[:2])  # rs[j] = r_{j+1}(x)
+    for j, sweep in enumerate(path):
+        rs[j] = row_norm(sweep - T)
     excess = rs[2:] - rs[1:-1]  # excess[k-2] = r_{k+1} - r_k, k = 2..K
     violations = [
         {"k": int(j) + 2, "point": int(i), "excess": float(excess[j, i])}

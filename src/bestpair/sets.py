@@ -89,10 +89,15 @@ PAIRWISE_BLOCK = 128
 
 def row_sum(a):
     """Sums along the last axis of an array of shape (..., n): `sum_source`,
-    compiled for n, on the columns `a[..., j]`.  n = 0 gives zeros."""
+    compiled for n, on the columns `a[..., j]`; when a has shape (n,), on
+    its entries as Python floats, as the point path adds, returned as a
+    `np.float64` with the bits of a's row of a (1, n) batch, up to the sign
+    of a NaN, and without numpy's warnings.  n = 0 gives zeros."""
     n = a.shape[-1]
     if not n:
         return np.zeros(a.shape[:-1])
+    if a.ndim == 1:
+        return np.float64(column_sum(n)(*a.tolist()))
     return column_sum(n)(*(a[..., j] for j in range(n)))
 
 
@@ -105,7 +110,10 @@ def column_sum(n):
 
 def row_dot(x, v):
     """Inner products of the rows of x with the vector v along the last axis:
-    `row_sum` of the products, formed one column at a time, `x[..., j] * v_j`."""
+    `row_sum` of the products, formed one column at a time, `x[..., j] * v_j`,
+    or on Python floats when x has shape (n,), as `row_sum` does."""
+    if x.ndim == 1:
+        return np.float64(column_sum(len(v))(*(xj * vj for xj, vj in zip(x.tolist(), v.tolist()))))
     return column_sum(len(v))(*(x[..., j] * vj for j, vj in enumerate(v.tolist())))
 
 
@@ -458,8 +466,7 @@ class _Affine(_PointSource):
         object.__setattr__(self, "offset", as_number(self.offset, "offset"))
         if not np.isfinite(self.offset):
             raise ValueError("offset must be finite")
-        with np.errstate(over="ignore"):
-            nn = float(row_dot(self.normal, self.normal))
+        nn = float(row_dot(self.normal, self.normal))
         # a projection divides by nn, so 0, a subnormal or inf would spoil it
         if not np.finfo(float).tiny <= nn < math.inf:
             raise ValueError(

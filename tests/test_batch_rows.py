@@ -6,14 +6,17 @@ the point path and to numpy's bits.
 bits of `sum_source` evaluated on its floats, the point path, and of
 numpy's `add.reduce` on a C-ordered array, up to the sign of a sum of zeros,
 at every n and in particular around numpy's pairwise splits (8, 128 and
-2 * 128 terms).  `row_norm` must equal `np.linalg.norm` of the C-ordered
-array bit for bit, on any shape (..., n) and any layout.  `Ball.project`
+2 * 128 terms).  A single vector (n,) is added on Python floats, and must
+keep the bits of its row of a (1, n) batch, up to the sign of a NaN,
+without numpy's warnings.  `row_norm` must equal `np.linalg.norm` of the
+C-ordered array bit for bit, on any shape (..., n) and any layout.  `Ball.project`
 runs one column at a time; `broadcast_ball_reference`, the broadcasting
 form it replaced, is kept here so that the new form is held to its bits at
 every n.  A column-major batch
 has the bits of its C-ordered copy.
 """
 
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -105,6 +108,45 @@ def test_row_sum_and_row_dot_follow_the_point_path(d, seed):
             expected = np.array([point_sum(n)(*row) for row in rows], dtype=float)
             assert same_bits(got, expected.reshape(d.shape[:-1]))
             assert same_bits(got + 0.0, np.add.reduce(terms, axis=-1))
+
+
+# entries of a single vector, beside standard normal ones: signed zeros,
+# subnormals, NaN and magnitudes whose sums and products overflow to inf
+SINGLE_VECTOR_ENTRIES = {
+    "signed-zeros": [0.0, -0.0],
+    "subnormals": [5e-324, -5e-324, 2.2e-308, -2.2e-308, 0.0, -0.0],
+    "nan": [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0],
+    "overflow": [1.7e308, -1.7e308, 1e308, 1e200],
+}
+
+
+def same_sum(a, b):
+    """Equal bits, or both NaN: where two NaNs of opposite sign meet, the
+    sum takes the sign of the operand the compiled addition reads first,
+    which CPython's floats and numpy's loops read in different orders."""
+    a, b = np.float64(a), np.float64(b)
+    return a.tobytes() == b.tobytes() or (np.isnan(a) and np.isnan(b))
+
+
+@pytest.mark.parametrize("kind", SINGLE_VECTOR_ENTRIES)
+def test_a_single_vector_sums_as_its_batch_row(kind):
+    """`row_sum` and `row_dot` add a vector (n,) on Python floats: a
+    `np.float64` with the bits of the vector's row of a (1, n) batch, and no
+    warning or exception where numpy warns on the batch."""
+    rng = np.random.default_rng(len(kind))
+    specials = np.array(SINGLE_VECTOR_ENTRIES[kind])
+    for n in range(1, 41):
+        for _ in range(20):
+            a = np.where(rng.random(n) < 0.5, rng.choice(specials, n), rng.standard_normal(n))
+            v = np.where(rng.random(n) < 0.5, rng.choice(specials, n), rng.standard_normal(n))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = row_sum(a), row_dot(a, v)
+            with np.errstate(all="ignore"):
+                expected = row_sum(a[None])[0], row_dot(a[None], v)[0]
+            for g, e in zip(got, expected):
+                assert type(g) is np.float64
+                assert same_sum(g, e), (n, a, v)
 
 
 def broadcast_ball_reference(ball, x):

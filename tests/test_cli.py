@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bestpair import EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli, solver
+from bestpair import (
+    EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli, project_intersection, solver,
+)
 from bestpair.cli import load_problem, main, parse_problem, serialize_problem
+from bestpair.operators import SHLWB_DEFAULT_TOL
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 TWO_BALLS = str(PROBLEMS / "two_balls.json")
@@ -391,6 +394,32 @@ def test_project_budget_exhausted_exits_3(capsys):
     code = main(["project", LENS, "--family", "A", "--point", "5,0", "--tol", "1e-9"])
     assert code == 3
     assert "last gap" in capsys.readouterr().err
+
+
+# lens family A from these starts does not stop within the step budget
+# with the file's c = 0.004, whose anchor pulls too weakly
+LENS_FAR_STARTS = ["-3,0.5", "5,5", "0,3"]
+
+
+@pytest.mark.parametrize("point", LENS_FAR_STARTS)
+def test_project_with_a_schedule_override_converges(point, capsys):
+    code = main(["project", LENS, "--family", "A", f"--point={point}", "--schedule", "1,2,1"])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    family_a = load_problem(LENS).problem.family_a
+    reference = project_intersection(family_a, [float(t) for t in point.split(",")])
+    assert np.linalg.norm(np.array(out["point"]) - reference) <= SHLWB_DEFAULT_TOL
+
+
+@pytest.mark.parametrize("point", LENS_FAR_STARTS)
+def test_project_budget_message_names_the_schedule_and_the_distance(point, capsys):
+    assert main(["project", LENS, "--family", "A", f"--point={point}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: no convergence within 200000 iterations (last gap ")
+    assert "; with schedule c=0.004, k0=2, p=1 the last iterate lies " in err
+    assert err.endswith(" from the reference projection\n")
+    assert err.count("\n") == 1
+    assert float(err.split(" lies ")[1].split()[0]) > SHLWB_DEFAULT_TOL
 
 
 @pytest.mark.parametrize("argv", [

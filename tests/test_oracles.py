@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,8 @@ from bestpair import (
     Box,
     DimensionMismatch,
     Family,
+    HalfSpace,
+    Hyperplane,
     MisclassifiedPoint,
     NoFeasiblePoint,
     PreconditionGapZero,
@@ -22,11 +25,13 @@ from bestpair import (
     fix_set_audit,
     lemma2_surjectivity_probe,
     project_intersection,
+    q_hat_path,
     run_cheney_goldstein,
     separation_check,
     uniqueness_certificate,
 )
 from bestpair import oracles
+from bestpair.sets import row_norm
 from bestpair.solver import IterationTrace
 
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
@@ -311,6 +316,66 @@ def test_dini_scan_matches_the_loop_over_k(monkeypatch, K):
     assert report.violations == violations
     assert report.max_violation == max_violation
     assert np.array_equal(report.profile, rs.max(axis=1))
+
+
+def ten_d_audit(count, K):
+    """A ball of radius 2 in R^10, a half-space whose boundary lies 0.5 from
+    its centre and a hyperplane through the centre, 60 degrees apart, with
+    `count` anchors drawn uniformly from the ball of radius 4 about the
+    centre: the family, the anchors and K."""
+    rng = np.random.default_rng(0)
+    center = rng.normal(0.0, 0.5, 10)
+    frame, _ = np.linalg.qr(rng.normal(size=(10, 2)))
+    h, g = frame[:, 0], 0.5 * frame[:, 0] + np.sqrt(0.75) * frame[:, 1]
+    fam = Family((Ball(center, 2.0), HalfSpace(g, float(g @ center) + 0.5),
+                  Hyperplane(h, float(h @ center))), schedule=SCHED)
+    directions = rng.standard_normal((count, 10))
+    directions /= np.linalg.norm(directions, axis=1, keepdims=True)
+    radii = 4.0 * rng.random(count) ** 0.1
+    return fam, center + directions * radii[:, None], K
+
+
+LENS_A = (Ball([0, 0], 2.0), Ball([1, 0], 2.0))
+LENS_B = (Ball([5, 0], 2.0), Ball([6, 0], 2.0))
+DINI_AUDITS = {
+    "ball-halfspace-hyperplane": lambda: ten_d_audit(200, 30),
+    "lens-A": lambda: (Family(LENS_A, schedule=SCHED), grid_in_ball(8.0, 9), 50),
+    "lens-B": lambda: (Family(LENS_B, schedule=SCHED), grid_in_ball(8.0, 9), 50),
+    # a wedge of two half-spaces cut by a ball: residuals rise at some
+    # anchors for a few sweeps, by up to 1.2e-3
+    "wedge": lambda: (
+        Family((Ball([-0.4, 0.9], 1.0), HalfSpace([-1.0, 0.0], 0.4), HalfSpace([1.0, -0.25], -0.45)),
+               schedule=SteeringSchedule(c=0.1)),
+        grid_in_ball(3.0, 7), 20),
+}
+
+
+@pytest.mark.parametrize("name", DINI_AUDITS)
+def test_dini_report_has_the_bits_of_the_whole_path_residuals(name):
+    # the audit measures one sweep at a time; here the residuals of the
+    # whole path are measured at once, as one (K+1, m, n) array
+    fam, grid, K = DINI_AUDITS[name]()
+    report = dini_monotonicity_check(fam, grid, K)
+    rs = row_norm(q_hat_path(fam, K, grid) - project_intersection(fam, grid))
+    violations, max_violation = loop_scan(rs, K)
+    assert bool(violations) == (name == "wedge")
+    assert report.profile.tobytes() == rs.max(axis=1).tobytes()
+    assert report.violations == violations
+    assert np.float64(report.max_violation).tobytes() == np.float64(max_violation).tobytes()
+
+
+def test_dini_audit_holds_one_copy_of_its_path():
+    fam, grid, K = ten_d_audit(500, 40)
+    path_bytes = (K + 1) * grid.nbytes
+    dini_monotonicity_check(fam, grid, K)  # binds the family's kernels
+    tracemalloc.start()
+    try:
+        dini_monotonicity_check(fam, grid, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the path itself, its (K+1, m) residuals and one sweep's temporaries
+    assert peak <= 1.5 * path_bytes
 
 
 # --- fix_set_audit -----------------------------------------------------------------------
