@@ -287,17 +287,22 @@ def is_number(x):
 
 
 def as_number(value, what):
-    """float(value), or ValueError naming `what` unless `is_number(value)`."""
+    """float(value), or ValueError naming `what` unless `is_number(value)` and
+    a float can hold it: an integer past the largest float is refused, not
+    rounded to inf."""
     if not is_number(value):
         raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} must be a number within the float range, got an integer too large") from None
 
 
 def as_positive(value, what):
-    """float(value), or ValueError naming `what` unless positive and finite."""
+    """`as_number(value)`, or ValueError naming `what` unless positive and finite."""
     if not (is_number(value) and 0 < value < math.inf):
         raise ValueError(f"{what} must be positive and finite, got {value!r}")
-    return float(value)
+    return as_number(value, what)
 
 
 def as_count(value, what, least):
@@ -312,7 +317,10 @@ def as_vector(v, what):
     entries = np.asarray(v, dtype=object)
     if not all(map(is_number, entries.flat)):
         raise ValueError(f"{what} must be numbers, got {v!r}")
-    v = entries.astype(float)
+    try:
+        v = entries.astype(float)
+    except OverflowError:
+        raise ValueError(f"{what} must be numbers within the float range, got an integer too large") from None
     if v.ndim != 1 or v.size < 1:
         raise ValueError(f"{what} must be a 1-d vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -406,6 +414,21 @@ def _indexed(prefix, values):
     return {f"{prefix}{j}": v for j, v in enumerate(values)}
 
 
+def _square_limit(r):
+    """The largest float t with sqrt(t) <= r, for r positive and finite, or
+    the largest finite float when the square root of every finite float is
+    at most r.  sqrt is correctly rounded, so monotone: for every float q,
+    NaN and inf included, sqrt(q) > r exactly when q > t.  t starts from
+    r * r and moves by `math.nextafter` steps, a few at most."""
+    top = float(np.finfo(float).max)
+    t = min(r * r, top)
+    while math.sqrt(t) > r:
+        t = math.nextafter(t, 0.0)
+    while t < top and math.sqrt(math.nextafter(t, math.inf)) <= r:
+        t = math.nextafter(t, math.inf)
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class Ball(_PointSource):
     """Closed ball {x : ||x - center|| <= radius}."""
@@ -420,6 +443,7 @@ class Ball(_PointSource):
         object.__setattr__(self, "center", as_vector(self.center, "center"))
         radius = as_positive(as_number(self.radius, "radius"), "radius")
         object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "_t", _square_limit(radius))
 
     @property
     def dim(self):
@@ -427,18 +451,21 @@ class Ball(_PointSource):
 
     def point_source(self, x, out, k, columns):
         # scale x - center back to the radius where it is longer; a point at
-        # the centre, of length 0, is kept
+        # the centre, of length 0, is kept.  The length sqrt(q) exceeds r
+        # exactly when q exceeds t = `_square_limit(r)`, so only a point that
+        # moves takes the square root.
         c = [f"{k}c{j}" for j in range(self.dim)]
         d = [f"{k}d{j}" for j in range(self.dim)]
         lines = [f"{dj} = {v} - {cj}" for dj, v, cj in zip(d, x, c)]
-        lines.append(f"{k}n = sqrt({square_sum_source(d)})")
+        lines.append(f"{k}q = {square_sum_source(d)}")
         return lines + _moved_or_kept(
-            f"{k}n > {k}r", [f"{k}s = {k}r / {k}n"],
+            f"{k}q > {k}t", [f"{k}s = {k}r / sqrt({k}q)"],
             [f"{cj} + {dj} * {k}s" for cj, dj in zip(c, d)], out, x, k, columns,
         )
 
     def point_constants(self, k):
-        return {f"{k}r": self.radius, **_indexed(f"{k}c", self.center.tolist())}
+        return {f"{k}r": self.radius, f"{k}t": self._t,
+                **_indexed(f"{k}c", self.center.tolist())}
 
     def contains(self, x, tol=REFERENCE_TOL):
         x = as_points(x, self.dim)

@@ -7,6 +7,13 @@ for the next even iterate.  Under the convergence hypotheses the odd iterates
 tend to a point of A, the even iterates to a point of B, and the pair attains
 dist(A, B).  A classical alternating-projection baseline and a problem
 validator live here as well.
+
+A run stops when its pair passes a convergence test on the residuals of
+the Dykstra reference projection (`intersection.project_intersection`).
+That projection ends within REFERENCE_TOL of every member, so a member
+that lies farther from an iterate than the test's bound, plus a margin,
+proves that the test fails: such a test runs no projection, and the
+projections run only on the sweeps that could stop (`_stop_test`).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import (
 )
 from .intersection import project_intersection
 from .operators import Family, point_sweep, q_hat_path
-from .sets import as_count, as_positive, max_distance, row_norm
+from .sets import REFERENCE_TOL, as_count, as_positive, max_distance, row_norm
 
 DISJOINTNESS_TOL = 1e-6
 # Accuracy of the baseline's inner projections and its outer-iteration budget
@@ -36,6 +43,10 @@ BASELINE_MAX_OUTER = 10_000
 # fixed_point_tol; a unit factor would leave the trailing-sweep gaps exactly
 # at their acceptance bound.
 _STOP_RESIDUAL_FACTOR = 0.5
+# A stop test is refuted without Dykstra when a member lies farther from its
+# iterate than the residual bound plus 2 * REFERENCE_TOL plus this rounding
+# allowance per unit of the iterates' largest |coordinate| (`_stop_test`).
+_REFUTATION_ROUNDING = 1e-12
 
 
 @dataclass(frozen=True)
@@ -225,11 +236,15 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     x^{2r+1} from family A anchored at x^{2r}, then x^{2r+2} from family B
     anchored at x^{2r+1}.  Stops Converged when consecutive odd-iterate and
     even-iterate changes fall below pair_gap_tol and the mutual-projection
-    residuals fall below fixed_point_tol/2, else MaxSweeps.  A non-finite x0
-    is rejected with ValueError before any work is done, and a problem that
-    fails `validate_problem` with ProblemValidationError.  The iterates are
-    lists, each sweep one `point_sweep`, and a sweep that leaves a
-    non-finite point raises ValueError naming its family and sweep.
+    residuals fall below fixed_point_tol/2, else MaxSweeps; `_stop_test`
+    measures the residuals with Dykstra only where member distances cannot
+    refute them.  A non-finite x0 is rejected with ValueError before any
+    work is done, and a problem that fails `validate_problem` with
+    ProblemValidationError.  An x0 outside B[0, rho] starts at its radial
+    projection onto it, measured as x0 / max|x0| when its squared norm
+    overflows.  The iterates are lists, each sweep one `point_sweep`, and a
+    sweep that leaves a non-finite point raises ValueError naming its family
+    and sweep.
     """
     if x0 is None:
         x0 = np.zeros(problem.dim)
@@ -239,13 +254,20 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     validate_problem(problem)
-    norm = float(row_norm(x0))
-    projected = norm > problem.rho
+    with np.errstate(over="ignore"):
+        norm = float(row_norm(x0))
+    unit, top = x0, 1.0
+    if norm == math.inf:  # the squares overflow: measure x0 / max|x0| instead
+        top = float(np.max(np.abs(x0)))
+        unit = x0 / top
+        norm = float(row_norm(unit))
+    projected = norm > problem.rho / top
     if projected:  # start inside B[0, rho]
-        x0 = x0 * (problem.rho / norm)
+        x0 = unit * (problem.rho / norm)
 
     opts = problem.options
     fam_a, fam_b = problem.family_a, problem.family_b
+    bound = _STOP_RESIDUAL_FACTOR * opts.fixed_point_tol
 
     entries = []
     odd_prev = even_prev = None
@@ -261,13 +283,34 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
             d_odd = max_distance(x_odd, odd_prev)
             d_even = max_distance(x_even, even_prev)
             if d_odd <= opts.pair_gap_tol and d_even <= opts.pair_gap_tol:
-                ra = max_distance(x_odd, project_intersection(fam_a, x_even))
-                rb = max_distance(x_even, project_intersection(fam_b, x_odd))
-                if max(ra, rb) <= _STOP_RESIDUAL_FACTOR * opts.fixed_point_tol:
+                if _stop_test(fam_a, fam_b, x_odd, x_even, bound):
                     terminal = "Converged"
                     break
         odd_prev, even_prev = x_odd, x_even
     return IterationTrace(x0=x0, x0_projected=projected, entries=entries, terminal=terminal)
+
+
+def _stop_test(fam_a: Family, fam_b: Family, x_odd, x_even, bound) -> bool:
+    """Whether ra = ||x_odd - P_A x_even|| and rb = ||x_even - P_B x_odd||,
+    with P the reference projection, are both at most `bound`.
+
+    Dykstra returns p = P_A x_even only once p lies within REFERENCE_TOL of
+    every member C_i of A, so ra >= dist(x_odd, C_i) - REFERENCE_TOL, and
+    likewise rb with the members of B and x_even.  The test is refuted, and
+    neither projection runs, when some member of A lies farther than
+    bound + margin from x_odd, or some member of B that far from x_even,
+    where margin = 2 * REFERENCE_TOL + _REFUTATION_ROUNDING * the largest
+    |coordinate| of x_odd and x_even covers the rounding of both distances.
+    A test the members cannot refute runs both projections, so every
+    decision is the one the projections alone would make."""
+    far = bound + 2 * REFERENCE_TOL + _REFUTATION_ROUNDING * max(map(abs, x_odd + x_even))
+    # each member's distance by its own projection, up to the first that refutes
+    if any(max_distance(x, s.project_point(x)) > far
+           for family, x in ((fam_a, x_odd), (fam_b, x_even)) for s in family.sets):
+        return False
+    ra = max_distance(x_odd, project_intersection(fam_a, x_even))
+    rb = max_distance(x_even, project_intersection(fam_b, x_odd))
+    return max(ra, rb) <= bound
 
 
 def _sweep(family: Family, label, r, anchor, record):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bestpair import (
-    EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli, project_intersection, solver,
+    EllipsoidRootFindError, MaxIterExceeded, SamplingFailure, cli, project_intersection, run_ashlwb,
+    solver,
 )
 from bestpair.cli import load_problem, main, parse_problem, serialize_problem
 from bestpair.operators import SHLWB_DEFAULT_TOL
@@ -157,6 +158,7 @@ def test_serialize_matches_schema():
 DELETE = object()
 BALL_A = {"type": "ball", "center": [0.0, 0.0], "radius": 1.0}
 NAN, INF = float("nan"), float("inf")
+HUGE_INT = 10**400
 
 # id: (path into two_balls.json, the value put there or DELETE, the error it
 # causes); an empty path replaces the whole document
@@ -234,6 +236,19 @@ REJECTED_FILES = {
     "weights-bool": (("familyA", "weights"), [True], "weights must be numbers, got [True]"),
     "weights-numeric-strings": (("familyA", "weights"), ["1"],
                                 "weights must be numbers, got ['1']"),
+    # a 401-digit integer literal is a JSON number no float can hold
+    "radius-401-digits": (("familyA", "sets", 0, "radius"), HUGE_INT,
+                          "radius must be a number within the float range, got an integer too large"),
+    "center-401-digits": (("familyA", "sets", 0, "center"), [HUGE_INT, 0],
+                          "center must be numbers within the float range, got an integer too large"),
+    "offset-401-digits": (
+        ("familyA", "sets"), [BALL_A, {"type": "halfspace", "normal": [1.0, 0.0], "offset": HUGE_INT}],
+        "offset must be a number within the float range, got an integer too large"),
+    "k0-401-digits": (("familyA", "schedule", "k0"), HUGE_INT,
+                      "k0 must be a number within the float range, got an integer too large"),
+    "fixed_point_tol-401-digits": (
+        ("options",), {"fixed_point_tol": HUGE_INT},
+        "fixed_point_tol must be a number within the float range, got an integer too large"),
 }
 
 
@@ -436,6 +451,32 @@ def test_non_finite_point_exits_1(argv, capsys):
     err = capsys.readouterr().err
     option = "--x0" if argv[0] == "run" else "--point"
     assert err.startswith(f"error: {option} ") and "finite" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("path", [TWO_BALLS, LENS, BOXES])
+def test_desk_run_makes_13_reference_projections(path, tmp_path, monkeypatch, capsys):
+    """A `run` on a desk file projects onto an intersection 13 times: in
+    validation, in the stop tests that member distances cannot refute, and
+    for the pair's residuals."""
+    calls = []
+    monkeypatch.setattr(solver, "project_intersection",
+                        lambda *args, **kw: calls.append(1) or project_intersection(*args, **kw))
+    assert main(["run", path, "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 13
+
+
+def test_huge_x0_starts_on_the_sphere_of_radius_rho(tmp_path, capsys):
+    """An --x0 whose squared norm overflows starts within a few ulps of
+    rho * x0 / ||x0||, as an ordinary far start does, and numpy warns of no
+    overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", TWO_BALLS, "--x0", "1e308,1e308", "--out", str(tmp_path / "t")]) == 0
+    assert json.loads(capsys.readouterr().out)["x0_projected"]
+    problem = load_problem(TWO_BALLS).problem
+    start = run_ashlwb(problem, [1e308, 1e308]).x0
+    expected = problem.rho / np.sqrt(2.0) * np.ones(2)
+    assert np.all(np.abs(start - expected) <= 4 * np.spacing(expected))
 
 
 # an infinite resolution gives the oracle one grid cell that an infinite slack

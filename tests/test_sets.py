@@ -57,6 +57,38 @@ def test_ball_projection_radial():
     assert np.allclose(Ball([0, 0], 1).project(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-14)
 
 
+MAX_FLOAT = float(np.finfo(float).max)
+
+
+def assert_square_limit(r):
+    """A ball's t is the largest float whose square root is at most r, so
+    sqrt(q) > r exactly when q > t, for q around t, 0, inf and NaN."""
+    t = Ball([0.0], r)._t
+    assert math.sqrt(t) <= r
+    assert t == MAX_FLOAT or math.sqrt(math.nextafter(t, math.inf)) > r
+    near = [t]
+    for _ in range(3):
+        near += [math.nextafter(near[0], 0.0), math.nextafter(near[-1], math.inf)]
+    for q in [*near, 0.0, r * r, math.inf, math.nan]:
+        assert (math.sqrt(q) > r) == (q > t), q
+
+
+@pytest.mark.parametrize("r", [
+    1.0, 2.0, 0.1,
+    1e-160, 1e-155,  # r * r is subnormal
+    1e-170, 5e-324,  # r * r is 0
+    1.35e154, 1e200, MAX_FLOAT,  # sqrt(MAX_FLOAT) <= r: t is MAX_FLOAT
+])
+def test_ball_square_limit(r):
+    assert_square_limit(r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(min_value=5e-324, max_value=MAX_FLOAT))
+def test_ball_square_limit_random_radius(r):
+    assert_square_limit(r)
+
+
 def test_halfspace_interior_point_fixed():
     hs = HalfSpace([0, 1], 0.0)
     x = np.array([5.0, -2.0])

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from bestpair import (
@@ -11,6 +11,8 @@ from bestpair import (
     Ellipsoid,
     Family,
     HalfSpace,
+    Hyperplane,
+    MaxIterExceeded,
     MaxOuterExceeded,
     Problem,
     ProblemValidationError,
@@ -19,6 +21,7 @@ from bestpair import (
     TraceTooShort,
     extract_best_pair,
     intersection,
+    operators,
     run_ashlwb,
     run_cheney_goldstein,
     solver,
@@ -439,3 +442,145 @@ def test_boxes_instance_terminates_with_flat_faces(boxes_parsed):
     assert abs(pair.gap - 2.0) <= 1e-3
     assert pair.a[0] == pytest.approx(1.0, abs=1e-3)
     assert pair.b[0] == pytest.approx(3.0, abs=1e-3)
+
+
+# --- the stop test refuted from member distances ---------------------------------
+
+
+MEMBER_KINDS = ["ball", "halfspace", "hyperplane", "box", "ellipsoid"]
+
+
+@st.composite
+def member_around(draw, z):
+    """A set of one of the five kinds that holds the point z (up to rounding
+    for a hyperplane through it)."""
+    n = z.size
+    kind = draw(st.sampled_from(MEMBER_KINDS))
+    v = draw(vectors(n, st.floats(-3.0, 3.0)))
+    if kind == "ball":
+        return Ball(z + v, float(np.linalg.norm(v)) + draw(st.floats(0.1, 3.0)))
+    if kind == "box":
+        return Box(z - draw(vectors(n, st.floats(0.1, 3.0))), z + draw(vectors(n, st.floats(0.1, 3.0))))
+    if kind == "ellipsoid":
+        axes = draw(vectors(n, st.floats(0.5, 3.0)))
+        level = float(np.sum((v / axes) ** 2))
+        return Ellipsoid(z + v, axes * max(1.0, 1.5 * np.sqrt(level)))
+    normal = draw(vectors(n).filter(lambda w: np.linalg.norm(w) > 0.1))
+    if kind == "halfspace":
+        return HalfSpace(normal, float(normal @ z) + draw(st.floats(0.0, 3.0)))
+    return Hyperplane(normal, float(normal @ z))
+
+
+@st.composite
+def family_and_two_points(draw):
+    """A family of 2 or 3 members around a shared point z, a point y and a
+    point x, each up to about 1e3 from z; x is y's reference projection
+    onto the family when the last draw is true."""
+    n = draw(st.integers(1, 4))
+    z = draw(vectors(n))
+    members = draw(st.lists(member_around(z), min_size=2, max_size=3))
+    x, y = (z + draw(st.sampled_from([1.0, 10.0, 1e3])) * draw(vectors(n, st.floats(-1.0, 1.0)))
+            for _ in range(2))
+    return Family(tuple(members), schedule=SCHED), x.tolist(), y.tolist(), draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(family_and_two_points())
+def test_member_distances_never_refute_a_stop_test_the_projections_pass(case):
+    """With ra = ||x - P y||, P the reference projection onto the family, a
+    stop test at the bound ra passes: no member lies farther from x than ra
+    plus the margin.  B is the single point y, so that rb = 0.  At x = P y,
+    ra = 0, and a member that P's result lies just outside of is within the
+    margin."""
+    family, x, y, at_projection = case
+    try:
+        p = intersection.project_intersection(family, y)
+    except MaxIterExceeded:  # no projection to bound: a far point can stall Dykstra
+        reject()
+    if at_projection:
+        x = p.tolist()
+    point_y = Family((Box(y, y),), schedule=SCHED)
+    assert solver._stop_test(family, point_y, x, y, solver.max_distance(x, p))
+
+
+def reference_run(problem):
+    """The sweep loop of `run_ashlwb` from the origin with both reference
+    projections on every stop test; returns (terminal, iterates, number of
+    reference projections)."""
+    opts = problem.options
+    fam_a, fam_b = problem.family_a, problem.family_b
+    x, iterates, prev, projections = [0.0] * problem.dim, [], None, 0
+    for r in range(opts.max_sweeps):
+        x_odd = operators.point_sweep(fam_a, r, x)
+        x_even = operators.point_sweep(fam_b, r, x_odd)
+        iterates += [x_odd, x_even]
+        if prev is not None and (solver.max_distance(x_odd, prev[0]) <= opts.pair_gap_tol
+                                 and solver.max_distance(x_even, prev[1]) <= opts.pair_gap_tol):
+            ra = solver.max_distance(x_odd, intersection.project_intersection(fam_a, x_even))
+            rb = solver.max_distance(x_even, intersection.project_intersection(fam_b, x_odd))
+            projections += 2
+            if max(ra, rb) <= 0.5 * opts.fixed_point_tol:
+                return "Converged", iterates, projections
+        prev, x = (x_odd, x_even), x_even
+    return "MaxSweeps", iterates, projections
+
+
+def ellipsoid_problem(seed, n=20):
+    """Two ellipsoid-and-half-space families in R^n, ellipsoid tips 3 apart
+    along coordinate 0, each half-space cutting away the far side."""
+    rng = np.random.default_rng(seed)
+    center = rng.normal(0.0, 0.3, n)
+
+    def family(c, toward):
+        axes = rng.uniform(1.0, 2.0, n)
+        axes[0] = 2.0
+        normal = np.concatenate([[-toward], rng.normal(0.0, 0.1, n - 1)])
+        return Family((Ellipsoid(c, axes), HalfSpace(normal, float(normal @ c) + 1.0)), schedule=SCHED)
+
+    opts = SolverOptions(pair_gap_tol=3e-3, fixed_point_tol=3e-3)
+    return Problem(family(center, 1.0), family(center + 7.0 * np.eye(n)[0], -1.0), opts)
+
+
+RIM_B = Family((Ball([4.0, 0.0], 1.0),), schedule=SCHED)
+RIM_PROBLEMS = {
+    # the pair sits where the ball meets both half-spaces: MaxSweeps at 400
+    "ball-and-two-halfspaces": (
+        Problem(Family((Ball([0.0, 0.0], 2.0), HalfSpace([1.0, -1.0], 1.0),
+                        HalfSpace([1.0, 1.0], 1.0)), schedule=SCHED),
+                RIM_B, SolverOptions(max_sweeps=400)),
+        "MaxSweeps", 400),
+    # the lens corner faces B: Converged at 307
+    "lens-corner": (
+        Problem(Family((Ball([0.0, 1.5], 2.0), Ball([0.0, -1.5], 2.0)), schedule=SCHED),
+                RIM_B, SolverOptions(max_sweeps=400)),
+        "Converged", 307),
+}
+
+
+def identity_problem(case, request):
+    if case in RIM_PROBLEMS:
+        return RIM_PROBLEMS[case][0]
+    if case.startswith("ellipsoid-"):
+        return ellipsoid_problem(int(case[len("ellipsoid-"):]))
+    return request.getfixturevalue(case).problem
+
+
+@pytest.mark.parametrize("case", [*DESK_FIXTURES, "ellipsoid-1", "ellipsoid-2", *RIM_PROBLEMS])
+def test_refuted_stop_tests_keep_every_decision(case, request, monkeypatch):
+    """`run_ashlwb` ends in the terminal state and at the sweep of the loop
+    that projects on every stop test, with the bits of each of its iterates,
+    and makes fewer reference projections."""
+    problem = identity_problem(case, request)
+    terminal, iterates, projections = reference_run(problem)
+    calls = []
+    monkeypatch.setattr(solver, "project_intersection",
+                        lambda *args, **kw: calls.append(1) or intersection.project_intersection(*args, **kw))
+    validate_problem(problem)
+    validation = len(calls)
+    calls.clear()
+    trace = run_ashlwb(problem)
+    assert (trace.terminal, trace.sweeps) == (terminal, len(iterates) // 2)
+    assert np.array([e.x for e in trace.entries]).tobytes() == np.array(iterates).tobytes()
+    if case in RIM_PROBLEMS:
+        assert (terminal, trace.sweeps) == RIM_PROBLEMS[case][1:]
+    assert len(calls) - validation < projections
