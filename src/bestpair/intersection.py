@@ -8,42 +8,38 @@ iteration cannot reach in reasonable time (its residual decays like tau_k).
 Its accuracy is the package's one accuracy, `sets.REFERENCE_TOL`, unless a
 tol is given; validation and the baseline pass `solver.BASELINE_INNER_TOL`.
 
-A single point runs in its family's Dykstra kernel, one call for the whole
-projection: source written for the family's shape, its member types and
-dimension, like the step kernel of `operators`, bound on its first point
-projection and kept, its code compiled once per shape (`sets.Compiled`).
-Its values are `sets.member_constants`, the scalar helpers once and each
-member's numbers, and the `inf` and `project_point` of the stop test; the
-batch cycle binds the column helpers and the same numbers.  The iterate
-and every member's increment live in scalar locals.  A cycle takes each
-member's projection, an ellipsoid's Newton included, from
-`sets.point_projection_source`; the feasibility test calls the member's
-`project_point`, compiled from the same source, so each member's source is
-in the kernel once.  The gap and the member distances of the stop test
-come from `sets.square_sum_source`.  These are the operations of the
-cycles on lists through `project_point`, in their order, so the result,
-and the last iterate and gap of an exhausted budget, keep their bits.
-
-A batch runs the same cycle source on columns, bound on the family's
-first batch projection and kept (`_compile_column_cycle`), so a row has the
-bits of its point, and its feasibility is `Family.member_distances`.  Its
-Dykstra state is one C-ordered array of shape (n*(L+1), rows): the columns
-of y, then those of each member's increment.  A row retires once its whole
-state keeps its bits over one cycle: every later cycle would repeat those
-bits, so the row is final.  It is written to the result, and one
-compression of the state drops it from the later cycles.
+Dykstra is one kernel in two forms, `dykstra(state, tol, left)`, written
+for the family's shape like the step kernel of `operators`, bound on first
+use and kept, its code compiled once per shape (`sets.Compiled`).  It
+binds `sets.member_constants` and, on scalars, the `isfinite` of its guard.
+Its state is the iterate and every member's increment, scalar locals on a
+point and columns on a batch.  A cycle takes each member's projection, an
+ellipsoid's Newton included, from `sets.point_projection_source`, and the
+gap from `sets.square_sum_source`: the operations of the cycles on lists
+through `project_point`, in their order, so a result, the last iterate and
+gap of an exhausted budget, and a batch row keep the bits of that loop.
+The kernel only cycles; its callers hold the exit test, the budget and the
+check that the iterate stays finite.  A point runs the budget in one call,
+or more when `Family.within` rejects the iterate of a small gap.  A batch
+runs one cycle a call, and its exit test is `Family.member_distances`.  Its
+state is one C-ordered array of shape (n*(L+1), rows), the columns of y and
+then of each member's increment.  A row retires once its whole state keeps
+its bits over one cycle: every later cycle would repeat them.  It is
+written to the result, and one compression of the state drops it from the
+later cycles.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
 from .errors import MaxIterExceeded
 from .operators import Family
 from .sets import (
-    REFERENCE_TOL, as_positive, finite_points, member_constants, point_projection_source, row_norm,
+    REFERENCE_TOL, as_positive, finite_points, member_constants, point_projection_source,
     square_sum_source,
 )
 
@@ -54,116 +50,93 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     """Project x onto the intersection of a Family's members.
 
     Takes a point of shape (n,) or a batch (..., n); the result is an array
-    of the same shape.  A single point runs in the family's Dykstra kernel
-    (see `_compile_dykstra`), with the increments, gap and feasibility test
-    of the batch path on scalars.  Stops when the per-cycle displacement and
-    the worst member distance both fall below tol, within REFERENCE_MAX_ITER
-    cycles.  A batch retires each row once its state keeps its bits over a
-    cycle; a retired row adds 0 to the displacement, and the member
-    distances are measured on the whole batch.  Every row keeps the bits of
-    a batch that cycles all rows.
-    A single-member family short-circuits to the member's exact projection,
-    `project_point` for a single point and `project` for a batch.
-    A tol that is not positive and finite raises ValueError, an x of the
-    wrong dimension DimensionMismatch, and a non-finite x ValueError, all
-    before any cycle; on an exhausted budget, MaxIterExceeded carries the
-    last iterate in x's shape.
+    of the same shape.  Both run the family's Dykstra kernel
+    (`_dykstra_function`) and stop once a cycle moves the iterate at most
+    tol and `Family.within`, or on a batch `Family.member_distances`, finds
+    it within tol of every member, within REFERENCE_MAX_ITER cycles.  A
+    batch retires each row once its state keeps its bits over a cycle, and
+    every row keeps the bits of a batch that cycles all rows.  A
+    single-member family short-circuits to the member's exact projection.
+    A tol that is not positive and finite, or a non-finite x, raises
+    ValueError and an x of the wrong dimension DimensionMismatch, before
+    any cycle; an iterate that leaves the float range raises ValueError; on
+    an exhausted budget, MaxIterExceeded carries the last iterate in x's
+    shape.
     """
     as_positive(tol, "tol")
     sets = family.sets
     x = finite_points(x, family.dim, "x")
     if x.ndim > 1:
-        return sets[0].project(x) if len(sets) == 1 else _project_rows(family, x, tol)
+        return _finite(sets[0].project(x)) if len(sets) == 1 else _project_rows(family, x, tol)
     if len(sets) == 1:
-        return np.asarray(sets[0].project_point(x.tolist()))
+        return _finite(np.asarray(sets[0].project_point(x.tolist())))
 
-    done, y, gap = family.kernel(_compile_dykstra)(x.tolist(), tol, REFERENCE_MAX_ITER)
-    if not done:
-        raise _budget_exhausted(np.asarray(y), gap)
-    return np.asarray(y)
+    n, dykstra = family.dim, family.kernel(_point_dykstra)
+    state, gap, left = x.tolist() + [0.0] * (n * len(sets)), math.inf, REFERENCE_MAX_ITER
+    while left:
+        state, gap, left = dykstra(state, tol, left)
+        if not math.isfinite(gap):
+            _finite(state[:n])
+        if gap <= tol and family.within(state[:n], tol):
+            return np.asarray(state[:n])
+    raise _budget_exhausted(np.asarray(state[:n]), gap)
 
 
-def _compile_dykstra(family: Family):
-    """The kernel dykstra(x, tol, cycles) of `project_intersection` on one
-    point, written as source for this family's shape.
+def _dykstra_function(family: Family, columns):
+    """The kernel dykstra(state, tol, left) of `project_intersection`:
+    Dykstra's cycles, written as source for this family's shape, on a
+    point's scalars or a batch's columns.
 
-    x is a list of n floats, the start of the iterate y0, y1, ...; member i's
-    increment is in i{i}_0, i{i}_1, ....  A cycle is `_cycle_source`, and the
-    gap is the distance of y from the iterate before the cycle.  When the gap
-    is at most tol, the largest distance from y to its projection onto a
-    member, by the member's `project_point` and taken as Python's `max`
-    takes it, is tested against tol.  The function returns (True, y, gap) on
-    success, and (False, y, gap) after `cycles` cycles, with y a list.
+    state is Dykstra's whole state, n floats or columns of the iterate
+    y0, y1, ..., then member i's increment i{i}_0, i{i}_1, ....  The loop
+    runs at most left >= 1 cycles: for each member, z = y - inc, y = P(z),
+    from `sets.point_projection_source`, and inc = y - z; the gap is the
+    distance of y from the iterate before the cycle, by `square_sum_source`.
+    On scalars the loop also ends after a cycle whose gap is at most tol or
+    not finite.  It returns (state, gap, cycles left), the state a list.
     """
-    consts = {**member_constants(family.sets, False), "inf": math.inf}
-    consts.update({f"m{i}_project": s.project_point for i, s in enumerate(family.sets)})
+    consts = member_constants(family.sets, columns)
+    if not columns:
+        consts["isfinite"] = math.isfinite
 
     def body():
         n = family.dim
-        state, cycle = _cycle_source(family, False)
-        y, p, f, d = ([f"{c}{j}" for j in range(n)] for c in "ypfd")
-        feasible = []
-        for i in range(len(family.sets)):
-            feasible += [
-                f"{', '.join(f)}, = m{i}_project([{', '.join(y)}])",
-                *(f"{dj} = {yj} - {fj}" for dj, yj, fj in zip(d, y, f)),
-                f"dist = sqrt({square_sum_source(d)})",
-                "feas = dist" if i == 0 else "if dist > feas: feas = dist",
+        y, z, p, d = ([f"{c}{j}" for j in range(n)] for c in "yzpd")
+        state, cycle = list(y), []
+        for i, s in enumerate(family.sets):
+            inc = [f"i{i}_{j}" for j in range(n)]
+            state += inc
+            cycle += [
+                *(f"{zj} = {yj} - {ij}" for zj, yj, ij in zip(z, y, inc)),
+                *point_projection_source(s, z, y, f"m{i}_", columns),
+                *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
             ]
+        cycle += [*(f"{dj} = {yj} - {pj}" for dj, yj, pj in zip(d, y, p)),
+                  f"gap = sqrt({square_sum_source(d)})"]
+        if not columns:
+            cycle += ["if gap <= tol or not isfinite(gap):", "    break"]
         return [
-            f"{', '.join(y)}, = x",
-            f"{' = '.join(state[n:])} = 0.0",
-            "gap = inf",
-            "for _ in range(cycles):",
+            f"{', '.join(state)}, = state",
+            "for left in reversed(range(left)):",
             *(f"    {pj} = {yj}" for pj, yj in zip(p, y)),
             *(f"    {line}" for line in cycle),
-            *(f"    {dj} = {yj} - {pj}" for dj, yj, pj in zip(d, y, p)),
-            f"    gap = sqrt({square_sum_source(d)})",
-            "    if gap <= tol:",
-            *(f"        {line}" for line in feasible),
-            "        if feas <= tol:",
-            f"            return True, [{', '.join(y)}], gap",
-            f"return False, [{', '.join(y)}], gap",
+            f"return [{', '.join(state)}], gap, left",
         ]
 
-    return "def dykstra(x, tol, cycles):", consts, body
+    return "def dykstra(state, tol, left):", consts, body
 
 
-def _compile_column_cycle(family: Family):
-    """The kernel cycle(state) of `_project_rows`: one cycle of
-    `_cycle_source` on the columns of the state, the rows of the array
-    `state`, returned as a list."""
-
-    def body():
-        state, cycle = _cycle_source(family, True)
-        return [f"{', '.join(state)}, = state", *cycle, f"return [{', '.join(state)}]"]
-
-    return "def cycle(state):", member_constants(family.sets, True), body
-
-
-def _cycle_source(family: Family, columns):
-    """The names of Dykstra's state, y0, ..., y{n-1} and then member i's
-    increment i{i}_0, ..., and the source lines of one cycle, on scalars or
-    on columns: for each member, z = y - inc, y = P(z), from
-    `sets.point_projection_source`, and inc = y - z."""
-    n = family.dim
-    y, z = ([f"{c}{j}" for j in range(n)] for c in "yz")
-    state, cycle = list(y), []
-    for i, s in enumerate(family.sets):
-        inc = [f"i{i}_{j}" for j in range(n)]
-        state += inc
-        cycle += [
-            *(f"{zj} = {yj} - {ij}" for zj, yj, ij in zip(z, y, inc)),
-            *point_projection_source(s, z, y, f"m{i}_", columns),
-            *(f"{ij} = {yj} - {zj}" for ij, yj, zj in zip(inc, y, z)),
-        ]
-    return state, cycle
+# the builds of the Dykstra kernel's two forms, for `Family.kernel`: on one
+# point, a state of floats, and on a batch, one of columns
+_point_dykstra = partial(_dykstra_function, columns=False)
+_column_dykstra = partial(_dykstra_function, columns=True)
 
 
 def _project_rows(family: Family, x, tol):
-    """Dykstra's cycles on a batch (..., n), retiring each settled row."""
+    """Dykstra's cycles on a batch (..., n), one kernel call a cycle,
+    retiring each settled row."""
     n = family.dim
-    cycle = family.kernel(_compile_column_cycle)
+    dykstra = family.kernel(_column_dykstra)
     pts = x.reshape(-1, n)
     out = np.empty_like(pts)
     rows = np.arange(len(pts))  # the rows of `out` still cycling, in order
@@ -171,9 +144,11 @@ def _project_rows(family: Family, x, tol):
     state[:n] = pts.T
     gap = np.inf
     for _ in range(REFERENCE_MAX_ITER):
-        state_prev, state = state, np.stack(cycle(state))
-        moved = row_norm((state[:n] - state_prev[:n]).T)
+        columns, moved, _ = dykstra(state, tol, 1)
+        state_prev, state = state, np.stack(columns)
         gap = float(np.max(moved, initial=0.0))
+        if not math.isfinite(gap):
+            _finite(state[:n])
         if gap <= tol:
             out[rows] = state[:n].T
             feas = float(np.max(family.member_distances(out), initial=0.0))
@@ -198,6 +173,15 @@ def _settled(moved, state, state_prev):
         now, before = state[:, rows].view(np.int64), state_prev[:, rows].view(np.int64)
         settled[rows] = np.all(now == before, axis=0)
     return settled
+
+
+def _finite(y):
+    """y, a list or an array, or ValueError if a coordinate is not finite.
+    A cycle from a finite iterate to one that is not has a gap of inf or
+    NaN, so its callers check y only after such a gap."""
+    if not np.isfinite(y).all():
+        raise ValueError("reference projection overflowed: an iterate left the float range")
+    return y
 
 
 def _budget_exhausted(last, gap):

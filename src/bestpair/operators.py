@@ -167,6 +167,15 @@ class Family(Compiled):
             inside &= s.contains(x, tol)
         return inside
 
+    def within(self, x, bound):
+        """Whether the point x, a list of n floats, lies within `bound` of
+        each member by its `project_point` and `max_distance`, tested in
+        order up to the first member farther away, or at a NaN distance."""
+        for s in self.sets:
+            if not max_distance(x, s.project_point(x)) <= bound:
+                return False
+        return True
+
     def member_distances(self, x):
         """Distances ||x - P_l(x)|| to every member, shape (L, ...)."""
         x = np.asarray(x, dtype=float)

@@ -10,10 +10,11 @@ validator live here as well.
 
 A run stops when its pair passes a convergence test on the residuals of
 the Dykstra reference projection (`intersection.project_intersection`).
-That projection ends within REFERENCE_TOL of every member, so a member
-that lies farther from an iterate than the test's bound, plus a margin,
-proves that the test fails: such a test runs no projection, and the
-projections run only on the sweeps that could stop (`_stop_test`).
+That projection ends once `Family.within` finds it within REFERENCE_TOL
+of every member, so an iterate that the same test finds farther than the
+bound, plus a margin, from a member proves that the test fails: such a
+test runs no projection, and the projections run only on the sweeps that
+could stop (`_stop_test`).
 """
 
 from __future__ import annotations
@@ -295,18 +296,17 @@ def _stop_test(fam_a: Family, fam_b: Family, x_odd, x_even, bound) -> bool:
     with P the reference projection, are both at most `bound`.
 
     Dykstra returns p = P_A x_even only once p lies within REFERENCE_TOL of
-    every member C_i of A, so ra >= dist(x_odd, C_i) - REFERENCE_TOL, and
-    likewise rb with the members of B and x_even.  The test is refuted, and
-    neither projection runs, when some member of A lies farther than
-    bound + margin from x_odd, or some member of B that far from x_even,
-    where margin = 2 * REFERENCE_TOL + _REFUTATION_ROUNDING * the largest
-    |coordinate| of x_odd and x_even covers the rounding of both distances.
-    A test the members cannot refute runs both projections, so every
-    decision is the one the projections alone would make."""
+    every member C_i of A, by `Family.within`, so ra >= dist(x_odd, C_i) -
+    REFERENCE_TOL, and likewise rb with the members of B and x_even.  The
+    test is refuted, and neither projection runs, when x_odd is not within
+    bound + margin of A's members, by the same `Family.within`, or x_even
+    not within it of B's, where margin = 2 * REFERENCE_TOL +
+    _REFUTATION_ROUNDING * the largest |coordinate| of x_odd and x_even
+    covers the rounding of both distances.  A test the members cannot
+    refute runs both projections, so every decision is the one the
+    projections alone would make."""
     far = bound + 2 * REFERENCE_TOL + _REFUTATION_ROUNDING * max(map(abs, x_odd + x_even))
-    # each member's distance by its own projection, up to the first that refutes
-    if any(max_distance(x, s.project_point(x)) > far
-           for family, x in ((fam_a, x_odd), (fam_b, x_even)) for s in family.sets):
+    if not (fam_a.within(x_odd, far) and fam_b.within(x_even, far)):
         return False
     ra = max_distance(x_odd, project_intersection(fam_a, x_even))
     rb = max_distance(x_even, project_intersection(fam_b, x_odd))

@@ -308,6 +308,55 @@ def test_bounding_radius_that_overflows_names_its_member(family, tmp_path, capsy
         "", f"error: family {label} member 0 (ball) has a bounding radius that overflows\n")
 
 
+def huge_axis_doc(halfspace, center_b, radius_b):
+    """Family A: an ellipsoid with a^2 = 1e300 along x, alone or with a
+    half-space; family B: one ball."""
+    members = [{"type": "ellipsoid", "center": [0, 0], "axes": [1e150, 1]}]
+    if halfspace:
+        members.append({"type": "halfspace", "normal": [0, 1], "offset": 5})
+    return {"dimension": 2, "familyA": {"sets": members},
+            "familyB": {"sets": [{"type": "ball", "center": center_b, "radius": radius_b}]}}
+
+
+@pytest.mark.parametrize("command, halfspace, center_b, radius_b", [
+    ("run", False, [2e151, 0], 1e151), ("run", True, [2e151, 0], 1e151), ("check", True, [0, 10], 1),
+])
+def test_an_overflowing_projection_exits_1_naming_it(command, halfspace, center_b, radius_b, tmp_path,
+                                                     capsys):
+    """`run` meets the overflow in validation, projecting (1e151, 0) onto
+    family A; `check` validates its problem and meets it on the audit grid,
+    5e149 out.  Either writes one `error:` line that names the overflow and
+    exits 1: it no longer blames the input's finiteness, or an empty
+    intersection with exit 3."""
+    problem = write(tmp_path, "p.json", huge_axis_doc(halfspace, center_b, radius_b))
+    argv = [command, problem] + (["--out", str(tmp_path / "t")] if command == "run" else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err.splitlines() == ["error: reference projection overflowed: an iterate left the float range"]
+    assert {w.category for w in caught} <= {RuntimeWarning}
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_lens_with_a_huge_ball_exits_0(command, tmp_path, capsys):
+    """Family A of the lens with a ball of radius 1e300 added: rho is
+    1e300, and Dykstra's moves on the audit grid are too long to square.
+    Their gap overflows while the iterates stay finite, so the cycles go
+    on and both commands succeed."""
+    doc = json.loads(pathlib.Path(LENS).read_text())
+    doc["familyA"]["sets"].append({"type": "ball", "center": [0, 0], "radius": 1e300})
+    doc["familyA"]["weights"] = [0.495, 0.495, 0.01]
+    problem = write(tmp_path, "p.json", doc)
+    argv = [command, problem] + (["--out", str(tmp_path / "t")] if command == "run" else [])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 0
+    assert {str(w.message) for w in caught} == (
+        {"overflow encountered in multiply"} if command == "check" else set())
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["run", "compare", "check"])
 def test_baseline_budget_exhausted_exits_1(command, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(solver, "BASELINE_MAX_OUTER", 1)

@@ -51,13 +51,16 @@
   member is written once, in `sets.point_projection_source` for the lines
   and `sets.point_projection_constants` for the values they read.  The
   anchored steps of a point or a batch take the lines in
-  `operators._step_function`, and Dykstra's cycle in
-  `intersection._cycle_source`, which the point kernel and the batch's
-  cycle build on; all three kernels take the values from
+  `operators._step_function`, and Dykstra's cycles in
+  `intersection._dykstra_function`; both take the values from
   `sets.member_constants`, the one loop that binds a family's members.
   Every kernel of a set or a family is bound by `sets.Compiled.kernel`,
-  through `sets.compiled_function`.  The anchored step is compiled under
-  one def line.
+  through `sets.compiled_function`.  The anchored step and Dykstra are
+  each compiled under one def line.
+- Each kernel, a set's projection, the anchored step and Dykstra, is one
+  build in two forms: two partials of one function that takes `columns`.
+  A Dykstra kernel binds `sets.member_constants` and, on scalars, the
+  `isfinite` of its guard, and nothing else.
 - A kind's `point_constants(k)` takes no form and gives only the set's
   numbers, ints and floats: the form's helpers are bound once per kernel,
   and what the type decides, the affine comparison and the Newton step's
@@ -70,6 +73,7 @@
 
 import ast
 import importlib.util
+import math
 import os
 import pathlib
 import re
@@ -419,11 +423,38 @@ def test_no_cached_property():
     assert found == []
 
 
+def def_heads(module):
+    """The def lines of generated source written in the package's `module`."""
+    tree = parse(pathlib.Path(bestpair.__file__).parent / module)
+    return [node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)
+            and isinstance(node.value, str) and node.value.startswith("def ")]
+
+
 def test_the_anchored_step_has_one_head():
-    operators = parse(pathlib.Path(bestpair.__file__).parent / "operators.py")
-    heads = [node.value for node in ast.walk(operators) if isinstance(node, ast.Constant)
-             and isinstance(node.value, str) and node.value.startswith("def ")]
-    assert heads == ["def steps(anchor, y, blocks):"]
+    assert def_heads("operators.py") == ["def steps(anchor, y, blocks):"]
+
+
+def test_dykstra_has_one_head():
+    assert def_heads("intersection.py") == ["def dykstra(state, tol, left):"]
+
+
+@pytest.mark.parametrize("point, column", [
+    (sets._point_projection, sets._column_projection),
+    (operators._point_steps, operators._column_steps),
+    (intersection._point_dykstra, intersection._column_dykstra),
+], ids=["projection", "step", "dykstra"])
+def test_each_kernel_is_one_build_in_two_forms(point, column):
+    assert point.func is column.func
+    assert (point.args, point.keywords, column.args, column.keywords) == ((), {"columns": False}, (),
+                                                                          {"columns": True})
+
+
+def test_dykstra_binds_only_member_constants_and_its_guard():
+    members = one_of_each_kind(3)
+    family = bestpair.Family(members)
+    for build, columns, guard in ((intersection._point_dykstra, False, {"isfinite": math.isfinite}),
+                                  (intersection._column_dykstra, True, {})):
+        assert build(family)[1] == {**sets.member_constants(members, columns), **guard}
 
 
 def calls_of(node, name):
@@ -457,7 +488,7 @@ def test_point_kernels_share_one_dispatch():
     assert constant_readers == {"sets.py:point_projection_constants", "sets.py:_projection_function"}
     assert dispatchers == {
         "operators.py:_step_function", "operators.py:_step_function.body",
-        "intersection.py:_cycle_source",
+        "intersection.py:_dykstra_function", "intersection.py:_dykstra_function.body",
     }
     assert constant_dispatchers == {"sets.py:member_constants"}
     # the kernels of sets and families are bound by `Compiled.kernel` alone
@@ -493,8 +524,8 @@ def test_no_kernel_reads_a_per_set_helper(compiled_sources):
     written in the source or bound once per kernel as a helper: no
     generated kernel reads a name ending in `moves`, `two` or `check`."""
     family = bestpair.Family(one_of_each_kind(3))
-    for build in (operators._point_steps, operators._column_steps, intersection._compile_dykstra,
-                  intersection._compile_column_cycle):
+    for build in (operators._point_steps, operators._column_steps, intersection._point_dykstra,
+                  intersection._column_dykstra):
         family.kernel(build)
     for s in family.sets:
         s.kernel(sets._point_projection)

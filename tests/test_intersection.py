@@ -3,7 +3,11 @@
 A batch retires each row once its Dykstra state keeps its bits over a cycle.
 `all_rows_reference`, the batch loop as it ran before rows retired, is kept
 here so that the retiring loop is held to its bits, beside a half-space too.
+An iterate that overflows raises on a point and on a batch, and a gap that
+overflows while the iterate stays finite does not.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -262,3 +266,54 @@ def test_empty_batch_returns_an_empty_batch():
         x = np.zeros(shape)
         assert project_intersection(family, x).shape == shape
         assert shlwb_project(family, x).shape == shape
+
+
+# --- an iterate that leaves the float range ------------------------------------------
+
+# a^2 = 1e300 is accepted, but the projection of (1e151 - 1, 0) overflows to inf
+HUGE_AXIS = Ellipsoid([0, 0], [1e150, 1])
+OVERFLOWING = np.array([1e151 - 1, 0.0])
+
+
+@pytest.mark.parametrize("x", [OVERFLOWING, OVERFLOWING[None]], ids=["point", "batch"])
+@pytest.mark.parametrize("members", [(HUGE_AXIS,), (HUGE_AXIS, HalfSpace([0, 1], 5))],
+                         ids=["alone", "with-halfspace"])
+def test_an_overflowing_iterate_raises(members, x):
+    """A non-finite iterate is named at once, for one member as for two, on
+    a point as on a batch; it is neither returned nor cycled to the end of
+    the budget and blamed on an empty intersection.  The two-member batch
+    still warns within its cycle, where the half-space meets inf."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="reference projection overflowed"):
+            project_intersection(Family(members), x)
+    expected = set()
+    if len(members) == 2 and x.ndim == 2:
+        expected = {"invalid value encountered in multiply", "invalid value encountered in subtract"}
+    assert {str(w.message) for w in caught} == expected
+
+
+def test_a_squared_move_that_overflows_keeps_cycling():
+    """A finite iterate whose move is too long to square has a gap of inf:
+    the point kernel returns it to `project_intersection`, which goes on, so
+    the point keeps the bits of its batch row and of the all-rows loop."""
+    family = Family((*LENS, Ball([0.0, 0.0], 1e300)))
+    x = np.array([[1e200, 0.0], [-1e300, 1e300], [3.0, 4.0]])
+    dykstra = family.kernel(intersection._point_dykstra)
+    state, gap, left = dykstra(x[0].tolist() + [0.0] * 6, intersection.REFERENCE_TOL, 5)
+    assert gap == np.inf and left == 4 and np.isfinite(state).all()
+    with np.errstate(over="ignore"):
+        expected = all_rows_reference(family, x)
+        batch = project_intersection(family, x)
+    assert np.array_equal(bits(batch), bits(expected))
+    for row, want in zip(x, expected):
+        assert np.array_equal(bits(project_intersection(family, row)), bits(want))
+
+
+def test_the_point_kernel_stops_at_a_gap_that_is_not_finite():
+    """The scalar kernel returns a non-finite gap after the cycle that made
+    it, with the cycles left, for `project_intersection` to check."""
+    family = Family((HUGE_AXIS, HalfSpace([0, 1], 5)))
+    dykstra = family.kernel(intersection._point_dykstra)
+    state, gap, left = dykstra(OVERFLOWING.tolist() + [0.0] * 4, intersection.REFERENCE_TOL, 9)
+    assert left == 8 and not np.isfinite(gap) and not np.isfinite(state[:2]).all()

@@ -80,6 +80,31 @@ def test_family_weight_validation():
         Family(LENS_A, weights=[1.0])
 
 
+class NanBall(Ball):
+    """A ball whose point projection is NaN, and counts its calls."""
+
+    calls = []
+
+    def project_point(self, x):
+        self.calls.append(x)
+        return [float("nan")] * len(x)
+
+
+def test_within_measures_each_member_up_to_the_first_too_far(monkeypatch):
+    """`Family.within` holds when every member lies within the bound, by
+    `max_distance` to its `project_point`; it stops at the first member
+    that does not, and a NaN distance does not."""
+    monkeypatch.setattr(NanBall, "calls", [])
+    fam = lens_family()
+    assert fam.within([0.5, 0.0], 0.0) and fam.within([3.0, 0.0], 1.0)
+    assert not fam.within([3.0, 0.0], 0.5)  # 1.0 from the first ball
+    assert not fam.within([-2.5, 0.0], 0.75)  # 0.5 from the first ball, 1.5 from the second
+    assert not Family((Ball([5, 0], 1.0), NanBall([0, 0], 1.0))).within([0.0, 0.0], 1.0)
+    assert NanBall.calls == []
+    assert not Family((*LENS_A, NanBall([0, 0], 1.0))).within([0.5, 0.0], 1.0)
+    assert NanBall.calls == [[0.5, 0.0]]
+
+
 # --- apply_m / apply_m_hat ----------------------------------------------------
 
 

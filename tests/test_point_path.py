@@ -18,8 +18,9 @@ and past each split of numpy's pairwise sum (8, 128 and 2 * 128 terms): the
 steps kernel step by step, and the sweep kernel by its last step.  The
 Dykstra kernel of `project_intersection` is held to `list_cycles_reference`,
 the cycles on lists it replaced, in its result and in the last iterate and
-gap of an exhausted budget.  So is the distance of two lists, which writes
-that sum out as source too.  No generated source holds a set constant as
+gap of an exhausted budget, and, run a few cycles a call, to `list_cycles`
+in its whole state, increments included.  So is the distance of two lists,
+which writes that sum out as source too.  No generated source holds a set constant as
 text, and a set or family that has compiled a kernel still pickles.
 """
 
@@ -670,7 +671,7 @@ def builds(cold_kernels, monkeypatch):
     """(kernel, family) of every point kernel built, in order."""
     built = []
     for module, kernel, name in ((operators, "steps", "_point_steps"),
-                                 (intersection, "dykstra", "_compile_dykstra")):
+                                 (intersection, "dykstra", "_point_dykstra")):
         build = getattr(module, name)
         monkeypatch.setattr(
             module, name, lambda fam, b=build, k=kernel: built.append((k, fam)) or b(fam)
@@ -740,8 +741,8 @@ def test_families_of_one_shape_share_the_kernel_code():
 
 # the kernel builds of a set and of a family, each (head, constants, body)
 SET_BUILDS = (sets._point_projection, sets._column_projection)
-FAMILY_BUILDS = (operators._point_steps, operators._column_steps, intersection._compile_dykstra,
-                 intersection._compile_column_cycle)
+FAMILY_BUILDS = (operators._point_steps, operators._column_steps, intersection._point_dykstra,
+                 intersection._column_dykstra)
 
 
 def kernel_text(build, owner):
@@ -875,9 +876,10 @@ def test_point_kernel_source_holds_no_set_constant(compiled_sources, monkeypatch
     monkeypatch.setattr(intersection, "REFERENCE_MAX_ITER", 3)
     with pytest.raises(MaxIterExceeded):
         project_intersection(fam, [7.0, 9.0])
-    # Dykstra's feasibility test calls each member's `project_point`
-    heads = ["def steps", "def dykstra", *["def project_point"] * len(members)]
-    assert [src.split("(", 1)[0] for src in sources] == heads
+    # the kernel compiles no member's `project_point`: the exit test around
+    # it, `Family.within`, calls them, up to the first member too far
+    heads = [src.split("(", 1)[0] for src in sources]
+    assert heads[:2] == ["def steps", "def dykstra"] and set(heads[2:]) == {"def project_point"}
     for s in members:
         s.project_point([7.0, 9.0])
     for n in (2, 8, 300):
@@ -1009,27 +1011,36 @@ def test_schedule_taus_are_a_copy():
 # --- the Dykstra kernel -----------------------------------------------------------
 
 
-def list_cycles_reference(family, x, tol=REFERENCE_TOL):
+def list_cycles(family, x, tol=REFERENCE_TOL):
     """The point branch of `project_intersection` as it ran before the
     Dykstra kernel: Dykstra's cycles on lists of floats through the members'
-    `project_point`, with the gap and the feasibility test of `max_distance`."""
+    `project_point`, with the gap and the feasibility test of `max_distance`.
+    Returns (done, state, gap, cycles run), the state y and then each
+    member's increment, as the kernel holds it."""
     projections = [s.project_point for s in family.sets]
     y = np.asarray(x, dtype=float).tolist()
     # no increment is changed in place, so they can start as one object
     incs = [[0.0] * len(y)] * len(projections)
-    gap = np.inf
-    for _ in range(intersection.REFERENCE_MAX_ITER):
+    gap, done, cycles = np.inf, False, 0
+    while not done and cycles < intersection.REFERENCE_MAX_ITER:
         y_prev = y
         for i, project in enumerate(projections):
             z = [a - b for a, b in zip(y, incs[i])]
             y = project(z)
             incs[i] = [a - b for a, b in zip(y, z)]
-        gap = max_distance(y, y_prev)
-        if gap <= tol:
-            feas = max(max_distance(y, project(y)) for project in projections)
-            if feas <= tol:
-                return np.asarray(y)
-    raise MaxIterExceeded("list cycles ran out", last=np.asarray(y), gap=gap)
+        gap, cycles = max_distance(y, y_prev), cycles + 1
+        done = gap <= tol and max(max_distance(y, project(y)) for project in projections) <= tol
+    return done, [*y, *(v for inc in incs for v in inc)], gap, cycles
+
+
+def list_cycles_reference(family, x, tol=REFERENCE_TOL):
+    """`list_cycles` as `project_intersection` reports it: the point, or
+    MaxIterExceeded with the last iterate and gap."""
+    done, state, gap, _ = list_cycles(family, x, tol)
+    y = np.asarray(state[:family.dim])
+    if done:
+        return y
+    raise MaxIterExceeded("list cycles ran out", last=y, gap=gap)
 
 
 def outcome(project, *args):
@@ -1093,6 +1104,48 @@ def test_dykstra_kernel_equals_list_cycles(n, kinds, where, tol, seed):
         expected = outcome(list_cycles_reference, fam, x, tol)
         got = outcome(project_intersection, fam, x, tol)
     same_outcome(got, expected)
+
+
+def kernel_in_chunks(family, x, tol, chunk):
+    """The point Dykstra kernel run as `project_intersection` runs it, with
+    the exit test of `Family.within`, but `chunk` cycles a call: (done,
+    state, gap, cycles run)."""
+    dykstra = family.kernel(intersection._point_dykstra)
+    budget = intersection.REFERENCE_MAX_ITER
+    state, gap, cycles = list(x) + [0.0] * (family.dim * len(family.sets)), np.inf, 0
+    while cycles < budget:
+        asked = min(chunk, budget - cycles)
+        state, gap, left = dykstra(state, tol, asked)
+        cycles += asked - left
+        if gap <= tol and family.within(state[:family.dim], tol):
+            return True, state, gap, cycles
+    return False, state, gap, cycles
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12),
+    st.lists(st.sampled_from([*KINDS, "subball", "checked"]), min_size=2, max_size=3),
+    st.sampled_from(["drawn", "boundary", "inside", "far"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_dykstra_resumes_exactly(n, kinds, where, seed):
+    """The point kernel called a few cycles at a time (1, 2, 7 or 64) goes
+    on where it stopped: the state, the increments included, the gap and
+    the cycle count have the bits of one call over the whole budget and of
+    `list_cycles`, whether the projection ends or the budget runs out."""
+    rng = np.random.default_rng(seed)
+    fam = Family(tuple(member_around(rng, k, rng.uniform(-3.0, 3.0, n)) for k in kinds))
+    x = random_point(rng, fam, where).tolist()
+    with mock.patch.object(intersection, "REFERENCE_MAX_ITER", 150):
+        try:
+            expected = list_cycles(fam, x)
+        except EllipsoidRootFindError:
+            return
+        for chunk in (1, 2, 7, 64, 150):
+            done, state, gap, cycles = kernel_in_chunks(fam, x, REFERENCE_TOL, chunk)
+            assert (done, cycles) == (expected[0], expected[3])
+            assert same_bits(np.array([gap, *state]), np.array([expected[2], *expected[1]]))
 
 
 def test_dykstra_kernel_writes_each_member_once(cold_kernels, monkeypatch):
