@@ -15,8 +15,8 @@ both forms.  Every name they make starts with `k`, except the form's
 float and the source branches; on columns each holds a column x[..., j] of
 a batch, every row runs the setup, and `np.where` keeps the rows that do
 not move.  Three places switch between the forms: `_moved_or_kept`, the
-box's clamp and the ellipsoid's Newton loop.  Both do the same IEEE
-operations in the same order, so a batch row has the bits of its point.
+box's clamp and the ellipsoid's Newton, `_dual_newton_source`.  Both do
+the same IEEE operations in the same order, so a row has its point's bits.
 The kinds share `project_point`, an unchecked projection of one point
 given as a list of n floats, which runs the scalar source, and `project`,
 which runs a point (n,) through it and a batch (..., n) through the column
@@ -78,7 +78,7 @@ from .errors import DimensionMismatch, EllipsoidRootFindError
 REFERENCE_TOL = 1e-9
 
 _ELLIPSOID_ROOT_RESIDUAL = 1e-12
-# round cap of the ellipsoid's Newton, in its projection and `bounding_radius`
+# round cap of `_dual_newton_source`, in the projection and `bounding_radius`
 _ELLIPSOID_MAX_ROUNDS = 110
 
 # numpy's add.reduce sums fewer terms than this in order, and more pairwise,
@@ -179,8 +179,50 @@ def _check_dual_residual(worst):
     if worst > _ELLIPSOID_ROOT_RESIDUAL:
         raise EllipsoidRootFindError(
             f"dual residual {worst:.3e} after at most {_ELLIPSOID_MAX_ROUNDS} "
-            "Newton rounds; axes may be numerically degenerate"
+            "Newton rounds; axes may be numerically degenerate, or the point too far off"
         )
+
+
+def _dual_newton_source(g, aa, floor, k, columns):
+    """Source lines of the ellipsoid's Newton: they set the local `{k}lam` to
+    the root past `floor` of phi(lam) = sum_j (g_j / (aa_j + lam))^2 - 1, for
+    the locals `g` and `aa`, and `{k}phi` to the phi they stop at.  phi is
+    convex and decreasing, so from max(|g_j| - aa_j, floor), a lower bound,
+    Newton rises monotonically to the root, for at most `{k}rounds` rounds.
+    A point stops at its first step that would not raise lam, a NaN or -inf
+    step included, with that step's phi, or at the cap with the phi a step
+    back.  A Newton sum rt of 0 makes a row's step -inf; a point stops there
+    too, without dividing.  On columns `where` freezes from that step on the lam
+    of a row of the mask `{k}m`, so it recomputes that phi, until none rises."""
+    # in each round t_j = aa_j + lam, u_j = g_j / t_j, r_j = u_j * u_j and
+    # rt = sum r_j / t_j; rt + rt is 2.0 * rt
+    n = range(len(g))
+    t, u, r = ([f"{k}{p}{j}" for j in n] for p in "tur")
+    newton = [line for j in n for line in (
+        f"{t[j]} = {aa[j]} + {k}lam", f"{u[j]} = {g[j]} / {t[j]}", f"{r[j]} = {u[j]} * {u[j]}")]
+    newton += [f"{k}phi = {sum_source(r)} - 1.0", f"{k}rt = {sum_source([f'{r[j]} / {t[j]}' for j in n])}"]
+    step = f"{k}nxt = {k}lam + {k}phi / ({k}rt + {k}rt)"
+    starts = [f"abs({g[j]}) - {aa[j]}" for j in n]
+    if columns:
+        start = reduce(lambda left, term: f"maximum({left}, {term})", starts, floor)
+        newton += [step, f"{k}up = ({k}nxt > {k}lam) & {k}m", f"{k}lam = where({k}up, {k}nxt, {k}lam)",
+                   f"if not {k}up.any():", "    break"]
+    else:
+        start = f"max({', '.join(starts)}, {floor})"
+        newton += [f"if {k}rt == 0.0:", "    break", step, f"if not {k}nxt > {k}lam:", "    break",
+                   f"{k}lam = {k}nxt"]
+    return [f"{k}lam = {start}", f"for {k}i in range({k}rounds):", *(f"    {line}" for line in newton)]
+
+
+@lru_cache(maxsize=64)
+def _secular_root(m):
+    """secular_root(g, aa, floor, rounds): `_dual_newton_source` on scalars,
+    compiled for the m floats of each list g and aa, returning lam.  It is
+    kept by m, not n: zero terms padded in would regroup the pairwise sums."""
+    g, aa = ([f"{c}{j}" for j in range(m)] for c in ("g", "aa"))
+    return compiled_function("def secular_root(g, aa, floor, rounds):", {}, lambda: [
+        f"{', '.join(g)}, = g", f"{', '.join(aa)}, = aa", *_dual_newton_source(g, aa, "floor", "", False),
+        "return lam"])
 
 
 # the helpers, by name, that `point_source` reads on scalars and on columns
@@ -326,26 +368,6 @@ def as_vector(v, what):
     if not np.all(np.isfinite(v)):
         raise ValueError(f"{what} must be finite")
     return v
-
-
-def _dual_start(g, shift, floor):
-    """A lower bound past `floor` on the root of phi(lam) = sum_d (g_d /
-    (shift_d + lam))^2 - 1, along the last axis of g: term d is at least 1
-    while shift_d + lam <= |g_d|.  The projection's `point_source` writes it
-    out with shift a^2 and floor 0; `Ellipsoid.bounding_radius` passes shift
-    -a^2 and the float past max a^2."""
-    return np.maximum.reduce(np.abs(g) - shift, axis=-1, initial=floor)
-
-
-def _newton_step(g, s):
-    """phi(lam) and the Newton step from lam, given s = shift + lam, along the
-    last axis of g and s, for `Ellipsoid.bounding_radius`.
-
-    phi is convex and decreasing, so from a lam left of the root the step is
-    positive and the next lam stays left of it, up to rounding."""
-    r2 = (g / s) ** 2
-    phi = row_sum(r2) - 1.0
-    return phi, phi / (2.0 * row_sum(r2 / s))
 
 
 class Compiled:
@@ -621,36 +643,17 @@ class Ellipsoid(_PointSource):
         """The projection via the dual equation.
 
         For z = x - center outside the ellipsoid the projection is
-        y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the unique root of
-        phi(lam) = sum_d (g_d / (a_d^2 + lam))^2 - 1, where g_d = z_d * a_d.
-        phi is convex and decreasing, so Newton from the lower bound
-        max(|g_d| - a_d^2, 0) rises monotonically to the root.  A point
-        leaves at its first step that would not raise lam, a NaN step
-        included, with that step's phi, or at the round cap with the phi a
-        step back.  On columns `where` freezes a row's lam from that step on,
-        so it recomputes that phi, until no row outside rises.
+        y_d = z_d * a_d^2 / (a_d^2 + lam) with lam > 0 the root of
+        phi(lam) = sum_d (g_d / (a_d^2 + lam))^2 - 1, where g_d = z_d * a_d,
+        which `_dual_newton_source` finds from the floor 0; the residual
+        check then reads the phi it stopped at.
         """
-        # q_j = z_j / a_j, g_j = z_j * a_j, and in each Newton round t_j = a_j^2 + lam,
-        # u_j = g_j / t_j, r_j = u_j * u_j and rt = sum r_j / t_j; rt + rt is 2.0 * rt
+        # q_j = z_j / a_j and g_j = z_j * a_j
         n = range(self.dim)
-        c, a, aa, z, q, g, t, u, r = ([f"{k}{p}{j}" for j in n] for p in "c a aa z q g t u r".split())
-        newton = [line for j in n for line in (
-            f"{t[j]} = {aa[j]} + {k}lam", f"{u[j]} = {g[j]} / {t[j]}", f"{r[j]} = {u[j]} * {u[j]}")]
-        rt = sum_source([f"{r[j]} / {t[j]}" for j in n])
-        newton += [f"{k}phi = {sum_source(r)} - 1.0", f"{k}rt = {rt}",
-                   f"{k}nxt = {k}lam + {k}phi / ({k}rt + {k}rt)"]
-        starts = [f"abs({g[j]}) - {aa[j]}" for j in n]
-        if columns:
-            start = reduce(lambda left, term: f"maximum({left}, {term})", starts, "0.0")
-            newton += [f"{k}up = ({k}nxt > {k}lam) & {k}m", f"{k}lam = where({k}up, {k}nxt, {k}lam)",
-                       f"if not {k}up.any():", "    break"]
-            check = f"check_residual(largest(abs({k}phi), where={k}m, initial=0.0))"
-        else:
-            start = f"max({', '.join(starts)}, 0.0)"
-            newton += [f"if not {k}nxt > {k}lam:", "    break", f"{k}lam = {k}nxt"]
-            check = f"check_residual(abs({k}phi))"
-        setup = [*(f"{g[j]} = {z[j]} * {a[j]}" for j in n), f"{k}lam = {start}",
-                 f"for {k}i in range({k}rounds):", *(f"    {line}" for line in newton), check]
+        c, a, aa, z, q, g = ([f"{k}{p}{j}" for j in n] for p in "c a aa z q g".split())
+        worst = f"largest(abs({k}phi), where={k}m, initial=0.0)" if columns else f"abs({k}phi)"
+        setup = [*(f"{g[j]} = {z[j]} * {a[j]}" for j in n), *_dual_newton_source(g, aa, "0.0", k, columns),
+                 f"check_residual({worst})"]
         lines = [line for j in n for line in (f"{z[j]} = {x[j]} - {c[j]}", f"{q[j]} = {z[j]} / {a[j]}")]
         return lines + _moved_or_kept(f"{square_sum_source(q)} > 1.0", setup,
                                       [f"{c[j]} + {z[j]} * {aa[j]} / ({aa[j]} + {k}lam)" for j in n],
@@ -672,26 +675,22 @@ class Ellipsoid(_PointSource):
         s_d = g_d / (lam - a_d^2) with g = a*c, where psi(lam) = sum_d (g_d /
         (lam - a_d^2))^2 = 1 past max a^2 (or lam = max a^2 if psi < 1 there);
         the longest-axis part of s follows c's (any longest axis if c has
-        none) and takes up the rest of ||s|| = 1.  Newton solves psi - 1 = 0
+        none) and takes up the rest of ||s|| = 1.  psi - 1 = 0 is the
+        projection's dual equation with aa_d = -a_d^2 over the terms with
+        g_d != 0, so `_secular_root` solves it by the projection's Newton,
         from the float past the pole, not from the pole, where a tiny
-        longest-axis part makes the step NaN, and stops at its first step
-        that would not raise lam, as the projection's does; a lam a rounding
-        short of the root leaves ||s|| > 1, and s is scaled back onto the
-        sphere.
+        longest-axis part makes the step NaN; a lam a rounding short of the
+        root leaves ||s|| > 1, and s is scaled back onto the sphere.
         """
         c, a, a2 = self.center, self.axes, self._a2
         amax2 = float(np.max(a2))
         g = a * c
         top = a2 == amax2
-        off, shift = g[g != 0.0], -a2[g != 0.0]
-        # a sum that is empty or underflows makes the step -inf, and the loop stops
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            lam = _dual_start(off, shift, np.nextafter(amax2, np.inf))
-            for _ in range(_ELLIPSOID_MAX_ROUNDS):
-                nxt = lam + _newton_step(off, shift + lam)[1]
-                if not nxt > lam:
-                    break
-                lam = nxt
+        off = g != 0.0
+        m = int(np.count_nonzero(off))
+        lam = math.nextafter(amax2, math.inf)
+        if m:
+            lam = _secular_root(m)(g[off].tolist(), (-a2[off]).tolist(), lam, _ELLIPSOID_MAX_ROUNDS)
         s = np.where(top, 0.0, g / np.where(top, 1.0, lam - a2))
         v = np.where(top, c, 0.0)  # scaled below, so that a tiny part keeps its direction
         v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]

@@ -46,8 +46,11 @@ def rng():
 @pytest.fixture()
 def cold_kernels(monkeypatch):
     """An empty cache of kernel code for the test: every kernel shape it
-    builds writes and compiles its source afresh, whatever ran before."""
+    builds, and every sum, distance and secular root it compiles, writes and
+    compiles its source afresh, whatever ran before."""
     monkeypatch.setattr(sets, "_shape_code", {})
+    for kept in (sets.column_sum, sets._list_distance, sets._secular_root):
+        kept.cache_clear()
 
 
 @pytest.fixture()

@@ -589,6 +589,21 @@ def test_projection_failures_exit_3(error, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == f"error: {error}\n"
 
 
+def test_project_a_point_too_far_off_an_ellipsoid_exits_3(tmp_path, capsys):
+    """Projecting (1e308,) * 4 onto a unit ball written as an ellipsoid:
+    Newton's lam overflows and its Newton sum underflows to 0.  `project`
+    exits 3 with one `error:` line that names the point, not a traceback."""
+    doc = two_ball_doc()
+    doc.update(dimension=4)
+    doc["familyA"]["sets"] = [{"type": "ellipsoid", "center": [0.0] * 4, "axes": [1.0] * 4}]
+    doc["familyB"]["sets"][0].update(center=[4.0, 0.0, 0.0, 0.0])
+    problem = write(tmp_path, "far.json", doc)
+    assert main(["project", problem, "--family", "A", "--point", "1e308,1e308,1e308,1e308"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert err.startswith("error: dual residual") and "the point too far off" in err
+
+
 # --- cmd_check ---------------------------------------------------------------------
 
 

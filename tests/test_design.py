@@ -492,7 +492,18 @@ def test_point_kernels_share_one_dispatch():
     }
     assert constant_dispatchers == {"sets.py:member_constants"}
     # the kernels of sets and families are bound by `Compiled.kernel` alone
-    assert compilers == {"sets.py:column_sum", "sets.py:_list_distance", "sets.py:Compiled.kernel"}
+    assert compilers == {"sets.py:column_sum", "sets.py:_list_distance", "sets.py:_secular_root",
+                         "sets.py:Compiled.kernel"}
+
+
+def test_bounding_radius_writes_no_newton_loop():
+    """`Ellipsoid.bounding_radius` runs the projection's Newton source, compiled
+    by `sets._secular_root`: it holds no loop of its own and no `errstate`."""
+    [method] = [func for name, func in functions(parse(pathlib.Path(sets.__file__)))
+                if name == "Ellipsoid.bounding_radius"]
+    assert not [node for node in ast.walk(method) if isinstance(node, (ast.For, ast.While))]
+    assert "errstate" not in {node.attr for node in ast.walk(method) if isinstance(node, ast.Attribute)}
+    assert calls_of(method, "_secular_root")
 
 
 def one_of_each_kind(n):

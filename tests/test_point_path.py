@@ -25,6 +25,7 @@ text, and a set or family that has compiled a kernel still pickles.
 """
 
 import io
+import math
 import pathlib
 import pickle
 import tokenize
@@ -61,7 +62,7 @@ from bestpair import intersection, sets
 from bestpair.cli import load_problem
 from bestpair.intersection import REFERENCE_TOL
 from bestpair.operators import anchored_steps
-from bestpair.sets import PAIRWISE_BLOCK, max_distance, row_norm
+from bestpair.sets import PAIRWISE_BLOCK, max_distance, row_norm, row_sum
 
 PROBLEMS = pathlib.Path(__file__).resolve().parent.parent / "problems"
 SCHED = SteeringSchedule(c=0.004, k0=2.0, p=1.0)
@@ -460,6 +461,26 @@ def test_point_kernels_raise_at_the_round_cap_where_the_batch_does(monkeypatch, 
                 run(p)
 
 
+def dual_start(g, shift, floor):
+    """A lower bound past `floor` on the root of phi(lam) = sum_d (g_d /
+    (shift_d + lam))^2 - 1, along the last axis of g: term d is at least 1
+    while shift_d + lam <= |g_d|.  The projection's `point_source` writes it
+    out with shift a^2 and floor 0; `Ellipsoid.bounding_radius` passes shift
+    -a^2 and the float past max a^2."""
+    return np.maximum.reduce(np.abs(g) - shift, axis=-1, initial=floor)
+
+
+def newton_step(g, s):
+    """phi(lam) and the Newton step from lam, given s = shift + lam, along the
+    last axis of g and s, for `Ellipsoid.bounding_radius`.
+
+    phi is convex and decreasing, so from a lam left of the root the step is
+    positive and the next lam stays left of it, up to rounding."""
+    r2 = (g / s) ** 2
+    phi = row_sum(r2) - 1.0
+    return phi, phi / (2.0 * row_sum(r2 / s))
+
+
 def all_rows_newton(e, pts):
     """The batched Newton as it ran before rows retired: every outside row
     steps until no row rises.  Returns the projection and the residual that
@@ -471,9 +492,9 @@ def all_rows_newton(e, pts):
         return pts, 0.0
     zo = z[outside]
     g = zo * e.axes
-    lam = sets._dual_start(g, a2, 0.0)
+    lam = dual_start(g, a2, 0.0)
     for _ in range(sets._ELLIPSOID_MAX_ROUNDS):
-        phi, step = sets._newton_step(g, a2 + lam[:, None])
+        phi, step = newton_step(g, a2 + lam[:, None])
         nxt = lam + step
         rises = nxt > lam
         if not rises.any():
@@ -503,6 +524,76 @@ def test_ellipsoid_retiring_rows_keep_the_all_rows_bits(data):
                 e.project(pts)
             return
         assert same_bits(e.project(pts), expected)
+
+
+def numpy_bounding_radius(e):
+    """`Ellipsoid.bounding_radius` as it ran before it ran the projection's
+    Newton source: `dual_start` and `newton_step` in a numpy loop."""
+    c, a, a2 = e.center, e.axes, e.axes**2
+    amax2 = float(np.max(a2))
+    g = a * c
+    top = a2 == amax2
+    off, shift = g[g != 0.0], -a2[g != 0.0]
+    # a sum that is empty or underflows makes the step -inf, and the loop stops
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lam = dual_start(off, shift, np.nextafter(amax2, np.inf))
+        for _ in range(sets._ELLIPSOID_MAX_ROUNDS):
+            nxt = lam + newton_step(off, shift + lam)[1]
+            if not nxt > lam:
+                break
+            lam = nxt
+    s = np.where(top, 0.0, g / np.where(top, 1.0, lam - a2))
+    v = np.where(top, c, 0.0)
+    v = v / np.max(np.abs(v)) if v.any() else np.eye(c.size)[np.argmax(a2)]
+    ss = float(row_sum(s * s))
+    s = s / math.sqrt(ss) if ss > 1.0 else s + math.sqrt(1.0 - ss) * v / row_norm(v)
+    return float(row_norm(c + a * s))
+
+
+def outcome(f, *args):
+    """f(*args) as its bits, or the type of the exception it raises."""
+    try:
+        return np.float64(f(*args)).tobytes()
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def ellipsoid_for_radius_bits(draw):
+    """An ellipsoid in dimension 1 to 24: axes from 1e-3 to 1e3, all equal in
+    half the draws, and a centre scaled from 1e-200 to 1e3, with some or all
+    of its coordinates zero."""
+    n = draw(st.integers(1, 24))
+    axes = 10.0 ** np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        axes[:] = axes[0]
+    scale = draw(st.sampled_from([1e-200, 1e-150, 1e-9, 1.0, 1e3]))
+    center = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    center[draw(st.lists(st.integers(0, n - 1), max_size=n))] = 0.0
+    return Ellipsoid(center, axes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ellipsoid_for_radius_bits())
+# each Newton sum rt underflows to 0, where the numpy loop's step is -inf
+@example(Ellipsoid([1e-200, -3e-200, 2e-200], [1.0, 2.0, 2.0]))
+@example(Ellipsoid([0.0, 0.0], [1.0, 2.0]))
+def test_ellipsoid_bounding_radius_keeps_the_numpy_loop_bits(e):
+    """`bounding_radius`, on the projection's Newton source, keeps the bits
+    and the exceptions of the numpy loop it replaced."""
+    assert outcome(e.bounding_radius) == outcome(numpy_bounding_radius, e)
+
+
+def test_a_point_too_far_off_raises_as_its_batch_row_does():
+    """From (1e308,) * 4, lam overflows to inf in Newton's third round and
+    the Newton sum of the fourth is 0: the point stops there, as its batch
+    row does, and both raise `EllipsoidRootFindError` naming the point."""
+    e = Ellipsoid(np.zeros(4), np.ones(4))
+    with pytest.raises(EllipsoidRootFindError, match="the point too far off"):
+        e.project_point([1e308] * 4)
+    # the batch's squared distance overflows before its mask, and warns
+    with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(EllipsoidRootFindError):
+        e.project(np.full((2, 4), 1e308))
 
 
 @settings(max_examples=100, deadline=None)
@@ -861,31 +952,38 @@ def number_literals(source):
 def test_point_kernel_source_holds_no_set_constant(compiled_sources, monkeypatch):
     """Only indices and operators are written into generated source: the
     kernel's number literals are the 0.0 and 1.0 of its formulas, and the
-    sources of the Dykstra kernel, of `project_point` and of the list
-    distance hold no other.  Each kernel is compiled by
-    `sets.compiled_function` on its first use, and a point sweep compiles
-    nothing: it runs the steps kernel."""
-    sources = compiled_sources
+    sources of the Dykstra kernel, of `project_point`, of the list distance
+    and of the bounding radius's Newton hold no other.  Each kernel is
+    compiled by `sets.compiled_function` on its first use, and a point sweep
+    compiles nothing: it runs the steps kernel.  The sums of `column_sum`
+    are left out."""
+
+    def sources():
+        return [src for src in compiled_sources if not src.startswith("def column_sum(")]
+
     members = (Ball([0.25, -0.0], 1.5), Box([0.1, 0.2], [0.3, 0.4]), HalfSpace([3.5, 1.0], 0.75),
                Hyperplane([1.0, 2.0], 0.125), Ellipsoid([0.5, 0.5], [2.0, 3.0]))
     fam = Family(members, weights=[0.3, 0.1, 0.2, 0.15, 0.25])
     apply_m(fam, 0.375, [7.0, 9.0], [7.0, 9.0])
-    [kernel] = sources
+    [kernel] = sources()
     assert number_literals(kernel) == {"0.0", "1.0"}
     apply_q_hat(fam, 3, [7.0, 9.0])
     monkeypatch.setattr(intersection, "REFERENCE_MAX_ITER", 3)
     with pytest.raises(MaxIterExceeded):
         project_intersection(fam, [7.0, 9.0])
     # the kernel compiles no member's `project_point`: the exit test around
-    # it, `Family.within`, calls them, up to the first member too far
-    heads = [src.split("(", 1)[0] for src in sources]
-    assert heads[:2] == ["def steps", "def dykstra"] and set(heads[2:]) == {"def project_point"}
+    # it, `Family.within`, calls them and measures each distance, up to the
+    # first member too far
+    heads = [src.split("(", 1)[0] for src in sources()]
+    assert heads[:2] == ["def steps", "def dykstra"]
+    assert set(heads[2:]) == {"def project_point", "def distance"}
     for s in members:
         s.project_point([7.0, 9.0])
     for n in (2, 8, 300):
         sets._list_distance.__wrapped__(n)
-    assert len(sources) == 10
-    for source in sources[1:]:
+        sets._secular_root.__wrapped__(n)
+    assert len(sources()) == 14
+    for source in sources()[1:]:
         assert number_literals(source) <= {"0.0", "1.0"}
 
 

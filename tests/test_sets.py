@@ -291,20 +291,23 @@ def test_ellipsoid_bounding_radius_matches_bisection(case):
               1.9444231068063285, 3.3396154114885235]),
 ))
 def test_ellipsoid_bounding_radius_rounds_stay_under_40(case):
-    """Newton needs at most 40 of its 110 rounds.  The count is of steps, not
-    of the radius a smaller cap would give: at the maximum the radius is
-    stationary in lam, so one round often gets it to within 1e-12."""
-    rounds = []
-
-    def counted(g, s):
-        rounds.append(None)
-        return newton_step(g, s)
-
-    newton_step = sets._newton_step
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sets, "_newton_step", counted)
-        Ellipsoid(*case).bounding_radius()
-    assert 1 <= len(rounds) <= 40
+    """Newton needs at most 40 of its 110 rounds: its compiled kernel, as
+    `bounding_radius` calls it, gives the same lam under a cap of 39 rounds
+    as under 110.  lam rises at each step, so the two agree only if Newton
+    stopped after at most 39 steps that raise lam and one that does not.
+    The count is of steps, not of the radius a smaller cap would give: at
+    the maximum the radius is stationary in lam, so one round often gets it
+    to within 1e-12."""
+    center, axes = case
+    a2 = axes**2
+    g = axes * center
+    off = g != 0.0
+    if not off.any():  # psi has no term, and no Newton runs
+        return
+    root = sets._secular_root(int(np.count_nonzero(off)))
+    floor = math.nextafter(float(np.max(a2)), math.inf)
+    lam = [root(g[off].tolist(), (-a2[off]).tolist(), floor, cap).hex() for cap in (39, sets._ELLIPSOID_MAX_ROUNDS)]
+    assert lam[0] == lam[1]
 
 
 # --- operator properties ---------------------------------------------------
