@@ -24,7 +24,8 @@ list of numbers, included), 2 MaxSweeps, 3 projection failure (iteration
 budget exceeded, ellipsoid root-find or sampling failed), 4 solver
 disagreement in `compare`.  Every failure prints one `error:` line on
 stderr, except a failed validation in `check`, which its report holds in
-`mandatory.validation.error`.
+`mandatory.validation.error`.  Commands run with numpy's floating-point
+warnings off, so none of them reaches stderr.
 """
 
 from __future__ import annotations
@@ -403,10 +404,13 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    # usage errors, DimensionMismatch and ProblemValidationError are ValueErrors
+    # usage errors, DimensionMismatch and ProblemValidationError are ValueErrors;
+    # numpy's floating-point warnings are off, since the library's own checks
+    # name every failure in one `error:` line
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(load_problem(args.problem).problem, args)
+        with np.errstate(all="ignore"):
+            args = _build_parser().parse_args(argv)
+            return args.func(load_problem(args.problem).problem, args)
     except (ValueError, TypeError, OSError, MaxOuterExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

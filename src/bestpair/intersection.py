@@ -11,22 +11,26 @@ tol is given; validation and the baseline pass `solver.BASELINE_INNER_TOL`.
 Dykstra is one kernel in two forms, `dykstra(state, tol, left)`, written
 for the family's shape like the step kernel of `operators`, bound on first
 use and kept, its code compiled once per shape (`sets.Compiled`).  It
-binds `sets.member_constants` and, on scalars, the `isfinite` of its guard.
+binds `sets.member_constants` and the `isfinite` of its guard.
 Its state is the iterate and every member's increment, scalar locals on a
 point and columns on a batch.  A cycle takes each member's projection, an
 ellipsoid's Newton included, from `sets.point_projection_source`, and the
 gap from `sets.square_sum_source`: the operations of the cycles on lists
 through `project_point`, in their order, so a result, the last iterate and
 gap of an exhausted budget, and a batch row keep the bits of that loop.
-The kernel only cycles; its callers hold the exit test, the budget and the
-check that the iterate stays finite.  A point runs the budget in one call,
-or more when `Family.within` rejects the iterate of a small gap.  A batch
-runs one cycle a call, and its exit test is `Family.member_distances`.  Its
-state is one C-ordered array of shape (n*(L+1), rows), the columns of y and
-then of each member's increment.  A row retires once its whole state keeps
-its bits over one cycle: every later cycle would repeat them.  It is
-written to the result, and one compression of the state drops it from the
-later cycles.
+The kernel stops after a cycle where its caller might: one whose gap, a
+batch's worst row gap, is at most tol or not finite.  Its callers hold the
+rest of the exit test, the budget and the check that the iterate stays
+finite.  A point runs the budget in one call, or more when `Family.within`
+rejects the iterate of a small gap.  A batch runs its cycles in blocks, each
+as long as all the blocks before it, and its exit test is
+`Family.member_distances`.  Its state is one C-ordered array of shape
+(n*(L+1), rows), the columns of y and then of each member's increment.
+After each block, a row retires if its whole state kept its bits over the
+block's last cycle: every later cycle would repeat them.  It is written to
+the result, and one compression of the state drops it from the later
+blocks.  A row that settled earlier in the block repeated its bits since,
+and its gap of 0 moved no exit test, so it retires with the same bits.
 """
 
 from __future__ import annotations
@@ -54,8 +58,9 @@ def project_intersection(family: Family, x, tol: float = REFERENCE_TOL):
     (`_dykstra_function`) and stop once a cycle moves the iterate at most
     tol and `Family.within`, or on a batch `Family.member_distances`, finds
     it within tol of every member, within REFERENCE_MAX_ITER cycles.  A
-    batch retires each row once its state keeps its bits over a cycle, and
-    every row keeps the bits of a batch that cycles all rows.  A
+    batch retires, after each block of cycles, each row whose state kept its
+    bits over the block's last cycle, and every row keeps the bits of a
+    batch that cycles all rows one cycle a call.  A
     single-member family short-circuits to the member's exact projection.
     A tol that is not positive and finite, or a non-finite x, raises
     ValueError and an x of the wrong dimension DimensionMismatch, before
@@ -92,12 +97,13 @@ def _dykstra_function(family: Family, columns):
     runs at most left >= 1 cycles: for each member, z = y - inc, y = P(z),
     from `sets.point_projection_source`, and inc = y - z; the gap is the
     distance of y from the iterate before the cycle, by `square_sum_source`.
-    On scalars the loop also ends after a cycle whose gap is at most tol or
-    not finite.  It returns (state, gap, cycles left), the state a list.
+    The loop also ends after a cycle whose gap is at most tol or not
+    finite, on columns the worst gap, `largest(gap, initial=0.0)`, which an
+    empty state keeps at 0.  It returns (state, gap, cycles left), the state
+    a list; on columns also the list of the columns held before the last
+    cycle, which the cycle rebound and did not change.
     """
-    consts = member_constants(family.sets, columns)
-    if not columns:
-        consts["isfinite"] = math.isfinite
+    consts = {**member_constants(family.sets, columns), "isfinite": math.isfinite}
 
     def body():
         n = family.dim
@@ -113,14 +119,20 @@ def _dykstra_function(family: Family, columns):
             ]
         cycle += [*(f"{dj} = {yj} - {pj}" for dj, yj, pj in zip(d, y, p)),
                   f"gap = sqrt({square_sum_source(d)})"]
-        if not columns:
-            cycle += ["if gap <= tol or not isfinite(gap):", "    break"]
+        head, returned, worst = [], "", "gap"
+        if columns:
+            # the columns held before the last cycle, for the settle test,
+            # and the exit test on the worst row still cycling
+            head, returned, worst = [f"before = [{', '.join(state)}]"], ", before", "worst"
+            cycle.append("worst = largest(gap, initial=0.0)")
+        cycle += [f"if {worst} <= tol or not isfinite({worst}):", "    break"]
         return [
             f"{', '.join(state)}, = state",
             "for left in reversed(range(left)):",
+            *(f"    {line}" for line in head),
             *(f"    {pj} = {yj}" for pj, yj in zip(p, y)),
             *(f"    {line}" for line in cycle),
-            f"return [{', '.join(state)}], gap, left",
+            f"return [{', '.join(state)}], gap, left{returned}",
         ]
 
     return "def dykstra(state, tol, left):", consts, body
@@ -133,8 +145,8 @@ _column_dykstra = partial(_dykstra_function, columns=True)
 
 
 def _project_rows(family: Family, x, tol):
-    """Dykstra's cycles on a batch (..., n), one kernel call a cycle,
-    retiring each settled row."""
+    """Dykstra's cycles on a batch (..., n), in blocks of as many cycles as
+    have run, retiring after each block the rows its last cycle settled."""
     n = family.dim
     dykstra = family.kernel(_column_dykstra)
     pts = x.reshape(-1, n)
@@ -142,10 +154,12 @@ def _project_rows(family: Family, x, tol):
     rows = np.arange(len(pts))  # the rows of `out` still cycling, in order
     state = np.zeros((n * (len(family.sets) + 1), len(pts)))
     state[:n] = pts.T
-    gap = np.inf
-    for _ in range(REFERENCE_MAX_ITER):
-        columns, moved, _ = dykstra(state, tol, 1)
-        state_prev, state = state, np.stack(columns)
+    gap, done, budget = np.inf, 0, REFERENCE_MAX_ITER
+    while done < budget:
+        block = min(max(done, 1), budget - done)
+        columns, moved, left, before = dykstra(state, tol, block)
+        done += block - left
+        state = np.stack(columns)
         gap = float(np.max(moved, initial=0.0))
         if not math.isfinite(gap):
             _finite(state[:n])
@@ -154,7 +168,7 @@ def _project_rows(family: Family, x, tol):
             feas = float(np.max(family.member_distances(out), initial=0.0))
             if feas <= tol:
                 return out.reshape(x.shape)
-        settled = _settled(moved, state, state_prev)
+        settled = _settled(moved, state, before)
         if settled.any():
             out[rows[settled]] = state[:n, settled].T
             state, rows = state[:, ~settled], rows[~settled]
@@ -162,16 +176,18 @@ def _project_rows(family: Family, x, tol):
     raise _budget_exhausted(out.reshape(x.shape), gap)
 
 
-def _settled(moved, state, state_prev):
-    """Mask of the rows, the columns of the arrays `state` and `state_prev`,
-    whose every entry kept its bits; only the rows that `moved` 0 are
-    compared.  Bits, not `==`, so that a zero which flips its sign keeps the
-    row going."""
+def _settled(moved, state, before):
+    """Mask of the rows, the columns of the array `state`, whose every entry
+    kept its bits from `before`, the list of the state's rows one cycle
+    earlier; only the rows that `moved` 0 are compared.  Bits, not `==`, so
+    that a zero which flips its sign keeps the row going.  A settled row is
+    a fixed point of the cycle, so it keeps its bits over every later cycle
+    too."""
     settled = moved == 0.0
     rows = np.flatnonzero(settled)
     if rows.size:
-        now, before = state[:, rows].view(np.int64), state_prev[:, rows].view(np.int64)
-        settled[rows] = np.all(now == before, axis=0)
+        now, then = state[:, rows].view(np.int64), np.stack(before)[:, rows].view(np.int64)
+        settled[rows] = np.all(now == then, axis=0)
     return settled
 
 

@@ -327,7 +327,7 @@ def test_an_overflowing_projection_exits_1_naming_it(command, halfspace, center_
     family A; `check` validates its problem and meets it on the audit grid,
     5e149 out.  Either writes one `error:` line that names the overflow and
     exits 1: it no longer blames the input's finiteness, or an empty
-    intersection with exit 3."""
+    intersection with exit 3.  numpy warns of nothing on the way."""
     problem = write(tmp_path, "p.json", huge_axis_doc(halfspace, center_b, radius_b))
     argv = [command, problem] + (["--out", str(tmp_path / "t")] if command == "run" else [])
     with warnings.catch_warnings(record=True) as caught:
@@ -335,7 +335,7 @@ def test_an_overflowing_projection_exits_1_naming_it(command, halfspace, center_
         assert main(argv) == 1
     out, err = capsys.readouterr()
     assert err.splitlines() == ["error: reference projection overflowed: an iterate left the float range"]
-    assert {w.category for w in caught} <= {RuntimeWarning}
+    assert caught == []
 
 
 @pytest.mark.parametrize("command", ["run", "check"])
@@ -343,7 +343,7 @@ def test_lens_with_a_huge_ball_exits_0(command, tmp_path, capsys):
     """Family A of the lens with a ball of radius 1e300 added: rho is
     1e300, and Dykstra's moves on the audit grid are too long to square.
     Their gap overflows while the iterates stay finite, so the cycles go
-    on and both commands succeed."""
+    on and both commands succeed, with no numpy warning."""
     doc = json.loads(pathlib.Path(LENS).read_text())
     doc["familyA"]["sets"].append({"type": "ball", "center": [0, 0], "radius": 1e300})
     doc["familyA"]["weights"] = [0.495, 0.495, 0.01]
@@ -352,8 +352,7 @@ def test_lens_with_a_huge_ball_exits_0(command, tmp_path, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(argv) == 0
-    assert {str(w.message) for w in caught} == (
-        {"overflow encountered in multiply"} if command == "check" else set())
+    assert caught == []
     assert capsys.readouterr().err == ""
 
 

@@ -59,8 +59,9 @@
   each compiled under one def line.
 - Each kernel, a set's projection, the anchored step and Dykstra, is one
   build in two forms: two partials of one function that takes `columns`.
-  A Dykstra kernel binds `sets.member_constants` and, on scalars, the
-  `isfinite` of its guard, and nothing else.
+  A Dykstra kernel binds `sets.member_constants` and the `isfinite` of its
+  guard, and nothing else; both forms end the loop with one exit line,
+  which differs only in the gap it tests.
 - A kind's `point_constants(k)` takes no form and gives only the set's
   numbers, ints and floats: the form's helpers are bound once per kernel,
   and what the type decides, the affine comparison and the Newton step's
@@ -452,9 +453,24 @@ def test_each_kernel_is_one_build_in_two_forms(point, column):
 def test_dykstra_binds_only_member_constants_and_its_guard():
     members = one_of_each_kind(3)
     family = bestpair.Family(members)
-    for build, columns, guard in ((intersection._point_dykstra, False, {"isfinite": math.isfinite}),
-                                  (intersection._column_dykstra, True, {})):
-        assert build(family)[1] == {**sets.member_constants(members, columns), **guard}
+    for build, columns in ((intersection._point_dykstra, False), (intersection._column_dykstra, True)):
+        assert build(family)[1] == {**sets.member_constants(members, columns), "isfinite": math.isfinite}
+
+
+def test_dykstra_forms_write_one_exit_line():
+    """Both forms end the loop with the same line, on a point's gap and on
+    the worst gap of a batch's rows."""
+    family = bestpair.Family(one_of_each_kind(3))
+
+    def exit_of(build):
+        lines = build(family)[2]()
+        last_if = max(k for k, line in enumerate(lines) if line.startswith("    if "))
+        return lines[last_if - 1:last_if + 2]
+
+    point, column = exit_of(intersection._point_dykstra), exit_of(intersection._column_dykstra)
+    assert point[1:] == ["    if gap <= tol or not isfinite(gap):", "        break"]
+    assert column == ["    worst = largest(gap, initial=0.0)",
+                      *(line.replace("gap", "worst") for line in point[1:])]
 
 
 def calls_of(node, name):

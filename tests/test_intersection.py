@@ -239,14 +239,19 @@ class CountingBall(Ball):
         return super().project(x)
 
 
+def lens_anchors(problem):
+    """2000 anchors drawn uniformly from the lens problem's ball of radius rho."""
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((2000, 2))
+    return problem.rho * u / np.linalg.norm(u, axis=1, keepdims=True) * rng.random((2000, 1)) ** 0.5
+
+
 def test_settled_rows_are_not_projected_again(monkeypatch, lens_parsed):
     """On the lens family with 2000 anchors, the rows projected number under
     a quarter of those the all-rows loop projects, in as many calls."""
     problem = lens_parsed.problem
     family = Family(tuple(CountingBall(s.center, s.radius) for s in problem.family_a.sets))
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal((2000, 2))
-    x = problem.rho * u / np.linalg.norm(u, axis=1, keepdims=True) * rng.random((2000, 1)) ** 0.5
+    x = lens_anchors(problem)
 
     def counted(project):
         monkeypatch.setattr(CountingBall, "counts", {"calls": 0, "rows": 0})
@@ -258,6 +263,31 @@ def test_settled_rows_are_not_projected_again(monkeypatch, lens_parsed):
     assert np.array_equal(bits(got), bits(expected))
     assert retiring["calls"] == all_rows["calls"]
     assert retiring["rows"] < 0.25 * all_rows["rows"]
+
+
+def test_the_column_kernel_runs_in_doubling_blocks(monkeypatch, lens_parsed):
+    """On the lens family with 2000 anchors, `project_intersection` calls the
+    column Dykstra kernel once per block of cycles, each block as long as
+    all the blocks before it, so at most 2 + log2(cycles) times, and runs
+    the 293 cycles of the loop that called it once a cycle."""
+    kernel, blocks = Family.kernel, []
+
+    def counting(self, build):
+        dykstra = kernel(self, build)
+        if build is not intersection._column_dykstra:
+            return dykstra
+
+        def counted(state, tol, left):
+            result = dykstra(state, tol, left)
+            blocks.append(left - result[2])
+            return result
+        return counted
+
+    monkeypatch.setattr(Family, "kernel", counting)
+    project_intersection(lens_parsed.problem.family_a, lens_anchors(lens_parsed.problem))
+    assert sum(blocks) == 293
+    assert len(blocks) <= 2 + np.log2(sum(blocks))
+    assert blocks == [1, 1, 2, 4, 8, 16, 32, 64, 128, 37]
 
 
 def test_empty_batch_returns_an_empty_batch():

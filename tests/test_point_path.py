@@ -19,7 +19,8 @@ steps kernel step by step, and the sweep kernel by its last step.  The
 Dykstra kernel of `project_intersection` is held to `list_cycles_reference`,
 the cycles on lists it replaced, in its result and in the last iterate and
 gap of an exhausted budget, and, run a few cycles a call, to `list_cycles`
-in its whole state, increments included.  So is the distance of two lists,
+in its whole state, increments included.  Its column form, run a few cycles
+a call, is held to one cycle a call, and returns where a batch may stop.  So is the distance of two lists,
 which writes that sum out as source too.  No generated source holds a set constant as
 text, and a set or family that has compiled a kernel still pickles.
 """
@@ -1244,6 +1245,96 @@ def test_dykstra_resumes_exactly(n, kinds, where, seed):
             done, state, gap, cycles = kernel_in_chunks(fam, x, REFERENCE_TOL, chunk)
             assert (done, cycles) == (expected[0], expected[3])
             assert same_bits(np.array([gap, *state]), np.array([expected[2], *expected[1]]))
+
+
+def column_kernel_in_blocks(family, x, tol, block):
+    """The column Dykstra kernel on the batch x (m, n), every row in every
+    cycle, `block` cycles a call, with the exit test of `project_intersection`
+    on a batch: the worst row's gap, then `Family.member_distances`.  Returns
+    whether it ended, the state, the gap, the cycles run, the cycle after
+    which each call returned, the gap each call returned and the state that
+    the last call held before its last cycle."""
+    n = family.dim
+    dykstra = family.kernel(intersection._column_dykstra)
+    budget = intersection.REFERENCE_MAX_ITER
+    state = np.zeros((n * (len(family.sets) + 1), len(x)))
+    state[:n] = x.T
+    run = {"done": False, "gap": np.inf, "cycles": 0, "ends": [], "gaps": []}
+    while run["cycles"] < budget and not run["done"]:
+        asked = min(block, budget - run["cycles"])
+        columns, moved, left, before = dykstra(state, tol, asked)
+        state, gap = np.stack(columns), float(np.max(moved, initial=0.0))
+        run.update(gap=gap, cycles=run["cycles"] + asked - left, state=state, before=np.stack(before))
+        run["ends"].append(run["cycles"])
+        run["gaps"].append(gap)
+        run["done"] = gap <= tol and np.max(family.member_distances(state[:n].T), initial=0.0) <= tol
+    return run
+
+
+def block_ends(gaps, tol, block):
+    """The cycles after which the calls of `block` cycles return, from the
+    gap after each cycle of a run: at the end of a block, or after a cycle
+    whose gap is at most tol or not finite, where the batch may stop."""
+    ends, start = [], 0
+    while start < len(gaps):
+        end = min(start + block, len(gaps))
+        ends.append(next((c for c in range(start + 1, end) if not tol < gaps[c - 1] < math.inf), end))
+        start = ends[-1]
+    return ends
+
+
+def assert_blocks_resume(family, x, tol=REFERENCE_TOL):
+    """The column kernel run 2, 7 or 64 cycles a call keeps the bits of one
+    cycle a call: the state, the increments included, the state before the
+    last cycle, the gap, the cycle count and the ending; each call returns
+    where the batch may stop.  Returns the one-cycle run."""
+    expected = column_kernel_in_blocks(family, x, tol, 1)
+    for block in (2, 7, 64):
+        got = column_kernel_in_blocks(family, x, tol, block)
+        assert (got["done"], got["cycles"]) == (expected["done"], expected["cycles"])
+        assert same_bits(np.array(got["gap"]), np.array(expected["gap"]))
+        assert same_bits(got["state"], expected["state"]) and same_bits(got["before"], expected["before"])
+        assert got["ends"] == block_ends(expected["gaps"], tol, block)
+    return expected
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 12),
+    st.lists(st.sampled_from([*KINDS, "subball", "checked"]), min_size=2, max_size=3),
+    st.integers(0, 2**32 - 1),
+)
+def test_column_dykstra_resumes_exactly(n, kinds, seed):
+    """The column kernel goes on where it stopped, as the point kernel does,
+    on a batch of a drawn, a boundary, an inside and a far point."""
+    rng = np.random.default_rng(seed)
+    fam = Family(tuple(member_around(rng, k, rng.uniform(-3.0, 3.0, n)) for k in kinds))
+    x = np.stack([random_point(rng, fam, where) for where in ("drawn", "boundary", "inside", "far")])
+    with mock.patch.object(intersection, "REFERENCE_MAX_ITER", 150):
+        try:
+            assert_blocks_resume(fam, x)
+        except EllipsoidRootFindError:
+            return
+
+
+def test_column_dykstra_blocks_end_where_the_batch_stops(monkeypatch):
+    """The three endings of a block before its last cycle, each pinned: the
+    batch's exit, past the first blocks, the budget of 150 cycles, which 2,
+    7 and 64 do not divide, and a gap that is not finite."""
+    rng = np.random.default_rng(5)
+    lens = Family((Ball([0.0, 0.0], 2.0), Ball([1.0, 0.0], 2.0)))
+    run = assert_blocks_resume(lens, rng.uniform(-6.0, 6.0, (20, 2)))
+    assert run["done"] and run["cycles"] % 64 and run["cycles"] % 7
+
+    monkeypatch.setattr(intersection, "REFERENCE_MAX_ITER", 150)
+    empty = Family((Ball([0.0, 0.0], 1.0), Ball([5.0, 0.0], 1.0)))
+    run = assert_blocks_resume(empty, rng.uniform(-3.0, 8.0, (6, 2)))
+    assert not run["done"] and run["cycles"] == 150
+
+    huge = Family((*lens.sets, Ball([0.0, 0.0], 1e300)))
+    with np.errstate(over="ignore"):
+        run = assert_blocks_resume(huge, np.array([[1e200, 0.0], [-1e300, 1e300], [3.0, 4.0]]))
+    assert run["done"] and run["gaps"][0] == np.inf and np.isfinite(run["state"]).all()
 
 
 def test_dykstra_kernel_writes_each_member_once(cold_kernels, monkeypatch):
