@@ -19,18 +19,19 @@ gap from `sets.square_sum_source`: the operations of the cycles on lists
 through `project_point`, in their order, so a result, the last iterate and
 gap of an exhausted budget, and a batch row keep the bits of that loop.
 The kernel stops after a cycle where its caller might: one whose gap, a
-batch's worst row gap, is at most tol or not finite.  Its callers hold the
-rest of the exit test, the budget and the check that the iterate stays
-finite.  A point runs the budget in one call, or more when `Family.within`
-rejects the iterate of a small gap.  A batch runs its cycles in blocks, each
-as long as all the blocks before it, and its exit test is
+batch's worst row gap, is at most tol or not finite, and returns that value.
+Its callers hold the rest of the exit test, the budget and the check that the
+iterate stays finite.  A point runs the budget in one call, or more when
+`Family.within` rejects the iterate of a small gap.  A batch runs its cycles
+in blocks, each as long as all the blocks before it, and its exit test is
 `Family.member_distances`.  Its state is one C-ordered array of shape
-(n*(L+1), rows), the columns of y and then of each member's increment.
-After each block, a row retires if its whole state kept its bits over the
-block's last cycle: every later cycle would repeat them.  It is written to
-the result, and one compression of the state drops it from the later
-blocks.  A row that settled earlier in the block repeated its bits since,
-and its gap of 0 moved no exit test, so it retires with the same bits.
+(n*(L+1), rows), the columns of y and then of each member's increment.  After
+each block, a row retires if its whole state kept its bits over the block's
+last cycle, which the kernel's `before` holds: every later cycle would repeat
+them.  It is written to the result, and one compression of the state drops it
+from the later blocks.  A row that settled earlier in the block repeated its
+bits since, and its gap of 0 moved no exit test, so it retires with the same
+bits.
 """
 
 from __future__ import annotations
@@ -97,11 +98,11 @@ def _dykstra_function(family: Family, columns):
     runs at most left >= 1 cycles: for each member, z = y - inc, y = P(z),
     from `sets.point_projection_source`, and inc = y - z; the gap is the
     distance of y from the iterate before the cycle, by `square_sum_source`.
-    The loop also ends after a cycle whose gap is at most tol or not
-    finite, on columns the worst gap, `largest(gap, initial=0.0)`, which an
-    empty state keeps at 0.  It returns (state, gap, cycles left), the state
-    a list; on columns also the list of the columns held before the last
-    cycle, which the cycle rebound and did not change.
+    The loop also ends after a cycle whose gap, on columns the worst gap
+    `largest(gap, initial=0.0)`, which an empty state keeps at 0, is at most
+    tol or not finite.  It returns (state, that value, cycles left), the
+    state a list; on columns also the list of the columns held before the
+    last cycle, which the cycle rebound and did not change.
     """
     consts = {**member_constants(family.sets, columns), "isfinite": math.isfinite}
 
@@ -132,7 +133,7 @@ def _dykstra_function(family: Family, columns):
             *(f"    {line}" for line in head),
             *(f"    {pj} = {yj}" for pj, yj in zip(p, y)),
             *(f"    {line}" for line in cycle),
-            f"return [{', '.join(state)}], gap, left{returned}",
+            f"return [{', '.join(state)}], {worst}, left{returned}",
         ]
 
     return "def dykstra(state, tol, left):", consts, body
@@ -146,7 +147,8 @@ _column_dykstra = partial(_dykstra_function, columns=True)
 
 def _project_rows(family: Family, x, tol):
     """Dykstra's cycles on a batch (..., n), in blocks of as many cycles as
-    have run, retiring after each block the rows its last cycle settled."""
+    have run, each tested on the worst row gap the kernel returns; after
+    each block, the rows its last cycle settled retire."""
     n = family.dim
     dykstra = family.kernel(_column_dykstra)
     pts = x.reshape(-1, n)
@@ -157,10 +159,9 @@ def _project_rows(family: Family, x, tol):
     gap, done, budget = np.inf, 0, REFERENCE_MAX_ITER
     while done < budget:
         block = min(max(done, 1), budget - done)
-        columns, moved, left, before = dykstra(state, tol, block)
+        columns, gap, left, before = dykstra(state, tol, block)
         done += block - left
-        state = np.stack(columns)
-        gap = float(np.max(moved, initial=0.0))
+        state, gap = np.stack(columns), float(gap)
         if not math.isfinite(gap):
             _finite(state[:n])
         if gap <= tol:
@@ -168,7 +169,7 @@ def _project_rows(family: Family, x, tol):
             feas = float(np.max(family.member_distances(out), initial=0.0))
             if feas <= tol:
                 return out.reshape(x.shape)
-        settled = _settled(moved, state, before)
+        settled = _settled(state, before)
         if settled.any():
             out[rows[settled]] = state[:n, settled].T
             state, rows = state[:, ~settled], rows[~settled]
@@ -176,19 +177,14 @@ def _project_rows(family: Family, x, tol):
     raise _budget_exhausted(out.reshape(x.shape), gap)
 
 
-def _settled(moved, state, before):
+def _settled(state, before):
     """Mask of the rows, the columns of the array `state`, whose every entry
     kept its bits from `before`, the list of the state's rows one cycle
-    earlier; only the rows that `moved` 0 are compared.  Bits, not `==`, so
-    that a zero which flips its sign keeps the row going.  A settled row is
-    a fixed point of the cycle, so it keeps its bits over every later cycle
-    too."""
-    settled = moved == 0.0
-    rows = np.flatnonzero(settled)
-    if rows.size:
-        now, then = state[:, rows].view(np.int64), np.stack(before)[:, rows].view(np.int64)
-        settled[rows] = np.all(now == then, axis=0)
-    return settled
+    earlier.  Bits, not `==`, so that a zero which flips its sign keeps the
+    row going; on the finite iterates it is asked of, kept bits mean a gap
+    of exactly 0.  A settled row is a fixed point of the cycle, so it keeps
+    its bits over every later cycle too."""
+    return np.all(state.view(np.int64) == np.stack(before).view(np.int64), axis=0)
 
 
 def _finite(y):

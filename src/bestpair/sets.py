@@ -43,8 +43,9 @@ the one statement of that order.  It writes the sum out as source: the
 distance of two points run it on scalars, and `column_sum` runs it
 compiled on columns, those of an array in `row_sum`, so that a batch row
 adds as its point does, whatever the batch around it or its layout.
-`row_norm` and `row_dot` are `row_sum` of products, and every length the
-package measures is a `row_norm` or a `max_distance`.
+`row_norm` and `row_dot` are `row_sum` of products, of one vector (n,) on
+Python floats, and every length the package measures is a `row_norm` or a
+`max_distance`.
 
 Each kind declares the class attributes `strictly_convex` and `bounded`.  The
 bounded kinds (ball, box, ellipsoid) have `bounding_radius`, the radius of the
@@ -119,8 +120,9 @@ def row_dot(x, v):
 
 def row_norm(d):
     """Euclidean norms along the last axis of an array of shape (..., n), by
-    `row_sum`: on a C-ordered array, bit for bit `np.linalg.norm(d, axis=-1)`."""
-    return np.sqrt(row_sum(d * d))
+    `row_sum`: on a C-ordered array, bit for bit `np.linalg.norm(d, axis=-1)`;
+    a vector (n,) squares on Python floats, by `row_dot`, without warnings."""
+    return np.sqrt(row_dot(d, d) if d.ndim == 1 and d.size else row_sum(d * d))
 
 
 def sum_source(terms):
@@ -522,7 +524,7 @@ class _Affine(_PointSource):
                 "normal must be nonzero, with a squared length that neither underflows nor overflows"
             )
         object.__setattr__(self, "_nn", nn)
-        object.__setattr__(self, "_norm", float(row_norm(self.normal)))
+        object.__setattr__(self, "_norm", math.sqrt(nn))
 
     @property
     def dim(self):

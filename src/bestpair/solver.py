@@ -255,8 +255,7 @@ def run_ashlwb(problem: Problem, x0=None) -> IterationTrace:
     if not np.all(np.isfinite(x0)):
         raise ValueError(f"x0 must be finite, got {x0.tolist()}")
     validate_problem(problem)
-    with np.errstate(over="ignore"):
-        norm = float(row_norm(x0))
+    norm = float(row_norm(x0))
     unit, top = x0, 1.0
     if norm == math.inf:  # the squares overflow: measure x0 / max|x0| instead
         top = float(np.max(np.abs(x0)))

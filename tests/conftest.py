@@ -46,11 +46,13 @@ def rng():
 @pytest.fixture()
 def cold_kernels(monkeypatch):
     """An empty cache of kernel code for the test: every kernel shape it
-    builds, and every sum, distance and secular root it compiles, writes and
-    compiles its source afresh, whatever ran before."""
+    builds, and every helper that `sets` compiles and keeps in an
+    `lru_cache`, writes and compiles its source afresh, whatever ran
+    before."""
     monkeypatch.setattr(sets, "_shape_code", {})
-    for kept in (sets.column_sum, sets._list_distance, sets._secular_root):
-        kept.cache_clear()
+    for kept in vars(sets).values():
+        if callable(getattr(kept, "cache_clear", None)):
+            kept.cache_clear()
 
 
 @pytest.fixture()

@@ -6,13 +6,13 @@ the point path and to numpy's bits.
 bits of `sum_source` evaluated on its floats, the point path, and of
 numpy's `add.reduce` on a C-ordered array, up to the sign of a sum of zeros,
 at every n and in particular around numpy's pairwise splits (8, 128 and
-2 * 128 terms).  A single vector (n,) is added on Python floats, and must
-keep the bits of its row of a (1, n) batch, up to the sign of a NaN,
-without numpy's warnings.  `row_norm` must equal `np.linalg.norm` of the
-C-ordered array bit for bit, on any shape (..., n) and any layout.  `Ball.project`
-runs one column at a time; `broadcast_ball_reference`, the broadcasting
-form it replaced, is kept here so that the new form is held to its bits at
-every n.  A column-major batch
+2 * 128 terms).  A single vector (n,) is added, and squared for its norm,
+on Python floats, and must keep the bits of its row of a (1, n) batch, up
+to the sign of a NaN, without numpy's warnings.  `row_norm` must equal
+`np.linalg.norm` of the C-ordered array bit for bit, on any shape (..., n)
+and any layout.  `Ball.project` runs one column at a time;
+`broadcast_ball_reference`, the broadcasting form it replaced, is kept here
+so that the new form is held to its bits at every n.  A column-major batch
 has the bits of its C-ordered copy.
 """
 
@@ -130,9 +130,10 @@ def same_sum(a, b):
 
 @pytest.mark.parametrize("kind", SINGLE_VECTOR_ENTRIES)
 def test_a_single_vector_sums_as_its_batch_row(kind):
-    """`row_sum` and `row_dot` add a vector (n,) on Python floats: a
-    `np.float64` with the bits of the vector's row of a (1, n) batch, and no
-    warning or exception where numpy warns on the batch."""
+    """`row_sum`, `row_dot` and `row_norm` add a vector (n,) on Python
+    floats, `row_norm` its squares too: a `np.float64` with the bits of the
+    vector's row of a (1, n) batch, and no warning or exception where numpy
+    warns on the batch."""
     rng = np.random.default_rng(len(kind))
     specials = np.array(SINGLE_VECTOR_ENTRIES[kind])
     for n in range(1, 41):
@@ -141,12 +142,21 @@ def test_a_single_vector_sums_as_its_batch_row(kind):
             v = np.where(rng.random(n) < 0.5, rng.choice(specials, n), rng.standard_normal(n))
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                got = row_sum(a), row_dot(a, v)
+                got = row_sum(a), row_dot(a, v), row_norm(a)
             with np.errstate(all="ignore"):
-                expected = row_sum(a[None])[0], row_dot(a[None], v)[0]
+                expected = row_sum(a[None])[0], row_dot(a[None], v)[0], row_norm(a[None])[0]
             for g, e in zip(got, expected):
                 assert type(g) is np.float64
                 assert same_sum(g, e), (n, a, v)
+
+
+def test_a_single_vector_norm_overflows_to_inf_without_a_warning():
+    """Squares that overflow give inf, and no entries give 0."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert row_norm(np.array([1e308, 1e308])) == np.inf
+        assert row_norm(np.array([1e200, -1e200, 1.0])) == np.inf
+    assert row_norm(np.zeros(0)) == 0.0
 
 
 def broadcast_ball_reference(ball, x):

@@ -473,6 +473,16 @@ def test_dykstra_forms_write_one_exit_line():
                       *(line.replace("gap", "worst") for line in point[1:])]
 
 
+def test_dykstra_forms_write_one_return_line():
+    """Both forms return the state, the value their exit line tests and the
+    cycles left; the columns add the state held before the last cycle."""
+    family = bestpair.Family(one_of_each_kind(3))
+    point, column = (build(family)[2]()[-1]
+                     for build in (intersection._point_dykstra, intersection._column_dykstra))
+    assert point.startswith("return [") and point.endswith("], gap, left")
+    assert column == point.replace("], gap, left", "], worst, left, before")
+
+
 def calls_of(node, name):
     return any(
         isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == name

@@ -20,12 +20,13 @@ from bestpair import (
     Ellipsoid,
     Family,
     HalfSpace,
+    Hyperplane,
     MaxIterExceeded,
     intersection,
     project_intersection,
     shlwb_project,
 )
-from bestpair.sets import max_distance
+from bestpair.sets import max_distance, row_norm
 
 LENS = (Ball([0, 0], 2.0), Ball([1, 0], 2.0))
 
@@ -220,12 +221,88 @@ def test_a_zero_that_flips_its_sign_does_not_settle():
     y = np.array([[0.0, 1.0], [0.0, 1.0], [0.0, 2.0]])
     y_prev = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, 1.0]])
     inc = np.array([[1.0, 0.0], [1.0, -0.0], [1.0, 0.0]])
-    moved = np.linalg.norm(y - y_prev, axis=-1)
-    settled = intersection._settled(moved, np.vstack([y.T, inc.T]), np.vstack([y_prev.T, inc.T]))
+    settled = intersection._settled(np.vstack([y.T, inc.T]), np.vstack([y_prev.T, inc.T]))
     assert settled.tolist() == [False, True, False]
     inc_prev = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
-    settled = intersection._settled(moved, np.vstack([y.T, inc.T]), np.vstack([y_prev.T, inc_prev.T]))
+    settled = intersection._settled(np.vstack([y.T, inc.T]), np.vstack([y_prev.T, inc_prev.T]))
     assert settled.tolist() == [False, False, False]
+
+
+def gap_filtered_settled(moved, state, before):
+    """The settle test as it was written with a gap filter: only the rows
+    that `moved` 0 had their bits compared."""
+    settled = moved == 0.0
+    rows = np.flatnonzero(settled)
+    if rows.size:
+        now, then = state[:, rows].view(np.int64), np.stack(before)[:, rows].view(np.int64)
+        settled[rows] = np.all(now == then, axis=0)
+    return settled
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1))
+def test_the_settle_test_needs_no_gap_filter(n, members, m, seed):
+    """On finite iterates, the bit comparison of the whole state keeps the
+    rows that the gap-filtered test keeps, with the gap the kernel takes,
+    `row_norm` of y - p: rows repeated bit for bit, a zero that flips its
+    sign, increments that are inf or NaN, and states of no rows."""
+    rng = np.random.default_rng(seed)
+    before = rng.standard_normal((n * (members + 1), m)) * 10.0 ** rng.integers(-3, 4, (1, m))
+    before[rng.random(before.shape) < 0.3] = 0.0
+    before *= rng.choice([1.0, -1.0], before.shape)  # signed zeros too
+    incs = before[n:]
+    incs[rng.random(incs.shape) < 0.15] = rng.choice([np.inf, -np.inf, np.nan, -np.nan])
+    state = before.copy()
+    for row in np.flatnonzero(rng.random(m) < 0.6):  # the others repeat their bits
+        entry = rng.integers(0, len(state))
+        old = state[entry, row]
+        if entry < n:  # an iterate stays finite
+            new = rng.choice([-old, old + 1.0, old * (1.0 + 2.0**-52)])
+        else:
+            new = rng.choice([-old, old + 1.0, np.inf, np.nan, -np.nan])
+        state[entry, row] = new
+    moved = row_norm((state[:n] - before[:n]).T)
+    expected = gap_filtered_settled(moved, state, list(before))
+    assert intersection._settled(state, list(before)).tolist() == expected.tolist()
+
+
+def ten_d_family(rng):
+    """A ball, a half-space and a hyperplane in dimension 10: the hyperplane
+    through the ball's centre, the half-space's boundary 0.5 from it, with
+    its normal 60 degrees from the hyperplane's."""
+    center = rng.normal(0.0, 0.5, 10)
+    frame, _ = np.linalg.qr(rng.normal(size=(10, 2)))
+    h = frame[:, 0]
+    g = 0.5 * h + np.sqrt(0.75) * frame[:, 1]
+    return Family((Ball(center, 2.0), HalfSpace(g, float(g @ center) + 0.5),
+                   Hyperplane(h, float(h @ center))))
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+@pytest.mark.parametrize("which", ["lens-A", "10-D"])
+def test_the_column_kernel_returns_the_worst_gap_of_its_last_cycle(which, block, lens_parsed):
+    """The column kernel's exit value is the largest `row_norm` of y - p
+    over the rows, y of the state it returns and p of its `before`, bit for
+    bit, after every call of `block` cycles, up to a last worst gap of at
+    most tol."""
+    rng = np.random.default_rng(1)
+    if which == "lens-A":
+        family = lens_parsed.problem.family_a
+        x = lens_anchors(lens_parsed.problem)[:300]
+    else:
+        family = ten_d_family(rng)
+        x = family.sets[0].center + rng.uniform(-4.0, 4.0, (300, 10))
+    n, dykstra = family.dim, family.kernel(intersection._column_dykstra)
+    state = np.zeros((n * (len(family.sets) + 1), len(x)))
+    state[:n] = x.T
+    cycles, worst = 0, np.inf
+    while cycles < 300 and worst > intersection.REFERENCE_TOL:
+        columns, worst, left, before = dykstra(state, intersection.REFERENCE_TOL, block)
+        cycles += block - left
+        state = np.stack(columns)
+        expected = np.max(row_norm((state[:n] - np.stack(before)[:n]).T), initial=0.0)
+        assert bits(np.float64(worst)) == bits(expected)
+    assert cycles > block and worst <= intersection.REFERENCE_TOL
 
 
 class CountingBall(Ball):

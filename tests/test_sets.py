@@ -529,6 +529,28 @@ def test_normal_whose_squared_length_underflows_or_overflows_rejected(cls, norma
         cls(normal, 0.0)
 
 
+@pytest.mark.parametrize("cls", [HalfSpace, Hyperplane])
+def test_affine_norm_is_the_row_norm_of_its_normal(cls):
+    """An affine set's kept length, the square root of its normal's squared
+    length, has the bits of `row_norm` of the normal, as a vector and as a
+    batch row, at random scales and beside the limits of the squared length."""
+    rng = np.random.default_rng(11)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    kept = 0
+    for n in [*range(1, 21), 127, 128, 129]:
+        for target in [*10.0 ** rng.uniform(-300, 300, 8), tiny, 2.0 * tiny, huge, huge / 2.0]:
+            g = rng.standard_normal(n)
+            normal = g * (math.sqrt(target) / math.sqrt(sets.row_dot(g, g)))
+            try:
+                s = cls(normal, 0.0)
+            except ValueError:  # rounded past a limit
+                continue
+            kept += 1
+            assert np.float64(s._norm).tobytes() == sets.row_norm(s.normal).tobytes()
+            assert np.float64(s._norm).tobytes() == sets.row_norm(s.normal[None]).tobytes()
+    assert kept > 250
+
+
 @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("cls", [HalfSpace, Hyperplane])
 def test_non_finite_offset_rejected(cls, offset):
